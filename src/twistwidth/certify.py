@@ -16,6 +16,7 @@ a failed re-check raises instead of silently falling back.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import DeltaMatroid, DeltaMatroidError
@@ -75,8 +76,9 @@ class AuxGraph:
 
 def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
     """Construct the auxiliary graph; the empty set must be feasible."""
-    if 0 not in d.masks:
+    if d.masks[0] != 0:
         raise DeltaMatroidError("the empty set must be feasible")
+    pos = d._pos
     feasible = set(d.masks)
     singles = frozenset(
         e for i, e in enumerate(d.labels) if (1 << i) in feasible
@@ -90,13 +92,13 @@ def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
         adjacency[v].add(u)
 
     for x in others:
-        xbit = 1 << d.labels.index(x)
+        xbit = 1 << pos[x]
         for y in others:
             if y <= x:
                 continue
-            if xbit | (1 << d.labels.index(y)) in feasible:
+            if xbit | (1 << pos[y]) in feasible:
                 add_edge(x, y)
-        if any(xbit | (1 << d.labels.index(z)) in feasible for z in singles):
+        if any(xbit | (1 << pos[z]) in feasible for z in singles):
             add_edge(x, HUB)
     return AuxGraph(singles, vertices, adjacency)
 
@@ -112,15 +114,16 @@ def two_coloring(g: AuxGraph):
     Components are rooted in vertex order with root color 0, so the
     coloring is deterministic.
     """
+    key = _vertex_key(g)
     color = {}
     for root in g.vertices:
         if root in color:
             continue
         color[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
-            for v in sorted(g.adjacency[u], key=_vertex_key(g)):
+            u = queue.popleft()
+            for v in sorted(g.adjacency[u], key=key):
                 if v not in color:
                     color[v] = 1 - color[u]
                     queue.append(v)
@@ -154,9 +157,9 @@ def shortest_odd_cycle(g: AuxGraph):
     for s in g.vertices:
         dist = {(s, 0): 0}
         parent = {(s, 0): None}
-        queue = [(s, 0)]
+        queue = deque([(s, 0)])
         while queue:
-            u, p = queue.pop(0)
+            u, p = queue.popleft()
             for v in sorted(g.adjacency[u], key=key):
                 state = (v, 1 - p)
                 if state not in dist:
@@ -250,10 +253,9 @@ def _bipartite_case(d, g, color):
 
 def _partner_in_singles(d, g, x):
     """Smallest single-feasible element z (ground order) with {x,z} feasible."""
-    xbit = 1 << d.labels.index(x)
-    feasible = set(d.masks)
+    xbit = 1 << d._pos[x]
     for z in d.labels:
-        if z in g.singles and xbit | d.mask_of([z]) in feasible:
+        if z in g.singles and d.is_feasible(xbit | (1 << d._pos[z])):
             return z
     raise CertificationError(f"hub edge for {x!r} has no feasible partner")
 

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .certify import CertificationError, TwistWitness, certify
-from .core import DeltaMatroidError
+from .core import DeltaMatroid, DeltaMatroidError
 from .enumeration import (
     MAX_ENUM_ELEMENTS,
     THEOREM_TAGS,
@@ -23,7 +23,6 @@ from .fileio import ParseError, parse, serialize
 from .matroids import is_matroid
 from .minors import is_obstructed
 from .structure import min_width_twist
-from .core import DeltaMatroid
 
 
 def _load(path: str) -> DeltaMatroid:

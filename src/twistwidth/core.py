@@ -12,6 +12,7 @@ structural equality is a plain tuple comparison.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 # Bitmask width limits: direct operations run on up to 64 elements,
@@ -160,7 +161,9 @@ class DeltaMatroid:
         return [self.set_of(m) for m in self.masks]
 
     def is_feasible(self, elems) -> bool:
-        return self._to_mask(elems) in set(self.masks)
+        mask = self._to_mask(elems)
+        i = bisect_left(self.masks, mask)
+        return i < len(self.masks) and self.masks[i] == mask
 
     def __eq__(self, other) -> bool:
         return (

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .core import DeltaMatroid, GroundSetError, find_axiom_violation
 from .minors import is_obstructed
 from .structure import (
@@ -51,6 +49,8 @@ class EnumerationReport:
 @lru_cache(maxsize=None)
 def _valid_family_masks(n: int) -> tuple[int, ...]:
     """Family bitmasks (over the 2^n subsets) passing the exchange axiom."""
+    import numpy as np
+
     nsub = 1 << n
     total = 1 << nsub
     fams = np.arange(total, dtype=np.uint32)

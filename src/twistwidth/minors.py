@@ -1,9 +1,8 @@
 """Isomorphism, the five-member obstruction catalog, and minor detection.
 
-The catalog holds the five small delta-matroids whose twists form the
-excluded minors for having a twist of width at most one. Isomorphism is
-brute force over label permutations with a feasible-size signature filter,
-which is plenty below the guard of eight elements.
+The twists of the five catalog members (D5) are the excluded minors for
+having a twist of width at most one. Isomorphism is brute force over label
+permutations of up to eight elements; ``is_obstructed`` has no such limit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ MAX_ISO_ELEMENTS = 8
 @dataclass
 class Obstruction:
     """A minor witness: minor(host, delete_set, contract_set) is isomorphic
-    to ``target`` (entry ``target_index`` of the list that was scanned)."""
+    to ``target`` (entry ``target_index`` of the list it was matched to)."""
 
     delete_set: frozenset
     contract_set: frozenset
@@ -167,9 +166,28 @@ def _obstruction_scan_list() -> tuple[DeltaMatroid, ...]:
     return tuple(d5_family(up_to_iso=True))
 
 
-@lru_cache(maxsize=1)
-def _obstruction_canonical_keys() -> frozenset:
-    return frozenset(canonical_form(m) for m in _obstruction_scan_list())
+def is_obstructed(d: DeltaMatroid):
+    """A minor of ``d`` isomorphic to a member of D5, or None.
+
+    Certifies the twist of ``d`` by its smallest feasible set F, then swaps
+    delete and contract on F in the minor witness (tag ``l1``); F and
+    certify's choices fix it. ``target_index`` indexes
+    ``d5_family(up_to_iso=True)``; CertificationError if it fails to verify.
+    """
+    from .certify import CertificationError, MinorWitness, certify
+    f = d.set_of(d.masks[0])
+    cert = certify(d.twist(f))
+    if not isinstance(cert, MinorWitness):
+        return None
+    x, y = cert.obstruction.delete_set, cert.obstruction.contract_set
+    moved = (x | y) & f  # deleting e from d twisted by F contracts it from d
+    delete, contract = x ^ moved, y ^ moved
+    minor = d.minor(delete, contract)
+    for i, h in enumerate(_obstruction_scan_list()):
+        obs = Obstruction(delete, contract, are_isomorphic(minor, h), h, i)
+        if obs.iso is not None and obs.verify(d):
+            return obs
+    raise CertificationError("lifted minor witness failed re-verification")
 
 
 def _minor_keys(d: DeltaMatroid, sizes) -> set:
@@ -180,25 +198,6 @@ def _minor_keys(d: DeltaMatroid, sizes) -> set:
         for x, y in _disjoint_pairs(d.n, d.n - k):
             keys.add(canonical_form(d.minor(x, y)))
     return keys
-
-
-def is_obstructed(d: DeltaMatroid):
-    """Scan the deduplicated twist family of the catalog for a minor of
-    ``d``; an Obstruction means no twist of ``d`` has width at most one.
-
-    A cheap canonical-form sweep over all candidate minors rules out the
-    common unobstructed case before the deterministic witness search runs.
-    """
-    members = _obstruction_scan_list()
-    if d.n <= MAX_ISO_ELEMENTS:
-        sizes = {m.n for m in members}
-        if not (_minor_keys(d, sizes) & _obstruction_canonical_keys()):
-            return None
-    for i, h in enumerate(members):
-        found = has_minor_isomorphic(d, h, target_index=i)
-        if found is not None:
-            return found
-    return None
 
 
 @lru_cache(maxsize=1)

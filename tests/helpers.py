@@ -5,14 +5,31 @@ twists, naive axiom checks), independent of the structural formulas the
 package uses, so tests compare two genuinely different routes.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
-from twistwidth import DeltaMatroid
+from twistwidth import DeltaMatroid, d5_family, has_minor_isomorphic
 
 
 def brute_min_twist_width(d: DeltaMatroid) -> int:
     """Minimum width over all materialized twists."""
     return min(d.twist(a).width() for a in range(d.full_mask + 1))
+
+
+@lru_cache(maxsize=1)
+def d5_dedup() -> tuple:
+    """``d5_family(up_to_iso=True)``, computed once."""
+    return tuple(d5_family(up_to_iso=True))
+
+
+def brute_is_obstructed(d: DeltaMatroid):
+    """First minor of ``d`` isomorphic to a deduplicated D5 member, found by
+    scanning every delete/contract pair; an Obstruction or None."""
+    for i, h in enumerate(d5_dedup()):
+        found = has_minor_isomorphic(d, h, target_index=i)
+        if found is not None:
+            return found
+    return None
 
 
 def brute_axiom_holds(masks, n) -> bool:

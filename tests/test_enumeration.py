@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,3 +105,13 @@ def test_verify_unknown_tag():
 def test_verify_l1_size_cap():
     with pytest.raises(GroundSetError):
         verify_theorem(4, "l1")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is only needed once a family table is built
+    code = "import sys, twistwidth; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
