@@ -301,7 +301,7 @@ def _long_cycle_case(d, g, cycle):
         xs = cycle
         keep = set(xs)
     contract = {xs[-2], xs[-1]}
-    sub = d.restrict(keep).minor(contract=contract)
+    sub = d.minor(set(d.labels) - keep, contract)
     inner = _certify_impl(sub, len(cycle))
     if not isinstance(inner, MinorWitness):
         raise CertificationError(

@@ -19,9 +19,6 @@ from typing import Iterable, Sequence
 # enumeration-style workflows are capped lower by their own modules.
 MAX_ELEMENTS = 64
 
-ElementsLike = "Iterable[str] | int"
-
-
 class DeltaMatroidError(ValueError):
     """Base class for invalid constructions or out-of-range arguments."""
 
@@ -49,12 +46,6 @@ class AxiomViolationError(DeltaMatroidError):
             "symmetric exchange fails: X=%s Y=%s u=%r has no valid partner v"
             % (sorted(x), sorted(y), u)
         )
-
-
-def _squeeze_bit(mask: int, pos: int) -> int:
-    """Drop bit position ``pos`` from ``mask``, shifting higher bits down."""
-    low = (1 << pos) - 1
-    return (mask & low) | ((mask >> (pos + 1)) << pos)
 
 
 def find_axiom_violation(masks: Sequence[int], n: int):
@@ -243,62 +234,48 @@ class DeltaMatroid:
 
     # -- minors -----------------------------------------------------------
 
-    def delete(self, e: str) -> "DeltaMatroid":
-        """Remove ``e``, keeping feasible sets avoiding it.
+    def minor(self, delete=(), contract=()) -> "DeltaMatroid":
+        """Delete X and contract Y, for disjoint X and Y, in one pass.
 
-        When ``e`` is a coloop this instead strips ``e`` from every feasible
-        set, so that deletion and contraction agree in the degenerate cases
-        and stay total.
+        The feasible sets are F - (X | Y) for the feasible F minimizing
+        |F & X| - |F & Y|; the remaining labels keep ground order. This is
+        order-independent, and it makes deleting a coloop strip it from
+        every feasible set and contracting a loop keep every feasible set,
+        so deletion and contraction agree on loops and coloops and stay
+        total.
         """
-        p = self._elem_pos(e)
-        bit = 1 << p
-        if self.is_coloop(e):
-            kept = [m & ~bit for m in self.masks]
-        else:
-            kept = [m for m in self.masks if not m & bit]
+        x = self._to_mask(delete)
+        y = self._to_mask(contract)
+        if x & y:
+            raise GroundSetError("delete and contract sets must be disjoint")
+        gone = x | y
+        scores = [(m & x).bit_count() - (m & y).bit_count() for m in self.masks]
+        best = min(scores)
+        family = [m for m, s in zip(self.masks, scores) if s == best]
+        # from the top down, so each lower position is still where it was
+        for p in reversed(range(self.n)):
+            if gone >> p & 1:
+                below = (1 << p) - 1
+                family = [(m & below) | ((m >> (p + 1)) << p) for m in family]
         return DeltaMatroid(
-            self.labels[:p] + self.labels[p + 1:],
-            [_squeeze_bit(m, p) for m in kept],
+            [e for i, e in enumerate(self.labels) if not gone >> i & 1],
+            family,
             _trusted=True,
         )
+
+    def delete(self, e: str) -> "DeltaMatroid":
+        """Remove ``e``, keeping the feasible sets avoiding it (or, when
+        ``e`` is a coloop, every feasible set minus ``e``)."""
+        return self.minor(delete=(e,))
 
     def contract(self, e: str) -> "DeltaMatroid":
-        """Remove ``e``, keeping F - e for feasible sets containing it.
-
-        When ``e`` is a loop this keeps the sets avoiding it (all of them),
-        matching the degenerate-case deletion.
-        """
-        p = self._elem_pos(e)
-        bit = 1 << p
-        if self.is_loop(e):
-            kept = list(self.masks)
-        else:
-            kept = [m & ~bit for m in self.masks if m & bit]
-        return DeltaMatroid(
-            self.labels[:p] + self.labels[p + 1:],
-            [_squeeze_bit(m, p) for m in kept],
-            _trusted=True,
-        )
-
-    def minor(self, delete=(), contract=()) -> "DeltaMatroid":
-        """Delete and contract disjoint element sets (order-independent)."""
-        dmask = self._to_mask(delete)
-        cmask = self._to_mask(contract)
-        if dmask & cmask:
-            raise GroundSetError("delete and contract sets must be disjoint")
-        result = self
-        for e in self.labels:
-            bit = 1 << self._pos[e]
-            if dmask & bit:
-                result = result.delete(e)
-            elif cmask & bit:
-                result = result.contract(e)
-        return result
+        """Remove ``e``, keeping F - e for the feasible F containing it (or,
+        when ``e`` is a loop, every feasible set)."""
+        return self.minor(contract=(e,))
 
     def restrict(self, elems) -> "DeltaMatroid":
         """Delete everything outside A; keeps A's labels in ground order."""
-        a = self._to_mask(elems)
-        return self.minor(delete=self.full_mask & ~a)
+        return self.minor(delete=self.full_mask & ~self._to_mask(elems))
 
 
 def validate(labels: Iterable[str], family: Iterable) -> DeltaMatroid:

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .core import DeltaMatroid, GroundSetError
+from .structure import min_width_twist
 
 MAX_ISO_ELEMENTS = 8
 
@@ -190,16 +191,6 @@ def is_obstructed(d: DeltaMatroid):
     raise CertificationError("lifted minor witness failed re-verification")
 
 
-def _minor_keys(d: DeltaMatroid, sizes) -> set:
-    keys = set()
-    for k in sizes:
-        if k > d.n:
-            continue
-        for x, y in _disjoint_pairs(d.n, d.n - k):
-            keys.add(canonical_form(d.minor(x, y)))
-    return keys
-
-
 @lru_cache(maxsize=1)
 def _matroid_twist_targets() -> tuple[DeltaMatroid, ...]:
     # the width-one singleton, the odd triangle, and its single-element twist
@@ -211,16 +202,15 @@ def _matroid_twist_targets() -> tuple[DeltaMatroid, ...]:
 def matroid_twist_obstructions(d: DeltaMatroid):
     """Minor witness ruling out any width-zero twist, or None.
 
-    Scans the three known obstructions for twists of matroids; for even
-    inputs the singleton target can never occur (minors of even
+    None exactly when ``min_width_twist`` finds a width-zero twist (so the
+    same element cap applies); otherwise the first minor isomorphic to one
+    of the three obstructions for twists of matroids, scanned in target
+    order. Even inputs never hit the singleton target (minors of even
     delta-matroids are even).
     """
-    targets = _matroid_twist_targets()
-    if d.n <= MAX_ISO_ELEMENTS:
-        keys = frozenset(canonical_form(t) for t in targets)
-        if not (_minor_keys(d, {t.n for t in targets}) & keys):
-            return None
-    for i, h in enumerate(targets):
+    if min_width_twist(d)[1] == 0:
+        return None
+    for i, h in enumerate(_matroid_twist_targets()):
         found = has_minor_isomorphic(d, h, target_index=i)
         if found is not None:
             return found

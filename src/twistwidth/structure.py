@@ -19,45 +19,36 @@ from .matroids import Matroid, d_min, is_matroid
 MAX_SEARCH_ELEMENTS = 24
 
 
-def twist_width_formula(d: DeltaMatroid, elems) -> int:
-    """Width of twist(d, A) computed structurally, without twisting."""
-    a = d.mask_of(elems)
+def _formula(d: DeltaMatroid, dmin: Matroid, a: int) -> int:
     ac = d.full_mask & ~a
     return (
-        d.restrict(a).width()
-        + d.restrict(ac).width()
-        + 2 * d_min(d).connectivity(a)
+        d.restrict(a).width() + d.restrict(ac).width() + 2 * dmin.connectivity(a)
     )
+
+
+def twist_width_formula(d: DeltaMatroid, elems) -> int:
+    """Width of twist(d, A) computed structurally, without twisting."""
+    return _formula(d, d_min(d), d.mask_of(elems))
 
 
 def is_twist_matroid_witness(d: DeltaMatroid, elems) -> bool:
     """Does A witness that twist(d, A) is a matroid?
 
     Holds iff A is a separator of d_min and both restrictions D|A, D|A~
-    are matroids.
+    are matroids: the formula's three terms are non-negative, so exactly
+    when they sum to zero.
     """
-    a = d.mask_of(elems)
-    ac = d.full_mask & ~a
-    return (
-        d_min(d).is_separator(a)
-        and is_matroid(d.restrict(a))
-        and is_matroid(d.restrict(ac))
-    )
+    return twist_width_formula(d, elems) == 0
 
 
 def is_twist_width_one_witness(d: DeltaMatroid, elems) -> bool:
     """Does A witness that twist(d, A) has width exactly one?
 
     Holds iff A is a separator of d_min and of the two restrictions D|A,
-    D|A~ one is a matroid and the other has width one.
+    D|A~ one is a matroid and the other has width one: the connectivity
+    term is even, so exactly when the formula sums to one.
     """
-    a = d.mask_of(elems)
-    ac = d.full_mask & ~a
-    if not d_min(d).is_separator(a):
-        return False
-    wa = d.restrict(a).width()
-    wc = d.restrict(ac).width()
-    return (wa, wc) in ((0, 1), (1, 0))
+    return twist_width_formula(d, elems) == 1
 
 
 def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
@@ -75,12 +66,7 @@ def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
     best_a = 0
     best_w = None
     for a in range(d.full_mask + 1):
-        ac = d.full_mask & ~a
-        w = (
-            d.restrict(a).width()
-            + d.restrict(ac).width()
-            + 2 * dmin.connectivity(a)
-        )
+        w = _formula(d, dmin, a)
         if check and w != d.twist(a).width():
             raise AssertionError(
                 f"formula width {w} disagrees with direct twist for A={a:#x}"

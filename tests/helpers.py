@@ -69,3 +69,30 @@ def apply_ops(d: DeltaMatroid, ops) -> DeltaMatroid:
     for kind, e in ops:
         d = d.delete(e) if kind == "d" else d.contract(e)
     return d
+
+
+def sequential_minor(labels, masks, x, y):
+    """Delete positions in mask ``x`` and contract those in mask ``y`` one
+    element at a time, highest position first; returns (labels, masks).
+
+    Deleting e keeps the feasible sets avoiding it, or strips e from all of
+    them when e is a coloop; contracting e keeps F - e for the feasible F
+    containing it, or all of them when e is a loop.
+    """
+    labels = list(labels)
+    family = set(masks)
+    for p in reversed(range(len(labels))):
+        bit = 1 << p
+        if x & bit:
+            if all(m & bit for m in family):
+                family = {m & ~bit for m in family}
+            else:
+                family = {m for m in family if not m & bit}
+        elif y & bit:
+            if any(m & bit for m in family):
+                family = {m & ~bit for m in family if m & bit}
+        else:
+            continue
+        family = {(m & (bit - 1)) | (m >> (p + 1) << p) for m in family}
+        del labels[p]
+    return tuple(labels), tuple(sorted(family))
