@@ -127,7 +127,7 @@ class DeltaMatroid:
 
     def _to_mask(self, elems) -> int:
         if isinstance(elems, int):
-            if elems < 0 or elems > self.full_mask:
+            if elems < 0 or elems >> len(self.labels):
                 raise GroundSetError(f"mask {elems:#x} outside ground set")
             return elems
         mask = 0
@@ -249,14 +249,17 @@ class DeltaMatroid:
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
         gone = x | y
-        scores = [(m & x).bit_count() - (m & y).bit_count() for m in self.masks]
+        # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
+        scores = [((m ^ y) & gone).bit_count() for m in self.masks]
         best = min(scores)
         family = [m for m, s in zip(self.masks, scores) if s == best]
         # from the top down, so each lower position is still where it was
-        for p in reversed(range(self.n)):
-            if gone >> p & 1:
-                below = (1 << p) - 1
-                family = [(m & below) | ((m >> (p + 1)) << p) for m in family]
+        rest = gone
+        while rest:
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            below = (1 << p) - 1
+            family = [(m & below) | ((m >> (p + 1)) << p) for m in family]
         return DeltaMatroid(
             [e for i, e in enumerate(self.labels) if not gone >> i & 1],
             family,

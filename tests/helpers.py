@@ -8,12 +8,34 @@ package uses, so tests compare two genuinely different routes.
 from functools import lru_cache
 from itertools import permutations
 
-from twistwidth import DeltaMatroid, d5_family, has_minor_isomorphic
+from twistwidth import (
+    DeltaMatroid,
+    d5_family,
+    d_min,
+    has_minor_isomorphic,
+    is_matroid,
+)
 
 
 def brute_min_twist_width(d: DeltaMatroid) -> int:
     """Minimum width over all materialized twists."""
     return min(d.twist(a).width() for a in range(d.full_mask + 1))
+
+
+def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
+    """Every A (as masks, ascending) that is a separator of d_min with D|A
+    a matroid and D|A~ of width one, read off the restrictions themselves."""
+    dmin = d_min(d)
+    out = []
+    for a in range(d.full_mask + 1):
+        ac = d.full_mask & ~a
+        if (
+            dmin.is_separator(a)
+            and is_matroid(d.restrict(a))
+            and d.restrict(ac).width() == 1
+        ):
+            out.append(a)
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -65,34 +87,41 @@ def interleavings(delete, contract):
     return set(permutations(ops))
 
 
-def apply_ops(d: DeltaMatroid, ops) -> DeltaMatroid:
-    for kind, e in ops:
-        d = d.delete(e) if kind == "d" else d.contract(e)
-    return d
-
-
-def sequential_minor(labels, masks, x, y):
-    """Delete positions in mask ``x`` and contract those in mask ``y`` one
-    element at a time, highest position first; returns (labels, masks).
+def _drop(labels, family, p, contract):
+    """Delete (or contract) position ``p`` by the single-element rule and
+    pack the higher positions down; returns (labels, family).
 
     Deleting e keeps the feasible sets avoiding it, or strips e from all of
     them when e is a coloop; contracting e keeps F - e for the feasible F
     containing it, or all of them when e is a loop.
     """
-    labels = list(labels)
+    bit = 1 << p
+    if contract:
+        if any(m & bit for m in family):
+            family = {m & ~bit for m in family if m & bit}
+    elif all(m & bit for m in family):
+        family = {m & ~bit for m in family}
+    else:
+        family = {m for m in family if not m & bit}
+    family = {(m & (bit - 1)) | (m >> (p + 1) << p) for m in family}
+    return labels[:p] + labels[p + 1:], family
+
+
+def apply_ops(d: DeltaMatroid, ops) -> DeltaMatroid:
+    """Apply ("d", e) deletions and ("c", e) contractions in the given
+    order, each by the bare-mask rule of ``sequential_minor``."""
+    labels, family = d.labels, set(d.masks)
+    for kind, e in ops:
+        labels, family = _drop(labels, family, labels.index(e), kind == "c")
+    return DeltaMatroid(labels, family, _trusted=True)
+
+
+def sequential_minor(labels, masks, x, y):
+    """Delete positions in mask ``x`` and contract those in mask ``y`` one
+    element at a time, highest position first; returns (labels, masks)."""
+    labels = tuple(labels)
     family = set(masks)
     for p in reversed(range(len(labels))):
-        bit = 1 << p
-        if x & bit:
-            if all(m & bit for m in family):
-                family = {m & ~bit for m in family}
-            else:
-                family = {m for m in family if not m & bit}
-        elif y & bit:
-            if any(m & bit for m in family):
-                family = {m & ~bit for m in family if m & bit}
-        else:
-            continue
-        family = {(m & (bit - 1)) | (m >> (p + 1) << p) for m in family}
-        del labels[p]
-    return tuple(labels), tuple(sorted(family))
+        if (x | y) >> p & 1:
+            labels, family = _drop(labels, family, p, not x >> p & 1)
+    return labels, tuple(sorted(family))

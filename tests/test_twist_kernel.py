@@ -1,0 +1,134 @@
+"""The all-twists width kernel against materialized twists and the oracles.
+
+``_twist_widths`` reads every twist's width off one Hamming distance
+transform. Here each value is compared with ``d.twist(A).width()`` and the
+structural formula, and the two searches built on it with
+``brute_rough_structure_witnesses`` (helpers.py) and with the argmin of
+materialized widths.
+"""
+
+import random
+import time
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twistwidth import (
+    GroundSetError,
+    d_min,
+    matroid_twist_obstructions,
+    min_width_twist,
+    rough_structure_witnesses,
+    sample_with_empty_feasible,
+    validate,
+)
+from twistwidth import structure
+from twistwidth.structure import MAX_SEARCH_ELEMENTS, _formula, _twist_widths
+from helpers import brute_rough_structure_witnesses
+
+
+def _every_dm(dms_by_n):
+    for n in (1, 2, 3, 4):
+        yield from dms_by_n[n]
+
+
+def _materialized(d):
+    return [d.twist(a).width() for a in range(d.full_mask + 1)]
+
+
+def _uniform(rank, n):
+    return [sum(1 << i for i in c) for c in combinations(range(n), rank)]
+
+
+def _check_searches(d):
+    widths = _materialized(d)
+    assert _twist_widths(d) == widths
+    best = min(widths)
+    assert min_width_twist(d) == (widths.index(best), best)
+    assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
+
+
+def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
+    for d in _every_dm(dms_by_n):
+        dmin = d_min(d)
+        kernel = _twist_widths(d)
+        assert len(kernel) == 1 << d.n
+        for a, w in enumerate(kernel):
+            assert w == d.twist(a).width() == _formula(d, dmin, a)
+
+
+def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
+    for d in _every_dm(dms_by_n):
+        widths = _materialized(d)
+        best = min(widths)
+        assert min_width_twist(d) == (widths.index(best), best)
+
+
+def test_rough_structure_witnesses_match_oracle_exhaustively(dms_by_n):
+    for d in _every_dm(dms_by_n):
+        assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
+
+
+@pytest.mark.parametrize("wrong", ["kernel", "formula"])
+def test_check_mode_raises_on_a_mismatch(cat, monkeypatch, wrong):
+    if wrong == "kernel":
+        kernel = structure._twist_widths
+        monkeypatch.setattr(
+            structure, "_twist_widths", lambda d: [w + 2 for w in kernel(d)]
+        )
+    else:
+        formula = structure._formula
+        monkeypatch.setattr(
+            structure, "_formula", lambda d, dmin, a: formula(d, dmin, a) + 2
+        )
+    with pytest.raises(AssertionError):
+        min_width_twist(cat[2], check=True)
+
+
+@given(st.integers(min_value=5, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_searches_agree_on_random_twists(n, seed):
+    rng = random.Random(seed)
+    d = sample_with_empty_feasible(n, rng)
+    _check_searches(d.twist(rng.randrange(1 << n)))
+
+
+@given(
+    st.integers(min_value=5, max_value=10),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_searches_agree_on_twisted_uniform_matroids(n, rank, free, seed):
+    # width 0 at its matroid twists; a free element {∅, {x}} makes the best
+    # twists width one, which gives the rough-structure search witnesses
+    masks = _uniform(rank, n - free)
+    if free:
+        masks += [m | 1 << (n - 1) for m in masks]
+    d = validate([f"e{i}" for i in range(n)], masks)
+    _check_searches(d.twist(random.Random(seed).randrange(1 << n)))
+
+
+def test_twisted_uniform_matroid_on_16_elements_finds_its_matroid_twist():
+    n = 16
+    full = (1 << n) - 1
+    a = random.Random(16).randrange(1 << n)
+    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in _uniform(3, n)])
+    got, w = min_width_twist(d)
+    # U(3,16) is connected, so only A and its complement (the dual) untwist it
+    assert (got, w) == (min(a, full ^ a), 0)
+    assert d.twist(got).width() == 0
+
+
+@pytest.mark.parametrize(
+    "search",
+    [min_width_twist, rough_structure_witnesses, matroid_twist_obstructions],
+)
+def test_searches_fail_fast_above_cap(search):
+    d = validate([f"x{i}" for i in range(MAX_SEARCH_ELEMENTS + 1)], [[]])
+    start = time.perf_counter()
+    with pytest.raises(GroundSetError):
+        search(d)
+    assert time.perf_counter() - start < 1.0
