@@ -37,6 +37,24 @@ class CertificationError(RuntimeError):
     """An internal invariant of the certificate procedure failed."""
 
 
+def match_minor(d: DeltaMatroid, delete, contract, targets) -> Obstruction:
+    """The Obstruction mapping minor(d, delete, contract) onto the first of
+    ``targets``, (index, target) pairs, that it is isomorphic to, re-verified
+    against ``d``; CertificationError when none matches.
+    """
+    delete = d.set_of(d.mask_of(delete))
+    contract = d.set_of(d.mask_of(contract))
+    minor = d.minor(delete, contract)
+    for i, h in targets:
+        obs = Obstruction(delete, contract, are_isomorphic(minor, h), h, i)
+        if obs.iso is not None and obs.verify(d):
+            return obs
+    raise CertificationError(
+        f"deleting {sorted(delete)} and contracting {sorted(contract)} "
+        "matched none of the expected obstructions"
+    )
+
+
 @dataclass
 class TwistWitness:
     """Twisting by ``twist_set`` yields a delta-matroid of this width."""
@@ -188,41 +206,20 @@ def shortest_odd_cycle(g: AuxGraph):
 
 
 def _minor_witness(d, keep, contract, expected_indices):
-    """Build and verify a minor witness for the restriction/contraction.
-
-    ``keep`` is the restriction support, ``contract`` the elements then
-    contracted; the minor must be isomorphic to one of the catalog entries
-    named by ``expected_indices``.
-    """
-    keep = frozenset(keep)
-    contract = frozenset(contract)
-    delete = frozenset(d.labels) - keep
-    minor = d.minor(delete, contract)
-    for idx in expected_indices:
-        iso = are_isomorphic(minor, catalog()[idx])
-        if iso is not None:
-            return MinorWitness(
-                Obstruction(delete, contract, iso, catalog()[idx], idx)
-            )
-    raise CertificationError(
-        f"restriction to {sorted(keep)} contracting {sorted(contract)} "
-        f"matched none of the expected obstructions {list(expected_indices)}"
-    )
+    """Witness that restricting ``d`` to ``keep`` and then contracting
+    ``contract`` gives one of the catalog entries ``expected_indices``."""
+    delete = frozenset(d.labels) - frozenset(keep)
+    targets = [(i, catalog()[i]) for i in expected_indices]
+    return MinorWitness(match_minor(d, delete, contract, targets))
 
 
 def _compose(d, keep, contract, inner: MinorWitness) -> MinorWitness:
     """Lift a witness on restrict(d, keep) / contract back to ``d``."""
     obs = inner.obstruction
     delete = (frozenset(d.labels) - frozenset(keep)) | obs.delete_set
-    return MinorWitness(
-        Obstruction(
-            delete,
-            frozenset(contract) | obs.contract_set,
-            obs.iso,
-            obs.target,
-            obs.target_index,
-        )
-    )
+    contract = frozenset(contract) | obs.contract_set
+    targets = [(obs.target_index, obs.target)]
+    return MinorWitness(match_minor(d, delete, contract, targets))
 
 
 def _bipartite_case(d, g, color):
@@ -332,8 +329,9 @@ def certify(d: DeltaMatroid):
     """Certificate for ``d`` (the empty set must be feasible).
 
     Returns a TwistWitness with width at most one, or a MinorWitness onto
-    a catalog obstruction. The result is independently re-verified; an
-    unverifiable certificate raises CertificationError.
+    a catalog obstruction. The result is independently re-verified (a minor
+    witness by ``match_minor`` on ``d`` itself); an unverifiable certificate
+    raises CertificationError.
     """
     cert = _certify_impl(d, None)
     if isinstance(cert, TwistWitness):
@@ -342,8 +340,4 @@ def certify(d: DeltaMatroid):
             raise CertificationError(
                 f"twist witness claims width {cert.width}, got {actual}"
             )
-    else:
-        obs = cert.obstruction
-        if not (0 <= obs.target_index < 5 and obs.verify(d)):
-            raise CertificationError("minor witness failed re-verification")
     return cert

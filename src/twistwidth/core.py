@@ -100,7 +100,9 @@ class DeltaMatroid:
             raise GroundSetError("ground-set labels must be pairwise distinct")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", pos)
-        masks = tuple(sorted({self._to_mask(f) for f in feasible}))
+        if not _trusted:
+            feasible = {self._to_mask(f) for f in feasible}
+        masks = tuple(sorted(set(feasible)))
         object.__setattr__(self, "masks", masks)
         if not masks:
             raise EmptyFamilyError("feasible family must be nonempty")

@@ -2,7 +2,8 @@
 
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one. Isomorphism is brute force over label
-permutations of up to eight elements; ``is_obstructed`` has no such limit.
+permutations of up to eight elements; ``is_obstructed`` and
+``matroid_twist_obstructions`` have no such limit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import lru_cache
 from itertools import permutations
 
 from .core import DeltaMatroid, GroundSetError
-from .structure import min_width_twist
 
 MAX_ISO_ELEMENTS = 8
 
@@ -175,20 +175,15 @@ def is_obstructed(d: DeltaMatroid):
     certify's choices fix it. ``target_index`` indexes
     ``d5_family(up_to_iso=True)``; CertificationError if it fails to verify.
     """
-    from .certify import CertificationError, MinorWitness, certify
+    from .certify import MinorWitness, certify, match_minor
     f = d.set_of(d.masks[0])
     cert = certify(d.twist(f))
     if not isinstance(cert, MinorWitness):
         return None
     x, y = cert.obstruction.delete_set, cert.obstruction.contract_set
     moved = (x | y) & f  # deleting e from d twisted by F contracts it from d
-    delete, contract = x ^ moved, y ^ moved
-    minor = d.minor(delete, contract)
-    for i, h in enumerate(_obstruction_scan_list()):
-        obs = Obstruction(delete, contract, are_isomorphic(minor, h), h, i)
-        if obs.iso is not None and obs.verify(d):
-            return obs
-    raise CertificationError("lifted minor witness failed re-verification")
+    targets = enumerate(_obstruction_scan_list())
+    return match_minor(d, x ^ moved, y ^ moved, targets)
 
 
 @lru_cache(maxsize=1)
@@ -202,16 +197,24 @@ def _matroid_twist_targets() -> tuple[DeltaMatroid, ...]:
 def matroid_twist_obstructions(d: DeltaMatroid):
     """Minor witness ruling out any width-zero twist, or None.
 
-    None exactly when ``min_width_twist`` finds a width-zero twist (so the
-    same element cap applies); otherwise the first minor isomorphic to one
-    of the three obstructions for twists of matroids, scanned in target
-    order. Even inputs never hit the singleton target (minors of even
-    delta-matroids are even).
+    Twists keep parity and matroids are even. An odd ``d`` has feasible F
+    and F + e; for the first such F in mask order and its lowest e,
+    deleting E - F - e and contracting F leaves the singleton {∅, {e}}
+    (``target_index`` 0). An even ``d`` has no width-one twist, so it has a
+    matroid twist exactly when ``is_obstructed`` finds no D5 minor; that
+    minor is even, so a twist of the odd triangle, and is matched to the
+    triangle (1) or its twist (2). CertificationError if it fails to verify.
     """
-    if min_width_twist(d)[1] == 0:
-        return None
-    for i, h in enumerate(_matroid_twist_targets()):
-        found = has_minor_isomorphic(d, h, target_index=i)
-        if found is not None:
-            return found
-    return None
+    from .certify import match_minor
+    single, triangle, twisted = _matroid_twist_targets()
+    if d.is_even():
+        obs = is_obstructed(d)
+        if obs is None:
+            return None
+        targets = ((1, triangle), (2, twisted))
+        return match_minor(d, obs.delete_set, obs.contract_set, targets)
+    feasible = set(d.masks)
+    # a closest feasible pair of opposite parity is one exchange step apart
+    f, e = next((f, 1 << i) for f in d.masks for i in range(d.n)
+                if not f >> i & 1 and f | 1 << i in feasible)
+    return match_minor(d, d.full_mask ^ f ^ e, f, ((0, single),))

@@ -10,6 +10,7 @@ from itertools import permutations
 
 from twistwidth import (
     DeltaMatroid,
+    catalog,
     d5_family,
     d_min,
     has_minor_isomorphic,
@@ -48,6 +49,20 @@ def brute_is_obstructed(d: DeltaMatroid):
     """First minor of ``d`` isomorphic to a deduplicated D5 member, found by
     scanning every delete/contract pair; an Obstruction or None."""
     for i, h in enumerate(d5_dedup()):
+        found = has_minor_isomorphic(d, h, target_index=i)
+        if found is not None:
+            return found
+    return None
+
+
+def brute_matroid_twist_obstructions(d: DeltaMatroid):
+    """First minor of ``d`` isomorphic to the singleton {∅, {a}}, the odd
+    triangle or its twist by {a}, scanned in that order over every
+    delete/contract pair; an Obstruction (``target_index`` 0, 1 or 2) or
+    None."""
+    triangle = catalog()[2]
+    targets = (DeltaMatroid("a", ["", "a"]), triangle, triangle.twist("a"))
+    for i, h in enumerate(targets):
         found = has_minor_isomorphic(d, h, target_index=i)
         if found is not None:
             return found

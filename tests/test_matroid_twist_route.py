@@ -1,8 +1,10 @@
-"""matroid_twist_obstructions: width-zero check first, then the minor scan.
+"""matroid_twist_obstructions: the singleton for odd inputs, the certificate
+for even ones.
 
 It returns None exactly when some twist is a matroid, which the
-brute-force ``brute_min_twist_width`` (helpers.py) decides independently;
-otherwise its witness must re-verify against the host.
+brute-force ``brute_min_twist_width`` (helpers.py) decides independently,
+and it agrees with ``brute_matroid_twist_obstructions``, the scan over
+every delete/contract pair; its witness must re-verify against the host.
 """
 
 import random
@@ -13,12 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
-    GroundSetError,
+    CertificationError,
+    DeltaMatroid,
+    Obstruction,
     matroid_twist_obstructions,
     sample_with_empty_feasible,
     validate,
 )
-from helpers import brute_min_twist_width
+from twistwidth.minors import _matroid_twist_targets
+from helpers import brute_matroid_twist_obstructions, brute_min_twist_width
 
 
 def _uniform(rank, n):
@@ -28,13 +33,35 @@ def _uniform(rank, n):
 def _check(d):
     obs = matroid_twist_obstructions(d)
     assert (obs is None) == (brute_min_twist_width(d) == 0)
+    assert (obs is None) == (brute_matroid_twist_obstructions(d) is None)
     if obs is not None:
         assert obs.verify(d)
         assert obs.target_index in (0, 1, 2)
     return obs
 
 
-@given(st.integers(min_value=5, max_value=7), st.integers(min_value=0, max_value=2**32 - 1))
+def _singleton_sets(d):
+    """The first feasible F (mask order) with some F + e feasible, and the
+    lowest such e, as (delete E - F - e, contract F) label sets."""
+    for f in d.masks:
+        for i in range(d.n):
+            if not f >> i & 1 and d.is_feasible(f | 1 << i):
+                return d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f)
+    return None
+
+
+def test_agrees_with_scan_on_all_small_instances(dms_by_n):
+    for n in (1, 2, 3, 4):
+        for d in dms_by_n[n]:
+            obs = _check(d)
+            if d.is_even():
+                assert obs is None or obs.target_index in (1, 2), d
+            else:
+                assert obs.target_index == 0, d
+                assert (obs.delete_set, obs.contract_set) == _singleton_sets(d)
+
+
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_agrees_with_twist_width_on_random_twists(n, seed):
     rng = random.Random(seed)
@@ -43,7 +70,7 @@ def test_agrees_with_twist_width_on_random_twists(n, seed):
 
 
 @given(
-    st.integers(min_value=5, max_value=7),
+    st.integers(min_value=5, max_value=8),
     st.integers(min_value=1, max_value=4),
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -76,9 +103,50 @@ def test_free_element_past_eight_elements_hits_the_singleton():
     assert obs is not None and obs.target_index == 0
 
 
-def test_oversized_input_fails_fast():
-    d = validate([f"e{i}" for i in range(25)], [[]])
+def test_empty_ground_set():
+    assert matroid_twist_obstructions(validate([], [[]])) is None
+
+
+@pytest.mark.parametrize(
+    "n, free, expected",
+    [(24, False, None), (63, False, None), (23, True, 0), (62, True, 0)],
+)
+def test_large_twisted_uniform_matroids(n, free, expected):
+    # U(2,n) twisted has a matroid twist; with a free element it is odd.
+    # Built unchecked: the axiom check alone would take minutes at n = 63.
+    masks = _uniform(2, n)
+    if free:
+        masks += [m | 1 << n for m in masks]
+        n += 1
+    d = DeltaMatroid([f"e{i}" for i in range(n)], masks, _trusted=True)
+    d = d.twist(random.Random(n).randrange(1 << n))
     start = time.perf_counter()
-    with pytest.raises(GroundSetError):
-        matroid_twist_obstructions(d)
+    obs = matroid_twist_obstructions(d)
     assert time.perf_counter() - start < 1.0
+    if expected is None:
+        assert obs is None
+    else:
+        assert obs.target_index == expected and obs.verify(d)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_failed_verification_raises(monkeypatch, cat, index):
+    # cat[0] is odd (singleton route), cat[2] even (certificate route)
+    monkeypatch.setattr(Obstruction, "verify", lambda self, host: False)
+    with pytest.raises(CertificationError):
+        matroid_twist_obstructions(cat[index])
+
+
+def test_rematched_witness_is_rechecked(monkeypatch, cat):
+    # is_obstructed's own witness verifies (certify and the D5 list use other
+    # objects); only the re-match onto the twisted triangle fails
+    host = cat[2].twist("a")
+    twisted = _matroid_twist_targets()[2]
+    original = Obstruction.verify
+    monkeypatch.setattr(
+        Obstruction,
+        "verify",
+        lambda self, d: self.target is not twisted and original(self, d),
+    )
+    with pytest.raises(CertificationError):
+        matroid_twist_obstructions(host)
