@@ -8,6 +8,11 @@ with X ^ {u, v} feasible.
 Feasible sets are stored as bitmasks over ground-set positions (position i
 corresponds to the i-th label), kept deduplicated and sorted ascending, so
 structural equality is a plain tuple comparison.
+
+Building from untrusted input checks the axiom with one |F|-bit column per
+element (``find_axiom_violation``), in about |F| * n^2 * (|F|/64 + 1) word
+operations at most; a family whose estimate exceeds ``MAX_AXIOM_WORK`` is
+refused with ``DeltaMatroidError`` before the check runs.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from typing import Iterable, Sequence
 # Bitmask width limits: direct operations run on up to 64 elements,
 # enumeration-style workflows are capped lower by their own modules.
 MAX_ELEMENTS = 64
+# Budget in word operations for the axiom check on untrusted families: the
+# check ANDs at most n columns of |F| bits for each of the |F| * n pairs
+# (X, u). U(4, 24), 1.0e9, takes about 1 s on a 2-vCPU Xeon VM; U(3, 63),
+# 9.8e10, would take minutes.
+MAX_AXIOM_WORK = 2_000_000_000
 
 class DeltaMatroidError(ValueError):
     """Base class for invalid constructions or out-of-range arguments."""
@@ -51,31 +61,50 @@ class AxiomViolationError(DeltaMatroidError):
 def find_axiom_violation(masks: Sequence[int], n: int):
     """Return a violating triple ``(x_mask, y_mask, u_pos)`` or None.
 
-    Brute force over ordered pairs of feasible masks; for each u in the
-    symmetric difference, a partner v (v == u allowed) must give a feasible
-    X ^ {u, v}.
+    Fix feasible X and u. If X ^ {u} is feasible, v == u serves every Y.
+    Otherwise Y violates the axiom at u exactly when Y differs from X at u
+    and agrees with X at every v != u with X ^ {u, v} feasible. With one
+    |F|-bit column per element (bit j set when the element is in
+    ``masks[j]``), those Ys are an AND of columns or their complements,
+    stopped as soon as it is zero. The first X with a violator wins, then
+    its first Y, then the lowest u.
     """
     member = set(masks)
-    # exchange_ok[(X, u)] = bitmask of positions v with X ^ {u, v} feasible
-    exchange_ok: dict[tuple[int, int], int] = {}
+    full = (1 << len(masks)) - 1
+    cols = [0] * n
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    # partners[Z] = positions v with Z ^ {v} feasible, so the v != u with
+    # X ^ {u, v} feasible are partners[X ^ {u}] without u
+    partners: dict[int, int] = {}
+    for m in masks:
+        for v in range(n):
+            z = m ^ (1 << v)
+            partners[z] = partners.get(z, 0) | 1 << v
     for x in masks:
+        # agree[v] = the Ys that have v exactly when x does
+        agree = [c if x >> i & 1 else full ^ c for i, c in enumerate(cols)]
+        found = []
         for u in range(n):
-            xu = x ^ (1 << u)
-            ok = 0
-            for v in range(n):
-                res = xu if v == u else xu ^ (1 << v)
-                if res in member:
-                    ok |= 1 << v
-            exchange_ok[(x, u)] = ok
-    for x in masks:
-        for y in masks:
-            diff = x ^ y
-            d = diff
-            while d:
-                u = (d & -d).bit_length() - 1
-                d &= d - 1
-                if not exchange_ok[(x, u)] & diff:
-                    return (x, y, u)
+            bit = 1 << u
+            if x ^ bit in member:
+                continue
+            ys = full ^ agree[u]
+            rest = partners[x ^ bit] & ~bit
+            while ys and rest:
+                low = rest & -rest
+                ys &= agree[low.bit_length() - 1]
+                rest ^= low
+            if ys:
+                found.append((u, ys))
+        if found:
+            first = min(ys & -ys for _, ys in found)
+            u = next(u for u, ys in found if ys & first)
+            return (x, masks[first.bit_length() - 1], u)
     return None
 
 
@@ -107,7 +136,15 @@ class DeltaMatroid:
         if not masks:
             raise EmptyFamilyError("feasible family must be nonempty")
         if not _trusted:
-            witness = find_axiom_violation(masks, len(labels))
+            n = len(labels)
+            work = len(masks) * n * n * (len(masks) // 64 + 1)
+            if work > MAX_AXIOM_WORK:
+                raise DeltaMatroidError(
+                    f"axiom check too large: {len(masks)} feasible sets on {n} "
+                    f"elements need about {work:.1e} word operations, over the "
+                    f"budget of {MAX_AXIOM_WORK:.1e}"
+                )
+            witness = find_axiom_violation(masks, n)
             if witness is not None:
                 x, y, u = witness
                 raise AxiomViolationError(

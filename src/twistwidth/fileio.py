@@ -26,8 +26,9 @@ def parse(text: str) -> DeltaMatroid:
     its witness triple) when the family fails symmetric exchange.
     """
     labels = None
-    families: list[frozenset[str]] = []
-    seen: set[frozenset[str]] = set()
+    pos: dict[str, int] = {}
+    masks: list[int] = []
+    seen: set[int] = set()
     elements_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -41,31 +42,34 @@ def parse(text: str) -> DeltaMatroid:
                 )
             labels = tuple(line[len("elements:"):].split())
             elements_line = line_no
-            if len(set(labels)) != len(labels):
+            pos = {e: i for i, e in enumerate(labels)}
+            if len(pos) != len(labels):
                 raise ParseError(line_no, "element labels must be distinct")
         elif line.startswith("feasible:"):
             if labels is None:
                 raise ParseError(line_no, "feasible line before elements line")
             members = line[len("feasible:"):].split()
+            mask = 0
             for e in members:
-                if e not in labels:
+                i = pos.get(e)
+                if i is None:
                     raise ParseError(line_no, f"unknown element {e!r}")
-            fset = frozenset(members)
-            if fset in seen:
+                mask |= 1 << i
+            if mask in seen:
                 raise ParseError(
-                    line_no, f"duplicate feasible set {sorted(fset)}"
+                    line_no, f"duplicate feasible set {sorted(set(members))}"
                 )
-            seen.add(fset)
-            families.append(fset)
+            seen.add(mask)
+            masks.append(mask)
         else:
             raise ParseError(
                 line_no, f"expected 'elements:' or 'feasible:', got {line!r}"
             )
     if labels is None:
         raise ParseError(1, "missing elements line")
-    if not families:
+    if not masks:
         raise ParseError(1, "at least one feasible line is required")
-    return validate(labels, families)
+    return validate(labels, masks)
 
 
 def serialize(d: DeltaMatroid) -> str:

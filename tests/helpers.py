@@ -69,6 +69,33 @@ def brute_matroid_twist_obstructions(d: DeltaMatroid):
     return None
 
 
+def brute_find_axiom_violation(masks, n):
+    """First violating ``(x_mask, y_mask, u_pos)`` over ordered pairs of
+    feasible masks, u ascending within X ^ Y; None if the axiom holds."""
+    member = set(masks)
+    # exchange_ok[(X, u)] = bitmask of positions v with X ^ {u, v} feasible
+    exchange_ok = {}
+    for x in masks:
+        for u in range(n):
+            xu = x ^ (1 << u)
+            ok = 0
+            for v in range(n):
+                res = xu if v == u else xu ^ (1 << v)
+                if res in member:
+                    ok |= 1 << v
+            exchange_ok[(x, u)] = ok
+    for x in masks:
+        for y in masks:
+            diff = x ^ y
+            d = diff
+            while d:
+                u = (d & -d).bit_length() - 1
+                d &= d - 1
+                if not exchange_ok[(x, u)] & diff:
+                    return (x, y, u)
+    return None
+
+
 def brute_axiom_holds(masks, n) -> bool:
     """Symmetric exchange checked set-theoretically, without bit tricks."""
     sets = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]

@@ -1,0 +1,109 @@
+"""The column-bitset axiom check against the ordered-pair scan, and the
+work budget that refuses oversized untrusted families before the check.
+
+``find_axiom_violation`` must return the oracle's exact triple (first X,
+then first Y, then lowest u), not just agree on the verdict.
+"""
+
+import random
+import time
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from helpers import brute_axiom_holds, brute_find_axiom_violation
+from twistwidth import (
+    DeltaMatroid,
+    DeltaMatroidError,
+    sample_with_empty_feasible,
+    serialize,
+    validate,
+)
+from twistwidth import core
+from twistwidth.cli import main
+from twistwidth.core import find_axiom_violation
+
+
+def _uniform(r, n):
+    return [sum(1 << i for i in c) for c in combinations(range(n), r)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_every_family_matches_oracle(n):
+    violating = 0
+    for fam in range(1, 1 << (1 << n)):
+        masks = [s for s in range(1 << n) if fam >> s & 1]
+        found = find_axiom_violation(masks, n)
+        assert found == brute_find_axiom_violation(masks, n), masks
+        assert (found is None) == brute_axiom_holds(masks, n)
+        violating += found is not None
+    assert violating == {0: 0, 1: 0, 2: 0, 3: 100}[n]
+
+
+def test_sampled_n4_families_match_oracle(dms_by_n):
+    rng = random.Random(4)
+    words = [rng.randrange(1, 1 << 16) for _ in range(2000)]
+    # every delta-matroid with one subset added or dropped: mostly
+    # violating, often by a single pair
+    words += [
+        sum(1 << m for m in d.masks) ^ 1 << rng.randrange(16) for d in dms_by_n[4]
+    ]
+    violating = 0
+    for word in filter(None, words):
+        masks = [s for s in range(16) if word >> s & 1]
+        found = find_axiom_violation(masks, 4)
+        assert found == brute_find_axiom_violation(masks, 4), masks
+        violating += found is not None
+    assert violating > len(words) // 2
+
+
+@given(
+    st.integers(min_value=5, max_value=7),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**7 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_toggled_sampled_families_match_oracle(n, seed, subset):
+    d = sample_with_empty_feasible(n, random.Random(seed))
+    masks = sorted(set(d.masks) ^ {subset % (1 << n)})
+    assume(masks)
+    found = find_axiom_violation(masks, n)
+    assert found == brute_find_axiom_violation(masks, n)
+
+
+# -- the work budget ------------------------------------------------------
+
+
+def test_oversized_family_fails_fast():
+    labels = [f"e{i}" for i in range(63)]
+    masks = _uniform(3, 63)
+    start = time.perf_counter()
+    with pytest.raises(DeltaMatroidError, match="axiom check too large"):
+        validate(labels, masks)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_rejects_oversized_family(tmp_path, capsys):
+    d = DeltaMatroid([f"e{i}" for i in range(63)], _uniform(3, 63), _trusted=True)
+    path = tmp_path / "u3_63.dm"
+    path.write_text(serialize(d))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: axiom check too large: 39711")
+
+
+def test_sampled_n12_family_is_accepted():
+    d = sample_with_empty_feasible(12, random.Random(12))
+    assert validate(d.labels, d.masks) == d
+
+
+def test_budget_boundary(monkeypatch):
+    # U(2, 5): 10 sets on 5 elements, 10 * 25 * 1 word operations
+    masks = _uniform(2, 5)
+    monkeypatch.setattr(core, "MAX_AXIOM_WORK", 250)
+    assert validate("abcde", masks).masks == tuple(sorted(masks))
+    monkeypatch.setattr(core, "MAX_AXIOM_WORK", 249)
+    with pytest.raises(DeltaMatroidError, match="axiom check too large"):
+        validate("abcde", masks)
+    # trusted construction never runs the check, so the budget is moot
+    assert DeltaMatroid("abcde", masks, _trusted=True).masks == tuple(sorted(masks))

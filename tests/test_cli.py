@@ -32,8 +32,14 @@ def test_validate_ok(files, capsys):
 
 
 def test_validate_axiom_violation_exits_2(files, capsys):
-    assert main(["validate", files["bad"]]) == 2
-    assert "symmetric exchange fails" in capsys.readouterr().err
+    for extra in ([], ["--json"]):
+        assert main(["validate", files["bad"], *extra]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: symmetric exchange fails: X=[] Y=['x', 'y', 'z'] u='z' "
+            "has no valid partner v\n"
+        )
 
 
 def test_validate_missing_file(tmp_path, capsys):

@@ -24,6 +24,23 @@ class TestValidate:
         w = err.value
         assert w.u in w.x ^ w.y
 
+    @pytest.mark.parametrize(
+        "labels, family, x, y, u",
+        [
+            ("xyz", ["", "x", "y", "xyz"], [], ["x", "y", "z"], "z"),
+            # u = 'a' also fails, but on the later Y = {a, b, c, d}
+            ("abcd", ["", "bcd", "abcd"], [], ["b", "c", "d"], "b"),
+        ],
+    )
+    def test_axiom_violation_witness_is_pinned(self, labels, family, x, y, u):
+        with pytest.raises(AxiomViolationError) as err:
+            validate(labels, family)
+        w = err.value
+        assert (w.x, w.y, w.u) == (frozenset(x), frozenset(y), u)
+        assert str(w) == (
+            f"symmetric exchange fails: X={x} Y={y} u={u!r} has no valid partner v"
+        )
+
     def test_rank_zero_singleton(self):
         d = validate("a", [""])
         assert fam(d) == [[]]

@@ -80,3 +80,30 @@ def test_roundtrip_catalog(cat):
 def test_roundtrip_all_enumerated_n3():
     for d in enumerate_all(3):
         assert parse(serialize(d)) == d
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elements: a\nfeasible: q", "line 2: unknown element 'q'"),
+        # the first unknown label on the line is named
+        ("elements: a b\nfeasible: b z y", "line 2: unknown element 'z'"),
+        (
+            "elements: a b\nfeasible: b a\nfeasible: a b a",
+            "line 3: duplicate feasible set ['a', 'b']",
+        ),
+        # an unknown label is reported before the duplicate check
+        ("elements: a\nfeasible: a\nfeasible: a q", "line 3: unknown element 'q'"),
+        ("elements: a a\nfeasible: a", "line 1: element labels must be distinct"),
+        (
+            "elements: a\nelements: b",
+            "line 2: duplicate elements line (first at line 1)",
+        ),
+        ("feasible: a", "line 1: feasible line before elements line"),
+        ("elements: a b", "line 1: at least one feasible line is required"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
