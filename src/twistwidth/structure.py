@@ -6,7 +6,14 @@ The central identity: the width of the twist of D by A equals
 
 where A~ is the complement of A and D_min is the matroid of minimum-size
 feasible sets. ``twist_width_formula`` and the two witness predicates
-evaluate that right-hand side for one A.
+evaluate that right-hand side for one A, reading every term off the
+feasible masks: no restriction, D_min or twist is built.
+
+- width(D|A) is the spread of |F & A| over the feasible F minimizing
+  |F - A|, the minor rule's score with nothing contracted.
+- connectivity_{D_min}(A) is max |B & A| + max |B - A| - k over the
+  bases B of D_min, the feasible sets of the least size k. Every base has
+  |B & A| + |B - A| = k, so this is the spread of |B & A|.
 
 The searches over all 2^n twist sets use a second identity. Let dist(A)
 be the least |A ^ F| over feasible F. Every F has |A ^ F| + |A~ ^ F| = n,
@@ -22,17 +29,40 @@ mode cross-validates both against direct twists.
 from __future__ import annotations
 
 from .core import DeltaMatroid, GroundSetError
-from .matroids import Matroid, d_min, is_matroid
 
 # The all-twists kernel takes about 2 s and 50 MB at 20 elements, and each
 # further element doubles both.
 MAX_SEARCH_ELEMENTS = 20
 
 
-def _formula(d: DeltaMatroid, dmin: Matroid, a: int) -> int:
-    ac = d.full_mask & ~a
+def _split(d: DeltaMatroid, a: int) -> tuple[list[int], list[int]]:
+    """|F & A| and |F - A| for every feasible F, in mask order."""
     return (
-        d.restrict(a).width() + d.restrict(ac).width() + 2 * dmin.connectivity(a)
+        [(m & a).bit_count() for m in d.masks],
+        [(m & ~a).bit_count() for m in d.masks],
+    )
+
+
+def _spread_where_least(values: list[int], scores: list[int]) -> int:
+    """max - min of values[i] over the i with the least scores[i]."""
+    least = min(scores)
+    kept = [v for v, s in zip(values, scores) if s == least]
+    return max(kept) - min(kept)
+
+
+def _restriction_width(d: DeltaMatroid, a: int) -> int:
+    """width(D|A): the spread of |F & A| over the feasible F minimizing
+    |F - A|, which are the sets the minor rule keeps when deleting A~."""
+    return _spread_where_least(*_split(d, a))
+
+
+def _formula(d: DeltaMatroid, a: int) -> int:
+    inside, outside = _split(d, a)
+    sizes = [i + o for i, o in zip(inside, outside)]
+    return (
+        _spread_where_least(inside, outside)
+        + _spread_where_least(outside, inside)
+        + 2 * _spread_where_least(inside, sizes)
     )
 
 
@@ -63,7 +93,7 @@ def _twist_widths(d: DeltaMatroid) -> list[int]:
 
 def twist_width_formula(d: DeltaMatroid, elems) -> int:
     """Width of twist(d, A) computed structurally, without twisting."""
-    return _formula(d, d_min(d), d.mask_of(elems))
+    return _formula(d, d.mask_of(elems))
 
 
 def is_twist_matroid_witness(d: DeltaMatroid, elems) -> bool:
@@ -96,9 +126,8 @@ def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
     """
     widths = _twist_widths(d)
     if check:
-        dmin = d_min(d)
         for a, w in enumerate(widths):
-            if not w == _formula(d, dmin, a) == d.twist(a).width():
+            if not w == _formula(d, a) == d.twist(a).width():
                 raise AssertionError(
                     f"kernel width {w} disagrees with the formula or the "
                     f"direct twist for A={a:#x}"
@@ -118,5 +147,5 @@ def rough_structure_witnesses(d: DeltaMatroid) -> list[int]:
     return [
         a
         for a, w in enumerate(_twist_widths(d))
-        if w == 1 and is_matroid(d.restrict(a))
+        if w == 1 and _restriction_width(d, a) == 0
     ]

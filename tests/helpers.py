@@ -23,6 +23,15 @@ def brute_min_twist_width(d: DeltaMatroid) -> int:
     return min(d.twist(a).width() for a in range(d.full_mask + 1))
 
 
+def restrict_formula(d: DeltaMatroid, a: int) -> int:
+    """The twist-width identity width(D|A) + width(D|A~) + 2 * the
+    connectivity of A in D_min, with both restrictions and D_min built."""
+    ac = d.full_mask & ~a
+    return (
+        d.restrict(a).width() + d.restrict(ac).width() + 2 * d_min(d).connectivity(a)
+    )
+
+
 def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
     """Every A (as masks, ascending) that is a separator of d_min with D|A
     a matroid and D|A~ of width one, read off the restrictions themselves."""

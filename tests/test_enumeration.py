@@ -15,6 +15,7 @@ from twistwidth import (
     validate,
     verify_theorem,
 )
+from twistwidth import enumeration, structure
 from twistwidth.enumeration import THEOREM_TAGS
 from helpers import brute_axiom_holds
 
@@ -90,6 +91,32 @@ def test_verify_small(tag):
     report = verify_theorem(2, tag)
     assert report.passed
     assert report.valid_count == 15
+
+
+def _assert_every_instance_fails(report):
+    # every A of every instance is wrong, so the first instance fails at A = 0
+    assert report.checked == report.failures == 155
+    first = next(enumerate_all(3))
+    assert report.first_counterexample == f"{first!r} with A mask 0x0"
+
+
+@pytest.mark.parametrize("tag", ["t2", "tt2", "tt"])
+def test_verify_catches_a_wrong_formula(monkeypatch, tag):
+    formula = structure._formula
+    monkeypatch.setattr(structure, "_formula", lambda d, a: formula(d, a) + 2)
+    report = verify_theorem(3, tag)
+    assert report.checked == 155
+    assert report.failures >= 1
+    assert report.first_counterexample is not None
+    assert " with A mask " in report.first_counterexample
+    if tag == "t2":
+        _assert_every_instance_fails(report)
+
+
+def test_verify_t2_catches_a_wrong_direct_width(monkeypatch):
+    width = enumeration._twist_width
+    monkeypatch.setattr(enumeration, "_twist_width", lambda d, a: width(d, a) + 2)
+    _assert_every_instance_fails(verify_theorem(3, "t2"))
 
 
 def test_verify_trivial_width_bound():

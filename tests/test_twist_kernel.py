@@ -1,10 +1,14 @@
-"""The all-twists width kernel against materialized twists and the oracles.
+"""The all-twists width kernel and the twist-width formula against
+materialized twists and the oracles.
 
 ``_twist_widths`` reads every twist's width off one Hamming distance
 transform. Here each value is compared with ``d.twist(A).width()`` and the
 structural formula, and the two searches built on it with
 ``brute_rough_structure_witnesses`` (helpers.py) and with the argmin of
-materialized widths.
+materialized widths. The formula reads its terms off the feasible masks;
+it is compared with ``restrict_formula`` (helpers.py), which builds the
+restrictions and D_min, and its restriction-width term with
+``d.restrict(A).width()``.
 """
 
 import random
@@ -16,15 +20,19 @@ from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
     GroundSetError,
-    d_min,
     min_width_twist,
     rough_structure_witnesses,
     sample_with_empty_feasible,
     validate,
 )
 from twistwidth import structure
-from twistwidth.structure import MAX_SEARCH_ELEMENTS, _formula, _twist_widths
-from helpers import brute_rough_structure_witnesses
+from twistwidth.structure import (
+    MAX_SEARCH_ELEMENTS,
+    _formula,
+    _restriction_width,
+    _twist_widths,
+)
+from helpers import brute_rough_structure_witnesses, restrict_formula
 
 
 def _every_dm(dms_by_n):
@@ -40,6 +48,28 @@ def _uniform(rank, n):
     return [sum(1 << i for i in c) for c in combinations(range(n), rank)]
 
 
+def _random_twist(n, seed):
+    rng = random.Random(seed)
+    d = sample_with_empty_feasible(n, rng)
+    return d.twist(rng.randrange(1 << n))
+
+
+def _twisted_uniform(n, rank, free, seed):
+    # width 0 at its matroid twists; a free element {∅, {x}} makes the best
+    # twists width one, which gives the rough-structure search witnesses
+    masks = _uniform(rank, n - free)
+    if free:
+        masks += [m | 1 << (n - 1) for m in masks]
+    d = validate([f"e{i}" for i in range(n)], masks)
+    return d.twist(random.Random(seed).randrange(1 << n))
+
+
+def _check_formula(d):
+    for a in range(d.full_mask + 1):
+        assert _formula(d, a) == restrict_formula(d, a) == d.twist(a).width()
+        assert _restriction_width(d, a) == d.restrict(a).width()
+
+
 def _check_searches(d):
     widths = _materialized(d)
     assert _twist_widths(d) == widths
@@ -50,11 +80,15 @@ def _check_searches(d):
 
 def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
     for d in _every_dm(dms_by_n):
-        dmin = d_min(d)
         kernel = _twist_widths(d)
         assert len(kernel) == 1 << d.n
         for a, w in enumerate(kernel):
-            assert w == d.twist(a).width() == _formula(d, dmin, a)
+            assert w == d.twist(a).width() == _formula(d, a)
+
+
+def test_formula_and_restriction_width_match_oracles_exhaustively(dms_by_n):
+    for d in _every_dm(dms_by_n):
+        _check_formula(d)
 
 
 def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
@@ -79,35 +113,46 @@ def test_check_mode_raises_on_a_mismatch(cat, monkeypatch, wrong):
     else:
         formula = structure._formula
         monkeypatch.setattr(
-            structure, "_formula", lambda d, dmin, a: formula(d, dmin, a) + 2
+            structure, "_formula", lambda d, a: formula(d, a) + 2
         )
     with pytest.raises(AssertionError):
         min_width_twist(cat[2], check=True)
 
 
-@given(st.integers(min_value=5, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_searches_agree_on_random_twists(n, seed):
-    rng = random.Random(seed)
-    d = sample_with_empty_feasible(n, rng)
-    _check_searches(d.twist(rng.randrange(1 << n)))
-
-
-@given(
+_RANDOM_TWISTS = given(
+    st.integers(min_value=5, max_value=10),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+_TWISTED_UNIFORM = given(
     st.integers(min_value=5, max_value=10),
     st.integers(min_value=1, max_value=4),
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+
+
+@_RANDOM_TWISTS
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_searches_agree_on_random_twists(n, seed):
+    _check_searches(_random_twist(n, seed))
+
+
+@_TWISTED_UNIFORM
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_searches_agree_on_twisted_uniform_matroids(n, rank, free, seed):
-    # width 0 at its matroid twists; a free element {∅, {x}} makes the best
-    # twists width one, which gives the rough-structure search witnesses
-    masks = _uniform(rank, n - free)
-    if free:
-        masks += [m | 1 << (n - 1) for m in masks]
-    d = validate([f"e{i}" for i in range(n)], masks)
-    _check_searches(d.twist(random.Random(seed).randrange(1 << n)))
+    _check_searches(_twisted_uniform(n, rank, free, seed))
+
+
+@_RANDOM_TWISTS
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_formula_agrees_on_random_twists(n, seed):
+    _check_formula(_random_twist(n, seed))
+
+
+@_TWISTED_UNIFORM
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_formula_agrees_on_twisted_uniform_matroids(n, rank, free, seed):
+    _check_formula(_twisted_uniform(n, rank, free, seed))
 
 
 def test_twisted_uniform_matroid_on_16_elements_finds_its_matroid_twist():
