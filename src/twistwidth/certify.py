@@ -8,7 +8,9 @@ standing for the elements whose singletons are feasible, one vertex per
 remaining element, and edges recording two-element feasible sets. A
 bipartite graph yields a twist set from a 2-coloring (or a small forbidden
 restriction); a non-bipartite graph yields a forbidden minor by induction
-on the length of a shortest odd cycle.
+on the length of a shortest odd cycle. The graph is 2-colored first, in
+O(V + E); the O(V·E) all-sources odd-cycle search runs only when that
+coloring fails.
 
 Every certificate is re-verified from scratch before being returned;
 a failed re-check raises instead of silently falling back.
@@ -76,7 +78,8 @@ class AuxGraph:
 
     ``singles`` holds the elements whose singletons are feasible (they are
     all represented by the hub); ``vertices`` are the remaining elements in
-    ground order, preceded by the hub.
+    ground order, preceded by the hub; ``adjacency`` maps each vertex to a
+    tuple of its neighbours in vertex order.
     """
 
     singles: frozenset
@@ -118,12 +121,14 @@ def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
                 add_edge(x, y)
         if any(xbit | (1 << pos[z]) in feasible for z in singles):
             add_edge(x, HUB)
-    return AuxGraph(singles, vertices, adjacency)
+    key = _vertex_key(vertices)
+    return AuxGraph(singles, vertices, {
+        v: tuple(sorted(nbrs, key=key)) for v, nbrs in adjacency.items()
+    })
 
 
-def _vertex_key(g: AuxGraph):
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return lambda v: order[v]
+def _vertex_key(vertices):
+    return {v: i for i, v in enumerate(vertices)}.__getitem__
 
 
 def two_coloring(g: AuxGraph):
@@ -132,7 +137,6 @@ def two_coloring(g: AuxGraph):
     Components are rooted in vertex order with root color 0, so the
     coloring is deterministic.
     """
-    key = _vertex_key(g)
     color = {}
     for root in g.vertices:
         if root in color:
@@ -141,7 +145,7 @@ def two_coloring(g: AuxGraph):
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in sorted(g.adjacency[u], key=key):
+            for v in g.adjacency[u]:
                 if v not in color:
                     color[v] = 1 - color[u]
                     queue.append(v)
@@ -169,8 +173,10 @@ def shortest_odd_cycle(g: AuxGraph):
     Runs a breadth-first search on the bipartite double cover from every
     vertex; the least odd closed walk overall is a simple cycle. Ties are
     broken by the lexicographically smallest canonical vertex sequence.
+    This is O(V·E); ``certify`` calls it only after ``two_coloring`` has
+    found the graph non-bipartite.
     """
-    key = _vertex_key(g)
+    key = _vertex_key(g.vertices)
     best = None
     for s in g.vertices:
         dist = {(s, 0): 0}
@@ -178,7 +184,7 @@ def shortest_odd_cycle(g: AuxGraph):
         queue = deque([(s, 0)])
         while queue:
             u, p = queue.popleft()
-            for v in sorted(g.adjacency[u], key=key):
+            for v in g.adjacency[u]:
                 state = (v, 1 - p)
                 if state not in dist:
                     dist[state] = dist[(u, p)] + 1
@@ -309,13 +315,14 @@ def _long_cycle_case(d, g, cycle):
 
 def _certify_impl(d, prev_cycle_len):
     g = build_aux_graph(d)
-    cycle = shortest_odd_cycle(g)
-    if cycle is None:
+    color = two_coloring(g)
+    if color is not None:
         if prev_cycle_len is not None:
             raise CertificationError(
                 "reduced instance lost its odd cycle entirely"
             )
-        return _bipartite_case(d, g, two_coloring(g))
+        return _bipartite_case(d, g, color)
+    cycle = shortest_odd_cycle(g)
     if prev_cycle_len is not None and len(cycle) >= prev_cycle_len:
         raise CertificationError(
             "shortest odd cycle failed to shrink in the reduction"

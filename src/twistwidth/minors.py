@@ -8,7 +8,6 @@ permutations of up to eight elements; ``is_obstructed`` and
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -30,14 +29,16 @@ class Obstruction:
     target_index: int = 0
 
     def verify(self, host: DeltaMatroid) -> bool:
-        """Re-check the witness against ``host`` from scratch."""
+        """Re-check the witness against ``host`` from scratch: ``iso`` must
+        be a bijection from the minor's labels onto the target's that
+        carries the minor's feasible masks exactly onto the target's."""
         minor = host.minor(self.delete_set, self.contract_set)
-        mapped = {
-            frozenset(self.iso[e] for e in minor.set_of(m))
-            for m in minor.masks
-        }
-        return set(self.iso) == set(minor.labels) and mapped == set(
-            self.target.feasible_sets()
+        pos = self.target._pos
+        perm = [pos.get(self.iso.get(e)) for e in minor.labels]
+        return (
+            len(self.iso) == minor.n == self.target.n
+            and set(perm) == set(range(minor.n))
+            and _permuted_masks(minor.masks, perm) == self.target.masks
         )
 
 
@@ -84,8 +85,8 @@ def canonical_form(d: DeltaMatroid) -> tuple:
     return (d.n, best)
 
 
-def _signature(d: DeltaMatroid) -> Counter:
-    return Counter(m.bit_count() for m in d.masks)
+def _signature(d: DeltaMatroid) -> tuple[int, ...]:
+    return tuple(sorted(m.bit_count() for m in d.masks))
 
 
 def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):

@@ -5,6 +5,7 @@ twists, naive axiom checks), independent of the structural formulas the
 package uses, so tests compare two genuinely different routes.
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import permutations
 
@@ -176,3 +177,53 @@ def sequential_minor(labels, masks, x, y):
         if (x | y) >> p & 1:
             labels, family = _drop(labels, family, p, not x >> p & 1)
     return labels, tuple(sorted(family))
+
+
+def _brute_canonical_cycle(cycle, key):
+    """Least rotation/reflection of a cycle's vertex sequence."""
+    best = None
+    m = len(cycle)
+    for seq in (cycle, cycle[::-1]):
+        for i in range(m):
+            rot = seq[i:] + seq[:i]
+            ranked = tuple(key(v) for v in rot)
+            if best is None or ranked < best[0]:
+                best = (ranked, rot)
+    return best[1]
+
+
+def brute_shortest_odd_cycle(g):
+    """A shortest odd cycle of the auxiliary graph ``g`` as a vertex list,
+    or None when bipartite: a breadth-first search on the bipartite double
+    cover from every vertex, sorting each popped vertex's neighbours into
+    vertex order. Ties go to the least canonical vertex sequence."""
+    key = {v: i for i, v in enumerate(g.vertices)}.__getitem__
+    best = None
+    for s in g.vertices:
+        dist = {(s, 0): 0}
+        parent = {(s, 0): None}
+        queue = deque([(s, 0)])
+        while queue:
+            u, p = queue.popleft()
+            for v in sorted(g.adjacency[u], key=key):
+                state = (v, 1 - p)
+                if state not in dist:
+                    dist[state] = dist[(u, p)] + 1
+                    parent[state] = (u, p)
+                    queue.append(state)
+        goal = (s, 1)
+        if goal not in dist:
+            continue
+        walk = []
+        state = goal
+        while state is not None:
+            walk.append(state[0])
+            state = parent[state]
+        cycle = walk[:-1]  # closed walk; drop the repeated start
+        if len(set(cycle)) != len(cycle):
+            continue  # not simple; a strictly better start vertex exists
+        canon = _brute_canonical_cycle(cycle, key)
+        ranked = tuple(key(v) for v in canon)
+        if best is None or (len(canon), ranked) < (len(best), tuple(key(v) for v in best)):
+            best = canon
+    return best

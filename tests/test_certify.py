@@ -1,8 +1,12 @@
+import importlib
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
+    CertificationError,
     DeltaMatroidError,
     HUB,
     MinorWitness,
@@ -13,6 +17,12 @@ from twistwidth import (
     sample_with_empty_feasible,
     validate,
 )
+from twistwidth.certify import shortest_odd_cycle, two_coloring
+from twistwidth.enumeration import _gf2_nonsingular
+from helpers import brute_shortest_odd_cycle
+
+# the package's ``certify`` attribute is the function, not the module
+certify_module = importlib.import_module("twistwidth.certify")
 
 
 class TestAuxGraph:
@@ -81,8 +91,6 @@ class TestCertifyExhaustive:
                 assert isinstance(cert, TwistWitness) == expect_witness
 
     def test_bipartite_case_isolated_class_has_trivial_restriction(self, dms_by_n):
-        from twistwidth.certify import shortest_odd_cycle, two_coloring
-
         for d in dms_by_n[3]:
             if 0 not in d.masks:
                 continue
@@ -107,3 +115,140 @@ class TestCertifyRandom:
                     assert d.twist(cert.twist_set).width() <= 1
                 else:
                     assert cert.obstruction.verify(d)
+
+
+# -- the aux graph is 2-colored first; the odd-cycle search is the fallback
+
+
+def _twisted_uniform(rank, n, seed):
+    """U(rank, n) twisted by a random basis, so the empty set is feasible."""
+    d = validate([f"e{i}" for i in range(n)],
+                 [m for m in range(1 << n) if m.bit_count() == rank])
+    return d.twist(random.Random(seed).choice(d.masks))
+
+
+def _odd_cycle_instance(m, extra, loops, seed):
+    """Principal-minor delta-matroid over GF(2) of a symmetric matrix that is
+    an m-cycle's adjacency on m of the m + extra elements, with ``loops``
+    diagonal ones. Its aux graph is that cycle plus hub edges, so unlike a
+    random matrix's it has a long odd cycle, and certify reduces it."""
+    rng = random.Random(seed)
+    n = m + extra
+    mat = [[0] * n for _ in range(n)]
+    ring = rng.sample(range(n), m)
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        mat[a][b] = mat[b][a] = 1
+    for i in rng.sample(range(n), loops):
+        mat[i][i] = 1
+    masks = []
+    for s in range(1 << n):
+        idx = [i for i in range(n) if s >> i & 1]
+        if _gf2_nonsingular([sum(mat[i][j] << c for c, j in enumerate(idx)) for i in idx]):
+            masks.append(s)
+    return validate([f"e{i}" for i in range(n)], masks)
+
+
+# the even delta-matroid of a 5-cycle's adjacency matrix over GF(2): its aux
+# graph is that 5-cycle, so certify reduces it once by _long_cycle_case
+FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
+                                "bcde", "acde", "abde", "abce", "abcd"])
+
+
+def _certify_recording_graphs(d):
+    """certify(d), and every aux graph it built, reduced instances included."""
+    graphs = []
+    build = certify_module.build_aux_graph
+
+    def record(h):
+        graphs.append(build(h))
+        return graphs[-1]
+
+    with mock.patch.object(certify_module, "build_aux_graph", record):
+        cert = certify(d)
+    return cert, graphs
+
+
+def _check_odd_cycle_against_oracle(d):
+    for g in _certify_recording_graphs(d)[1]:
+        _check_graph_against_oracle(g)
+
+
+def _check_graph_against_oracle(g):
+    expected = brute_shortest_odd_cycle(g)
+    assert shortest_odd_cycle(g) == expected
+    assert (two_coloring(g) is None) == (expected is not None)
+
+
+class TestOddCycleOracle:
+    def test_exhaustive_small_instances(self, dms_by_n):
+        # an odd cycle needs five elements to be long, so none reduce here
+        for n in (1, 2, 3, 4):
+            for d in dms_by_n[n]:
+                if 0 in d.masks:
+                    _check_odd_cycle_against_oracle(d)
+
+    def test_five_cycle_and_its_reduction(self):
+        cert, graphs = _certify_recording_graphs(FIVE_CYCLE)
+        assert isinstance(cert, MinorWitness)
+        assert [len(shortest_odd_cycle(g)) for g in graphs] == [5, 3]
+        for g in graphs:
+            _check_graph_against_oracle(g)
+
+    @given(st.integers(min_value=5, max_value=10),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_sampled_instances(self, n, seed):
+        _check_odd_cycle_against_oracle(sample_with_empty_feasible(n, random.Random(seed)))
+
+    @given(st.integers(min_value=5, max_value=10), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_twisted_uniform_matroids(self, n, rank, seed):
+        _check_odd_cycle_against_oracle(_twisted_uniform(rank, n, seed))
+
+    @given(st.sampled_from((5, 7, 9)), st.integers(min_value=0, max_value=1),
+           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_odd_cycle_instances(self, m, extra, loops, seed):
+        _check_odd_cycle_against_oracle(_odd_cycle_instance(m, extra, loops, seed))
+
+
+class TestBipartiteFirst:
+    def test_bipartite_instances_skip_the_odd_cycle_search(self, dms_by_n, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("odd-cycle search on a bipartite graph")
+
+        bipartite = [
+            d for n in (1, 2, 3, 4) for d in dms_by_n[n]
+            if 0 in d.masks and brute_shortest_odd_cycle(build_aux_graph(d)) is None
+        ]
+        monkeypatch.setattr(certify_module, "shortest_odd_cycle", forbidden)
+        for d in bipartite:
+            certify(d)
+        for rank, n in ((2, 7), (3, 8)):
+            assert isinstance(certify(_twisted_uniform(rank, n, 1)), TwistWitness)
+
+    def test_reduced_instance_losing_its_odd_cycle_raises(self, monkeypatch):
+        coloring = certify_module.two_coloring
+        calls = []
+
+        def bipartite_after_first(g):
+            calls.append(g)
+            return coloring(g) if len(calls) == 1 else {v: 0 for v in g.vertices}
+
+        monkeypatch.setattr(certify_module, "two_coloring", bipartite_after_first)
+        with pytest.raises(CertificationError, match="lost its odd cycle"):
+            certify(FIVE_CYCLE)
+
+    def test_odd_cycle_that_fails_to_shrink_raises(self, monkeypatch):
+        search = certify_module.shortest_odd_cycle
+        first = []
+
+        def same_length_after_first(g):
+            if not first:
+                first.append(search(g))
+            return first[0]
+
+        monkeypatch.setattr(certify_module, "shortest_odd_cycle", same_length_after_first)
+        with pytest.raises(CertificationError, match="failed to shrink"):
+            certify(FIVE_CYCLE)

@@ -2,6 +2,7 @@ import pytest
 
 from twistwidth import (
     DeltaMatroid,
+    Obstruction,
     are_isomorphic,
     canonical_form,
     catalog,
@@ -152,3 +153,53 @@ def test_minor_closure_small(dms_by_n):
         for e in d.labels:
             assert min_width_twist(d.delete(e))[1] <= base
             assert min_width_twist(d.contract(e))[1] <= base
+
+
+class TestObstructionVerify:
+    # host where deleting e4 leaves the odd triangle, and contracting it does not
+    HOST = ("e1", "e2", "e3", "e4"), ["", "e1 e2", "e1 e3", "e2 e3", "e1 e4", "e2 e4"]
+    ISO = {"e1": "a", "e2": "b", "e3": "c"}
+
+    def host(self):
+        labels, family = self.HOST
+        return validate(labels, [f.split() for f in family])
+
+    def test_catalog_self_witnesses_verify(self, cat):
+        for i, d in enumerate(cat):
+            obs = Obstruction(frozenset(), frozenset(), {e: e for e in d.labels}, d, i)
+            assert obs.verify(d)
+
+    def test_host_witness_verifies(self, cat):
+        obs = Obstruction(frozenset({"e4"}), frozenset(), self.ISO, cat[2], 2)
+        assert obs.verify(self.host())
+
+    def test_swapped_labels_on_asymmetric_target(self, cat):
+        # swapping a and b moves the feasible singleton {a} onto {b}
+        iso = {"a": "b", "b": "a", "c": "c"}
+        assert not Obstruction(frozenset(), frozenset(), iso, cat[4], 4).verify(cat[4])
+
+    def test_iso_missing_a_minor_label(self, cat):
+        for iso in ({"a": "a", "b": "b"}, {"b": "b", "c": "c"}):
+            assert not Obstruction(frozenset(), frozenset(), iso, cat[4], 4).verify(cat[4])
+
+    def test_iso_with_an_extra_key(self, cat):
+        iso = {"a": "a", "b": "b", "c": "c", "z": "a"}
+        assert not Obstruction(frozenset(), frozenset(), iso, cat[4], 4).verify(cat[4])
+
+    def test_iso_onto_a_label_the_target_lacks(self, cat):
+        iso = {"a": "a", "b": "b", "c": "z"}
+        assert not Obstruction(frozenset(), frozenset(), iso, cat[4], 4).verify(cat[4])
+
+    def test_iso_not_injective(self):
+        # both labels land on x: the feasible sets match, the ground sets do not
+        minor = validate("ab", ["", "a"])
+        target = validate("xy", ["", "x"])
+        iso = {"a": "x", "b": "x"}
+        assert not Obstruction(frozenset(), frozenset(), iso, target, 0).verify(minor)
+
+    def test_wrong_delete_or_contract_sets(self, cat):
+        host = self.host()
+        for delete, contract in (("", "e4"), ("e3", ""), ("e1", ""), ("", "")):
+            obs = Obstruction(frozenset(delete.split()), frozenset(contract.split()),
+                              self.ISO, cat[2], 2)
+            assert not obs.verify(host)
