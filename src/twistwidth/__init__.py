@@ -19,10 +19,8 @@ from .structure import (
 from .minors import (
     Obstruction,
     are_isomorphic,
-    canonical_form,
     catalog,
     d5_family,
-    has_minor_isomorphic,
     is_obstructed,
     matroid_twist_obstructions,
 )
@@ -64,14 +62,12 @@ __all__ = [
     "TwistWitness",
     "are_isomorphic",
     "build_aux_graph",
-    "canonical_form",
     "catalog",
     "certify",
     "count_all",
     "d5_family",
     "d_min",
     "enumerate_all",
-    "has_minor_isomorphic",
     "is_matroid",
     "is_obstructed",
     "is_twist_matroid_witness",

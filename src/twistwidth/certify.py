@@ -1,8 +1,14 @@
 """Constructive certificates for twist-width at most one.
 
-Given a delta-matroid in which the empty set is feasible, ``certify``
-produces either a twist set whose twist has width at most one, or a minor
-witness onto one of the five catalog obstructions. The procedure builds an
+Given any delta-matroid, ``certify`` produces either a twist set whose
+twist has width at most one, or a minor witness onto a twist of one of the
+five catalog obstructions. When the empty set is infeasible, it certifies
+the twist by the smallest feasible set F instead, in which the empty set
+is feasible, and lifts the result back: a twist set T becomes T ^ F, and
+deleting (contracting) an element of F there is contracting (deleting) it
+here.
+
+On an instance with the empty set feasible, the procedure builds an
 auxiliary graph from the size-one and size-two feasible sets: a hub vertex
 standing for the elements whose singletons are feasible, one vertex per
 remaining element, and edges recording two-element feasible sets. A
@@ -67,7 +73,9 @@ class TwistWitness:
 
 @dataclass
 class MinorWitness:
-    """A verified minor isomorphic to catalog()[obstruction.target_index]."""
+    """A verified minor isomorphic to ``obstruction.target``: the catalog
+    member ``catalog()[obstruction.target_index]`` itself when the empty set
+    is feasible, and otherwise a twist of it."""
 
     obstruction: Obstruction
 
@@ -332,15 +340,34 @@ def _certify_impl(d, prev_cycle_len):
     return _long_cycle_case(d, g, cycle)
 
 
-def certify(d: DeltaMatroid):
-    """Certificate for ``d`` (the empty set must be feasible).
+def _lift(d, f, cert):
+    """Carry a certificate of ``d`` twisted by the mask ``f`` back to ``d``."""
+    fset = d.set_of(f)
+    if isinstance(cert, TwistWitness):
+        return TwistWitness(cert.twist_set ^ fset, cert.width)
+    obs = cert.obstruction
+    x, y = obs.delete_set, obs.contract_set
+    moved = (x | y) & fset  # deleting e from d twisted by F contracts it from d
+    # the minor of d is the twisted one's minor twisted by F - X - Y
+    target = obs.target.twist([obs.iso[e] for e in fset - x - y])
+    targets = [(obs.target_index, target)]
+    return MinorWitness(match_minor(d, x ^ moved, y ^ moved, targets))
 
-    Returns a TwistWitness with width at most one, or a MinorWitness onto
-    a catalog obstruction. The result is independently re-verified (a minor
-    witness by ``match_minor`` on ``d`` itself); an unverifiable certificate
-    raises CertificationError.
+
+def certify(d: DeltaMatroid):
+    """Certificate for any delta-matroid ``d``.
+
+    Returns a TwistWitness with width at most one, or a MinorWitness onto a
+    twist of a catalog obstruction. If the smallest feasible set F is not
+    empty, the twist of ``d`` by F is certified and the witness lifted back
+    to ``d``; otherwise ``d`` is certified as it is. The result is
+    independently re-verified on ``d`` itself (a minor witness by
+    ``match_minor``); an unverifiable certificate raises CertificationError.
     """
-    cert = _certify_impl(d, None)
+    f = d.masks[0]
+    cert = _certify_impl(d.twist(f) if f else d, None)
+    if f:
+        cert = _lift(d, f, cert)
     if isinstance(cert, TwistWitness):
         actual = d.twist(cert.twist_set).width()
         if actual != cert.width or actual > 1:

@@ -232,8 +232,6 @@ def _check_l1(d):
 def _check_l2(d):
     from .certify import TwistWitness, certify
 
-    if 0 not in d.masks:
-        return "skip"
     cert = certify(d)  # self-verifying; raises on internal failure
     if isinstance(cert, TwistWitness) != (min_width_twist(d)[1] <= 1):
         return repr(d)
@@ -260,8 +258,7 @@ def verify_theorem(n: int, which: str) -> EnumerationReport:
     Tags: t2 (twist-width formula), tt2 (matroid-twist criterion), tt
     (width-one-twist criterion), tm1 (rough-structure witnesses), t1
     (excluded-minor characterisation), p1 (minor monotonicity), l1
-    (minor/twist commutation, n <= 3), l2 (certificates, empty-feasible
-    instances only).
+    (minor/twist commutation, n <= 3), l2 (certificates, every instance).
     """
     if which not in _CHECKS:
         raise ValueError(
@@ -275,8 +272,6 @@ def verify_theorem(n: int, which: str) -> EnumerationReport:
     first = None
     for d in enumerate_all(n):
         result = check(d)
-        if result == "skip":
-            continue
         checked += 1
         if result is not None:
             failures += 1

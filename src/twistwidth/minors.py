@@ -1,9 +1,12 @@
-"""Isomorphism, the five-member obstruction catalog, and minor detection.
+"""Isomorphism, the five-member obstruction catalog, and the obstruction
+routes.
 
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one. Isomorphism is brute force over label
-permutations of up to eight elements; ``is_obstructed`` and
-``matroid_twist_obstructions`` have no such limit.
+permutations of up to eight elements. ``is_obstructed`` and
+``matroid_twist_obstructions`` search no minors: they re-match the minor
+witness of ``certify.certify`` to their own target lists, so they have no
+such limit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ MAX_ISO_ELEMENTS = 8
 @dataclass
 class Obstruction:
     """A minor witness: minor(host, delete_set, contract_set) is isomorphic
-    to ``target`` (entry ``target_index`` of the list it was matched to)."""
+    to ``target``. ``target_index`` is the entry of the list it was matched
+    to; from ``certify`` on a host with the empty set infeasible, ``target``
+    is a twist of that entry rather than the entry itself."""
 
     delete_set: frozenset
     contract_set: frozenset
@@ -72,19 +77,6 @@ def _permuted_masks(masks, perm) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def canonical_form(d: DeltaMatroid) -> tuple:
-    """Label-free key: lexicographically least sorted mask family over all
-    label permutations. Equal keys mean isomorphic delta-matroids."""
-    if d.n > MAX_ISO_ELEMENTS:
-        raise GroundSetError(
-            f"canonical form limited to {MAX_ISO_ELEMENTS} elements"
-        )
-    best = min(
-        _permuted_masks(d.masks, perm) for perm in permutations(range(d.n))
-    )
-    return (d.n, best)
-
-
 def _signature(d: DeltaMatroid) -> tuple[int, ...]:
     return tuple(sorted(m.bit_count() for m in d.masks))
 
@@ -112,55 +104,19 @@ def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):
 
 def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
     """All twists of the catalog members (36 raw), optionally deduplicated
-    up to isomorphism via canonical forms (first representative kept)."""
+    up to isomorphism: a member is kept unless ``are_isomorphic`` matches it
+    to one kept before it, so the first representative stays."""
     members = []
     for base in catalog():
         for a in range(base.full_mask + 1):
             members.append(base.twist(a))
     if not up_to_iso:
         return members
-    seen = set()
     out = []
     for m in members:
-        key = canonical_form(m)
-        if key not in seen:
-            seen.add(key)
+        if all(are_isomorphic(m, kept) is None for kept in out):
             out.append(m)
     return out
-
-
-def _disjoint_pairs(n: int, total: int):
-    """Disjoint (X, Y) masks with |X| + |Y| == total, ordered by (X, Y)."""
-    full = (1 << n) - 1
-    for x in range(full + 1):
-        px = x.bit_count()
-        if px > total:
-            continue
-        for y in range(full + 1):
-            if y & x:
-                continue
-            if y.bit_count() == total - px:
-                yield x, y
-
-
-def has_minor_isomorphic(d: DeltaMatroid, h: DeltaMatroid, target_index=0):
-    """First minor of ``d`` isomorphic to ``h``, in deterministic order.
-
-    Scans disjoint delete/contract pairs of the forced total size ordered
-    by (delete mask, contract mask); returns an Obstruction or None.
-    """
-    excess = d.n - h.n
-    if excess < 0:
-        return None
-    sig = _signature(h)
-    for x, y in _disjoint_pairs(d.n, excess):
-        minor = d.minor(x, y)
-        if _signature(minor) != sig:
-            continue
-        iso = are_isomorphic(minor, h)
-        if iso is not None:
-            return Obstruction(d.set_of(x), d.set_of(y), iso, h, target_index)
-    return None
 
 
 @lru_cache(maxsize=1)
@@ -168,23 +124,26 @@ def _obstruction_scan_list() -> tuple[DeltaMatroid, ...]:
     return tuple(d5_family(up_to_iso=True))
 
 
+def _certified_minor(d: DeltaMatroid, targets):
+    """certify(d)'s minor witness re-matched to the first of ``targets``
+    ((index, target) pairs) it is isomorphic to, or None when certify finds
+    a twist of width at most one; CertificationError if it fails to verify."""
+    from .certify import MinorWitness, certify, match_minor
+    cert = certify(d)
+    if not isinstance(cert, MinorWitness):
+        return None
+    obs = cert.obstruction
+    return match_minor(d, obs.delete_set, obs.contract_set, targets)
+
+
 def is_obstructed(d: DeltaMatroid):
     """A minor of ``d`` isomorphic to a member of D5, or None.
 
-    Certifies the twist of ``d`` by its smallest feasible set F, then swaps
-    delete and contract on F in the minor witness (tag ``l1``); F and
-    certify's choices fix it. ``target_index`` indexes
-    ``d5_family(up_to_iso=True)``; CertificationError if it fails to verify.
+    This is ``certify(d)``'s minor witness, whose delete and contract sets
+    it keeps, with ``target_index`` indexing ``d5_family(up_to_iso=True)``;
+    CertificationError if it fails to verify.
     """
-    from .certify import MinorWitness, certify, match_minor
-    f = d.set_of(d.masks[0])
-    cert = certify(d.twist(f))
-    if not isinstance(cert, MinorWitness):
-        return None
-    x, y = cert.obstruction.delete_set, cert.obstruction.contract_set
-    moved = (x | y) & f  # deleting e from d twisted by F contracts it from d
-    targets = enumerate(_obstruction_scan_list())
-    return match_minor(d, x ^ moved, y ^ moved, targets)
+    return _certified_minor(d, enumerate(_obstruction_scan_list()))
 
 
 @lru_cache(maxsize=1)
@@ -202,18 +161,15 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     and F + e; for the first such F in mask order and its lowest e,
     deleting E - F - e and contracting F leaves the singleton {∅, {e}}
     (``target_index`` 0). An even ``d`` has no width-one twist, so it has a
-    matroid twist exactly when ``is_obstructed`` finds no D5 minor; that
-    minor is even, so a twist of the odd triangle, and is matched to the
-    triangle (1) or its twist (2). CertificationError if it fails to verify.
+    matroid twist exactly when ``certify`` finds a twist witness; otherwise
+    its D5 minor is even, so a twist of the odd triangle, and is matched to
+    the triangle (1) or its twist (2). CertificationError if it fails to
+    verify.
     """
     from .certify import match_minor
     single, triangle, twisted = _matroid_twist_targets()
     if d.is_even():
-        obs = is_obstructed(d)
-        if obs is None:
-            return None
-        targets = ((1, triangle), (2, twisted))
-        return match_minor(d, obs.delete_set, obs.contract_set, targets)
+        return _certified_minor(d, ((1, triangle), (2, twisted)))
     feasible = set(d.masks)
     # a closest feasible pair of opposite parity is one exchange step apart
     f, e = next((f, 1 << i) for f in d.masks for i in range(d.n)

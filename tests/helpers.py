@@ -1,7 +1,8 @@
 """Brute-force oracles shared across the test modules.
 
 Everything here recomputes quantities by direct definition (materialized
-twists, naive axiom checks), independent of the structural formulas the
+twists, naive axiom checks, minor search over every delete/contract
+pair), independent of the structural formulas the
 package uses, so tests compare two genuinely different routes.
 """
 
@@ -11,10 +12,11 @@ from itertools import permutations
 
 from twistwidth import (
     DeltaMatroid,
+    Obstruction,
+    are_isomorphic,
     catalog,
     d5_family,
     d_min,
-    has_minor_isomorphic,
     is_matroid,
 )
 
@@ -53,6 +55,36 @@ def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
 def d5_dedup() -> tuple:
     """``d5_family(up_to_iso=True)``, computed once."""
     return tuple(d5_family(up_to_iso=True))
+
+
+def _disjoint_pairs(n: int, total: int):
+    """Disjoint (X, Y) masks with |X| + |Y| == total, ordered by (X, Y)."""
+    full = (1 << n) - 1
+    for x in range(full + 1):
+        px = x.bit_count()
+        if px > total:
+            continue
+        for y in range(full + 1):
+            if y & x:
+                continue
+            if y.bit_count() == total - px:
+                yield x, y
+
+
+def has_minor_isomorphic(d: DeltaMatroid, h: DeltaMatroid, target_index=0):
+    """First minor of ``d`` isomorphic to ``h``, in deterministic order.
+
+    Scans disjoint delete/contract pairs of the forced total size ordered
+    by (delete mask, contract mask); returns an Obstruction or None.
+    """
+    excess = d.n - h.n
+    if excess < 0:
+        return None
+    for x, y in _disjoint_pairs(d.n, excess):
+        iso = are_isomorphic(d.minor(x, y), h)
+        if iso is not None:
+            return Obstruction(d.set_of(x), d.set_of(y), iso, h, target_index)
+    return None
 
 
 def brute_is_obstructed(d: DeltaMatroid):

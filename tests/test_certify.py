@@ -1,9 +1,10 @@
+import hashlib
 import importlib
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twistwidth import (
     CertificationError,
@@ -12,6 +13,7 @@ from twistwidth import (
     MinorWitness,
     TwistWitness,
     build_aux_graph,
+    catalog,
     certify,
     min_width_twist,
     sample_with_empty_feasible,
@@ -19,10 +21,26 @@ from twistwidth import (
 )
 from twistwidth.certify import shortest_odd_cycle, two_coloring
 from twistwidth.enumeration import _gf2_nonsingular
-from helpers import brute_shortest_odd_cycle
+from helpers import brute_min_twist_width, brute_shortest_odd_cycle
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
+
+
+def _check_certificate(d):
+    """certify(d) agrees with the brute-force twist width, and its witness
+    holds on ``d`` itself; the witness is returned."""
+    cert = certify(d)
+    assert isinstance(cert, TwistWitness) == (brute_min_twist_width(d) <= 1)
+    if isinstance(cert, TwistWitness):
+        assert d.twist(cert.twist_set).width() == cert.width <= 1
+    else:
+        obs = cert.obstruction
+        assert obs.verify(d)
+        # the target is a twist of the catalog member, not always isomorphic to it
+        base = catalog()[obs.target_index]
+        assert obs.target in {base.twist(a) for a in range(base.full_mask + 1)}
+    return cert
 
 
 class TestAuxGraph:
@@ -82,13 +100,10 @@ class TestCertifyExamples:
 
 class TestCertifyExhaustive:
     def test_agrees_with_brute_force(self, dms_by_n):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for d in dms_by_n[n]:
-                if 0 not in d.masks:
-                    continue
-                cert = certify(d)
-                expect_witness = min_width_twist(d)[1] <= 1
-                assert isinstance(cert, TwistWitness) == expect_witness
+                cert = _check_certificate(d)
+                assert isinstance(cert, TwistWitness) == (min_width_twist(d)[1] <= 1)
 
     def test_bipartite_case_isolated_class_has_trivial_restriction(self, dms_by_n):
         for d in dms_by_n[3]:
@@ -252,3 +267,105 @@ class TestBipartiteFirst:
         monkeypatch.setattr(certify_module, "shortest_odd_cycle", same_length_after_first)
         with pytest.raises(CertificationError, match="failed to shrink"):
             certify(FIVE_CYCLE)
+
+
+# -- any delta-matroid: the twist by the smallest feasible set, lifted back
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _twist_off_empty(d, rng):
+    """``d`` twisted by a random infeasible set, so that the empty set is
+    infeasible; None when every subset is feasible."""
+    feasible = set(d.masks)
+    outside = [a for a in range(d.full_mask + 1) if a not in feasible]
+    return d.twist(rng.choice(outside)) if outside else None
+
+
+def _record(cert):
+    if isinstance(cert, TwistWitness):
+        return ("twist", sorted(cert.twist_set), cert.width)
+    obs = cert.obstruction
+    return ("minor", sorted(obs.delete_set), sorted(obs.contract_set),
+            sorted(obs.iso.items()), obs.target_index)
+
+
+class TestEveryDeltaMatroid:
+    def test_empty_feasible_input_is_certified_as_it_is(self, dms_by_n, monkeypatch):
+        # the digest of every record as the certificate gave them before it
+        # took input with the empty set infeasible
+        def no_lift(*args):
+            raise AssertionError("lifted a certificate of an untwisted input")
+
+        monkeypatch.setattr(certify_module, "_lift", no_lift)
+        digest = hashlib.sha256()
+        for n in (1, 2, 3, 4):
+            for d in dms_by_n[n]:
+                if d.masks[0] == 0:
+                    cert = certify(d)
+                    if isinstance(cert, MinorWitness):
+                        obs = cert.obstruction
+                        assert obs.target is catalog()[obs.target_index]
+                    digest.update(repr(_record(cert)).encode())
+        assert digest.hexdigest() == (
+            "b27b0f2ae4637922292d6e7d6de463fc72e12fdc18069c870c6ad4487e96dd15"
+        )
+
+    def test_two_singletons(self):
+        # U(1,2) is itself a matroid; certify finds it through its twist by {a}
+        cert = certify(validate("ab", ["a", "b"]))
+        assert cert == TwistWitness(frozenset(), 0)
+
+    def test_twisted_triangle_gets_a_twisted_target(self, cat):
+        host = cat[2].twist("a")
+        cert = _check_certificate(host)
+        obs = cert.obstruction
+        assert obs.delete_set == obs.contract_set == frozenset()
+        assert obs.target_index == 2
+        assert obs.target == cat[2].twist("a")
+
+    def test_lifted_twist_set_is_rechecked_on_the_host(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_lift", lambda d, f, cert: cert)
+        with pytest.raises(CertificationError, match="twist witness claims"):
+            certify(validate("ab", ["a", "b"]))
+
+    def test_five_cycle_twisted_off_the_empty_set(self):
+        # {a} is the smallest feasible set of the twist by {a}, so certify
+        # reduces FIVE_CYCLE itself and lifts the reduced minor back
+        host = FIVE_CYCLE.twist("a")
+        cert, graphs = _certify_recording_graphs(host)
+        assert [len(shortest_odd_cycle(g)) for g in graphs] == [5, 3]
+        assert _check_certificate(host) == cert
+        inner = certify(FIVE_CYCLE).obstruction
+        swapped = (inner.delete_set | inner.contract_set) & {"a"}
+        assert cert.obstruction.delete_set == inner.delete_set ^ swapped
+        assert cert.obstruction.contract_set == inner.contract_set ^ swapped
+
+    @given(st.integers(min_value=5, max_value=8), SEEDS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_sampled_instances(self, n, seed):
+        rng = random.Random(seed)
+        d = _twist_off_empty(sample_with_empty_feasible(n, rng), rng)
+        assume(d is not None)
+        _check_certificate(d)
+
+    @given(st.integers(min_value=5, max_value=8), st.integers(min_value=1, max_value=4),
+           SEEDS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_twisted_uniform_matroids(self, n, rank, seed):
+        d = _twist_off_empty(_twisted_uniform(rank, n, seed), random.Random(seed))
+        assert isinstance(_check_certificate(d), TwistWitness)
+
+    @given(st.sampled_from((5, 7)), st.integers(min_value=0, max_value=1),
+           st.integers(min_value=0, max_value=2), SEEDS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_twisted_odd_cycle_instances(self, m, extra, loops, seed):
+        odd = _odd_cycle_instance(m, extra, loops, seed)
+        _check_certificate(_twist_off_empty(odd, random.Random(seed)))
+        if loops == 0:
+            # no singleton is feasible, so the first element is the smallest
+            # feasible set of the twist by it, and certify reduces odd itself
+            host = odd.twist(1)
+            cert, graphs = _certify_recording_graphs(host)
+            assert len(graphs) >= 2
+            assert _check_certificate(host) == cert

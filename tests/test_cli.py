@@ -145,11 +145,16 @@ def test_verify_json(capsys):
     assert data["failures"] == 0 and data["checked"] == 15
 
 
-def test_certify_requires_empty_feasible(tmp_path, capsys):
+def test_certify_without_empty_feasible(tmp_path, capsys):
+    # U(1,2) is a matroid: certify twists it by {a} and lifts the witness back
     p = tmp_path / "m.dm"
     p.write_text("elements: a b\nfeasible: a\nfeasible: b\n")
-    assert main(["certify", str(p)]) == 2
-    assert "empty set must be feasible" in capsys.readouterr().err
+    assert main(["certify", str(p)]) == 0
+    assert capsys.readouterr().out == "witness: twist by {} has width 0\n"
+    assert main(["certify", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "witness": {"twist_set": [], "width": 0}
+    }
 
 
 def test_twist_roundtrip_through_cli(files, capsys):

@@ -119,6 +119,13 @@ def test_verify_t2_catches_a_wrong_direct_width(monkeypatch):
     _assert_every_instance_fails(verify_theorem(3, "t2"))
 
 
+def test_verify_l2_checks_every_instance():
+    # certify takes every delta-matroid, the empty set feasible or not
+    report = verify_theorem(4, "l2")
+    assert report.passed
+    assert report.checked == count_all(4) == 5959
+
+
 def test_verify_trivial_width_bound():
     report = verify_theorem(1, "tt2")
     assert report.passed and report.checked == 3

@@ -138,8 +138,8 @@ def test_failed_verification_raises(monkeypatch, cat, index):
 
 
 def test_rematched_witness_is_rechecked(monkeypatch, cat):
-    # is_obstructed's own witness verifies (certify and the D5 list use other
-    # objects); only the re-match onto the twisted triangle fails
+    # certify's own witness verifies (its lifted target is another object);
+    # only the re-match onto the twisted triangle fails
     host = cat[2].twist("a")
     twisted = _matroid_twist_targets()[2]
     original = Obstruction.verify

@@ -4,15 +4,14 @@ from twistwidth import (
     DeltaMatroid,
     Obstruction,
     are_isomorphic,
-    canonical_form,
     catalog,
     d5_family,
-    has_minor_isomorphic,
     is_obstructed,
     matroid_twist_obstructions,
     min_width_twist,
     validate,
 )
+from helpers import has_minor_isomorphic
 
 D5_DEDUP_COUNT = 7  # frozen regression value from pairwise isomorphism
 
@@ -43,6 +42,10 @@ class TestD5Family:
 
     def test_dedup_count_frozen(self):
         assert len(d5_family(up_to_iso=True)) == D5_DEDUP_COUNT
+
+    def test_dedup_keeps_the_first_representatives(self):
+        raw = d5_family()
+        assert [raw.index(m) for m in d5_family(up_to_iso=True)] == [0, 4, 5, 7, 11, 12, 13]
 
     def test_dedup_is_pairwise_nonisomorphic(self):
         members = d5_family(up_to_iso=True)
@@ -80,9 +83,9 @@ class TestIsomorphism:
         back = are_isomorphic(renamed, d)
         assert fwd is not None and back is not None
 
-    def test_canonical_form_invariant_under_relabeling(self, cat):
+    def test_relabeled_copy_is_isomorphic(self, cat):
         renamed = validate("zyx", ["", "zy", "yx", "zx"])
-        assert canonical_form(renamed) == canonical_form(cat[2])
+        assert are_isomorphic(renamed, cat[2]) == {"z": "a", "y": "b", "x": "c"}
 
 
 class TestHasMinor:

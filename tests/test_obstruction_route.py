@@ -1,8 +1,9 @@
 """is_obstructed through the certificate, checked against the D5 scan.
 
 ``brute_is_obstructed`` (helpers.py) searches every delete/contract minor
-for a deduplicated D5 member; the library instead twists by the smallest
-feasible set, certifies, and lifts the minor witness back.
+for a deduplicated D5 member; the library instead re-matches the minor
+witness of ``certify``, which twists by the smallest feasible set,
+certifies that twist, and lifts the witness back.
 """
 
 import random
