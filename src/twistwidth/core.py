@@ -10,9 +10,11 @@ corresponds to the i-th label), kept deduplicated and sorted ascending, so
 structural equality is a plain tuple comparison.
 
 Building from untrusted input checks the axiom with one |F|-bit column per
-element (``find_axiom_violation``), in about |F| * n^2 * (|F|/64 + 1) word
-operations at most; a family whose estimate exceeds ``MAX_AXIOM_WORK`` is
-refused with ``DeltaMatroidError`` before the check runs.
+element (``find_axiom_violation``), once per infeasible set one element
+away from a feasible one, in about |F| * n * (|F|/64 + 1) word operations
+at most. A family whose conservative estimate |F| * n^2 * (|F|/64 + 1)
+exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before
+the check runs.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from typing import Iterable, Sequence
 # Bitmask width limits: direct operations run on up to 64 elements,
 # enumeration-style workflows are capped lower by their own modules.
 MAX_ELEMENTS = 64
-# Budget in word operations for the axiom check on untrusted families: the
-# check ANDs at most n columns of |F| bits for each of the |F| * n pairs
-# (X, u). U(4, 24), 1.0e9, takes about 1 s on a 2-vCPU Xeon VM; U(3, 63),
-# 9.8e10, would take minutes.
+# Budget in word operations for the axiom check on untrusted families,
+# against the estimate |F| * n^2 * (|F|/64 + 1): n columns of |F| bits for
+# each of the |F| * n pairs (X, u). The check ANDs at most one column per
+# pair, about |F| * n * (|F|/64 + 1), so the estimate is a conservative
+# gate that keeps the set of refused inputs fixed. On a 2-vCPU Xeon VM,
+# U(4, 24) (1.0e9) takes about 0.24 s, U(4, 25) (1.6e9) 0.32 s and
+# U(2, 63) (2.4e8) 0.11 s; U(3, 63) (9.8e10) is refused.
 MAX_AXIOM_WORK = 2_000_000_000
 
 class DeltaMatroidError(ValueError):
@@ -61,15 +66,17 @@ class AxiomViolationError(DeltaMatroidError):
 def find_axiom_violation(masks: Sequence[int], n: int):
     """Return a violating triple ``(x_mask, y_mask, u_pos)`` or None.
 
-    Fix feasible X and u. If X ^ {u} is feasible, v == u serves every Y.
-    Otherwise Y violates the axiom at u exactly when Y differs from X at u
-    and agrees with X at every v != u with X ^ {u, v} feasible. With one
-    |F|-bit column per element (bit j set when the element is in
-    ``masks[j]``), those Ys are an AND of columns or their complements,
-    stopped as soon as it is zero. The first X with a violator wins, then
-    its first Y, then the lowest u.
+    ``masks`` are distinct and ascending. A pair (X, u) can fail only when
+    Z = X ^ {u} is infeasible. Then Y violates it exactly when Y agrees
+    with Z at every v with Z ^ {v} feasible: at v == u that says u is in
+    X ^ Y, and at v != u that Y avoids the partner X ^ {u, v} = Z ^ {v}.
+    These Ys do not depend on u, so each infeasible neighbour Z is checked
+    once. With one |F|-bit column per element (bit j set when the element
+    is in ``masks[j]``), its Ys are an AND of the column or its complement,
+    as Z has the element or not, over the v; it stops at the first zero.
+    That is at most |F| * n ANDs of |F| bits. Of the violated pairs
+    (Z ^ {u}, u) the least X wins, then its first Y, then the lowest u.
     """
-    member = set(masks)
     full = (1 << len(masks)) - 1
     cols = [0] * n
     for j, m in enumerate(masks):
@@ -78,34 +85,32 @@ def find_axiom_violation(masks: Sequence[int], n: int):
             low = m & -m
             cols[low.bit_length() - 1] |= bit
             m ^= low
-    # partners[Z] = positions v with Z ^ {v} feasible, so the v != u with
-    # X ^ {u, v} feasible are partners[X ^ {u}] without u
+    off = [full ^ c for c in cols]
+    # partners[Z] = positions v with Z ^ {v} feasible
     partners: dict[int, int] = {}
-    for m in masks:
-        for v in range(n):
-            z = m ^ (1 << v)
-            partners[z] = partners.get(z, 0) | 1 << v
-    for x in masks:
-        # agree[v] = the Ys that have v exactly when x does
-        agree = [c if x >> i & 1 else full ^ c for i, c in enumerate(cols)]
-        found = []
-        for u in range(n):
-            bit = 1 << u
-            if x ^ bit in member:
-                continue
-            ys = full ^ agree[u]
-            rest = partners[x ^ bit] & ~bit
-            while ys and rest:
-                low = rest & -rest
-                ys &= agree[low.bit_length() - 1]
-                rest ^= low
-            if ys:
-                found.append((u, ys))
-        if found:
-            first = min(ys & -ys for _, ys in found)
-            u = next(u for u, ys in found if ys & first)
-            return (x, masks[first.bit_length() - 1], u)
-    return None
+    get = partners.get
+    for v in range(n):
+        bit = 1 << v
+        for m in masks:
+            z = m ^ bit
+            partners[z] = get(z, 0) | bit
+    found = []
+    for z in partners.keys() - set(masks):
+        near = rest = partners[z]
+        ys = full
+        while ys and rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            ys &= cols[i] if z & low else off[i]
+            rest ^= low
+        if ys:
+            found += [(z ^ 1 << u, u, ys) for u in range(n) if near >> u & 1]
+    if not found:
+        return None
+    x = min(found)[0]
+    first = min(ys & -ys for fx, _, ys in found if fx == x)
+    u = min(u for fx, u, ys in found if fx == x and ys & first)
+    return (x, masks[first.bit_length() - 1], u)
 
 
 class DeltaMatroid:
