@@ -26,6 +26,32 @@ def brute_min_twist_width(d: DeltaMatroid) -> int:
     return min(d.twist(a).width() for a in range(d.full_mask + 1))
 
 
+def hamming_twist_widths(d: DeltaMatroid) -> list:
+    """Width of twist(d, A) for every A, indexed by the mask of A, from a
+    Hamming distance transform over a list of 2^n distances.
+
+    With dist(A) the least |A ^ F| over feasible F, the twist by A has
+    width n - dist(A) - dist(A~). Hamming distance is a sum over
+    coordinates, so relaxing across one bit at a time leaves every dist
+    exact.
+    """
+    n = d.n
+    dist = [n + 1] * (1 << n)
+    for m in d.masks:
+        dist[m] = 0
+    for b in range(n):
+        bit = 1 << b
+        for a in range(len(dist)):
+            if a & bit:
+                x, y = dist[a], dist[a ^ bit]
+                if x > y + 1:
+                    dist[a] = y + 1
+                elif y > x + 1:
+                    dist[a ^ bit] = x + 1
+    # the complement of A sits at the mirrored index
+    return [n - x - y for x, y in zip(dist, reversed(dist))]
+
+
 def restrict_formula(d: DeltaMatroid, a: int) -> int:
     """The twist-width identity width(D|A) + width(D|A~) + 2 * the
     connectivity of A in D_min, with both restrictions and D_min built."""

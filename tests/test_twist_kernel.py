@@ -1,14 +1,19 @@
 """The all-twists width kernel and the twist-width formula against
 materialized twists and the oracles.
 
-``_twist_widths`` reads every twist's width off one Hamming distance
-transform. Here each value is compared with ``d.twist(A).width()`` and the
-structural formula, and the two searches built on it with
-``brute_rough_structure_witnesses`` (helpers.py) and with the argmin of
-materialized widths. The formula reads its terms off the feasible masks;
-it is compared with ``restrict_formula`` (helpers.py), which builds the
-restrictions and D_min, and its restriction-width term with
-``d.restrict(A).width()``.
+``_twist_widths`` expands the kernel's Hamming distance shells, each set
+of twist sets a 2^n-bit int grown by one dilation per shell, into one
+width per twist set; the kernel costs about n * D * 2^(n+1) / 64 word
+operations, D <= n the largest distance (about 0.15 s on twisted U(2,20),
+and 0.03-0.08 ms on the sampled n = 8..10 instances of the benchmark, on a
+2-vCPU Xeon VM). Here each value is compared with ``d.twist(A).width()``
+and the structural formula, and with ``hamming_twist_widths`` (helpers.py),
+the list-based distance transform, up to n = 16. The two searches built
+on the kernel are compared with ``brute_rough_structure_witnesses``
+(helpers.py) and with the argmin of materialized or oracle widths. The
+formula reads its terms off the feasible masks; it is compared with
+``restrict_formula`` (helpers.py), which builds the restrictions and
+D_min, and its restriction-width term with ``d.restrict(A).width()``.
 """
 
 import random
@@ -20,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
     GroundSetError,
+    enumerate_all,
     min_width_twist,
     rough_structure_witnesses,
     sample_with_empty_feasible,
@@ -32,7 +38,11 @@ from twistwidth.structure import (
     _restriction_width,
     _twist_widths,
 )
-from helpers import brute_rough_structure_witnesses, restrict_formula
+from helpers import (
+    brute_rough_structure_witnesses,
+    hamming_twist_widths,
+    restrict_formula,
+)
 
 
 def _every_dm(dms_by_n):
@@ -103,13 +113,24 @@ def test_rough_structure_witnesses_match_oracle_exhaustively(dms_by_n):
         assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
 
 
-@pytest.mark.parametrize("wrong", ["kernel", "formula"])
+@pytest.mark.parametrize("wrong", ["kernel", "formula", "shells"])
 def test_check_mode_raises_on_a_mismatch(cat, monkeypatch, wrong):
     if wrong == "kernel":
         kernel = structure._twist_widths
         monkeypatch.setattr(
             structure, "_twist_widths", lambda d: [w + 2 for w in kernel(d)]
         )
+    elif wrong == "shells":
+        shells = structure._shells
+
+        def moved(d):
+            # the sets at distance 1 are reported at distance 2
+            near, mirror = shells(d)
+            near = [*near, 0]
+            near[1:3] = 0, near[1] | near[2]
+            return near, mirror
+
+        monkeypatch.setattr(structure, "_shells", moved)
     else:
         formula = structure._formula
         monkeypatch.setattr(
@@ -173,3 +194,67 @@ def test_searches_fail_fast_above_cap(search):
     with pytest.raises(GroundSetError):
         search(d)
     assert time.perf_counter() - start < 1.0
+
+
+def _check_against_oracle(d):
+    widths = hamming_twist_widths(d)
+    assert _twist_widths(d) == widths
+    best = min(widths)
+    assert min_width_twist(d) == (widths.index(best), best)
+    assert rough_structure_witnesses(d) == [
+        a
+        for a, w in enumerate(widths)
+        if w == 1 and _restriction_width(d, a) == 0
+    ]
+
+
+@given(
+    st.integers(min_value=11, max_value=16),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_kernel_matches_list_oracle_on_large_twisted_uniform(
+    n, rank, free, seed
+):
+    _check_against_oracle(_twisted_uniform(n, rank, free, seed))
+
+
+@given(
+    st.integers(min_value=11, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_kernel_matches_list_oracle_on_large_random_twists(n, seed):
+    _check_against_oracle(_random_twist(n, seed))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bitsets_shorter_than_a_byte(n):
+    # 1, 2 and 4 twist sets: every family, width-one classes included
+    families = [[[]]] if n == 0 else [d.masks for d in enumerate_all(n)]
+    for masks in families:
+        d = validate([f"e{i}" for i in range(n)], masks)
+        _check_searches(d)
+        _check_against_oracle(d)
+        assert min_width_twist(d, check=True) == min_width_twist(d)
+
+
+def test_twisted_uniform_matroid_on_20_elements_untwists():
+    n, a = 20, 0b1011011
+    full = (1 << n) - 1
+    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in _uniform(2, n)])
+    assert min_width_twist(d) == (min(a, full ^ a), 0)
+
+
+def test_width_one_sum_on_20_elements():
+    # U(2,19) plus a free element {∅, {x}}: no matroid twist, width-one
+    # twists that split off the free element
+    d = _twisted_uniform(20, 2, True, 20)
+    assert min_width_twist(d)[1] == 1
+    witnesses = rough_structure_witnesses(d)
+    assert witnesses
+    for a in witnesses:
+        assert _formula(d, a) == 1
+        assert _restriction_width(d, a) == 0
