@@ -15,8 +15,9 @@ remaining element, and edges recording two-element feasible sets. A
 bipartite graph yields a twist set from a 2-coloring (or a small forbidden
 restriction); a non-bipartite graph yields a forbidden minor by induction
 on the length of a shortest odd cycle. The graph is 2-colored first, in
-O(V + E); the O(V·E) all-sources odd-cycle search runs only when that
-coloring fails.
+O(V + E). When that coloring fails, the least triangle is looked for
+directly; the O(V·E) all-sources odd-cycle search runs only on a graph
+with no triangle.
 
 Every certificate is re-verified from scratch before being returned;
 a failed re-check raises instead of silently falling back.
@@ -178,12 +179,30 @@ def _canonical_cycle(cycle, key):
 def shortest_odd_cycle(g: AuxGraph):
     """A shortest odd cycle as a vertex list, or None when bipartite.
 
-    Runs a breadth-first search on the bipartite double cover from every
-    vertex; the least odd closed walk overall is a simple cycle. Ties are
-    broken by the lexicographically smallest canonical vertex sequence.
-    This is O(V·E); ``certify`` calls it only after ``two_coloring`` has
-    found the graph non-bipartite.
+    Ties are broken by the lexicographically smallest canonical vertex
+    sequence. A triangle's canonical form is its vertices in vertex order,
+    so the least triangle is read off directly: the first u in vertex order
+    on a triangle, its first neighbour v on a triangle with it, and their
+    first common neighbour w. No triangle runs through a vertex before u,
+    and a common neighbour before v would have been found as v, so
+    u < v < w. Only a graph with no triangle pays for the O(V·E)
+    breadth-first search of ``_odd_cycle_search``. ``certify`` calls this
+    only after ``two_coloring`` has found the graph non-bipartite.
     """
+    adj = g.adjacency
+    for u in g.vertices:
+        near = set(adj[u])
+        for v in adj[u]:
+            for w in adj[v]:
+                if w in near:
+                    return [u, v, w]
+    return _odd_cycle_search(g)
+
+
+def _odd_cycle_search(g: AuxGraph):
+    """Breadth-first search on the bipartite double cover from every
+    vertex; the least odd closed walk overall is a simple cycle, and the
+    least canonical one of that length is returned. O(V·E)."""
     key = _vertex_key(g.vertices)
     best = None
     for s in g.vertices:

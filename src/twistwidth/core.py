@@ -15,6 +15,10 @@ away from a feasible one, in about |F| * n * (|F|/64 + 1) word operations
 at most. A family whose conservative estimate |F| * n^2 * (|F|/64 + 1)
 exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before
 the check runs.
+
+A minor that keeps k elements looks up its 2^k score-0 candidates in the
+sorted masks when 2^k < |F|; otherwise, or when none is feasible, it
+scores all |F| feasible masks.
 """
 
 from __future__ import annotations
@@ -286,17 +290,33 @@ class DeltaMatroid:
         order-independent, and it makes deleting a coloop strip it from
         every feasible set and contracting a loop keep every feasible set,
         so deletion and contraction agree on loops and coloops and stay
-        total.
+        total. The least score is 0 exactly when some feasible F has
+        F & (X | Y) == Y; when the k kept elements give 2^k < |F|, the 2^k
+        sets Y | S, S within the kept elements, are looked up by bisection
+        first, and the |F| scan runs only when none of them is feasible.
         """
         x = self._to_mask(delete)
         y = self._to_mask(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
         gone = x | y
-        # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
-        scores = [((m ^ y) & gone).bit_count() for m in self.masks]
-        best = min(scores)
-        family = [m for m, s in zip(self.masks, scores) if s == best]
+        masks = self.masks
+        keep = self.full_mask & ~gone
+        family = []
+        if 1 << keep.bit_count() < len(masks):
+            s = keep
+            while True:
+                i = bisect_left(masks, y | s)
+                if i < len(masks) and masks[i] == y | s:
+                    family.append(y | s)
+                if not s:
+                    break
+                s = (s - 1) & keep
+        if not family:
+            # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
+            scores = [((m ^ y) & gone).bit_count() for m in masks]
+            best = min(scores)
+            family = [m for m, s in zip(masks, scores) if s == best]
         # from the top down, so each lower position is still where it was
         rest = gone
         while rest:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistwidth import (
+    AuxGraph,
     CertificationError,
     DeltaMatroidError,
     HUB,
@@ -226,6 +227,48 @@ class TestOddCycleOracle:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_odd_cycle_instances(self, m, extra, loops, seed):
         _check_odd_cycle_against_oracle(_odd_cycle_instance(m, extra, loops, seed))
+
+
+class TestTriangleFirst:
+    """The least triangle is read off the adjacency; the breadth-first
+    search runs only on graphs with no triangle."""
+
+    @staticmethod
+    def _forbid_search(monkeypatch):
+        def forbidden(g):
+            raise AssertionError("breadth-first search on a graph with a triangle")
+
+        monkeypatch.setattr(certify_module, "_odd_cycle_search", forbidden)
+
+    def test_least_triangle_of_a_hand_built_graph(self, monkeypatch):
+        # triangles 0-1-5 and 0-2-3; the least second vertex wins
+        edges = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (2, 3)]
+        adjacency = {v: tuple(sorted({b for a, b in edges if a == v}
+                                     | {a for a, b in edges if b == v}))
+                     for v in range(6)}
+        g = AuxGraph(frozenset(), tuple(range(6)), adjacency)
+        assert brute_shortest_odd_cycle(g) == [0, 1, 5]
+        self._forbid_search(monkeypatch)
+        assert shortest_odd_cycle(g) == [0, 1, 5]
+
+    def test_graphs_with_a_triangle_skip_the_search(self, dms_by_n, monkeypatch):
+        def has_triangle(d):
+            cycle = brute_shortest_odd_cycle(build_aux_graph(d))
+            return cycle is not None and len(cycle) == 3
+
+        small = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]
+                 if d.masks[0] == 0 and has_triangle(d)]
+        sampled = []
+        for seed in range(200):
+            d = sample_with_empty_feasible(5 + seed % 6, random.Random(seed))
+            if has_triangle(d) and len(sampled) < 20:
+                sampled.append(d)
+        assert len(small) > 1000 and len(sampled) == 20
+        self._forbid_search(monkeypatch)
+        for d in small:
+            assert isinstance(certify(d), MinorWitness)
+        for d in sampled:
+            assert isinstance(_check_certificate(d), MinorWitness)
 
 
 class TestBipartiteFirst:
