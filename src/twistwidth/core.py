@@ -9,12 +9,14 @@ Feasible sets are stored as bitmasks over ground-set positions (position i
 corresponds to the i-th label), kept deduplicated and sorted ascending, so
 structural equality is a plain tuple comparison.
 
-Building from untrusted input checks the axiom with one |F|-bit column per
-element (``find_axiom_violation``), once per infeasible set one element
-away from a feasible one, in about |F| * n * (|F|/64 + 1) word operations
-at most. A family whose conservative estimate |F| * n^2 * (|F|/64 + 1)
-exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before
-the check runs.
+Building from untrusted input checks the axiom (``find_axiom_violation``)
+with one of two kernels that return the same witness: up to 12 elements
+with sets of subsets as 2^n-bit ints, one AND per feasible set; above,
+with one |F|-bit column per element, one AND per infeasible set next to
+a feasible one, in about |F| * n * (|F|/64 + 1) word operations at most.
+A family whose conservative estimate |F| * n^2 * (|F|/64 + 1) of the
+latter exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError``
+before the check runs, so the refused inputs stay the same.
 
 A minor that keeps k elements looks up its 2^k score-0 candidates in the
 sorted masks when 2^k < |F|; otherwise, or when none is feasible, it
@@ -24,6 +26,9 @@ scores all |F| feasible masks.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache, reduce
+from itertools import groupby
+from operator import or_
 from typing import Iterable, Sequence
 
 # Bitmask width limits: direct operations run on up to 64 elements,
@@ -31,12 +36,19 @@ from typing import Iterable, Sequence
 MAX_ELEMENTS = 64
 # Budget in word operations for the axiom check on untrusted families,
 # against the estimate |F| * n^2 * (|F|/64 + 1): n columns of |F| bits for
-# each of the |F| * n pairs (X, u). The check ANDs at most one column per
-# pair, about |F| * n * (|F|/64 + 1), so the estimate is a conservative
-# gate that keeps the set of refused inputs fixed. On a 2-vCPU Xeon VM,
-# U(4, 24) (1.0e9) takes about 0.24 s, U(4, 25) (1.6e9) 0.32 s and
-# U(2, 63) (2.4e8) 0.11 s; U(3, 63) (9.8e10) is refused.
+# each of the |F| * n pairs (X, u). The column kernel ANDs at most one
+# column per pair, so the estimate is a conservative gate, kept to fix the
+# set of refused inputs; at n <= 12 (at most 3.8e7) the subset kernel runs
+# instead. On a 2-vCPU Xeon VM, U(4, 24) (1.0e9) takes about 0.19 s,
+# U(4, 25) (1.6e9) 0.24 s and U(2, 63) (2.4e8) 0.09 s; U(3, 63) (9.8e10)
+# is refused.
 MAX_AXIOM_WORK = 2_000_000_000
+# Largest n for the subset kernel; its fixed cost doubles per element, so
+# sparse families lose first. Column -> subset kernel, best of 200 calls,
+# 2-vCPU Xeon VM: U(2, 12) 222 -> 82 us, U(3, 12) 775 -> 131 us, one set
+# at n = 12 6 -> 43 us, U(1, 13) 49 -> 118 us, U(2, 16) 584 -> 3042 us.
+MAX_SUBSET_KERNEL_ELEMENTS = 12
+
 
 class DeltaMatroidError(ValueError):
     """Base class for invalid constructions or out-of-range arguments."""
@@ -70,7 +82,17 @@ class AxiomViolationError(DeltaMatroidError):
 def find_axiom_violation(masks: Sequence[int], n: int):
     """Return a violating triple ``(x_mask, y_mask, u_pos)`` or None.
 
-    ``masks`` are distinct and ascending. A pair (X, u) can fail only when
+    ``masks`` are distinct and ascending. The least X wins, then its first
+    Y, then the lowest u. Up to ``MAX_SUBSET_KERNEL_ELEMENTS`` elements the
+    subset kernel runs, above it the column kernel.
+    """
+    if n <= MAX_SUBSET_KERNEL_ELEMENTS:
+        return _subset_violation(masks, n)
+    return _column_violation(masks, n)
+
+
+def _column_violation(masks: Sequence[int], n: int):
+    """Column kernel, for any n. A pair (X, u) can fail only when
     Z = X ^ {u} is infeasible. Then Y violates it exactly when Y agrees
     with Z at every v with Z ^ {v} feasible: at v == u that says u is in
     X ^ Y, and at v != u that Y avoids the partner X ^ {u, v} = Z ^ {v}.
@@ -115,6 +137,68 @@ def find_axiom_violation(masks: Sequence[int], n: int):
     first = min(ys & -ys for fx, _, ys in found if fx == x)
     u = min(u for fx, u, ys in found if fx == x and ys & first)
     return (x, masks[first.bit_length() - 1], u)
+
+
+@lru_cache(maxsize=None)
+def _planes(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """All 2^(n+1) bits set, and (2^b, the A containing b) for each b < n."""
+    full, planes = (1 << (2 << n)) - 1, []
+    for b in range(n):
+        hi, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < 2 << n:
+            hi, width = hi | hi << width, 2 * width
+        planes.append((1 << b, hi))
+    return full, tuple(planes)
+
+
+def _digits(masks: Iterable[int], n: int) -> bytearray:
+    """2^n digits for int(..., 2), "1" at index m for each mask m: O(2^n)
+    where an OR per mask costs O(|F| * 2^n)."""
+    chars = bytearray(b"0" * (1 << n))
+    for m in masks:
+        chars[m] = 49  # ord("1")
+    return chars
+
+
+def _subset_violation(masks: Sequence[int], n: int):
+    """Subset kernel: a set of subsets is a 2^n-bit int, bit Z for Z. By
+    the column kernel's condition, Y violates the infeasible Z exactly when
+    Z lies outside cover(Y), the OR over v of down[v] (Z without v, Z + v
+    feasible) for v in Y and of up[v] (Z with v, Z - v feasible) for v not
+    in Y: one OR of a table entry for Y's low h = n // 2 bits and one for
+    its high bits, each complemented once per high part as the masks
+    ascend, so each Y costs one AND, about 2^(h + 1) + |F| operations on
+    2^n bits. X is the least feasible neighbour of a violated Z; a second
+    pass reads off the first Y and the lowest u.
+    """
+    # at n <= 4 the OR per mask measured faster than the digits
+    fam = int(_digits(masks, n)[::-1], 2) if n > 4 else sum(1 << m for m in masks)
+    planes = _planes(n)[1]
+    up = [(fam & ~hi) << step for step, hi in planes]
+    down = [(fam & hi) >> step for step, hi in planes]
+    cand = reduce(or_, up + down, 0) & ~fam
+    h, lowmask = n // 2, (1 << n // 2) - 1
+
+    def table(vs):
+        t = [0]
+        for v in vs:
+            t = [c | up[v] for c in t] + [c | down[v] for c in t]
+        return t
+
+    low, high = [cand & ~c for c in table(range(h))], table(range(h, n))
+    bad = 0
+    for top, ys in groupby(masks, h.__rrshift__):
+        rest = cand & ~high[top]
+        for y in ys:
+            bad |= rest & low[y & lowmask]
+    if not bad:
+        return None
+    xs = fam & reduce(or_, ((bad & hi) >> b | (bad & ~hi) << b for b, hi in planes))
+    x = (xs & -xs).bit_length() - 1
+    nbrs = sum(1 << (x ^ 1 << u) for u in range(n))
+    for y in masks:
+        if zs := nbrs & ~high[y >> h] & low[y & lowmask]:
+            return x, y, next(u for u in range(n) if zs >> (x ^ 1 << u) & 1)
 
 
 class DeltaMatroid:

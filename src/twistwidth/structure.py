@@ -33,10 +33,10 @@ check mode cross-validates both against direct twists.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_, or_
 
-from .core import DeltaMatroid, GroundSetError
+from .core import DeltaMatroid, GroundSetError, _digits, _planes
 
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
 # kernel; each further element doubles its 256 KB ints and may add a shell.
@@ -74,18 +74,6 @@ def _formula(d: DeltaMatroid, a: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _planes(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """All 2^(n+1) bits set, and (2^b, the A containing b) for each b < n."""
-    full, planes = (1 << (2 << n)) - 1, []
-    for b in range(n):
-        hi, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
-        while width < 2 << n:
-            hi, width = hi | hi << width, 2 * width
-        planes.append((1 << b, hi))
-    return full, tuple(planes)
-
-
 def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
     """Shells S_j of dist(A) and, at index n - k, S'_k of dist(A~), so that
     the A of width w are the OR over j of near[j] & mirror[j + w]. One
@@ -95,14 +83,11 @@ def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
         raise GroundSetError(
             f"twist search needs at most {MAX_SEARCH_ELEMENTS} elements"
         )
-    # F sets bit m and bit last - m = 2^n + (m~) for its complement. As
-    # digits for int() that is a palindrome, O(2^n) where an OR per mask
-    # costs O(|F| * 2^n); at n <= 4 the OR measured faster
+    # F sets bit m and bit last - m = 2^n + (m~) for its complement, as
+    # digits a palindrome; at n <= 4 the OR measured faster
     front, last = 0, (2 << n) - 1
     if n > 4:
-        chars = bytearray(b"0" * (1 << n))
-        for m in d.masks:
-            chars[m] = 49  # ord("1")
+        chars = _digits(d.masks, n)
         front = int(chars + chars[::-1], 2)
     else:
         for m in d.masks:

@@ -1,8 +1,13 @@
-"""The column-bitset axiom check against the ordered-pair scan, and the
-work budget that refuses oversized untrusted families before the check.
+"""Both kernels of the axiom check against the ordered-pair scan, the
+dispatch between them, and the work budget that refuses oversized
+untrusted families before the check.
 
-``find_axiom_violation`` must return the oracle's exact triple (first X,
-then first Y, then lowest u), not just agree on the verdict.
+``find_axiom_violation`` runs the subset kernel up to
+``MAX_SUBSET_KERNEL_ELEMENTS`` elements and the column kernel above it.
+Each kernel must return the oracle's exact triple (first X, then first Y,
+then lowest u), not just agree on the verdict, so the oracle tests call
+both kernels by their private names: at n <= 12 nothing else reaches the
+column kernel.
 """
 
 import random
@@ -14,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_axiom_holds, brute_find_axiom_violation
 from twistwidth import (
+    AxiomViolationError,
     DeltaMatroid,
     DeltaMatroidError,
     sample_with_empty_feasible,
@@ -24,9 +30,16 @@ from twistwidth import core
 from twistwidth.cli import main
 from twistwidth.core import find_axiom_violation
 
+KERNELS = (core._subset_violation, core._column_violation)
+
 
 def _uniform(r, n):
     return [sum(1 << i for i in c) for c in combinations(range(n), r)]
+
+
+def _kernels_match(masks, n, want):
+    for kernel in KERNELS:
+        assert kernel(masks, n) == want, (kernel.__name__, masks)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -34,8 +47,8 @@ def test_every_family_matches_oracle(n):
     violating = 0
     for fam in range(1, 1 << (1 << n)):
         masks = [s for s in range(1 << n) if fam >> s & 1]
-        found = find_axiom_violation(masks, n)
-        assert found == brute_find_axiom_violation(masks, n), masks
+        found = brute_find_axiom_violation(masks, n)
+        _kernels_match(masks, n, found)
         assert (found is None) == brute_axiom_holds(masks, n)
         violating += found is not None
     # n = 4: 65535 families, of which 5959 are delta-matroids
@@ -53,8 +66,8 @@ def test_sampled_n4_families_match_oracle(dms_by_n):
     violating = 0
     for word in filter(None, words):
         masks = [s for s in range(16) if word >> s & 1]
-        found = find_axiom_violation(masks, 4)
-        assert found == brute_find_axiom_violation(masks, 4), masks
+        found = brute_find_axiom_violation(masks, 4)
+        _kernels_match(masks, 4, found)
         violating += found is not None
     assert violating > len(words) // 2
 
@@ -69,8 +82,7 @@ def test_toggled_sampled_families_match_oracle(n, seed, subset):
     d = sample_with_empty_feasible(n, random.Random(seed))
     masks = sorted(set(d.masks) ^ {subset % (1 << n)})
     assume(masks)
-    found = find_axiom_violation(masks, n)
-    assert found == brute_find_axiom_violation(masks, n)
+    _kernels_match(masks, n, brute_find_axiom_violation(masks, n))
 
 
 @given(
@@ -88,8 +100,50 @@ def test_toggled_uniform_twists_match_oracle(n, data):
     )
     masks = sorted({m ^ t for m in _uniform(r, n)} ^ toggles)
     assume(masks)
-    found = find_axiom_violation(masks, n)
-    assert found == brute_find_axiom_violation(masks, n)
+    _kernels_match(masks, n, brute_find_axiom_violation(masks, n))
+
+
+@given(
+    st.integers(min_value=10, max_value=14),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_kernels_agree_across_cutoff(n, gf2, data):
+    # too large for the oracle: the two kernels pin each other, on GF(2)
+    # draws and on twisted uniform matroids with one or two subsets toggled
+    if gf2:
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        family = set(sample_with_empty_feasible(n, random.Random(seed)).masks)
+    else:
+        r = data.draw(st.integers(min_value=1, max_value=3))
+        t = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        family = {m ^ t for m in _uniform(r, n)}
+    toggles = data.draw(
+        st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=2)
+    )
+    masks = sorted(family ^ toggles)
+    assume(masks)
+    assert core._subset_violation(masks, n) == core._column_violation(masks, n)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_dispatch_at_the_cutoff(n, monkeypatch):
+    def refuse(masks, n):
+        raise LookupError("wrong kernel")
+
+    # U(2, n) without {e0, e1} and {e0, e2}, twisted by {e0, e1, e3, e4, e6}
+    masks = sorted(m ^ 0b1011011 for m in _uniform(2, n) if m not in (0b11, 0b101))
+    want = (0b11010, 0b1011101, 6)
+    assert core._column_violation(masks, n) == core._subset_violation(masks, n) == want
+    other = "_column_violation" if n <= 12 else "_subset_violation"
+    monkeypatch.setattr(core, other, refuse)
+    assert find_axiom_violation(masks, n) == want
+    monkeypatch.undo()
+    ran = "_subset_violation" if n <= 12 else "_column_violation"
+    monkeypatch.setattr(core, ran, refuse)
+    with pytest.raises(LookupError, match="wrong kernel"):
+        find_axiom_violation(masks, n)
 
 
 # -- the work budget ------------------------------------------------------
@@ -115,6 +169,22 @@ def test_cli_rejects_oversized_family(tmp_path, capsys):
 def test_sampled_n12_family_is_accepted():
     d = sample_with_empty_feasible(12, random.Random(12))
     assert validate(d.labels, d.masks) == d
+
+
+def test_large_families_go_through_the_column_kernel():
+    for r, n in [(2, 63), (4, 24)]:
+        labels = [f"e{i}" for i in range(n)]
+        assert validate(labels, _uniform(r, n)).masks == tuple(sorted(_uniform(r, n)))
+    # U(2, 63) with the 3-set {e5, e20, e40} added; the triple was read
+    # from the column kernel before the subset kernel existed
+    x = 1 << 5 | 1 << 20 | 1 << 40
+    masks = sorted(_uniform(2, 63) + [x])
+    assert find_axiom_violation(masks, 63) == (x, 0b11, 0)
+    with pytest.raises(AxiomViolationError) as err:
+        validate([f"e{i}" for i in range(63)], masks)
+    assert (err.value.x, err.value.y, err.value.u) == (
+        frozenset({"e5", "e20", "e40"}), frozenset({"e0", "e1"}), "e0"
+    )
 
 
 def test_budget_boundary(monkeypatch):
