@@ -8,7 +8,7 @@ from .core import (
     GroundSetError,
     validate,
 )
-from .matroids import Matroid, NotAMatroidError, d_min, is_matroid
+from .matroids import d_min, is_matroid
 from .structure import (
     is_twist_matroid_witness,
     is_twist_width_one_witness,
@@ -42,7 +42,7 @@ from .enumeration import (
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AxiomViolationError",
@@ -54,9 +54,7 @@ __all__ = [
     "EnumerationReport",
     "GroundSetError",
     "HUB",
-    "Matroid",
     "MinorWitness",
-    "NotAMatroidError",
     "Obstruction",
     "ParseError",
     "TwistWitness",

@@ -223,7 +223,7 @@ class DeltaMatroid:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", pos)
         if not _trusted:
-            feasible = {self._to_mask(f) for f in feasible}
+            feasible = {self.mask_of(f) for f in feasible}
         masks = tuple(sorted(set(feasible)))
         object.__setattr__(self, "masks", masks)
         if not masks:
@@ -257,7 +257,8 @@ class DeltaMatroid:
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
-    def _to_mask(self, elems) -> int:
+    def mask_of(self, elems) -> int:
+        """Bitmask of a subset given as labels (or an already-built mask)."""
         if isinstance(elems, int):
             if elems < 0 or elems >> len(self.labels):
                 raise GroundSetError(f"mask {elems:#x} outside ground set")
@@ -270,10 +271,6 @@ class DeltaMatroid:
                 raise GroundSetError(f"unknown element {e!r}") from None
         return mask
 
-    def mask_of(self, elems) -> int:
-        """Bitmask of a subset given as labels (or an already-built mask)."""
-        return self._to_mask(elems)
-
     def set_of(self, mask: int) -> frozenset[str]:
         """Labels corresponding to a bitmask."""
         return frozenset(
@@ -284,7 +281,7 @@ class DeltaMatroid:
         return [self.set_of(m) for m in self.masks]
 
     def is_feasible(self, elems) -> bool:
-        mask = self._to_mask(elems)
+        mask = self.mask_of(elems)
         i = bisect_left(self.masks, mask)
         return i < len(self.masks) and self.masks[i] == mask
 
@@ -309,9 +306,6 @@ class DeltaMatroid:
     def min_feasible_size(self) -> int:
         return min(m.bit_count() for m in self.masks)
 
-    def max_feasible_size(self) -> int:
-        return max(m.bit_count() for m in self.masks)
-
     def width(self) -> int:
         """Largest feasible size minus smallest feasible size."""
         sizes = [m.bit_count() for m in self.masks]
@@ -324,7 +318,7 @@ class DeltaMatroid:
 
     def rho(self, elems) -> int:
         """Bouchet rank: |E| minus the least |A ^ F| over feasible F."""
-        a = self._to_mask(elems)
+        a = self.mask_of(elems)
         return self.n - min((a ^ m).bit_count() for m in self.masks)
 
     # -- loops and coloops ------------------------------------------------
@@ -355,7 +349,7 @@ class DeltaMatroid:
 
     def twist(self, elems) -> "DeltaMatroid":
         """Twist by a subset A: replace each feasible F by A ^ F."""
-        a = self._to_mask(elems)
+        a = self.mask_of(elems)
         return DeltaMatroid(
             self.labels, [a ^ m for m in self.masks], _trusted=True
         )
@@ -379,8 +373,8 @@ class DeltaMatroid:
         sets Y | S, S within the kept elements, are looked up by bisection
         first, and the |F| scan runs only when none of them is feasible.
         """
-        x = self._to_mask(delete)
-        y = self._to_mask(contract)
+        x = self.mask_of(delete)
+        y = self.mask_of(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
         gone = x | y
@@ -426,7 +420,7 @@ class DeltaMatroid:
 
     def restrict(self, elems) -> "DeltaMatroid":
         """Delete everything outside A; keeps A's labels in ground order."""
-        return self.minor(delete=self.full_mask & ~self._to_mask(elems))
+        return self.minor(delete=self.full_mask & ~self.mask_of(elems))
 
 
 def validate(labels: Iterable[str], family: Iterable) -> DeltaMatroid:

@@ -1,18 +1,12 @@
-"""Matroid quantities on top of delta-matroids.
+"""Matroids among delta-matroids.
 
 A matroid is exactly a width-zero delta-matroid; its feasible sets are its
-bases. Rank is computed by brute force over the bases, which is exact and
-fast at the ground-set sizes this package targets.
+bases.
 """
 
 from __future__ import annotations
 
-from .core import DeltaMatroid, DeltaMatroidError
-
-
-class NotAMatroidError(DeltaMatroidError):
-    """Raised when a delta-matroid with feasible sets of mixed sizes is
-    used where a matroid is required."""
+from .core import DeltaMatroid
 
 
 def is_matroid(d: DeltaMatroid) -> bool:
@@ -20,66 +14,9 @@ def is_matroid(d: DeltaMatroid) -> bool:
     return d.width() == 0
 
 
-class Matroid:
-    """A delta-matroid whose feasible sets (bases) share one size."""
-
-    __slots__ = ("dm", "rank_total")
-
-    def __init__(self, dm: DeltaMatroid):
-        if not is_matroid(dm):
-            raise NotAMatroidError(
-                f"feasible sets have sizes spanning width {dm.width()}"
-            )
-        object.__setattr__(self, "dm", dm)
-        object.__setattr__(self, "rank_total", dm.masks[0].bit_count())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matroid instances are immutable")
-
-    @property
-    def labels(self):
-        return self.dm.labels
-
-    @property
-    def bases(self):
-        return self.dm.masks
-
-    def __eq__(self, other):
-        return isinstance(other, Matroid) and self.dm == other.dm
-
-    def __hash__(self):
-        return hash(("Matroid", self.dm))
-
-    def __repr__(self):
-        return f"Matroid({self.dm!r})"
-
-    def rank(self, elems) -> int:
-        """Size of the largest intersection of X with a basis."""
-        x = self.dm.mask_of(elems)
-        return max((x & b).bit_count() for b in self.bases)
-
-    def nullity(self, elems) -> int:
-        """|X| minus the rank of X."""
-        x = self.dm.mask_of(elems)
-        return x.bit_count() - self.rank(x)
-
-    def connectivity(self, elems) -> int:
-        """r(A) + r(E - A) - r(E); zero exactly on separators."""
-        a = self.dm.mask_of(elems)
-        return self.rank(a) + self.rank(self.dm.full_mask & ~a) - self.rank_total
-
-    def is_separator(self, elems) -> bool:
-        """True iff A is a union of components (connectivity zero)."""
-        return self.connectivity(elems) == 0
-
-
-def d_min(d: DeltaMatroid) -> Matroid:
+def d_min(d: DeltaMatroid) -> DeltaMatroid:
     """The matroid whose bases are the minimum-size feasible sets of ``d``."""
     k = d.min_feasible_size()
-    return Matroid(
-        DeltaMatroid(
-            d.labels,
-            [m for m in d.masks if m.bit_count() == k],
-            _trusted=True,
-        )
+    return DeltaMatroid(
+        d.labels, [m for m in d.masks if m.bit_count() == k], _trusted=True
     )

@@ -52,24 +52,40 @@ def hamming_twist_widths(d: DeltaMatroid) -> list:
     return [n - x - y for x, y in zip(dist, reversed(dist))]
 
 
+def _rank(bases, x: int) -> int:
+    return max((x & b).bit_count() for b in bases)
+
+
+def dmin_rank(d: DeltaMatroid, x: int) -> int:
+    """Rank of the mask ``x`` in the matroid d_min(d): the largest
+    intersection of X with one of its bases."""
+    return _rank(d_min(d).masks, x)
+
+
+def dmin_connectivity(d: DeltaMatroid, a: int) -> int:
+    """r(A) + r(E - A) - r(E) in the matroid d_min(d); zero exactly when A
+    is a separator of it."""
+    bases, full = d_min(d).masks, d.full_mask
+    return _rank(bases, a) + _rank(bases, full & ~a) - _rank(bases, full)
+
+
 def restrict_formula(d: DeltaMatroid, a: int) -> int:
     """The twist-width identity width(D|A) + width(D|A~) + 2 * the
     connectivity of A in D_min, with both restrictions and D_min built."""
     ac = d.full_mask & ~a
     return (
-        d.restrict(a).width() + d.restrict(ac).width() + 2 * d_min(d).connectivity(a)
+        d.restrict(a).width() + d.restrict(ac).width() + 2 * dmin_connectivity(d, a)
     )
 
 
 def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
     """Every A (as masks, ascending) that is a separator of d_min with D|A
     a matroid and D|A~ of width one, read off the restrictions themselves."""
-    dmin = d_min(d)
     out = []
     for a in range(d.full_mask + 1):
         ac = d.full_mask & ~a
         if (
-            dmin.is_separator(a)
+            dmin_connectivity(d, a) == 0
             and is_matroid(d.restrict(a))
             and d.restrict(ac).width() == 1
         ):

@@ -16,6 +16,7 @@ from twistwidth import (
     verify_theorem,
 )
 from twistwidth import enumeration, structure
+from twistwidth.core import find_axiom_violation
 from twistwidth.enumeration import THEOREM_TAGS
 from helpers import brute_axiom_holds
 
@@ -55,7 +56,10 @@ def test_stream_deterministic():
 
 
 def test_recheck_mode():
-    assert sum(1 for _ in enumerate_all(3, recheck=True)) == 155
+    ds = list(enumerate_all(3))
+    assert len(ds) == 155
+    for d in ds:
+        assert find_axiom_violation(d.masks, d.n) is None
 
 
 def test_out_of_range():
