@@ -1,4 +1,6 @@
+import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -161,3 +163,205 @@ def test_twist_roundtrip_through_cli(files, capsys):
     d3 = catalog()[2]
     assert main(["twist", files["d3"], "-A", "a,b,c"]) == 0
     assert capsys.readouterr().out == serialize(d3.dual())
+
+
+# Golden table: every subcommand, in text and with --json, with its exact
+# stdout, stderr and exit code. Commands run in a directory holding these
+# files, so error messages that name a path are fixed too.
+GOLDEN_FILES = {
+    "d1.dm": D1_TEXT,
+    "d3.dm": D3_TEXT,
+    "w1.dm": WIDTH_ONE_TEXT,
+    "no_empty.dm": "elements: a b\nfeasible: a\nfeasible: b\n",
+    "bad.dm": BAD_TEXT,
+    "garbled.dm": "feasible: a\nelements: a\n",
+}
+FILE_COMMANDS = (
+    "validate F", "info F", "twist F -A a", "minor F --delete a",
+    "restrict F -A a", "rho F -A a", "min-width-twist F",
+    "min-width-twist F --check", "certify F", "obstruct F",
+)
+BAD_ERR = (
+    "error: symmetric exchange fails: X=[] Y=['x', 'y', 'z'] u='z' "
+    "has no valid partner v\n"
+)
+# (command line, exit code, stdout); stderr is empty
+GOLDEN_OK = [
+    ("validate d1.dm", 0, "valid: 2 elements, 4 feasible sets\n"),
+    ("validate d1.dm --json", 0, '{"valid": true, "elements": 2, "feasible": 4}\n'),
+    ("info d1.dm", 0, "elements: a b\nfeasible sets: 4\nwidth: 2\neven: no\nloops: -\ncoloops: -\nmatroid: no\n"),
+    ("info d1.dm --json", 0, '{"elements": ["a", "b"], "feasible_count": 4, "width": 2, "even": false, "loops": [], "coloops": [], "is_matroid": false}\n'),
+    ("twist d1.dm -A a", 0, "elements: a b\nfeasible:\nfeasible: a\nfeasible: b\nfeasible: a b\n"),
+    ("twist d1.dm -A a --json", 0, '{"elements": ["a", "b"], "feasible": [[], ["a"], ["b"], ["a", "b"]]}\n'),
+    ("minor d1.dm --delete a", 0, "elements: b\nfeasible:\nfeasible: b\n"),
+    ("minor d1.dm --delete a --json", 0, '{"elements": ["b"], "feasible": [[], ["b"]]}\n'),
+    ("restrict d1.dm -A a", 0, "elements: a\nfeasible:\nfeasible: a\n"),
+    ("restrict d1.dm -A a --json", 0, '{"elements": ["a"], "feasible": [[], ["a"]]}\n'),
+    ("rho d1.dm -A a", 0, "rho: 2\n"),
+    ("rho d1.dm -A a --json", 0, '{"rho": 2}\n'),
+    ("min-width-twist d1.dm", 0, "twist-set: {}\nwidth: 2\n"),
+    ("min-width-twist d1.dm --json", 0, '{"twist_set": [], "width": 2}\n'),
+    ("min-width-twist d1.dm --check", 0, "twist-set: {}\nwidth: 2\n"),
+    ("min-width-twist d1.dm --check --json", 0, '{"twist_set": [], "width": 2}\n'),
+    ("certify d1.dm", 1, "obstruction: delete {} contract {} -> excluded minor #0 (a->a, b->b)\n"),
+    ("certify d1.dm --json", 1, '{"obstruction": {"delete": [], "contract": [], "target_index": 0, "iso": {"a": "a", "b": "b"}}}\n'),
+    ("obstruct d1.dm", 1, "obstruction: delete {} contract {} -> excluded minor #0 (a->a, b->b)\n"),
+    ("obstruct d1.dm --json", 1, '{"obstruction": {"delete": [], "contract": [], "target_index": 0, "iso": {"a": "a", "b": "b"}}}\n'),
+    ("validate d3.dm", 0, "valid: 3 elements, 4 feasible sets\n"),
+    ("validate d3.dm --json", 0, '{"valid": true, "elements": 3, "feasible": 4}\n'),
+    ("info d3.dm", 0, "elements: a b c\nfeasible sets: 4\nwidth: 2\neven: yes\nloops: -\ncoloops: -\nmatroid: no\n"),
+    ("info d3.dm --json", 0, '{"elements": ["a", "b", "c"], "feasible_count": 4, "width": 2, "even": true, "loops": [], "coloops": [], "is_matroid": false}\n'),
+    ("twist d3.dm -A a", 0, "elements: a b c\nfeasible: a\nfeasible: b\nfeasible: c\nfeasible: a b c\n"),
+    ("twist d3.dm -A a --json", 0, '{"elements": ["a", "b", "c"], "feasible": [["a"], ["b"], ["c"], ["a", "b", "c"]]}\n'),
+    ("minor d3.dm --delete a", 0, "elements: b c\nfeasible:\nfeasible: b c\n"),
+    ("minor d3.dm --delete a --json", 0, '{"elements": ["b", "c"], "feasible": [[], ["b", "c"]]}\n'),
+    ("restrict d3.dm -A a", 0, "elements: a\nfeasible:\n"),
+    ("restrict d3.dm -A a --json", 0, '{"elements": ["a"], "feasible": [[]]}\n'),
+    ("rho d3.dm -A a", 0, "rho: 2\n"),
+    ("rho d3.dm -A a --json", 0, '{"rho": 2}\n'),
+    ("min-width-twist d3.dm", 0, "twist-set: {}\nwidth: 2\n"),
+    ("min-width-twist d3.dm --json", 0, '{"twist_set": [], "width": 2}\n'),
+    ("min-width-twist d3.dm --check", 0, "twist-set: {}\nwidth: 2\n"),
+    ("min-width-twist d3.dm --check --json", 0, '{"twist_set": [], "width": 2}\n'),
+    ("certify d3.dm", 1, "obstruction: delete {} contract {} -> excluded minor #2 (a->a, b->b, c->c)\n"),
+    ("certify d3.dm --json", 1, '{"obstruction": {"delete": [], "contract": [], "target_index": 2, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
+    ("obstruct d3.dm", 1, "obstruction: delete {} contract {} -> excluded minor #5 (a->a, b->b, c->c)\n"),
+    ("obstruct d3.dm --json", 1, '{"obstruction": {"delete": [], "contract": [], "target_index": 5, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
+    ("validate w1.dm", 0, "valid: 1 elements, 2 feasible sets\n"),
+    ("validate w1.dm --json", 0, '{"valid": true, "elements": 1, "feasible": 2}\n'),
+    ("info w1.dm", 0, "elements: a\nfeasible sets: 2\nwidth: 1\neven: no\nloops: -\ncoloops: -\nmatroid: no\n"),
+    ("info w1.dm --json", 0, '{"elements": ["a"], "feasible_count": 2, "width": 1, "even": false, "loops": [], "coloops": [], "is_matroid": false}\n'),
+    ("twist w1.dm -A a", 0, "elements: a\nfeasible:\nfeasible: a\n"),
+    ("twist w1.dm -A a --json", 0, '{"elements": ["a"], "feasible": [[], ["a"]]}\n'),
+    ("minor w1.dm --delete a", 0, "elements:\nfeasible:\n"),
+    ("minor w1.dm --delete a --json", 0, '{"elements": [], "feasible": [[]]}\n'),
+    ("restrict w1.dm -A a", 0, "elements: a\nfeasible:\nfeasible: a\n"),
+    ("restrict w1.dm -A a --json", 0, '{"elements": ["a"], "feasible": [[], ["a"]]}\n'),
+    ("rho w1.dm -A a", 0, "rho: 1\n"),
+    ("rho w1.dm -A a --json", 0, '{"rho": 1}\n'),
+    ("min-width-twist w1.dm", 0, "twist-set: {}\nwidth: 1\n"),
+    ("min-width-twist w1.dm --json", 0, '{"twist_set": [], "width": 1}\n'),
+    ("min-width-twist w1.dm --check", 0, "twist-set: {}\nwidth: 1\n"),
+    ("min-width-twist w1.dm --check --json", 0, '{"twist_set": [], "width": 1}\n'),
+    ("certify w1.dm", 0, "witness: twist by {} has width 1\n"),
+    ("certify w1.dm --json", 0, '{"witness": {"twist_set": [], "width": 1}}\n'),
+    ("obstruct w1.dm", 0, "no obstruction: some twist has width at most one\n"),
+    ("obstruct w1.dm --json", 0, '{"obstruction": null}\n'),
+    ("validate no_empty.dm", 0, "valid: 2 elements, 2 feasible sets\n"),
+    ("validate no_empty.dm --json", 0, '{"valid": true, "elements": 2, "feasible": 2}\n'),
+    ("info no_empty.dm", 0, "elements: a b\nfeasible sets: 2\nwidth: 0\neven: yes\nloops: -\ncoloops: -\nmatroid: yes\n"),
+    ("info no_empty.dm --json", 0, '{"elements": ["a", "b"], "feasible_count": 2, "width": 0, "even": true, "loops": [], "coloops": [], "is_matroid": true}\n'),
+    ("twist no_empty.dm -A a", 0, "elements: a b\nfeasible:\nfeasible: a b\n"),
+    ("twist no_empty.dm -A a --json", 0, '{"elements": ["a", "b"], "feasible": [[], ["a", "b"]]}\n'),
+    ("minor no_empty.dm --delete a", 0, "elements: b\nfeasible: b\n"),
+    ("minor no_empty.dm --delete a --json", 0, '{"elements": ["b"], "feasible": [["b"]]}\n'),
+    ("restrict no_empty.dm -A a", 0, "elements: a\nfeasible: a\n"),
+    ("restrict no_empty.dm -A a --json", 0, '{"elements": ["a"], "feasible": [["a"]]}\n'),
+    ("rho no_empty.dm -A a", 0, "rho: 2\n"),
+    ("rho no_empty.dm -A a --json", 0, '{"rho": 2}\n'),
+    ("min-width-twist no_empty.dm", 0, "twist-set: {}\nwidth: 0\n"),
+    ("min-width-twist no_empty.dm --json", 0, '{"twist_set": [], "width": 0}\n'),
+    ("min-width-twist no_empty.dm --check", 0, "twist-set: {}\nwidth: 0\n"),
+    ("min-width-twist no_empty.dm --check --json", 0, '{"twist_set": [], "width": 0}\n'),
+    ("certify no_empty.dm", 0, "witness: twist by {} has width 0\n"),
+    ("certify no_empty.dm --json", 0, '{"witness": {"twist_set": [], "width": 0}}\n'),
+    ("obstruct no_empty.dm", 0, "no obstruction: some twist has width at most one\n"),
+    ("obstruct no_empty.dm --json", 0, '{"obstruction": null}\n'),
+    ("enumerate -n 1", 0, "{}\n{e1}\n{} {e1}\n"),
+    ("enumerate -n 1 --count-only", 0, "3\n"),
+    ("enumerate -n 1 --count-only --json", 0, '{"n": 1, "count": 3}\n'),
+    ("verify -n 2 --theorem t1", 0, "theorem t1 at n=2: 15 instances checked, 0 failures\n"),
+    ("verify -n 2 --theorem t1 --json", 0, '{"n": 2, "theorem": "t1", "checked": 15, "failures": 0, "first_counterexample": null}\n'),
+]
+# (command line, stderr), each also with --json; exit code 2, stdout empty
+GOLDEN_ERR = [
+    (c.replace("F", "bad.dm"), BAD_ERR) for c in FILE_COMMANDS
+] + [
+    ("twist d1.dm -A q", "error: unknown element 'q'\n"),
+    ("minor d3.dm --delete a --contract a", "error: delete and contract sets must be disjoint\n"),
+    ("validate nope.dm", "error: [Errno 2] No such file or directory: 'nope.dm'\n"),
+    ("validate garbled.dm", "error: line 1: feasible line before elements line\n"),
+    ("verify -n 5 --theorem t2", "error: tag 't2' supports 1 <= n <= 4\n"),
+]
+GOLDEN = [(cmd, code, out, "") for cmd, code, out in GOLDEN_OK] + [
+    (cmd + j, 2, "", err) for cmd, err in GOLDEN_ERR for j in ("", " --json")
+]
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=lambda row: row[0])
+def test_golden(row, golden_dir, capsys):
+    cmd, code, out, err = row
+    assert main(cmd.split()) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_golden_covers_every_subcommand():
+    from twistwidth.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {row[0].split()[0] for row in GOLDEN} == set(sub.choices)
+
+
+# Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
+# Each file is the text the workflow's one-liners print; the small valid
+# file, the bad file and certify without the empty set are golden rows.
+def _ci_file(n, sets):
+    labels = [f"e{i}" for i in range(n)]
+    lines = [["elements:", *labels]]
+    lines += [["feasible:", *(labels[i] for i in s)] for s in sets]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def _twisted_pairs(n, skip=()):
+    """The sets {x, y} ^ {e0 e1 e3 e4 e6} over the pairs x < y not in skip."""
+    for x, y in combinations(range(n), 2):
+        if (x, y) not in skip:
+            m = (1 << x | 1 << y) ^ 0b1011011
+            yield [i for i in range(n) if m >> i & 1]
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_console_violating_twisted_u2_exact_stderr(n, tmp_path, capsys):
+    # the pairs {e0, e1} and {e0, e2} are left out; the subset kernel runs
+    # at 12 elements, the column kernel at 13, and both name one witness
+    p = tmp_path / f"bad_u2_{n}.dm"
+    p.write_text(_ci_file(n, _twisted_pairs(n, skip={(0, 1), (0, 2)})))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: symmetric exchange fails: X=['e1', 'e3', 'e4'] "
+        "Y=['e0', 'e2', 'e3', 'e4', 'e6'] u='e6' has no valid partner v\n"
+    ))
+
+
+def test_console_over_budget_u3_63_exits_2(tmp_path, capsys):
+    p = tmp_path / "u3_63.dm"
+    p.write_text(_ci_file(63, combinations(range(63), 3)))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_console_twisted_u2_20_untwists_and_restricts(tmp_path, capsys):
+    p = tmp_path / "u2_20.dm"
+    p.write_text(_ci_file(20, _twisted_pairs(20)))
+    assert main(["min-width-twist", str(p)]) == 0
+    assert capsys.readouterr().out == "twist-set: {e0 e1 e3 e4 e6}\nwidth: 0\n"
+    delete = ",".join(f"e{i}" for i in range(7, 20))
+    assert main(["minor", str(p), "--delete", delete]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "57f76f1685d3e15af3e3b8c8e0412e199d40280a2c698a4560a78c3a2a140557"
+    )
+
+
+def test_console_21_element_search_exits_2(tmp_path, capsys):
+    p = tmp_path / "n21.dm"
+    p.write_text(_ci_file(21, [[]]))
+    assert main(["min-width-twist", str(p)]) == 2
+    assert capsys.readouterr().out == ""
