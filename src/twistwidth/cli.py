@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 when the command succeeds (or the checked property holds),
-1 when a property fails or an obstruction is found, 2 on input errors.
+Each ``_cmd_*`` returns (exit code, JSON payload, text); ``main`` prints
+the payload under ``--json`` and the text otherwise, the only write to
+stdout. Exit codes: 0 when the command succeeds (or the checked property
+holds), 1 when a property fails or an obstruction is found, 2 on input
+errors.
 """
 
 from __future__ import annotations
@@ -43,52 +46,39 @@ def _ordered(d: DeltaMatroid, elems) -> list[str]:
     return [e for e in d.labels if e in elems]
 
 
-def _emit_dm(d: DeltaMatroid, as_json: bool) -> None:
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "elements": list(d.labels),
-                    "feasible": [_ordered(d, f) for f in map(d.set_of, d.masks)],
-                }
-            )
-        )
-    else:
-        sys.stdout.write(serialize(d))
+def _sets(d: DeltaMatroid) -> list[list[str]]:
+    """The feasible sets, each listing its labels in ground order."""
+    return [_ordered(d, d.set_of(m)) for m in d.masks]
 
 
-def _obstruction_payload(d, obs):
-    return {
+def _dm(d: DeltaMatroid):
+    """Payload and text of a delta-matroid; the text is its canonical file."""
+    payload = {"elements": list(d.labels), "feasible": _sets(d)}
+    return payload, serialize(d).rstrip("\n")
+
+
+def _obstruction(d: DeltaMatroid, obs):
+    """Payload and text of an excluded-minor witness."""
+    iso = dict(sorted(obs.iso.items()))
+    payload = {
         "delete": _ordered(d, obs.delete_set),
         "contract": _ordered(d, obs.contract_set),
         "target_index": obs.target_index,
-        "iso": dict(sorted(obs.iso.items())),
+        "iso": iso,
     }
-
-
-def _print_obstruction(d, obs, as_json):
-    if as_json:
-        print(json.dumps({"obstruction": _obstruction_payload(d, obs)}))
-    else:
-        iso = ", ".join(f"{k}->{v}" for k, v in sorted(obs.iso.items()))
-        print(
-            f"obstruction: delete {_fmt_set(obs.delete_set)} "
-            f"contract {_fmt_set(obs.contract_set)} "
-            f"-> excluded minor #{obs.target_index} ({iso})"
-        )
+    text = (
+        f"obstruction: delete {_fmt_set(obs.delete_set)} "
+        f"contract {_fmt_set(obs.contract_set)} "
+        f"-> excluded minor #{obs.target_index} "
+        f"({', '.join(f'{k}->{v}' for k, v in iso.items())})"
+    )
+    return {"obstruction": payload}, text
 
 
 def _cmd_validate(args):
     d = _load(args.file)
-    if args.json:
-        print(
-            json.dumps(
-                {"valid": True, "elements": d.n, "feasible": len(d.masks)}
-            )
-        )
-    else:
-        print(f"valid: {d.n} elements, {len(d.masks)} feasible sets")
-    return 0
+    payload = {"valid": True, "elements": d.n, "feasible": len(d.masks)}
+    return 0, payload, f"valid: {d.n} elements, {len(d.masks)} feasible sets"
 
 
 def _cmd_info(args):
@@ -102,132 +92,86 @@ def _cmd_info(args):
         "coloops": d.coloops(),
         "is_matroid": is_matroid(d),
     }
-    if args.json:
-        print(json.dumps(data))
-    else:
-        print(f"elements: {' '.join(d.labels)}")
-        print(f"feasible sets: {len(d.masks)}")
-        print(f"width: {d.width()}")
-        print(f"even: {'yes' if d.is_even() else 'no'}")
-        print(f"loops: {' '.join(d.loops()) or '-'}")
-        print(f"coloops: {' '.join(d.coloops()) or '-'}")
-        print(f"matroid: {'yes' if is_matroid(d) else 'no'}")
-    return 0
+    yes = {True: "yes", False: "no"}
+    text = (
+        f"elements: {' '.join(d.labels)}\n"
+        f"feasible sets: {len(d.masks)}\n"
+        f"width: {data['width']}\n"
+        f"even: {yes[data['even']]}\n"
+        f"loops: {' '.join(data['loops']) or '-'}\n"
+        f"coloops: {' '.join(data['coloops']) or '-'}\n"
+        f"matroid: {yes[data['is_matroid']]}"
+    )
+    return 0, data, text
 
 
 def _cmd_twist(args):
-    d = _load(args.file)
-    _emit_dm(d.twist(args.set), args.json)
-    return 0
+    return (0, *_dm(_load(args.file).twist(args.set)))
 
 
 def _cmd_minor(args):
     d = _load(args.file)
-    _emit_dm(d.minor(delete=args.delete, contract=args.contract), args.json)
-    return 0
+    return (0, *_dm(d.minor(delete=args.delete, contract=args.contract)))
 
 
 def _cmd_restrict(args):
-    d = _load(args.file)
-    _emit_dm(d.restrict(args.set), args.json)
-    return 0
+    return (0, *_dm(_load(args.file).restrict(args.set)))
 
 
 def _cmd_rho(args):
-    d = _load(args.file)
-    value = d.rho(args.set)
-    if args.json:
-        print(json.dumps({"rho": value}))
-    else:
-        print(f"rho: {value}")
-    return 0
+    value = _load(args.file).rho(args.set)
+    return 0, {"rho": value}, f"rho: {value}"
 
 
 def _cmd_min_width_twist(args):
     d = _load(args.file)
     a, w = min_width_twist(d, check=args.check)
-    if args.json:
-        print(
-            json.dumps({"twist_set": _ordered(d, d.set_of(a)), "width": w})
-        )
-    else:
-        print(f"twist-set: {_fmt_set(d.set_of(a))}")
-        print(f"width: {w}")
-    return 0
+    twist_set = d.set_of(a)
+    payload = {"twist_set": _ordered(d, twist_set), "width": w}
+    return 0, payload, f"twist-set: {_fmt_set(twist_set)}\nwidth: {w}"
 
 
 def _cmd_certify(args):
     d = _load(args.file)
     cert = certify(d)
-    if isinstance(cert, TwistWitness):
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "witness": {
-                            "twist_set": _ordered(d, cert.twist_set),
-                            "width": cert.width,
-                        }
-                    }
-                )
-            )
-        else:
-            print(
-                f"witness: twist by {_fmt_set(cert.twist_set)} "
-                f"has width {cert.width}"
-            )
-        return 0
-    _print_obstruction(d, cert.obstruction, args.json)
-    return 1
+    if not isinstance(cert, TwistWitness):
+        return (1, *_obstruction(d, cert.obstruction))
+    witness = {"twist_set": _ordered(d, cert.twist_set), "width": cert.width}
+    text = f"witness: twist by {_fmt_set(cert.twist_set)} has width {cert.width}"
+    return 0, {"witness": witness}, text
 
 
 def _cmd_obstruct(args):
     d = _load(args.file)
     obs = is_obstructed(d)
-    if obs is None:
-        if args.json:
-            print(json.dumps({"obstruction": None}))
-        else:
-            print("no obstruction: some twist has width at most one")
-        return 0
-    _print_obstruction(d, obs, args.json)
-    return 1
+    if obs is not None:
+        return (1, *_obstruction(d, obs))
+    text = "no obstruction: some twist has width at most one"
+    return 0, {"obstruction": None}, text
 
 
 def _cmd_enumerate(args):
     if args.count_only:
         count = count_all(args.n)
-        print(json.dumps({"n": args.n, "count": count}) if args.json else count)
-        return 0
-    for d in enumerate_all(args.n):
-        fams = ["{" + " ".join(_ordered(d, d.set_of(m))) + "}" for m in d.masks]
-        print(" ".join(fams))
-    return 0
+        return 0, {"n": args.n, "count": count}, str(count)
+    families = [_sets(d) for d in enumerate_all(args.n)]
+    text = "\n".join(
+        " ".join("{" + " ".join(f) + "}" for f in fam) for fam in families
+    )
+    return 0, {"n": args.n, "families": families}, text
 
 
 def _cmd_verify(args):
     report = verify_theorem(args.n, args.theorem)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": report.n,
-                    "theorem": report.theorem,
-                    "checked": report.checked,
-                    "failures": report.failures,
-                    "first_counterexample": report.first_counterexample,
-                }
-            )
-        )
-    else:
-        print(
-            f"theorem {report.theorem} at n={report.n}: "
-            f"{report.checked} instances checked, "
-            f"{report.failures} failures"
-        )
-        if report.first_counterexample:
-            print(f"first counterexample: {report.first_counterexample}")
-    return 0 if report.passed else 1
+    keys = ("n", "theorem", "checked", "failures", "first_counterexample")
+    payload = {k: getattr(report, k) for k in keys}
+    text = (
+        f"theorem {report.theorem} at n={report.n}: "
+        f"{report.checked} instances checked, {report.failures} failures"
+    )
+    if report.first_counterexample:
+        text += f"\nfirst counterexample: {report.first_counterexample}"
+    return 0 if report.passed else 1, payload, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,8 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, DeltaMatroidError, OSError) as exc:
+        code, payload, text = args.func(args)
+        print(json.dumps(payload) if args.json else text)
+        return code
+    except (ParseError, DeltaMatroidError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:

@@ -41,6 +41,13 @@ from .core import DeltaMatroid, GroundSetError, _digits, _planes
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
 # kernel; each further element doubles its 256 KB ints and may add a shell.
 MAX_SEARCH_ELEMENTS = 20
+# Budget for check mode, against the estimate 2^n * (|F| + 16): each twist
+# set costs one direct twist and one formula pass over the |F| feasible
+# sets, plus about 16 sets' worth of fixed cost. On a 2-vCPU Xeon VM,
+# twisted U(2, 14) (1.8e6) takes 1.4 s, U(3, 14) (6.2e6) 3.9 s, one set on
+# 18 elements (4.5e6) 3.9 s and U(2, 16) (8.9e6) 7.0 s; every family on
+# 20 elements (at least 1.8e7) is refused.
+MAX_CHECK_WORK = 16_000_000
 
 
 def _split(d: DeltaMatroid, a: int) -> tuple[list[int], list[int]]:
@@ -83,15 +90,10 @@ def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
         raise GroundSetError(
             f"twist search needs at most {MAX_SEARCH_ELEMENTS} elements"
         )
-    # F sets bit m and bit last - m = 2^n + (m~) for its complement, as
-    # digits a palindrome; at n <= 4 the OR measured faster
-    front, last = 0, (2 << n) - 1
-    if n > 4:
-        chars = _digits(d.masks, n)
-        front = int(chars + chars[::-1], 2)
-    else:
-        for m in d.masks:
-            front |= 1 << m | 1 << last - m
+    # F sets bit m and bit 2^(n+1) - 1 - m = 2^n + (m~) for its complement,
+    # as digits a palindrome
+    chars = _digits(d.masks, n)
+    front = int(chars + chars[::-1], 2)
     full, planes = _planes(n)
     seen, near, far = front, [front], [front >> (1 << n)]
     while front and seen != full:
@@ -152,8 +154,15 @@ def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
     Returns ``(a_mask, width)``, the lowest bit of the first nonempty width
     class, so ties go to the smallest bitmask. ``check=True`` compares the
     widths expanded from the shells with the formula, the direct twists and
-    the answer. Raises GroundSetError above ``MAX_SEARCH_ELEMENTS``.
+    the answer. Raises GroundSetError above ``MAX_SEARCH_ELEMENTS`` and, in
+    check mode, above ``MAX_CHECK_WORK`` before any work.
     """
+    if check and (work := (len(d.masks) + 16) << d.n) > MAX_CHECK_WORK:
+        raise GroundSetError(
+            f"check mode too large: {len(d.masks)} feasible sets on {d.n} "
+            f"elements need about {work:.1e} operations, over the budget of "
+            f"{MAX_CHECK_WORK:.1e}"
+        )
     near, mirror = _shells(d)
     # j, k < len(near), so the classes below n + 2 - 2 * len(near) are empty
     for w in range(max(0, len(mirror) + 1 - 2 * len(near)), len(mirror)):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -270,6 +271,13 @@ GOLDEN_OK = [
     ("enumerate -n 1", 0, "{}\n{e1}\n{} {e1}\n"),
     ("enumerate -n 1 --count-only", 0, "3\n"),
     ("enumerate -n 1 --count-only --json", 0, '{"n": 1, "count": 3}\n'),
+    ("enumerate -n 2 --json", 0, (
+        '{"n": 2, "families": [[[]], [["e1"]], [[], ["e1"]], [["e2"]], [[], ["e2"]], '
+        '[["e1"], ["e2"]], [[], ["e1"], ["e2"]], [["e1", "e2"]], [[], ["e1", "e2"]], '
+        '[["e1"], ["e1", "e2"]], [[], ["e1"], ["e1", "e2"]], [["e2"], ["e1", "e2"]], '
+        '[[], ["e2"], ["e1", "e2"]], [["e1"], ["e2"], ["e1", "e2"]], '
+        '[[], ["e1"], ["e2"], ["e1", "e2"]]]}\n'
+    )),
     ("verify -n 2 --theorem t1", 0, "theorem t1 at n=2: 15 instances checked, 0 failures\n"),
     ("verify -n 2 --theorem t1 --json", 0, '{"n": 2, "theorem": "t1", "checked": 15, "failures": 0, "first_counterexample": null}\n'),
 ]
@@ -300,6 +308,17 @@ def test_golden(row, golden_dir, capsys):
     cmd, code, out, err = row
     assert main(cmd.split()) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.dm"
+    p.write_bytes(b"elements: a\xff b\nfeasible:\n")
+    for extra in ([], ["--json"]):
+        assert main(["validate", str(p), *extra]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: 'utf-8' codec can't decode byte 0xff in position 11: "
+            "invalid start byte\n"
+        ))
 
 
 def test_golden_covers_every_subcommand():
@@ -365,3 +384,14 @@ def test_console_21_element_search_exits_2(tmp_path, capsys):
     p.write_text(_ci_file(21, [[]]))
     assert main(["min-width-twist", str(p)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_check_mode_on_20_elements_exits_2_fast(tmp_path, capsys):
+    p = tmp_path / "u2_20.dm"
+    p.write_text(_ci_file(20, _twisted_pairs(20)))
+    start = time.perf_counter()
+    assert main(["min-width-twist", str(p), "--check"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: check mode too large: 190 feasible sets")

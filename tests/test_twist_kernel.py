@@ -248,6 +248,27 @@ def test_twisted_uniform_matroid_on_20_elements_untwists():
     assert min_width_twist(d) == (min(a, full ^ a), 0)
 
 
+def test_check_mode_on_20_elements_refuses_fast():
+    # one feasible set is the least check work on 20 elements
+    labels = [f"e{i}" for i in range(20)]
+    for d in (validate(labels, [[]]), _twisted_uniform(20, 2, False, 20)):
+        start = time.perf_counter()
+        with pytest.raises(GroundSetError, match="check mode too large"):
+            min_width_twist(d, check=True)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_check_budget_boundary(cat, monkeypatch):
+    # D3: 4 feasible sets on 3 elements, (4 + 16) * 2^3 = 160
+    monkeypatch.setattr(structure, "MAX_CHECK_WORK", 160)
+    assert min_width_twist(cat[2], check=True) == (0, 2)
+    monkeypatch.setattr(structure, "MAX_CHECK_WORK", 159)
+    with pytest.raises(GroundSetError, match="check mode too large"):
+        min_width_twist(cat[2], check=True)
+    # the search itself has no work budget
+    assert min_width_twist(cat[2]) == (0, 2)
+
+
 def test_width_one_sum_on_20_elements():
     # U(2,19) plus a free element {∅, {x}}: no matroid twist, width-one
     # twists that split off the free element
