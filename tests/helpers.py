@@ -144,13 +144,38 @@ def brute_matroid_twist_obstructions(d: DeltaMatroid):
     triangle or its twist by {a}, scanned in that order over every
     delete/contract pair; an Obstruction (``target_index`` 0, 1 or 2) or
     None."""
-    triangle = catalog()[2]
-    targets = (DeltaMatroid("a", ["", "a"]), triangle, triangle.twist("a"))
-    for i, h in enumerate(targets):
+    for i, h in enumerate(matroid_twist_targets()):
         found = has_minor_isomorphic(d, h, target_index=i)
         if found is not None:
             return found
     return None
+
+
+def rematch(d: DeltaMatroid, obs, targets):
+    """(delete, contract, target_index, iso) of ``obs`` with the index and
+    map found afresh: minor(d, delete, contract) matched by
+    ``are_isomorphic`` against the first of ``targets``, (index, target)
+    pairs, that it is isomorphic to; None when it matches none."""
+    minor = d.minor(obs.delete_set, obs.contract_set)
+    for i, h in targets:
+        iso = are_isomorphic(minor, h)
+        if iso is not None:
+            return obs.delete_set, obs.contract_set, i, iso
+    return None
+
+
+def matroid_twist_targets() -> tuple:
+    """The singleton {∅, {a}}, the odd triangle and its twist by {a}."""
+    triangle = catalog()[2]
+    return (DeltaMatroid("a", ["", "a"]), triangle, triangle.twist("a"))
+
+
+def twist_off_empty(d: DeltaMatroid, rng):
+    """``d`` twisted by a random infeasible set, so that the empty set is
+    infeasible; None when every subset is feasible."""
+    feasible = set(d.masks)
+    outside = [a for a in range(d.full_mask + 1) if a not in feasible]
+    return d.twist(rng.choice(outside)) if outside else None
 
 
 def brute_find_axiom_violation(masks, n):

@@ -22,7 +22,7 @@ from twistwidth import (
 )
 from twistwidth.certify import shortest_odd_cycle, two_coloring
 from twistwidth.enumeration import _gf2_nonsingular
-from helpers import brute_min_twist_width, brute_shortest_odd_cycle
+from helpers import brute_min_twist_width, brute_shortest_odd_cycle, twist_off_empty
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -317,14 +317,6 @@ class TestBipartiteFirst:
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _twist_off_empty(d, rng):
-    """``d`` twisted by a random infeasible set, so that the empty set is
-    infeasible; None when every subset is feasible."""
-    feasible = set(d.masks)
-    outside = [a for a in range(d.full_mask + 1) if a not in feasible]
-    return d.twist(rng.choice(outside)) if outside else None
-
-
 def _record(cert):
     if isinstance(cert, TwistWitness):
         return ("twist", sorted(cert.twist_set), cert.width)
@@ -388,7 +380,7 @@ class TestEveryDeltaMatroid:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_sampled_instances(self, n, seed):
         rng = random.Random(seed)
-        d = _twist_off_empty(sample_with_empty_feasible(n, rng), rng)
+        d = twist_off_empty(sample_with_empty_feasible(n, rng), rng)
         assume(d is not None)
         _check_certificate(d)
 
@@ -396,7 +388,7 @@ class TestEveryDeltaMatroid:
            SEEDS)
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_uniform_matroids(self, n, rank, seed):
-        d = _twist_off_empty(_twisted_uniform(rank, n, seed), random.Random(seed))
+        d = twist_off_empty(_twisted_uniform(rank, n, seed), random.Random(seed))
         assert isinstance(_check_certificate(d), TwistWitness)
 
     @given(st.sampled_from((5, 7)), st.integers(min_value=0, max_value=1),
@@ -404,7 +396,7 @@ class TestEveryDeltaMatroid:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_odd_cycle_instances(self, m, extra, loops, seed):
         odd = _odd_cycle_instance(m, extra, loops, seed)
-        _check_certificate(_twist_off_empty(odd, random.Random(seed)))
+        _check_certificate(twist_off_empty(odd, random.Random(seed)))
         if loops == 0:
             # no singleton is feasible, so the first element is the smallest
             # feasible set of the twist by it, and certify reduces odd itself

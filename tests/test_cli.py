@@ -176,6 +176,9 @@ GOLDEN_FILES = {
     "no_empty.dm": "elements: a b\nfeasible: a\nfeasible: b\n",
     "bad.dm": BAD_TEXT,
     "garbled.dm": "feasible: a\nelements: a\n",
+    # the empty set is infeasible, and the witness lifted back from the twist
+    # by {e1} lands on a target with automorphisms
+    "aut.dm": "elements: e1 e2 e3 e4\nfeasible: e1\nfeasible: e2\nfeasible: e1 e2\nfeasible: e3\nfeasible: e1 e2 e3\n",
 }
 FILE_COMMANDS = (
     "validate F", "info F", "twist F -A a", "minor F --delete a",
@@ -268,6 +271,10 @@ GOLDEN_OK = [
     ("certify no_empty.dm --json", 0, '{"witness": {"twist_set": [], "width": 0}}\n'),
     ("obstruct no_empty.dm", 0, "no obstruction: some twist has width at most one\n"),
     ("obstruct no_empty.dm --json", 0, '{"obstruction": null}\n'),
+    ("certify aut.dm", 1, "obstruction: delete {e4} contract {} -> excluded minor #4 (e1->a, e2->b, e3->c)\n"),
+    ("certify aut.dm --json", 1, '{"obstruction": {"delete": ["e4"], "contract": [], "target_index": 4, "iso": {"e1": "a", "e2": "b", "e3": "c"}}}\n'),
+    ("obstruct aut.dm", 1, "obstruction: delete {e4} contract {} -> excluded minor #3 (e1->a, e2->b, e3->c)\n"),
+    ("obstruct aut.dm --json", 1, '{"obstruction": {"delete": ["e4"], "contract": [], "target_index": 3, "iso": {"e1": "a", "e2": "b", "e3": "c"}}}\n'),
     ("enumerate -n 1", 0, "{}\n{e1}\n{} {e1}\n"),
     ("enumerate -n 1 --count-only", 0, "3\n"),
     ("enumerate -n 1 --count-only --json", 0, '{"n": 1, "count": 3}\n'),
@@ -330,7 +337,8 @@ def test_golden_covers_every_subcommand():
 
 # Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
 # Each file is the text the workflow's one-liners print; the small valid
-# file, the bad file and certify without the empty set are golden rows.
+# file, the bad file, certify without the empty set and obstruct --json on
+# aut.dm are golden rows.
 def _ci_file(n, sets):
     labels = [f"e{i}" for i in range(n)]
     lines = [["elements:", *labels]]
