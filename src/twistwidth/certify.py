@@ -19,17 +19,18 @@ O(V + E). When that coloring fails, the least triangle is looked for
 directly; the O(V·E) all-sources odd-cycle search runs only on a graph
 with no triangle.
 
-Every certificate is re-verified from scratch before being returned;
-a failed re-check raises instead of silently falling back.
+Every certificate is re-verified from scratch once, before ``certify``
+returns it; a failed re-check raises instead of silently falling back.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import DeltaMatroid, DeltaMatroidError
-from .minors import Obstruction, are_isomorphic, catalog
+from .minors import (CertificationError, Obstruction, _least_iso, _twist_tables, _verified,
+                     are_isomorphic, catalog)
 
 
 class _Hub:
@@ -40,28 +41,6 @@ class _Hub:
 
 
 HUB = _Hub()
-
-
-class CertificationError(RuntimeError):
-    """An internal invariant of the certificate procedure failed."""
-
-
-def match_minor(d: DeltaMatroid, delete, contract, targets) -> Obstruction:
-    """The Obstruction mapping minor(d, delete, contract) onto the first of
-    ``targets``, (index, target) pairs, that it is isomorphic to, re-verified
-    against ``d``; CertificationError when none matches.
-    """
-    delete = d.set_of(d.mask_of(delete))
-    contract = d.set_of(d.mask_of(contract))
-    minor = d.minor(delete, contract)
-    for i, h in targets:
-        obs = Obstruction(delete, contract, are_isomorphic(minor, h), h, i)
-        if obs.iso is not None and obs.verify(d):
-            return obs
-    raise CertificationError(
-        f"deleting {sorted(delete)} and contracting {sorted(contract)} "
-        "matched none of the expected obstructions"
-    )
 
 
 @dataclass
@@ -240,19 +219,26 @@ def _odd_cycle_search(g: AuxGraph):
 
 def _minor_witness(d, keep, contract, expected_indices):
     """Witness that restricting ``d`` to ``keep`` and then contracting
-    ``contract`` gives one of the catalog entries ``expected_indices``."""
+    ``contract`` gives one of the catalog entries ``expected_indices``; the
+    label map found here is kept through each reduction and the lift."""
     delete = frozenset(d.labels) - frozenset(keep)
-    targets = [(i, catalog()[i]) for i in expected_indices]
-    return MinorWitness(match_minor(d, delete, contract, targets))
+    contract = frozenset(contract)
+    minor = d.minor(delete, contract)
+    for i in expected_indices:
+        iso = are_isomorphic(minor, catalog()[i])
+        if iso is not None:
+            return MinorWitness(Obstruction(delete, contract, iso, catalog()[i], i))
+    raise CertificationError(f"deleting {sorted(delete)} and contracting "
+                             f"{sorted(contract)} matched none of {list(expected_indices)}")
 
 
 def _compose(d, keep, contract, inner: MinorWitness) -> MinorWitness:
-    """Lift a witness on restrict(d, keep) / contract back to ``d``."""
+    """Lift a witness on restrict(d, keep) / contract back to ``d``; the
+    minor it names is the inner one on the same labels, so the map stays."""
     obs = inner.obstruction
     delete = (frozenset(d.labels) - frozenset(keep)) | obs.delete_set
-    contract = frozenset(contract) | obs.contract_set
-    targets = [(obs.target_index, obs.target)]
-    return MinorWitness(match_minor(d, delete, contract, targets))
+    return MinorWitness(replace(obs, delete_set=delete,
+                                contract_set=frozenset(contract) | obs.contract_set))
 
 
 def _bipartite_case(d, g, color):
@@ -367,22 +353,16 @@ def _lift(d, f, cert):
     obs = cert.obstruction
     x, y = obs.delete_set, obs.contract_set
     moved = (x | y) & fset  # deleting e from d twisted by F contracts it from d
-    # the minor of d is the twisted one's minor twisted by F - X - Y
+    # the minor of d is the twisted one's minor twisted by F - X - Y, so the
+    # same map carries it onto the target twisted by the image of F - X - Y
     target = obs.target.twist([obs.iso[e] for e in fset - x - y])
-    targets = [(obs.target_index, target)]
-    return MinorWitness(match_minor(d, x ^ moved, y ^ moved, targets))
+    iso = _least_iso(obs.iso, _twist_tables()[0][target], target)
+    return MinorWitness(Obstruction(x ^ moved, y ^ moved, iso, target, obs.target_index))
 
 
-def certify(d: DeltaMatroid):
-    """Certificate for any delta-matroid ``d``.
-
-    Returns a TwistWitness with width at most one, or a MinorWitness onto a
-    twist of a catalog obstruction. If the smallest feasible set F is not
-    empty, the twist of ``d`` by F is certified and the witness lifted back
-    to ``d``; otherwise ``d`` is certified as it is. The result is
-    independently re-verified on ``d`` itself (a minor witness by
-    ``match_minor``); an unverifiable certificate raises CertificationError.
-    """
+def _certificate(d: DeltaMatroid):
+    """``certify(d)`` with a twist witness's width re-checked on ``d`` and a
+    minor witness not yet re-verified."""
     f = d.masks[0]
     cert = _certify_impl(d.twist(f) if f else d, None)
     if f:
@@ -393,4 +373,20 @@ def certify(d: DeltaMatroid):
             raise CertificationError(
                 f"twist witness claims width {cert.width}, got {actual}"
             )
+    return cert
+
+
+def certify(d: DeltaMatroid):
+    """Certificate for any delta-matroid ``d``.
+
+    Returns a TwistWitness with width at most one, or a MinorWitness onto a
+    twist of a catalog obstruction. If the smallest feasible set F is not
+    empty, the twist of ``d`` by F is certified and the witness lifted back
+    to ``d``; otherwise ``d`` is certified as it is. The result is
+    independently re-verified on ``d`` itself, once; an unverifiable
+    certificate raises CertificationError.
+    """
+    cert = _certificate(d)
+    if isinstance(cert, MinorWitness):
+        _verified(d, cert.obstruction)
     return cert

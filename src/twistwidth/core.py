@@ -19,8 +19,8 @@ latter exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError``
 before the check runs, so the refused inputs stay the same.
 
 A minor that keeps k elements looks up its 2^k score-0 candidates in the
-sorted masks when 2^k < |F|; otherwise, or when none is feasible, it
-scores all |F| feasible masks.
+sorted masks when 2^k < |F|, and scores all |F| feasible masks otherwise or
+on no hit; it packs the kept bits in one pass per run of removed positions.
 """
 
 from __future__ import annotations
@@ -394,13 +394,14 @@ class DeltaMatroid:
             scores = [((m ^ y) & gone).bit_count() for m in masks]
             best = min(scores)
             family = [m for m, s in zip(masks, scores) if s == best]
-        # from the top down, so each lower position is still where it was
+        # one pass per run p..hi-1 of removed positions, from the top down
         rest = gone
         while rest:
-            p = rest.bit_length() - 1
-            rest ^= 1 << p
+            hi = rest.bit_length()
+            p = (rest ^ (1 << hi) - 1).bit_length()
             below = (1 << p) - 1
-            family = [(m & below) | ((m >> (p + 1)) << p) for m in family]
+            rest &= below
+            family = [(m & below) | (m >> hi << p) for m in family]
         return DeltaMatroid(
             [e for i, e in enumerate(self.labels) if not gone >> i & 1],
             family,

@@ -4,9 +4,9 @@ routes.
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one. Isomorphism is brute force over label
 permutations of up to eight elements. ``is_obstructed`` and
-``matroid_twist_obstructions`` search no minors: they re-match the minor
-witness of ``certify.certify`` to their own target lists, so they have no
-such limit.
+``matroid_twist_obstructions`` search neither minors nor isomorphisms: a
+table of the 36 raw twists of the catalog carries the map of ``certify``'s
+minor witness onto the route's target list, verified once on the input.
 """
 
 from __future__ import annotations
@@ -45,6 +45,17 @@ class Obstruction:
             and set(perm) == set(range(minor.n))
             and _permuted_masks(minor.masks, perm) == self.target.masks
         )
+
+
+class CertificationError(RuntimeError):
+    """An internal invariant of the certificate procedure failed."""
+
+
+def _verified(host: DeltaMatroid, obs: Obstruction) -> Obstruction:
+    """``obs`` once it re-verifies on ``host``; CertificationError otherwise."""
+    if not obs.verify(host):
+        raise CertificationError(f"{obs} fails to verify")
+    return obs
 
 
 @lru_cache(maxsize=1)
@@ -95,11 +106,14 @@ def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):
         )
     if _signature(d1) != _signature(d2):
         return None
-    target = d2.masks
+    return next(_isomorphisms(d1, d2), None)
+
+
+def _isomorphisms(d1: DeltaMatroid, d2: DeltaMatroid):
+    """Every feasible map d1 -> d2 of equal sizes, permutations in lexicographic order."""
     for perm in permutations(range(d1.n)):
-        if _permuted_masks(d1.masks, perm) == target:
-            return {d1.labels[i]: d2.labels[perm[i]] for i in range(d1.n)}
-    return None
+        if _permuted_masks(d1.masks, perm) == d2.masks:
+            yield {d1.labels[i]: d2.labels[perm[i]] for i in range(d1.n)}
 
 
 def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
@@ -120,20 +134,39 @@ def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
 
 
 @lru_cache(maxsize=1)
-def _obstruction_scan_list() -> tuple[DeltaMatroid, ...]:
-    return tuple(d5_family(up_to_iso=True))
+def _twist_tables():
+    """Lookups keyed by the 36 raw twists T of the catalog: T to its
+    automorphisms, and T to (index, target, every map of T onto it) into the
+    D5 list and into ``_matroid_twist_targets`` (the twists of the triangle)."""
+    raw, reps, targets = set(d5_family()), d5_family(up_to_iso=True), _matroid_twist_targets()
+    d5 = {t: next((j, h, list(_isomorphisms(t, h))) for j, h in enumerate(reps)
+                  if are_isomorphic(t, h) is not None) for t in raw}
+    matroid = {t: (i, g, maps) for t, (_, h, maps) in d5.items()
+               for i, g in enumerate(targets) if g == h}
+    return {t: list(_isomorphisms(t, t)) for t in raw}, d5, matroid
 
 
-def _certified_minor(d: DeltaMatroid, targets):
-    """certify(d)'s minor witness re-matched to the first of ``targets``
-    ((index, target) pairs) it is isomorphic to, or None when certify finds
-    a twist of width at most one; CertificationError if it fails to verify."""
-    from .certify import MinorWitness, certify, match_minor
-    cert = certify(d)
+def _least_iso(phi: dict, maps, target: DeltaMatroid) -> dict:
+    """The least m∘phi over ``maps`` onto ``target``, ranked by the target
+    positions of phi's keys in order: the map ``are_isomorphic`` returns."""
+    pos = target._pos
+    best = min(maps, key=lambda m: [pos[m[phi[e]]] for e in phi])
+    return {e: best[phi[e]] for e in phi}
+
+
+def _certified_minor(d: DeltaMatroid, table):
+    """certify(d)'s minor witness carried onto its ``table`` entry and
+    verified once, or None when certify finds a twist of width at most one."""
+    from .certify import MinorWitness, _certificate
+    cert = _certificate(d)
     if not isinstance(cert, MinorWitness):
         return None
     obs = cert.obstruction
-    return match_minor(d, obs.delete_set, obs.contract_set, targets)
+    if obs.target not in table:
+        raise CertificationError(f"no expected target matches {obs.target}")
+    index, target, maps = table[obs.target]
+    iso = _least_iso(obs.iso, maps, target)
+    return _verified(d, Obstruction(obs.delete_set, obs.contract_set, iso, target, index))
 
 
 def is_obstructed(d: DeltaMatroid):
@@ -143,7 +176,7 @@ def is_obstructed(d: DeltaMatroid):
     it keeps, with ``target_index`` indexing ``d5_family(up_to_iso=True)``;
     CertificationError if it fails to verify.
     """
-    return _certified_minor(d, enumerate(_obstruction_scan_list()))
+    return _certified_minor(d, _twist_tables()[1])
 
 
 @lru_cache(maxsize=1)
@@ -162,16 +195,16 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     deleting E - F - e and contracting F leaves the singleton {∅, {e}}
     (``target_index`` 0). An even ``d`` has no width-one twist, so it has a
     matroid twist exactly when ``certify`` finds a twist witness; otherwise
-    its D5 minor is even, so a twist of the odd triangle, and is matched to
-    the triangle (1) or its twist (2). CertificationError if it fails to
+    its D5 minor is even, so a twist of the odd triangle, and is carried
+    onto the triangle (1) or its twist (2). CertificationError if it fails to
     verify.
     """
-    from .certify import match_minor
-    single, triangle, twisted = _matroid_twist_targets()
+    table = _twist_tables()[2]
     if d.is_even():
-        return _certified_minor(d, ((1, triangle), (2, twisted)))
+        return _certified_minor(d, table)
     feasible = set(d.masks)
     # a closest feasible pair of opposite parity is one exchange step apart
-    f, e = next((f, 1 << i) for f in d.masks for i in range(d.n)
+    f, i = next((f, i) for f in d.masks for i in range(d.n)
                 if not f >> i & 1 and f | 1 << i in feasible)
-    return match_minor(d, d.full_mask ^ f ^ e, f, ((0, single),))
+    return _verified(d, Obstruction(d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f),
+                                    {d.labels[i]: "a"}, _matroid_twist_targets()[0], 0))

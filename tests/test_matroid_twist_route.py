@@ -138,8 +138,8 @@ def test_failed_verification_raises(monkeypatch, cat, index):
 
 
 def test_rematched_witness_is_rechecked(monkeypatch, cat):
-    # certify's own witness verifies (its lifted target is another object);
-    # only the re-match onto the twisted triangle fails
+    # only a witness onto the twisted triangle fails, and the route's witness
+    # for this host is one
     host = cat[2].twist("a")
     twisted = _matroid_twist_targets()[2]
     original = Obstruction.verify

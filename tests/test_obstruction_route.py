@@ -1,9 +1,9 @@
 """is_obstructed through the certificate, checked against the D5 scan.
 
 ``brute_is_obstructed`` (helpers.py) searches every delete/contract minor
-for a deduplicated D5 member; the library instead re-matches the minor
+for a deduplicated D5 member; the library instead carries the minor
 witness of ``certify``, which twists by the smallest feasible set,
-certifies that twist, and lifts the witness back.
+certifies that twist, and lifts the witness back, onto a D5 member.
 """
 
 import random

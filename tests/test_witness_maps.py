@@ -8,20 +8,33 @@ that matches, and the first map in lexicographic order of permutations.
 """
 
 import hashlib
+import importlib
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistwidth import (
+    CertificationError,
     MinorWitness,
+    Obstruction,
     TwistWitness,
     catalog,
     certify,
     is_obstructed,
     matroid_twist_obstructions,
     sample_with_empty_feasible,
+    validate,
 )
 from helpers import d5_dedup, matroid_twist_targets, rematch, twist_off_empty
+
+certify_module = importlib.import_module("twistwidth.certify")
+minors_module = importlib.import_module("twistwidth.minors")
+
+# aut.dm of the CLI golden table: the empty set is infeasible, and the witness
+# lifted back from the twist by {e1} lands on a target with automorphisms
+AUT_HOST = validate(["e1", "e2", "e3", "e4"],
+                    [["e1"], ["e2"], ["e1", "e2"], ["e3"], ["e1", "e2", "e3"]])
 
 
 def _fields(obs):
@@ -100,3 +113,59 @@ def test_obstruction_and_lifted_certificate_digest(dms_by_n):
     assert digest.hexdigest() == (
         "a6a0bd8ed1adf4c8832dbda1a4d08ef33dbbcc1cfdae3cbc9623157517e70ec8"
     )
+
+
+# -- each entry point matches its witness once and verifies it once
+
+
+@pytest.mark.parametrize("host", [AUT_HOST, catalog()[2].twist("a")], ids=["aut", "triangle-a"])
+def test_each_entry_point_verifies_once(host, monkeypatch):
+    assert host.masks[0] != 0
+    calls = []
+    original = Obstruction.verify
+
+    def counted(self, d):
+        calls.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(Obstruction, "verify", counted)
+    for route in (certify, is_obstructed, matroid_twist_obstructions):
+        calls.clear()
+        assert route(host) is not None
+        assert calls == [host], route.__name__
+
+
+def test_only_the_catalog_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
+    # _minor_witness matches a minor against catalog members; the lift, the
+    # composition and both routes look their maps up instead
+    minors_module._twist_tables()
+    targets = []
+    original = minors_module.are_isomorphic
+
+    def recording(d1, d2):
+        targets.append(d2)
+        return original(d1, d2)
+
+    monkeypatch.setattr(minors_module, "are_isomorphic", recording)
+    monkeypatch.setattr(certify_module, "are_isomorphic", recording)
+    for n in (1, 2, 3, 4):
+        for d in dms_by_n[n]:
+            certify(d)
+            is_obstructed(d)
+            matroid_twist_obstructions(d)
+    assert targets
+    assert all(any(h is c for c in catalog()) for h in targets)
+
+
+def test_wrong_map_in_the_table_raises(monkeypatch):
+    table = minors_module._twist_tables()[1]
+    key = certify(AUT_HOST).obstruction.target
+    index, h, maps = table[key]
+    # a transposition of the target's labels that moves a feasible set off it
+    swaps = ({a: b, b: a} for i, a in enumerate(h.labels) for b in h.labels[i + 1:])
+    swap = next(p for p in swaps if validate(h.labels, [
+        [p.get(e, e) for e in f] for f in h.feasible_sets()]) != h)
+    wrong = [{t: swap.get(m[t], m[t]) for t in m} for m in maps]
+    monkeypatch.setitem(table, key, (index, h, wrong))
+    with pytest.raises(CertificationError, match="fails to verify"):
+        is_obstructed(AUT_HOST)
