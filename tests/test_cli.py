@@ -29,6 +29,11 @@ def files(tmp_path):
     return paths
 
 
+def test_validate_ok(files, capsys):
+    assert main(["validate", files["d1"]]) == 0
+    assert capsys.readouterr().out == "valid: 2 elements, 4 feasible sets\n"
+
+
 def test_validate_axiom_violation_exits_2(files, capsys):
     for extra in ([], ["--json"]):
         assert main(["validate", files["bad"], *extra]) == 2
@@ -43,6 +48,19 @@ def test_validate_axiom_violation_exits_2(files, capsys):
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.dm")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_info_golden(files, capsys):
+    assert main(["info", files["d3"]]) == 0
+    assert capsys.readouterr().out == (
+        "elements: a b c\n"
+        "feasible sets: 4\n"
+        "width: 2\n"
+        "even: yes\n"
+        "loops: -\n"
+        "coloops: -\n"
+        "matroid: no\n"
+    )
 
 
 def test_info_json(files, capsys):
@@ -84,6 +102,11 @@ def test_min_width_twist_golden(files, capsys):
     assert capsys.readouterr().out == "twist-set: {}\nwidth: 2\n"
 
 
+def test_certify_witness_exit_0(files, capsys):
+    assert main(["certify", files["w1"]]) == 0
+    assert capsys.readouterr().out == "witness: twist by {} has width 1\n"
+
+
 def test_certify_obstruction_exit_1(files, capsys):
     assert main(["certify", files["d3"]]) == 1
     assert capsys.readouterr().out.startswith("obstruction:")
@@ -93,6 +116,13 @@ def test_obstruct_self_obstruction(files, capsys):
     assert main(["obstruct", files["d1"]]) == 1
     out = capsys.readouterr().out
     assert out.startswith("obstruction: delete {} contract {}")
+
+
+def test_obstruct_none(files, capsys):
+    assert main(["obstruct", files["w1"]]) == 0
+    assert capsys.readouterr().out == (
+        "no obstruction: some twist has width at most one\n"
+    )
 
 
 def test_enumerate_count_only(capsys):
