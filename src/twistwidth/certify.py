@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from .core import DeltaMatroid, DeltaMatroidError
 from .minors import (CertificationError, Obstruction, _least_iso, _twist_tables, _verified,
                      are_isomorphic, catalog)
+from .structure import _twist_width
 
 
 class _Hub:
@@ -87,36 +88,25 @@ def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
     """Construct the auxiliary graph; the empty set must be feasible."""
     if d.masks[0] != 0:
         raise DeltaMatroidError("the empty set must be feasible")
-    pos = d._pos
-    feasible = set(d.masks)
-    singles = frozenset(
-        e for i, e in enumerate(d.labels) if (1 << i) in feasible
-    )
-    others = [e for e in d.labels if e not in singles]
-    vertices = (HUB, *others)
-    adjacency = {v: set() for v in vertices}
-
-    def add_edge(u, v):
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
-    for x in others:
-        xbit = 1 << pos[x]
-        for y in others:
-            if y <= x:
-                continue
-            if xbit | (1 << pos[y]) in feasible:
-                add_edge(x, y)
-        if any(xbit | (1 << pos[z]) in feasible for z in singles):
-            add_edge(x, HUB)
-    key = _vertex_key(vertices)
-    return AuxGraph(singles, vertices, {
-        v: tuple(sorted(nbrs, key=key)) for v, nbrs in adjacency.items()
-    })
-
-
-def _vertex_key(vertices):
-    return {v: i for i, v in enumerate(vertices)}.__getitem__
+    near = [0] * d.n  # bit j of near[i]: {i, j} is feasible
+    singles = 0
+    for m in d.masks:
+        size = m.bit_count()
+        if size == 1:
+            singles |= m
+        elif size == 2:
+            low = m & -m
+            near[low.bit_length() - 1] |= m ^ low
+            near[(m ^ low).bit_length() - 1] |= low
+    labels = d.labels
+    others = [i for i in range(d.n) if not singles >> i & 1]
+    adjacency = {HUB: tuple([labels[i] for i in others if near[i] & singles])}
+    for i in others:
+        # {i} is infeasible, so i is not its own neighbour
+        adj = [HUB] if near[i] & singles else []
+        adj += [labels[j] for j in others if near[i] >> j & 1]
+        adjacency[labels[i]] = tuple(adj)
+    return AuxGraph(d.set_of(singles), tuple(adjacency), adjacency)
 
 
 def two_coloring(g: AuxGraph):
@@ -182,7 +172,7 @@ def _odd_cycle_search(g: AuxGraph):
     """Breadth-first search on the bipartite double cover from every
     vertex; the least odd closed walk overall is a simple cycle, and the
     least canonical one of that length is returned. O(V·E)."""
-    key = _vertex_key(g.vertices)
+    key = {v: i for i, v in enumerate(g.vertices)}.__getitem__
     best = None
     for s in g.vertices:
         dist = {(s, 0): 0}
@@ -368,7 +358,7 @@ def _certificate(d: DeltaMatroid):
     if f:
         cert = _lift(d, f, cert)
     if isinstance(cert, TwistWitness):
-        actual = d.twist(cert.twist_set).width()
+        actual = _twist_width(d, d.mask_of(cert.twist_set))
         if actual != cert.width or actual > 1:
             raise CertificationError(
                 f"twist witness claims width {cert.width}, got {actual}"

@@ -25,10 +25,11 @@ on no hit; it packs the kept bits in one pass per run of removed positions.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import groupby
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 # Bitmask width limits: direct operations run on up to 64 elements,
@@ -158,6 +159,12 @@ def _digits(masks: Iterable[int], n: int) -> bytearray:
     for m in masks:
         chars[m] = 49  # ord("1")
     return chars
+
+
+def _members(bits: int) -> list[int]:
+    """The set bits of ``bits``, ascending, found by a linear text scan: the
+    masks back from ``int(_digits(masks, n)[::-1], 2)``."""
+    return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
 
 
 def _subset_violation(masks: Sequence[int], n: int):
@@ -322,21 +329,13 @@ class DeltaMatroid:
 
     # -- loops and coloops ------------------------------------------------
 
-    def _elem_pos(self, e: str) -> int:
-        try:
-            return self._pos[e]
-        except KeyError:
-            raise GroundSetError(f"unknown element {e!r}") from None
-
     def is_loop(self, e: str) -> bool:
         """True iff ``e`` lies in no feasible set."""
-        bit = 1 << self._elem_pos(e)
-        return all(not m & bit for m in self.masks)
+        return not self.mask_of((e,)) & reduce(or_, self.masks)
 
     def is_coloop(self, e: str) -> bool:
         """True iff ``e`` lies in every feasible set."""
-        bit = 1 << self._elem_pos(e)
-        return all(m & bit for m in self.masks)
+        return bool(self.mask_of((e,)) & reduce(and_, self.masks))
 
     def loops(self) -> list[str]:
         return [e for e in self.labels if self.is_loop(e)]

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import DeltaMatroid, GroundSetError
+from .core import DeltaMatroid, GroundSetError, _members
 from .minors import is_obstructed
 from .structure import (
+    _twist_width,
     min_width_twist,
     is_twist_matroid_witness,
     is_twist_width_one_witness,
@@ -25,8 +26,6 @@ from .structure import (
 
 MAX_ENUM_ELEMENTS = 4
 CANONICAL_LABELS = ("e1", "e2", "e3", "e4")
-
-THEOREM_TAGS = ("t2", "tt2", "tt", "tm1", "t1", "p1", "l1", "l2")
 
 
 @dataclass
@@ -49,6 +48,10 @@ class EnumerationReport:
 @lru_cache(maxsize=None)
 def _valid_family_masks(n: int) -> tuple[int, ...]:
     """Family bitmasks (over the 2^n subsets) passing the exchange axiom."""
+    if not 1 <= n <= MAX_ENUM_ELEMENTS:
+        raise GroundSetError(
+            f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_ELEMENTS}"
+        )
     nsub = 1 << n
     total = 1 << nsub
     everything = (1 << total) - 1
@@ -69,8 +72,7 @@ def _valid_family_masks(n: int) -> tuple[int, ...]:
                         reached |= has[x ^ (1 << u | 1 << v)]
                 # drop families with X and Y but no X ^ {u, v}, v in X ^ Y
                 valid &= ~pair | reached
-    bits = bin(valid)[:1:-1]  # bit f is character f
-    return tuple(f for f, c in enumerate(bits) if c == "1")
+    return tuple(_members(valid))
 
 
 def _family_to_masks(fam: int):
@@ -80,20 +82,12 @@ def _family_to_masks(fam: int):
 def enumerate_all(n: int) -> Iterator[DeltaMatroid]:
     """Yield every delta-matroid on the canonical labels, in ascending
     family-bitmask order."""
-    if not 1 <= n <= MAX_ENUM_ELEMENTS:
-        raise GroundSetError(
-            f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_ELEMENTS}"
-        )
     labels = CANONICAL_LABELS[:n]
     for fam in _valid_family_masks(n):
         yield DeltaMatroid(labels, _family_to_masks(fam), _trusted=True)
 
 
 def count_all(n: int) -> int:
-    if not 1 <= n <= MAX_ENUM_ELEMENTS:
-        raise GroundSetError(
-            f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_ELEMENTS}"
-        )
     return len(_valid_family_masks(n))
 
 
@@ -159,12 +153,6 @@ def _all_minors(d: DeltaMatroid) -> set[DeltaMatroid]:
                 break
             y = (y - 1) & rest
     return out
-
-
-def _twist_width(d, a):
-    """width(D*A) by its definition: the spread of |A ^ F| over feasible F."""
-    sizes = [(a ^ m).bit_count() for m in d.masks]
-    return max(sizes) - min(sizes)
 
 
 def _per_twist(holds):
@@ -235,6 +223,8 @@ _CHECKS = {
     "l1": _check_l1,
     "l2": _check_l2,
 }
+
+THEOREM_TAGS = tuple(_CHECKS)
 
 _TAG_LIMITS = {"l1": 3}
 

@@ -27,26 +27,27 @@ all n bits each, and the S'_k of dist(A~) from the complemented family in
 the high half of the same int. The twist sets of width w are the OR over j
 of S_j & S'_(n - w - j): about n * D * 2^(n+1) / 64 word operations, with
 D <= n the largest distance. No route materializes twisted families; a
-check mode cross-validates both against direct twists.
+check mode cross-validates both against ``_twist_width``, the width by its
+definition: the spread of |A ^ F| over the feasible F.
 """
 
 from __future__ import annotations
 
-import re
 from functools import reduce
 from operator import and_, or_
 
-from .core import DeltaMatroid, GroundSetError, _digits, _planes
+from .core import DeltaMatroid, GroundSetError, _digits, _members, _planes
 
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
 # kernel; each further element doubles its 256 KB ints and may add a shell.
 MAX_SEARCH_ELEMENTS = 20
 # Budget for check mode, against the estimate 2^n * (|F| + 16): each twist
-# set costs one direct twist and one formula pass over the |F| feasible
-# sets, plus about 16 sets' worth of fixed cost. On a 2-vCPU Xeon VM,
-# twisted U(2, 14) (1.8e6) takes 1.4 s, U(3, 14) (6.2e6) 3.9 s, one set on
-# 18 elements (4.5e6) 3.9 s and U(2, 16) (8.9e6) 7.0 s; every family on
-# 20 elements (at least 1.8e7) is refused.
+# set costs one formula pass and one width by definition over the |F|
+# feasible sets, plus a fixed cost of about 12 sets' worth; the estimate
+# keeps 16 so that the refused inputs stay the same. On a 2-vCPU Xeon VM,
+# twisted U(2, 14) (1.8e6) takes 0.41 s, U(3, 14) (6.2e6) 1.4 s, one set
+# on 18 elements (4.5e6) 0.93 s, U(2, 16) (8.9e6) 2.2 s and U(3, 15)
+# (1.5e7) 3.8 s; every family on 20 elements (at least 1.8e7) is refused.
 MAX_CHECK_WORK = 16_000_000
 
 
@@ -109,16 +110,23 @@ def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
     return near, [0] * (n + 1 - len(far)) + far[::-1]
 
 
-def _members(bits: int) -> list[int]:
-    """The set bits of ``bits``, ascending, found by a linear text scan."""
-    return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
+def _width_class(near: list[int], mirror: list[int], w: int) -> int:
+    """The twist sets of width w, as bits: the OR over j of near[j] &
+    mirror[j + w]."""
+    return reduce(or_, map(and_, near, mirror[w:]), 0)
+
+
+def _twist_width(d: DeltaMatroid, a: int) -> int:
+    """width(D*A) by its definition: the spread of |A ^ F| over feasible F."""
+    sizes = [(a ^ m).bit_count() for m in d.masks]
+    return max(sizes) - min(sizes)
 
 
 def _twist_widths(d: DeltaMatroid) -> list[int]:
     """Width of twist(d, A) for every A, indexed by the mask of A."""
     (near, mirror), widths = _shells(d), [-1] * (1 << d.n)
     for w in range(d.n + 1):
-        for a in _members(reduce(or_, map(and_, near, mirror[w:]), 0)):
+        for a in _members(_width_class(near, mirror, w)):
             widths[a] = w
     return widths
 
@@ -153,9 +161,10 @@ def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
 
     Returns ``(a_mask, width)``, the lowest bit of the first nonempty width
     class, so ties go to the smallest bitmask. ``check=True`` compares the
-    widths expanded from the shells with the formula, the direct twists and
-    the answer. Raises GroundSetError above ``MAX_SEARCH_ELEMENTS`` and, in
-    check mode, above ``MAX_CHECK_WORK`` before any work.
+    widths expanded from the shells with the formula, the width by
+    definition and the answer. Raises GroundSetError above
+    ``MAX_SEARCH_ELEMENTS`` and, in check mode, above ``MAX_CHECK_WORK``
+    before any work.
     """
     if check and (work := (len(d.masks) + 16) << d.n) > MAX_CHECK_WORK:
         raise GroundSetError(
@@ -166,13 +175,13 @@ def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
     near, mirror = _shells(d)
     # j, k < len(near), so the classes below n + 2 - 2 * len(near) are empty
     for w in range(max(0, len(mirror) + 1 - 2 * len(near)), len(mirror)):
-        if found := reduce(or_, map(and_, near, mirror[w:]), 0):
+        if found := _width_class(near, mirror, w):
             break
     best = (found & -found).bit_length() - 1, w
     if check:
         widths = _twist_widths(d)
         for a, got in enumerate(widths):
-            if not got == _formula(d, a) == d.twist(a).width():
+            if not got == _formula(d, a) == _twist_width(d, a):
                 raise AssertionError(
                     f"kernel width {got} disagrees with the formula or the "
                     f"direct twist for A={a:#x}"
@@ -191,5 +200,5 @@ def rough_structure_witnesses(d: DeltaMatroid) -> list[int]:
     exactly when some twist of ``d`` has width one.
     """
     near, mirror = _shells(d)
-    width_one = reduce(or_, map(and_, near, mirror[1:]), 0)
-    return [a for a in _members(width_one) if _restriction_width(d, a) == 0]
+    return [a for a in _members(_width_class(near, mirror, 1))
+            if _restriction_width(d, a) == 0]

@@ -11,6 +11,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from twistwidth import (
+    HUB,
+    AuxGraph,
     DeltaMatroid,
     Obstruction,
     are_isomorphic,
@@ -276,6 +278,30 @@ def sequential_minor(labels, masks, x, y):
         if (x | y) >> p & 1:
             labels, family = _drop(labels, family, p, not x >> p & 1)
     return labels, tuple(sorted(family))
+
+
+def brute_aux_graph(d: DeltaMatroid) -> AuxGraph:
+    """The auxiliary graph of ``d`` (the empty set feasible) from its
+    definition, on label sets: the hub stands for the elements whose
+    singletons are feasible, one vertex per other element in ground order;
+    two such elements are adjacent when their pair is feasible, and one is
+    adjacent to the hub when its pair with some hub element is. Every
+    vertex lists its neighbours in vertex order."""
+    feasible = set(d.feasible_sets())
+    singles = frozenset(e for e in d.labels if frozenset({e}) in feasible)
+    vertices = (HUB, *(e for e in d.labels if e not in singles))
+
+    def adjacent(u, v):
+        if u is HUB:
+            return any(frozenset({v, z}) in feasible for z in singles)
+        if v is HUB:
+            return adjacent(v, u)
+        return frozenset({u, v}) in feasible
+
+    return AuxGraph(singles, vertices, {
+        u: tuple(v for v in vertices if v is not u and adjacent(u, v))
+        for u in vertices
+    })
 
 
 def _brute_canonical_cycle(cycle, key):

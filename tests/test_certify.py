@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from twistwidth import (
     AuxGraph,
     CertificationError,
+    DeltaMatroid,
     DeltaMatroidError,
     HUB,
     MinorWitness,
@@ -22,7 +23,8 @@ from twistwidth import (
 )
 from twistwidth.certify import shortest_odd_cycle, two_coloring
 from twistwidth.enumeration import _gf2_nonsingular
-from helpers import brute_min_twist_width, brute_shortest_odd_cycle, twist_off_empty
+from helpers import (brute_aux_graph, brute_min_twist_width, brute_shortest_odd_cycle,
+                     twist_off_empty)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -185,6 +187,8 @@ def _certify_recording_graphs(d):
 
 
 def _check_odd_cycle_against_oracle(d):
+    # neighbour order included: the least-triangle read depends on it
+    assert build_aux_graph(d) == brute_aux_graph(d)
     for g in _certify_recording_graphs(d)[1]:
         _check_graph_against_oracle(g)
 
@@ -310,6 +314,24 @@ class TestBipartiteFirst:
         monkeypatch.setattr(certify_module, "shortest_odd_cycle", same_length_after_first)
         with pytest.raises(CertificationError, match="failed to shrink"):
             certify(FIVE_CYCLE)
+
+
+def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
+    # twisted uniform matroids and width-one sums U(r, m) + {∅, {x}}, each
+    # twisted by a feasible set: the twist witness is re-checked on the masks
+    hosts = [_twisted_uniform(rank, n, n) for rank, n in ((2, 7), (3, 7), (2, 8), (3, 8))]
+    for rank, m in ((2, 6), (2, 7), (3, 7)):
+        masks = [s for s in range(1 << m) if s.bit_count() == rank]
+        d = validate([f"e{i}" for i in range(m + 1)], masks + [s | 1 << m for s in masks])
+        hosts.append(d.twist(random.Random(m).choice(d.masks)))
+    expected = [certify(d) for d in hosts]
+    assert all(d.masks[0] == 0 and isinstance(c, TwistWitness) for d, c in zip(hosts, expected))
+
+    def forbidden(self, elems):
+        raise AssertionError("certify built a twist")
+
+    monkeypatch.setattr(DeltaMatroid, "twist", forbidden)
+    assert [certify(d) for d in hosts] == expected
 
 
 # -- any delta-matroid: the twist by the smallest feasible set, lifted back

@@ -1,7 +1,11 @@
+import random
+import time
+
 import pytest
 
 from twistwidth import (
     DeltaMatroid,
+    GroundSetError,
     Obstruction,
     are_isomorphic,
     catalog,
@@ -9,8 +13,10 @@ from twistwidth import (
     is_obstructed,
     matroid_twist_obstructions,
     min_width_twist,
+    sample_with_empty_feasible,
     validate,
 )
+from twistwidth import minors
 from helpers import has_minor_isomorphic
 
 D5_DEDUP_COUNT = 7  # frozen regression value from pairwise isomorphism
@@ -86,6 +92,32 @@ class TestIsomorphism:
     def test_relabeled_copy_is_isomorphic(self, cat):
         renamed = validate("zyx", ["", "zy", "yx", "zx"])
         assert are_isomorphic(renamed, cat[2]) == {"z": "a", "y": "b", "x": "c"}
+
+
+class TestIsomorphismBudget:
+    def test_over_budget_search_refuses_fast(self):
+        # 120 feasible sets on 8 elements, no automorphism; the copy lists its
+        # labels in reverse, so the one map, the identity, is the last of the
+        # 8! permutations: 8! * 120 = 4.8e6, over the budget
+        d = sample_with_empty_feasible(8, random.Random(1))
+        copy = DeltaMatroid(d.labels[::-1], d.feasible_sets())
+        assert len(d.masks) == 120
+        start = time.perf_counter()
+        with pytest.raises(GroundSetError, match="isomorphism search too large"):
+            are_isomorphic(d, copy)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_boundary(self, cat, monkeypatch):
+        # D3: 3! permutations of 4 feasible sets
+        renamed = validate("zyx", ["", "zy", "yx", "zx"])
+        monkeypatch.setattr(minors, "MAX_ISO_WORK", 24)
+        assert are_isomorphic(renamed, cat[2]) == {"z": "a", "y": "b", "x": "c"}
+        monkeypatch.setattr(minors, "MAX_ISO_WORK", 23)
+        with pytest.raises(GroundSetError, match="isomorphism search too large"):
+            are_isomorphic(renamed, cat[2])
+        # sizes and size profiles are compared before the budget
+        assert are_isomorphic(cat[2], cat[3]) is None
+        assert are_isomorphic(cat[2], validate("abc", ["", "a", "b", "c"])) is None
 
 
 class TestHasMinor:

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
+    DeltaMatroid,
     GroundSetError,
     enumerate_all,
     min_width_twist,
@@ -113,9 +114,14 @@ def test_rough_structure_witnesses_match_oracle_exhaustively(dms_by_n):
         assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
 
 
-@pytest.mark.parametrize("wrong", ["kernel", "formula", "shells"])
+@pytest.mark.parametrize("wrong", ["kernel", "formula", "shells", "width"])
 def test_check_mode_raises_on_a_mismatch(cat, monkeypatch, wrong):
-    if wrong == "kernel":
+    if wrong == "width":
+        width = structure._twist_width
+        monkeypatch.setattr(
+            structure, "_twist_width", lambda d, a: width(d, a) + 2
+        )
+    elif wrong == "kernel":
         kernel = structure._twist_widths
         monkeypatch.setattr(
             structure, "_twist_widths", lambda d: [w + 2 for w in kernel(d)]
@@ -138,6 +144,18 @@ def test_check_mode_raises_on_a_mismatch(cat, monkeypatch, wrong):
         )
     with pytest.raises(AssertionError):
         min_width_twist(cat[2], check=True)
+
+
+def test_check_mode_builds_no_twist(dms_by_n, monkeypatch):
+    # check mode compares with the width by definition, not a twisted copy
+    dms = [d for n in (1, 2, 3) for d in dms_by_n[n]]
+    expected = [min_width_twist(d, check=True) for d in dms]
+
+    def forbidden(self, elems):
+        raise AssertionError("check mode built a twist")
+
+    monkeypatch.setattr(DeltaMatroid, "twist", forbidden)
+    assert [min_width_twist(d, check=True) for d in dms] == expected
 
 
 _RANDOM_TWISTS = given(
