@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("min-width-twist", _cmd_min_width_twist, "twist set minimizing width")
     p.add_argument("file")
-    p.add_argument("--check", action="store_true", help="cross-validate against direct twists")
+    p.add_argument("--check", action="store_true", help="cross-validate against the formula and the width by definition")
 
     add("certify", _cmd_certify, "width<=1 twist witness or forbidden minor").add_argument("file")
     add("obstruct", _cmd_obstruct, "scan for excluded minors").add_argument("file")

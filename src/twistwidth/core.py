@@ -338,10 +338,11 @@ class DeltaMatroid:
         return bool(self.mask_of((e,)) & reduce(and_, self.masks))
 
     def loops(self) -> list[str]:
-        return [e for e in self.labels if self.is_loop(e)]
+        union = reduce(or_, self.masks)
+        return [self.labels[i] for i in _members(union ^ self.full_mask)]
 
     def coloops(self) -> list[str]:
-        return [e for e in self.labels if self.is_coloop(e)]
+        return [self.labels[i] for i in _members(reduce(and_, self.masks))]
 
     # -- twist and dual ---------------------------------------------------
 

@@ -6,8 +6,9 @@ The central identity: the width of the twist of D by A equals
 
 where A~ is the complement of A and D_min is the matroid of minimum-size
 feasible sets. ``twist_width_formula`` and the two witness predicates
-evaluate that right-hand side for one A, reading every term off the
-feasible masks: no restriction, D_min or twist is built.
+evaluate that right-hand side for one A in one pass over the feasible
+masks, which keeps for each term a running least score and the least and
+greatest value at it: no restriction, D_min or twist is built.
 
 - width(D|A) is the spread of |F & A| over the feasible F minimizing
   |F - A|, the minor rule's score with nothing contracted.
@@ -42,44 +43,52 @@ from .core import DeltaMatroid, GroundSetError, _digits, _members, _planes
 # kernel; each further element doubles its 256 KB ints and may add a shell.
 MAX_SEARCH_ELEMENTS = 20
 # Budget for check mode, against the estimate 2^n * (|F| + 16): each twist
-# set costs one formula pass and one width by definition over the |F|
-# feasible sets, plus a fixed cost of about 12 sets' worth; the estimate
-# keeps 16 so that the refused inputs stay the same. On a 2-vCPU Xeon VM,
-# twisted U(2, 14) (1.8e6) takes 0.41 s, U(3, 14) (6.2e6) 1.4 s, one set
-# on 18 elements (4.5e6) 0.93 s, U(2, 16) (8.9e6) 2.2 s and U(3, 15)
-# (1.5e7) 3.8 s; every family on 20 elements (at least 1.8e7) is refused.
+# set costs one pass of the formula and one of the width by definition over
+# the |F| feasible sets, plus a fixed cost of about 6 sets' worth; 16 keeps
+# the refused inputs unchanged. On a 2-vCPU Xeon VM, twisted U(2, 14)
+# (1.8e6) takes 0.20 s, U(3, 14) (6.2e6) 0.69 s, one set on 18 elements
+# (4.5e6) 0.19 s, U(2, 16) (8.9e6) 0.94 s and U(3, 15) (1.5e7) 1.7 s; every
+# family on 20 elements (at least 1.8e7) is refused.
 MAX_CHECK_WORK = 16_000_000
 
 
-def _split(d: DeltaMatroid, a: int) -> tuple[list[int], list[int]]:
-    """|F & A| and |F - A| for every feasible F, in mask order."""
-    return (
-        [(m & a).bit_count() for m in d.masks],
-        [(m & ~a).bit_count() for m in d.masks],
-    )
-
-
-def _spread_where_least(values: list[int], scores: list[int]) -> int:
-    """max - min of values[i] over the i with the least scores[i]."""
-    least = min(scores)
-    kept = [v for v, s in zip(values, scores) if s == least]
-    return max(kept) - min(kept)
+def _terms(d: DeltaMatroid, a: int) -> tuple[int, int, int]:
+    """The three terms, from s = |F|, i = |F & A| and o = |F - A| per F."""
+    o1 = i2 = s3 = d.n + 1
+    for m in d.masks:
+        o = (s := m.bit_count()) - (i := (m & a).bit_count())
+        if o < o1:
+            o1, lo1, hi1 = o, i, i
+        elif o == o1:
+            if i < lo1:
+                lo1 = i
+            elif i > hi1:
+                hi1 = i
+        if i < i2:
+            i2, lo2, hi2 = i, o, o
+        elif i == i2:
+            if o < lo2:
+                lo2 = o
+            elif o > hi2:
+                hi2 = o
+        if s < s3:
+            s3, lo3, hi3 = s, i, i
+        elif s == s3:
+            if i < lo3:
+                lo3 = i
+            elif i > hi3:
+                hi3 = i
+    return hi1 - lo1, hi2 - lo2, hi3 - lo3
 
 
 def _restriction_width(d: DeltaMatroid, a: int) -> int:
-    """width(D|A): the spread of |F & A| over the feasible F minimizing
-    |F - A|, which are the sets the minor rule keeps when deleting A~."""
-    return _spread_where_least(*_split(d, a))
+    """width(D|A), the first of the formula's terms."""
+    return _terms(d, a)[0]
 
 
 def _formula(d: DeltaMatroid, a: int) -> int:
-    inside, outside = _split(d, a)
-    sizes = [i + o for i, o in zip(inside, outside)]
-    return (
-        _spread_where_least(inside, outside)
-        + _spread_where_least(outside, inside)
-        + 2 * _spread_where_least(inside, sizes)
-    )
+    restricted, complemented, connectivity = _terms(d, a)
+    return restricted + complemented + 2 * connectivity
 
 
 def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
@@ -118,8 +127,13 @@ def _width_class(near: list[int], mirror: list[int], w: int) -> int:
 
 def _twist_width(d: DeltaMatroid, a: int) -> int:
     """width(D*A) by its definition: the spread of |A ^ F| over feasible F."""
-    sizes = [(a ^ m).bit_count() for m in d.masks]
-    return max(sizes) - min(sizes)
+    lo = hi = (a ^ d.masks[0]).bit_count()
+    for m in d.masks:
+        if (size := (a ^ m).bit_count()) < lo:
+            lo = size
+        elif size > hi:
+            hi = size
+    return hi - lo
 
 
 def _twist_widths(d: DeltaMatroid) -> list[int]:
@@ -184,7 +198,7 @@ def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
             if not got == _formula(d, a) == _twist_width(d, a):
                 raise AssertionError(
                     f"kernel width {got} disagrees with the formula or the "
-                    f"direct twist for A={a:#x}"
+                    f"width by definition for A={a:#x}"
                 )
         if best != (widths.index(min(widths)), min(widths)):
             raise AssertionError(f"{best} is not the first argmin")

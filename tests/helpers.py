@@ -71,15 +71,6 @@ def dmin_connectivity(d: DeltaMatroid, a: int) -> int:
     return _rank(bases, a) + _rank(bases, full & ~a) - _rank(bases, full)
 
 
-def restrict_formula(d: DeltaMatroid, a: int) -> int:
-    """The twist-width identity width(D|A) + width(D|A~) + 2 * the
-    connectivity of A in D_min, with both restrictions and D_min built."""
-    ac = d.full_mask & ~a
-    return (
-        d.restrict(a).width() + d.restrict(ac).width() + 2 * dmin_connectivity(d, a)
-    )
-
-
 def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
     """Every A (as masks, ascending) that is a separator of d_min with D|A
     a matroid and D|A~ of width one, read off the restrictions themselves."""

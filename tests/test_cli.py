@@ -394,6 +394,19 @@ def test_console_21_element_search_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_console_check_mode_on_twisted_u2_14_prints_the_search_answer(
+    tmp_path, capsys
+):
+    p = tmp_path / "u2_14.dm"
+    p.write_text(_ci_file(14, _twisted_pairs(14)))
+    assert main(["min-width-twist", str(p)]) == 0
+    plain = capsys.readouterr()
+    assert main(["min-width-twist", str(p), "--check"]) == 0
+    assert capsys.readouterr() == plain == (
+        "twist-set: {e0 e1 e3 e4 e6}\nwidth: 0\n", ""
+    )
+
+
 def test_check_mode_on_20_elements_exits_2_fast(tmp_path, capsys):
     p = tmp_path / "u2_20.dm"
     p.write_text(_ci_file(20, _twisted_pairs(20)))

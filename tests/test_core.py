@@ -105,6 +105,12 @@ class TestLoopsColoops:
         d = validate("ab", ["a", "ab"])
         assert d.is_coloop("a")
 
+    def test_lists_match_the_element_tests_exhaustively(self, dms_by_n):
+        dms = [validate("", [""])] + [d for n in (1, 2, 3, 4) for d in dms_by_n[n]]
+        for d in dms:
+            assert d.loops() == [e for e in d.labels if d.is_loop(e)]
+            assert d.coloops() == [e for e in d.labels if d.is_coloop(e)]
+
 
 class TestMinors:
     def test_delete(self, cat):

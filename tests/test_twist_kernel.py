@@ -11,9 +11,10 @@ and the structural formula, and with ``hamming_twist_widths`` (helpers.py),
 the list-based distance transform, up to n = 16. The two searches built
 on the kernel are compared with ``brute_rough_structure_witnesses``
 (helpers.py) and with the argmin of materialized or oracle widths. The
-formula reads its terms off the feasible masks; it is compared with
-``restrict_formula`` (helpers.py), which builds the restrictions and
-D_min, and its restriction-width term with ``d.restrict(A).width()``.
+formula reads its three terms off one pass over the feasible masks; each
+term is compared on its own with the width of the restriction it stands
+for, built by ``d.restrict``, or with ``dmin_connectivity`` (helpers.py),
+which builds D_min, and their sum with the materialized twist's width.
 """
 
 import random
@@ -37,12 +38,13 @@ from twistwidth.structure import (
     MAX_SEARCH_ELEMENTS,
     _formula,
     _restriction_width,
+    _terms,
     _twist_widths,
 )
 from helpers import (
     brute_rough_structure_witnesses,
+    dmin_connectivity,
     hamming_twist_widths,
-    restrict_formula,
 )
 
 
@@ -77,8 +79,16 @@ def _twisted_uniform(n, rank, free, seed):
 
 def _check_formula(d):
     for a in range(d.full_mask + 1):
-        assert _formula(d, a) == restrict_formula(d, a) == d.twist(a).width()
-        assert _restriction_width(d, a) == d.restrict(a).width()
+        # each term on its own, so that errors cannot cancel in the sum
+        inside, outside, connectivity = oracle = (
+            d.restrict(a).width(),
+            d.restrict(d.full_mask & ~a).width(),
+            dmin_connectivity(d, a),
+        )
+        assert _terms(d, a) == oracle
+        assert _restriction_width(d, a) == inside
+        assert _formula(d, a) == inside + outside + 2 * connectivity
+        assert _formula(d, a) == d.twist(a).width()
 
 
 def _check_searches(d):
@@ -192,6 +202,19 @@ def test_formula_agrees_on_random_twists(n, seed):
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_formula_agrees_on_twisted_uniform_matroids(n, rank, free, seed):
     _check_formula(_twisted_uniform(n, rank, free, seed))
+
+
+@given(
+    st.integers(min_value=5, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_terms_agree_on_width_one_sums(n, rank, seed):
+    # each set of U(rank, n - 1) with and without the free element, so many
+    # feasible sets tie on each term's least score; the draws above reach
+    # such sums in only a few examples
+    _check_formula(_twisted_uniform(n, rank, 1, seed))
 
 
 def test_twisted_uniform_matroid_on_16_elements_finds_its_matroid_twist():
