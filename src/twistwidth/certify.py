@@ -133,16 +133,15 @@ def two_coloring(g: AuxGraph):
 
 
 def _canonical_cycle(cycle, key):
-    """Least rotation/reflection of a cycle's vertex sequence."""
-    best = None
-    m = len(cycle)
-    for seq in (cycle, cycle[::-1]):
-        for i in range(m):
-            rot = seq[i:] + seq[:i]
-            ranked = tuple(key(v) for v in rot)
-            if best is None or ranked < best[0]:
-                best = (ranked, rot)
-    return best[1]
+    """The least rotation or reflection of a simple cycle's vertex sequence
+    under ``key``, as (its ranks, the sequence). The vertices are distinct,
+    so the least sequence starts at the least vertex and goes on to the
+    lesser of its two neighbours: O(m)."""
+    i = cycle.index(min(cycle, key=key))
+    seq = cycle[i:] + cycle[:i]
+    if key(seq[-1]) < key(seq[1]):
+        seq = seq[:1] + seq[:0:-1]
+    return tuple(map(key, seq)), seq
 
 
 def shortest_odd_cycle(g: AuxGraph):
@@ -175,19 +174,17 @@ def _odd_cycle_search(g: AuxGraph):
     key = {v: i for i, v in enumerate(g.vertices)}.__getitem__
     best = None
     for s in g.vertices:
-        dist = {(s, 0): 0}
         parent = {(s, 0): None}
         queue = deque([(s, 0)])
         while queue:
             u, p = queue.popleft()
             for v in g.adjacency[u]:
                 state = (v, 1 - p)
-                if state not in dist:
-                    dist[state] = dist[(u, p)] + 1
+                if state not in parent:
                     parent[state] = (u, p)
                     queue.append(state)
         goal = (s, 1)
-        if goal not in dist:
+        if goal not in parent:
             continue
         walk = []
         state = goal
@@ -197,29 +194,27 @@ def _odd_cycle_search(g: AuxGraph):
         cycle = walk[:-1]  # closed walk; drop the repeated start
         if len(set(cycle)) != len(cycle):
             continue  # not simple; a strictly better start vertex exists
-        canon = _canonical_cycle(cycle, key)
-        ranked = tuple(key(v) for v in canon)
-        if best is None or (len(canon), ranked) < (len(best), tuple(key(v) for v in best)):
-            best = canon
-    return best
+        ranked, canon = _canonical_cycle(cycle, key)
+        if best is None or (len(ranked), ranked) < (len(best[0]), best[0]):
+            best = ranked, canon
+    return None if best is None else best[1]
 
 
 # -- certificate assembly -------------------------------------------------
 
 
-def _minor_witness(d, keep, contract, expected_indices):
+def _minor_witness(d, keep, contract, index):
     """Witness that restricting ``d`` to ``keep`` and then contracting
-    ``contract`` gives one of the catalog entries ``expected_indices``; the
-    label map found here is kept through each reduction and the lift."""
+    ``contract`` gives the catalog entry ``index``; the label map found here
+    is kept through each reduction and the lift."""
     delete = frozenset(d.labels) - frozenset(keep)
     contract = frozenset(contract)
-    minor = d.minor(delete, contract)
-    for i in expected_indices:
-        iso = are_isomorphic(minor, catalog()[i])
-        if iso is not None:
-            return MinorWitness(Obstruction(delete, contract, iso, catalog()[i], i))
-    raise CertificationError(f"deleting {sorted(delete)} and contracting "
-                             f"{sorted(contract)} matched none of {list(expected_indices)}")
+    target = catalog()[index]
+    iso = are_isomorphic(d.minor(delete, contract), target)
+    if iso is None:
+        raise CertificationError(f"deleting {sorted(delete)} and contracting "
+                                 f"{sorted(contract)} matched none of [{index}]")
+    return MinorWitness(Obstruction(delete, contract, iso, target, index))
 
 
 def _compose(d, keep, contract, inner: MinorWitness) -> MinorWitness:
@@ -241,7 +236,7 @@ def _bipartite_case(d, g, color):
     sizes = {m.bit_count() for m in inside}
     if 2 in sizes:
         pair = next(m for m in inside if m.bit_count() == 2)
-        return _minor_witness(d, d.set_of(pair), (), (0,))
+        return _minor_witness(d, d.set_of(pair), (), 0)
     if 1 not in sizes:
         width = 0
     elif max(sizes) == 1:
@@ -252,7 +247,7 @@ def _bipartite_case(d, g, color):
             raise CertificationError(
                 "restriction has large feasible sets but none of size three"
             )
-        return _minor_witness(d, d.set_of(triples[0]), (), (1,))
+        return _minor_witness(d, d.set_of(triples[0]), (), 1)
     best = min(amask, d.full_mask & ~amask)
     return TwistWitness(d.set_of(best), width)
 
@@ -269,28 +264,27 @@ def _partner_in_singles(d, g, x):
 def _hub_triangle(d, x, y, s):
     """Triangle through the hub with a shared partner s for x and y."""
     if d.is_feasible([x, y, s]):
-        return _minor_witness(d, {x, y, s}, {s}, (0,))
-    return _minor_witness(d, {x, y, s}, (), (4,))
+        return _minor_witness(d, {x, y, s}, {s}, 0)
+    return _minor_witness(d, {x, y, s}, (), 4)
 
 
 def _triangle_case(d, g, cycle):
     if HUB not in cycle:
-        return _minor_witness(d, set(cycle), (), (2, 3))
+        # the three pairs are feasible and no singleton is; entry 3 adds the triple
+        return _minor_witness(d, set(cycle), (), 3 if d.is_feasible(cycle) else 2)
     i = cycle.index(HUB)
     _, x, y = cycle[i:] + cycle[:i]
     alpha = _partner_in_singles(d, g, x)
     beta = _partner_in_singles(d, g, y)
-    if alpha == beta:
-        return _hub_triangle(d, x, y, alpha)
     if d.is_feasible([y, alpha]):
         return _hub_triangle(d, x, y, alpha)
     if d.is_feasible([x, beta]):
         return _hub_triangle(d, y, x, beta)
     if d.is_feasible([alpha, beta]):
-        return _minor_witness(d, {alpha, beta}, (), (0,))
+        return _minor_witness(d, {alpha, beta}, (), 0)
     if d.is_feasible([x, y, alpha, beta]):
-        return _minor_witness(d, {x, y, alpha, beta}, {x, y}, (0,))
-    return _minor_witness(d, {x, y, alpha, beta}, {alpha}, (4,))
+        return _minor_witness(d, {x, y, alpha, beta}, {x, y}, 0)
+    return _minor_witness(d, {x, y, alpha, beta}, {alpha}, 4)
 
 
 def _long_cycle_case(d, g, cycle):
@@ -301,7 +295,7 @@ def _long_cycle_case(d, g, cycle):
         alpha = _partner_in_singles(d, g, xs[0])
         beta = _partner_in_singles(d, g, xs[-1])
         if alpha != beta and d.is_feasible([alpha, beta]):
-            return _minor_witness(d, {alpha, beta}, (), (0,))
+            return _minor_witness(d, {alpha, beta}, (), 0)
         keep = {alpha, beta, *xs}
     else:
         xs = cycle

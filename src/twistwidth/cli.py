@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="cross-validate against the formula and the width by definition")
 
     add("certify", _cmd_certify, "width<=1 twist witness or forbidden minor").add_argument("file")
-    add("obstruct", _cmd_obstruct, "scan for excluded minors").add_argument("file")
+    add("obstruct", _cmd_obstruct, "excluded-minor witness from the certificate, or none").add_argument("file")
 
     p = add("enumerate", _cmd_enumerate, "list all delta-matroids on n elements")
     p.add_argument("-n", type=int, required=True, choices=range(1, MAX_ENUM_ELEMENTS + 1))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from .certify import TwistWitness, certify
 from .core import DeltaMatroid, GroundSetError, _members
 from .minors import is_obstructed
 from .structure import (
@@ -75,16 +76,12 @@ def _valid_family_masks(n: int) -> tuple[int, ...]:
     return tuple(_members(valid))
 
 
-def _family_to_masks(fam: int):
-    return [s for s in range(fam.bit_length()) if fam >> s & 1]
-
-
 def enumerate_all(n: int) -> Iterator[DeltaMatroid]:
     """Yield every delta-matroid on the canonical labels, in ascending
     family-bitmask order."""
     labels = CANONICAL_LABELS[:n]
     for fam in _valid_family_masks(n):
-        yield DeltaMatroid(labels, _family_to_masks(fam), _trusted=True)
+        yield DeltaMatroid(labels, _members(fam), _trusted=True)
 
 
 def count_all(n: int) -> int:
@@ -205,8 +202,6 @@ def _check_l1(d):
 
 
 def _check_l2(d):
-    from .certify import TwistWitness, certify
-
     cert = certify(d)  # self-verifying; raises on internal failure
     if isinstance(cert, TwistWitness) != (min_width_twist(d)[1] <= 1):
         return repr(d)

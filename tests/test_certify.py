@@ -21,10 +21,10 @@ from twistwidth import (
     sample_with_empty_feasible,
     validate,
 )
-from twistwidth.certify import shortest_odd_cycle, two_coloring
+from twistwidth.certify import _canonical_cycle, shortest_odd_cycle, two_coloring
 from twistwidth.enumeration import _gf2_nonsingular
-from helpers import (brute_aux_graph, brute_min_twist_width, brute_shortest_odd_cycle,
-                     twist_off_empty)
+from helpers import (_brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
+                     brute_shortest_odd_cycle, twist_off_empty)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -231,6 +231,19 @@ class TestOddCycleOracle:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_odd_cycle_instances(self, m, extra, loops, seed):
         _check_odd_cycle_against_oracle(_odd_cycle_instance(m, extra, loops, seed))
+
+
+_cycles_with_keys = st.sampled_from(range(3, 22, 2)).flatmap(lambda m: st.tuples(
+    st.permutations([HUB, *(f"e{i}" for i in range(1, m))]), st.permutations(range(m))))
+
+
+@given(_cycles_with_keys)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_canonical_cycle_matches_every_rotation_and_reflection(case):
+    cycle, ranks = case
+    key = dict(zip(cycle, ranks)).__getitem__
+    canon = _brute_canonical_cycle(list(cycle), key)
+    assert _canonical_cycle(list(cycle), key) == (tuple(map(key, canon)), canon)
 
 
 class TestTriangleFirst:

@@ -130,6 +130,13 @@ def test_verify_l2_checks_every_instance():
     assert report.checked == count_all(4) == 5959
 
 
+@pytest.mark.parametrize("tag", ["t1", "p1", "tm1"])
+def test_verify_checks_every_instance(tag):
+    report = verify_theorem(4, tag)
+    assert report.passed
+    assert report.checked == 5959
+
+
 def test_verify_trivial_width_bound():
     report = verify_theorem(1, "tt2")
     assert report.passed and report.checked == 3
