@@ -37,12 +37,11 @@ from .enumeration import (
     EnumerationReport,
     count_all,
     enumerate_all,
-    sample_with_empty_feasible,
     verify_theorem,
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AxiomViolationError",
@@ -74,7 +73,6 @@ __all__ = [
     "min_width_twist",
     "parse",
     "rough_structure_witnesses",
-    "sample_with_empty_feasible",
     "serialize",
     "twist_width_formula",
     "validate",

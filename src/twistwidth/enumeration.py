@@ -8,7 +8,6 @@ so the table of every delta-matroid on four elements takes milliseconds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -86,53 +85,6 @@ def enumerate_all(n: int) -> Iterator[DeltaMatroid]:
 
 def count_all(n: int) -> int:
     return len(_valid_family_masks(n))
-
-
-# -- randomized instances -------------------------------------------------
-
-
-def _gf2_nonsingular(rows: list[int]) -> bool:
-    """Gaussian elimination over GF(2); rows are bitmask rows."""
-    rows = list(rows)
-    k = len(rows)
-    rank = 0
-    for col in range(k):
-        bit = 1 << col
-        pivot = next((i for i in range(rank, k) if rows[i] & bit), None)
-        if pivot is None:
-            return False
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(k):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return True
-
-
-def sample_with_empty_feasible(n: int, rng: random.Random) -> DeltaMatroid:
-    """Random delta-matroid with the empty set feasible.
-
-    Draws a random symmetric GF(2) matrix, takes the subsets indexing
-    nonsingular principal submatrices as feasible family (a delta-matroid
-    by Bouchet's representation theorem), then twists by a random feasible
-    set to spread the family while keeping the empty set feasible.
-    """
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = rng.getrandbits(1)
-        for j in range(i + 1, n):
-            mat[i][j] = mat[j][i] = rng.getrandbits(1)
-    masks = []
-    for s in range(1 << n):
-        idx = [i for i in range(n) if s >> i & 1]
-        rows = [
-            sum(mat[i][j] << c for c, j in enumerate(idx)) for i in idx
-        ]
-        if _gf2_nonsingular(rows):
-            masks.append(s)
-    labels = tuple(f"e{i + 1}" for i in range(n))
-    d = DeltaMatroid(labels, masks, _trusted=True)
-    return d.twist(rng.choice(d.masks))
 
 
 # -- theorem verification -------------------------------------------------

@@ -22,7 +22,6 @@ from twistwidth import (
     min_width_twist,
     parse,
     rough_structure_witnesses,
-    sample_with_empty_feasible,
     serialize,
     twist_width_formula,
 )
@@ -32,6 +31,7 @@ from helpers import (
     apply_ops,
     brute_min_twist_width,
     interleavings,
+    sample_with_empty_feasible,
 )
 
 

@@ -17,12 +17,16 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import brute_axiom_holds, brute_find_axiom_violation
+from helpers import (
+    brute_axiom_holds,
+    brute_find_axiom_violation,
+    draw_with_empty_feasible,
+    sample_with_empty_feasible,
+)
 from twistwidth import (
     AxiomViolationError,
     DeltaMatroid,
     DeltaMatroidError,
-    sample_with_empty_feasible,
     serialize,
     validate,
 )
@@ -76,10 +80,14 @@ def test_sampled_n4_families_match_oracle(dms_by_n):
     st.integers(min_value=5, max_value=7),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=0, max_value=2**7 - 1),
+    st.booleans(),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_toggled_sampled_families_match_oracle(n, seed, subset):
-    d = sample_with_empty_feasible(n, random.Random(seed))
+def test_toggled_sampled_families_match_oracle(n, seed, subset, chain):
+    d = draw_with_empty_feasible(n, random.Random(seed), chain)
+    if chain:
+        # the kernels under test accepted every chain draw; confirm it here
+        assert brute_axiom_holds(d.masks, n)
     masks = sorted(set(d.masks) ^ {subset % (1 << n)})
     assume(masks)
     _kernels_match(masks, n, brute_find_axiom_violation(masks, n))
@@ -105,16 +113,26 @@ def test_toggled_uniform_twists_match_oracle(n, data):
 
 @given(
     st.integers(min_value=10, max_value=14),
-    st.booleans(),
+    st.sampled_from(("gf2", "chain", "uniform")),
     st.data(),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_kernels_agree_across_cutoff(n, gf2, data):
+def test_kernels_agree_across_cutoff(n, source, data):
     # too large for the oracle: the two kernels pin each other, on GF(2)
-    # draws and on twisted uniform matroids with one or two subsets toggled
-    if gf2:
+    # draws, on the sum of an extension-chain draw on k <= 8 elements with a
+    # GF(2) draw on the other n - k, and on twisted uniform matroids, each
+    # with one or two subsets toggled
+    if source == "gf2":
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         family = set(sample_with_empty_feasible(n, random.Random(seed)).masks)
+    elif source == "chain":
+        k = data.draw(st.integers(min_value=5, max_value=8))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        base = draw_with_empty_feasible(k, rng, True).masks
+        # the kernels under test accepted every chain draw; confirm it here
+        assert brute_axiom_holds(base, k)
+        rest = sample_with_empty_feasible(n - k, rng).masks
+        family = {a | b << k for a in base for b in rest}
     else:
         r = data.draw(st.integers(min_value=1, max_value=3))
         t = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))

@@ -18,13 +18,12 @@ from twistwidth import (
     catalog,
     certify,
     min_width_twist,
-    sample_with_empty_feasible,
     validate,
 )
 from twistwidth.certify import _canonical_cycle, shortest_odd_cycle, two_coloring
-from twistwidth.enumeration import _gf2_nonsingular
 from helpers import (_brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
-                     brute_shortest_odd_cycle, twist_off_empty)
+                     brute_shortest_odd_cycle, draw_with_empty_feasible, principal_minors,
+                     sample_with_empty_feasible, twist_off_empty)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -152,18 +151,14 @@ def _odd_cycle_instance(m, extra, loops, seed):
     random matrix's it has a long odd cycle, and certify reduces it."""
     rng = random.Random(seed)
     n = m + extra
-    mat = [[0] * n for _ in range(n)]
+    rows = [0] * n
     ring = rng.sample(range(n), m)
     for a, b in zip(ring, ring[1:] + ring[:1]):
-        mat[a][b] = mat[b][a] = 1
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     for i in rng.sample(range(n), loops):
-        mat[i][i] = 1
-    masks = []
-    for s in range(1 << n):
-        idx = [i for i in range(n) if s >> i & 1]
-        if _gf2_nonsingular([sum(mat[i][j] << c for c, j in enumerate(idx)) for i in idx]):
-            masks.append(s)
-    return validate([f"e{i}" for i in range(n)], masks)
+        rows[i] |= 1 << i
+    return validate([f"e{i}" for i in range(n)], principal_minors(rows, n))
 
 
 # the even delta-matroid of a 5-cycle's adjacency matrix over GF(2): its aux
@@ -215,10 +210,11 @@ class TestOddCycleOracle:
             _check_graph_against_oracle(g)
 
     @given(st.integers(min_value=5, max_value=10),
-           st.integers(min_value=0, max_value=2**32 - 1))
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_sampled_instances(self, n, seed):
-        _check_odd_cycle_against_oracle(sample_with_empty_feasible(n, random.Random(seed)))
+    def test_sampled_instances(self, n, seed, chain):
+        # extension-chain draws only at n <= 8
+        _check_odd_cycle_against_oracle(draw_with_empty_feasible(n, random.Random(seed), chain))
 
     @given(st.integers(min_value=5, max_value=10), st.integers(min_value=1, max_value=4),
            st.integers(min_value=0, max_value=2**32 - 1))
@@ -411,11 +407,11 @@ class TestEveryDeltaMatroid:
         assert cert.obstruction.delete_set == inner.delete_set ^ swapped
         assert cert.obstruction.contract_set == inner.contract_set ^ swapped
 
-    @given(st.integers(min_value=5, max_value=8), SEEDS)
+    @given(st.integers(min_value=5, max_value=8), SEEDS, st.booleans())
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_sampled_instances(self, n, seed):
+    def test_sampled_instances(self, n, seed, chain):
         rng = random.Random(seed)
-        d = twist_off_empty(sample_with_empty_feasible(n, rng), rng)
+        d = twist_off_empty(draw_with_empty_feasible(n, rng, chain), rng)
         assume(d is not None)
         _check_certificate(d)
 

@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 
@@ -11,7 +10,6 @@ from twistwidth import (
     GroundSetError,
     count_all,
     enumerate_all,
-    sample_with_empty_feasible,
     validate,
     verify_theorem,
 )
@@ -80,14 +78,6 @@ def test_validate_agrees_with_naive_check(masks):
         assert not ok
     else:
         assert ok
-
-
-def test_sampler_produces_valid_instances():
-    rng = random.Random(3)
-    for _ in range(50):
-        d = sample_with_empty_feasible(5, rng)
-        assert 0 in d.masks
-        assert brute_axiom_holds(d.masks, d.n)
 
 
 @pytest.mark.parametrize("tag", THEOREM_TAGS)

@@ -19,11 +19,11 @@ from twistwidth import (
     DeltaMatroid,
     Obstruction,
     matroid_twist_obstructions,
-    sample_with_empty_feasible,
     validate,
 )
 from twistwidth.minors import _matroid_twist_targets
-from helpers import brute_matroid_twist_obstructions, brute_min_twist_width
+from helpers import (brute_matroid_twist_obstructions, brute_min_twist_width,
+                     draw_with_empty_feasible)
 
 
 def _uniform(rank, n):
@@ -61,11 +61,12 @@ def test_agrees_with_scan_on_all_small_instances(dms_by_n):
                 assert (obs.delete_set, obs.contract_set) == _singleton_sets(d)
 
 
-@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_agrees_with_twist_width_on_random_twists(n, seed):
+def test_agrees_with_twist_width_on_random_twists(n, seed, chain):
     rng = random.Random(seed)
-    d = sample_with_empty_feasible(n, rng)
+    d = draw_with_empty_feasible(n, rng, chain)
     _check(d.twist(rng.randrange(1 << n)))
 
 

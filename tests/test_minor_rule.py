@@ -17,8 +17,8 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from twistwidth import sample_with_empty_feasible, validate
-from helpers import all_minor_pairs, sequential_minor
+from twistwidth import validate
+from helpers import all_minor_pairs, draw_with_empty_feasible, sequential_minor
 
 # the package re-exports names from ``core``; the module is patched here
 core_module = importlib.import_module("twistwidth.core")
@@ -49,11 +49,12 @@ def test_every_minor_of_sampled_four_element_instances(dms_by_n):
         _check_operations(d, all_minor_pairs(4), range(16))
 
 
-@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_random_minors_of_larger_instances(n, seed):
+def test_random_minors_of_larger_instances(n, seed, chain):
     rng = random.Random(seed)
-    d = sample_with_empty_feasible(n, rng)
+    d = draw_with_empty_feasible(n, rng, chain)
     d = d.twist(rng.randrange(1 << n))
     xs = [rng.randrange(1 << n) for _ in range(12)]
     pairs = [(x, rng.randrange(1 << n) & ~x) for x in xs]
@@ -84,12 +85,13 @@ def _kept_and_gone(n, k, rng):
 
 
 @given(st.integers(min_value=5, max_value=12), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**32 - 1))
+       st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_probe_answers_when_the_contract_set_is_a_feasible_trace(n, k, seed):
-    # Y = F & (X | Y) for a feasible F: some candidate Y | S is feasible
+def test_probe_answers_when_the_contract_set_is_a_feasible_trace(n, k, seed, chain):
+    # Y = F & (X | Y) for a feasible F: some candidate Y | S is feasible;
+    # extension-chain draws only at n <= 8
     rng = random.Random(seed)
-    d = sample_with_empty_feasible(n, rng).twist(rng.randrange(1 << n))
+    d = draw_with_empty_feasible(n, rng, chain).twist(rng.randrange(1 << n))
     keep, gone = _kept_and_gone(n, k, rng)
     y = rng.choice(d.masks) & gone
     hits = _minor_probing(d, gone & ~y, y)

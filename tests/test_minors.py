@@ -13,11 +13,10 @@ from twistwidth import (
     is_obstructed,
     matroid_twist_obstructions,
     min_width_twist,
-    sample_with_empty_feasible,
     validate,
 )
 from twistwidth import minors
-from helpers import has_minor_isomorphic
+from helpers import has_minor_isomorphic, sample_with_empty_feasible
 
 D5_DEDUP_COUNT = 7  # frozen regression value from pairwise isomorphism
 

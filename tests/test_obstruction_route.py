@@ -16,10 +16,10 @@ from twistwidth import (
     Obstruction,
     d5_family,
     is_obstructed,
-    sample_with_empty_feasible,
     validate,
 )
-from helpers import brute_is_obstructed, brute_min_twist_width, d5_dedup
+from helpers import (brute_is_obstructed, brute_min_twist_width, d5_dedup,
+                     draw_with_empty_feasible)
 
 
 def _check_witness(d, obs):
@@ -46,11 +46,12 @@ def test_every_d5_member_is_its_own_witness():
         _check_witness(m, obs)
 
 
-@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_agrees_with_twist_width_on_random_twists(n, seed):
+def test_agrees_with_twist_width_on_random_twists(n, seed, chain):
     rng = random.Random(seed)
-    d = sample_with_empty_feasible(n, rng)
+    d = draw_with_empty_feasible(n, rng, chain)
     d = d.twist(rng.randrange(1 << n))
     obs = is_obstructed(d)
     assert (obs is None) == (brute_min_twist_width(d) <= 1)

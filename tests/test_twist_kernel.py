@@ -30,7 +30,6 @@ from twistwidth import (
     enumerate_all,
     min_width_twist,
     rough_structure_witnesses,
-    sample_with_empty_feasible,
     validate,
 )
 from twistwidth import structure
@@ -44,6 +43,7 @@ from twistwidth.structure import (
 from helpers import (
     brute_rough_structure_witnesses,
     dmin_connectivity,
+    draw_with_empty_feasible,
     hamming_twist_widths,
 )
 
@@ -61,9 +61,10 @@ def _uniform(rank, n):
     return [sum(1 << i for i in c) for c in combinations(range(n), rank)]
 
 
-def _random_twist(n, seed):
+def _random_twist(n, seed, chain=False):
+    # a GF(2) draw, or at n <= 8 an extension-chain draw when ``chain``
     rng = random.Random(seed)
-    d = sample_with_empty_feasible(n, rng)
+    d = draw_with_empty_feasible(n, rng, chain)
     return d.twist(rng.randrange(1 << n))
 
 
@@ -171,6 +172,7 @@ def test_check_mode_builds_no_twist(dms_by_n, monkeypatch):
 _RANDOM_TWISTS = given(
     st.integers(min_value=5, max_value=10),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
 )
 _TWISTED_UNIFORM = given(
     st.integers(min_value=5, max_value=10),
@@ -182,8 +184,8 @@ _TWISTED_UNIFORM = given(
 
 @_RANDOM_TWISTS
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_searches_agree_on_random_twists(n, seed):
-    _check_searches(_random_twist(n, seed))
+def test_searches_agree_on_random_twists(n, seed, chain):
+    _check_searches(_random_twist(n, seed, chain))
 
 
 @_TWISTED_UNIFORM
@@ -194,8 +196,8 @@ def test_searches_agree_on_twisted_uniform_matroids(n, rank, free, seed):
 
 @_RANDOM_TWISTS
 @settings(max_examples=25, deadline=None, derandomize=True)
-def test_formula_agrees_on_random_twists(n, seed):
-    _check_formula(_random_twist(n, seed))
+def test_formula_agrees_on_random_twists(n, seed, chain):
+    _check_formula(_random_twist(n, seed, chain))
 
 
 @_TWISTED_UNIFORM

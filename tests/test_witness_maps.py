@@ -23,10 +23,10 @@ from twistwidth import (
     certify,
     is_obstructed,
     matroid_twist_obstructions,
-    sample_with_empty_feasible,
     validate,
 )
-from helpers import d5_dedup, matroid_twist_targets, rematch, twist_off_empty
+from helpers import (d5_dedup, draw_with_empty_feasible, matroid_twist_targets, rematch,
+                     twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
 minors_module = importlib.import_module("twistwidth.minors")
@@ -78,11 +78,12 @@ def test_every_small_instance_matches_the_oracle(dms_by_n):
             _check_matroid_twist(d)
 
 
-@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_sampled_instances_twisted_off_the_empty_set(n, seed):
+def test_sampled_instances_twisted_off_the_empty_set(n, seed, chain):
     rng = random.Random(seed)
-    d = twist_off_empty(sample_with_empty_feasible(n, rng), rng)
+    d = twist_off_empty(draw_with_empty_feasible(n, rng, chain), rng)
     assume(d is not None)
     cert = _check_certify(d)
     obs = _check_is_obstructed(d)
