@@ -41,7 +41,7 @@ from .enumeration import (
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AxiomViolationError",

@@ -26,7 +26,7 @@ returns it; a failed re-check raises instead of silently falling back.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import DeltaMatroid, DeltaMatroidError
 from .minors import (CertificationError, Obstruction, _least_iso, _twist_tables, _verified,
@@ -44,16 +44,14 @@ class _Hub:
 HUB = _Hub()
 
 
-@dataclass
-class TwistWitness:
+class TwistWitness(NamedTuple):
     """Twisting by ``twist_set`` yields a delta-matroid of this width."""
 
     twist_set: frozenset
     width: int
 
 
-@dataclass
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """A verified minor isomorphic to ``obstruction.target``: the catalog
     member ``catalog()[obstruction.target_index]`` itself when the empty set
     is feasible, and otherwise a twist of it."""
@@ -61,8 +59,7 @@ class MinorWitness:
     obstruction: Obstruction
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class AuxGraph(NamedTuple):
     """Auxiliary graph driving the certificate procedure.
 
     ``singles`` holds the elements whose singletons are feasible (they are
@@ -222,8 +219,8 @@ def _compose(d, keep, contract, inner: MinorWitness) -> MinorWitness:
     minor it names is the inner one on the same labels, so the map stays."""
     obs = inner.obstruction
     delete = (frozenset(d.labels) - frozenset(keep)) | obs.delete_set
-    return MinorWitness(replace(obs, delete_set=delete,
-                                contract_set=frozenset(contract) | obs.contract_set))
+    return MinorWitness(obs._replace(delete_set=delete,
+                                     contract_set=frozenset(contract) | obs.contract_set))
 
 
 def _bipartite_case(d, g, color):

@@ -8,12 +8,11 @@ so the table of every delta-matroid on four elements takes milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .certify import TwistWitness, certify
-from .core import DeltaMatroid, GroundSetError, _members
+from .core import DeltaMatroid, GroundSetError, _members, _planes
 from .minors import is_obstructed
 from .structure import (
     _twist_width,
@@ -28,8 +27,7 @@ MAX_ENUM_ELEMENTS = 4
 CANONICAL_LABELS = ("e1", "e2", "e3", "e4")
 
 
-@dataclass
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Outcome of one exhaustive verification run."""
 
     n: int
@@ -53,16 +51,17 @@ def _valid_family_masks(n: int) -> tuple[int, ...]:
             f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_ELEMENTS}"
         )
     nsub = 1 << n
-    total = 1 << nsub
-    everything = (1 << total) - 1
-    # bit f of has[s] is set iff family f contains subset s: runs of 2^s
-    # zeros and 2^s ones, which is everything * 2^(2^s) / (2^(2^s) + 1)
-    has = [everything // (2 ** 2 ** s + 1) << 2 ** s for s in range(nsub)]
-    valid = everything ^ 1  # the empty family is not a delta-matroid
+    everything = (1 << (1 << nsub)) - 1
+    # bit f of has[s] is set iff family f contains subset s: the plane of
+    # bit s, cut to one bit per family
+    has = [hi & everything for _, hi in _planes(nsub)[1]]
+    bad = 1  # the empty family is not a delta-matroid
     for x in range(nsub):
         for y in range(nsub):
             diff = x ^ y
-            pair = has[x] & has[y]
+            if not diff:
+                continue
+            ok = everything
             for u in range(n):
                 if not diff >> u & 1:
                     continue
@@ -70,9 +69,11 @@ def _valid_family_masks(n: int) -> tuple[int, ...]:
                 for v in range(n):
                     if diff >> v & 1:
                         reached |= has[x ^ (1 << u | 1 << v)]
-                # drop families with X and Y but no X ^ {u, v}, v in X ^ Y
-                valid &= ~pair | reached
-    return tuple(_members(valid))
+                ok &= reached
+            # drop families with X and Y but, for some u in X ^ Y, no
+            # X ^ {u, v} with v in X ^ Y
+            bad |= has[x] & has[y] & ~ok
+    return tuple(_members(everything ^ bad))
 
 
 def enumerate_all(n: int) -> Iterator[DeltaMatroid]:

@@ -11,10 +11,10 @@ minor witness onto the route's target list, verified once on the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from .core import DeltaMatroid, GroundSetError
 
@@ -27,8 +27,7 @@ from .core import DeltaMatroid, GroundSetError
 MAX_ISO_WORK = 1_000_000
 
 
-@dataclass
-class Obstruction:
+class Obstruction(NamedTuple):
     """A minor witness: minor(host, delete_set, contract_set) is isomorphic
     to ``target``. ``target_index`` is the entry of the list it was matched
     to; from ``certify`` on a host with the empty set infeasible, ``target``
@@ -36,9 +35,14 @@ class Obstruction:
 
     delete_set: frozenset
     contract_set: frozenset
-    iso: dict = field(repr=False)
-    target: DeltaMatroid = field(repr=False)
+    iso: dict
+    target: DeltaMatroid
     target_index: int = 0
+
+    def __repr__(self):
+        # iso and target stay out of the text CertificationError messages print
+        return (f"Obstruction(delete_set={self.delete_set!r}, "
+                f"contract_set={self.contract_set!r}, target_index={self.target_index!r})")
 
     def verify(self, host: DeltaMatroid) -> bool:
         """Re-check the witness against ``host`` from scratch: ``iso`` must

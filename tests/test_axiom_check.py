@@ -27,6 +27,7 @@ from twistwidth import (
     AxiomViolationError,
     DeltaMatroid,
     DeltaMatroidError,
+    enumerate_all,
     serialize,
     validate,
 )
@@ -48,15 +49,20 @@ def _kernels_match(masks, n, want):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_every_family_matches_oracle(n):
-    violating = 0
+    violating, holding = 0, []
     for fam in range(1, 1 << (1 << n)):
         masks = [s for s in range(1 << n) if fam >> s & 1]
         found = brute_find_axiom_violation(masks, n)
         _kernels_match(masks, n, found)
         assert (found is None) == brute_axiom_holds(masks, n)
         violating += found is not None
+        if found is None:
+            holding.append(tuple(masks))
     # n = 4: 65535 families, of which 5959 are delta-matroids
     assert violating == {0: 0, 1: 0, 2: 0, 3: 100, 4: 59576}[n]
+    if n:
+        # the enumeration's table, family by family, in ascending order
+        assert holding == [d.masks for d in enumerate_all(n)]
 
 
 def test_sampled_n4_families_match_oracle(dms_by_n):

@@ -99,6 +99,23 @@ class TestCertifyExamples:
         assert isinstance(cert, MinorWitness)
         assert cert.obstruction.verify(cat[4])
 
+    def test_records_print_compare_by_value_and_stay_fixed(self):
+        twist = certify(validate("ab", ["a"]))
+        assert repr(twist) == "TwistWitness(twist_set=frozenset({'a'}), width=0)"
+        d = validate("abc", ["", "a", "b", "c", "abc", "ab"])
+        cert = certify(d)
+        # CertificationError messages print an Obstruction: no iso, no target
+        text = ("Obstruction(delete_set=frozenset({'c'}), contract_set=frozenset(), "
+                "target_index=0)")
+        assert repr(cert) == f"MinorWitness(obstruction={text})"
+        assert str(cert.obstruction) == text
+        assert twist == TwistWitness(frozenset("a"), 0) != TwistWitness(frozenset("a"), 1)
+        assert cert == certify(d) and cert is not certify(d)
+        for record, name in ((twist, "width"), (cert, "obstruction"),
+                             (cert.obstruction, "target_index")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
 
 class TestCertifyExhaustive:
     def test_agrees_with_brute_force(self, dms_by_n):

@@ -1,9 +1,14 @@
 import hashlib
+import io
 import json
+import os
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistwidth import catalog, serialize
 from twistwidth.cli import main
@@ -416,3 +421,63 @@ def test_check_mode_on_20_elements_exits_2_fast(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: check mode too large: 190 feasible sets")
+
+
+# Robustness: a valid file's text, mutated, through every file subcommand.
+# Whatever the mutation breaks, each command answers with exit 0, 1 or 2.
+FUZZ_LABELS = ("a", "b", "c", "d", "e1", "x")
+
+
+def _mutate(data, kind, i, j):
+    """``data`` (bytes) with one line dropped, duplicated or swapped, one byte
+    flipped, or one label renamed or added; ``i`` and ``j`` pick where."""
+    if kind == "flip":
+        flipped = bytearray(data)
+        flipped[i % len(data)] ^= j
+        return bytes(flipped)
+    lines = data.split(b"\n")
+    k = i % len(lines)
+    if kind == "drop":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "swap":
+        lines[k], lines[j % len(lines)] = lines[j % len(lines)], lines[k]
+    else:
+        words = lines[k].split(b" ")
+        label = FUZZ_LABELS[j % len(FUZZ_LABELS)].encode()
+        if kind == "add":
+            words.append(label)
+        elif len(words) > 1:  # rename: the keyword stays
+            words[1 + j % (len(words) - 1)] = label
+        lines[k] = b" ".join(words)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(["d1.dm", "d3.dm", "w1.dm", "no_empty.dm", "aut.dm"]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["drop", "duplicate", "swap", "flip", "rename", "add"]),
+            st.integers(0, 255),
+            st.integers(1, 255),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_files_exit_0_1_or_2(base, steps):
+    data = GOLDEN_FILES[base].encode()
+    for step in steps:
+        data = _mutate(data, *step)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.dm")
+        with open(path, "wb") as f:
+            f.write(data)
+        for cmd in FILE_COMMANDS:
+            argv = [path if word == "F" else word for word in cmd.split()]
+            for extra in ([], ["--json"]):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = main(argv + extra)
+                assert code in (0, 1, 2), (argv, data)

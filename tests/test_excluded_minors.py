@@ -1,4 +1,4 @@
-"""The excluded minors for twist width at most k, for k = 0 and k = 1,
+"""The excluded minors for twist width at most k, for k = 0, 1 and 2,
 derived from the definition on every delta-matroid with n <= 4.
 
 An excluded minor has least twist width above k, and each of its 2n
@@ -7,7 +7,7 @@ Widths come from materialized twists and minors from the bare-mask rule,
 both in helpers.py, so no certificate, catalog lookup or twist kernel
 takes part. The classes found must be, one to one, those of
 ``_matroid_twist_targets()`` for k = 0 and of ``d5_family(up_to_iso=True)``
-for k = 1.
+for k = 1. The library has no list for k = 2, so its counts are pinned.
 """
 
 import pytest
@@ -47,10 +47,10 @@ def widths():
 
 @pytest.fixture(scope="module")
 def derived(widths):
-    """For k = 0 and 1: (labeled excluded minors, one representative per
+    """For k = 0, 1 and 2: (labeled excluded minors, one representative per
     isomorphism class)."""
     out = {}
-    for k in (0, 1):
+    for k in (0, 1, 2):
         found = [d for d, w, minor_w in widths if _is_excluded_minor(k, w, minor_w)]
         classes = []
         for d in found:
@@ -81,6 +81,17 @@ def test_derived_width_zero_excluded_minors_are_the_matroid_twist_targets(derive
     assert [d.masks for d in found] == [(0, 1), (0, 3, 5, 6), (1, 2, 4, 7)]
     assert found == classes
     assert _one_to_one(classes, _matroid_twist_targets())
+
+
+def test_derived_width_two_excluded_minors(widths, derived):
+    # at n <= 4 only; nothing here says the list stops at four elements
+    found, classes = derived[2]
+    assert len(found) == 1345
+    assert len(classes) == 111
+    # the one class on three elements is the full power set of {e1, e2, e3}
+    assert [d.masks for d in found if d.n < 4] == [tuple(range(8))]
+    assert sorted(d.n for d in classes) == [3] + [4] * 110
+    assert {w for _, w, minor_w in widths if _is_excluded_minor(2, w, minor_w)} == {3}
 
 
 def _mutations(expected, j):
