@@ -17,7 +17,7 @@ restriction); a non-bipartite graph yields a forbidden minor by induction
 on the length of a shortest odd cycle. The graph is 2-colored first, in
 O(V + E). When that coloring fails, the least triangle is looked for
 directly; the O(V·E) all-sources odd-cycle search runs only on a graph
-with no triangle.
+with no triangle. Each witness's catalog map is looked up by its masks.
 
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, DeltaMatroidError
-from .minors import (CertificationError, Obstruction, _least_iso, _twist_tables, _verified,
-                     are_isomorphic, catalog)
+from .core import DeltaMatroid, DeltaMatroidError, _minor_masks, _small_masks
+from .minors import (CertificationError, Obstruction, _catalog_maps, _least_iso, _twist_tables,
+                     _verified, catalog)
 from .structure import _twist_width
 
 
@@ -87,12 +87,11 @@ def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
         raise DeltaMatroidError("the empty set must be feasible")
     near = [0] * d.n  # bit j of near[i]: {i, j} is feasible
     singles = 0
-    for m in d.masks:
-        size = m.bit_count()
-        if size == 1:
+    for m in _small_masks(d.n).intersection(d.masks):
+        low = m & -m
+        if m == low:
             singles |= m
-        elif size == 2:
-            low = m & -m
+        else:
             near[low.bit_length() - 1] |= m ^ low
             near[(m ^ low).bit_length() - 1] |= low
     labels = d.labels
@@ -202,16 +201,17 @@ def _odd_cycle_search(g: AuxGraph):
 
 def _minor_witness(d, keep, contract, index):
     """Witness that restricting ``d`` to ``keep`` and then contracting
-    ``contract`` gives the catalog entry ``index``; the label map found here
-    is kept through each reduction and the lift."""
+    ``contract`` gives the catalog entry ``index``; the label map looked up
+    here is kept through each reduction and the lift."""
     delete = frozenset(d.labels) - frozenset(keep)
     contract = frozenset(contract)
-    target = catalog()[index]
-    iso = are_isomorphic(d.minor(delete, contract), target)
-    if iso is None:
+    x, y = d.mask_of(delete), d.mask_of(contract)
+    kept = [e for i, e in enumerate(d.labels) if not (x | y) >> i & 1]
+    images = _catalog_maps()[index].get(_minor_masks(d.masks, d.full_mask, x, y))
+    if images is None or len(images) != len(kept):
         raise CertificationError(f"deleting {sorted(delete)} and contracting "
                                  f"{sorted(contract)} matched none of [{index}]")
-    return MinorWitness(Obstruction(delete, contract, iso, target, index))
+    return MinorWitness(Obstruction(delete, contract, dict(zip(kept, images)), catalog()[index], index))
 
 
 def _compose(d, keep, contract, inner: MinorWitness) -> MinorWitness:

@@ -18,9 +18,9 @@ A family whose conservative estimate |F| * n^2 * (|F|/64 + 1) of the
 latter exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError``
 before the check runs, so the refused inputs stay the same.
 
-A minor that keeps k elements looks up its 2^k score-0 candidates in the
-sorted masks when 2^k < |F|, and scores all |F| feasible masks otherwise or
-on no hit; it packs the kept bits in one pass per run of removed positions.
+A minor keeping k elements (``_minor_masks``, on masks alone) looks up its
+2^k score-0 candidates in the sorted masks when 2^k < |F|, scores all |F|
+otherwise or on no hit, and packs the kept bits in one pass per removed run.
 """
 
 from __future__ import annotations
@@ -141,6 +141,12 @@ def _column_violation(masks: Sequence[int], n: int):
 
 
 @lru_cache(maxsize=None)
+def _small_masks(n: int) -> frozenset[int]:
+    """The n + n(n-1)/2 masks of one or two of n positions."""
+    return frozenset(1 << i | 1 << j for i in range(n) for j in range(i, n))
+
+
+@lru_cache(maxsize=None)
 def _planes(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """All 2^(n+1) bits set, and (2^b, the A containing b) for each b < n."""
     full, planes = (1 << (2 << n)) - 1, []
@@ -205,6 +211,45 @@ def _subset_violation(masks: Sequence[int], n: int):
     for y in masks:
         if zs := nbrs & ~high[y >> h] & low[y & lowmask]:
             return x, y, next(u for u in range(n) if zs >> (x ^ 1 << u) & 1)
+
+
+def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, ...]:
+    """The minor's masks, ascending and packed onto the kept positions, for
+    deleting x and contracting the disjoint y from ``masks`` within ``full``.
+
+    They are F - (X | Y) for the feasible F minimizing |F & X| - |F & Y|:
+    order-independent, and total, as deleting a coloop strips it from every
+    feasible set and contracting a loop keeps them all. The least score is 0
+    exactly when some F & (X | Y) == Y; when 2^k < |F| for the k kept
+    elements, the sets Y | S, S within them, are looked up by bisection
+    first, and all |F| are scored only on no hit.
+    """
+    gone = x | y
+    keep = full & ~gone
+    family = []
+    if 1 << keep.bit_count() < len(masks):
+        s = keep
+        while True:
+            i = bisect_left(masks, y | s)
+            if i < len(masks) and masks[i] == y | s:
+                family.append(y | s)
+            if not s:
+                break
+            s = (s - 1) & keep
+    if not family:
+        # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
+        scores = [((m ^ y) & gone).bit_count() for m in masks]
+        best = min(scores)
+        family = [m for m, s in zip(masks, scores) if s == best]
+    # one pass per run p..hi-1 of removed positions, from the top down
+    rest = gone
+    while rest:
+        hi = rest.bit_length()
+        p = (rest ^ (1 << hi) - 1).bit_length()
+        below = (1 << p) - 1
+        rest &= below
+        family = [(m & below) | (m >> hi << p) for m in family]
+    return tuple(sorted(set(family)))
 
 
 class DeltaMatroid:
@@ -360,53 +405,12 @@ class DeltaMatroid:
     # -- minors -----------------------------------------------------------
 
     def minor(self, delete=(), contract=()) -> "DeltaMatroid":
-        """Delete X and contract Y, for disjoint X and Y, in one pass.
-
-        The feasible sets are F - (X | Y) for the feasible F minimizing
-        |F & X| - |F & Y|; the remaining labels keep ground order. This is
-        order-independent, and it makes deleting a coloop strip it from
-        every feasible set and contracting a loop keep every feasible set,
-        so deletion and contraction agree on loops and coloops and stay
-        total. The least score is 0 exactly when some feasible F has
-        F & (X | Y) == Y; when the k kept elements give 2^k < |F|, the 2^k
-        sets Y | S, S within the kept elements, are looked up by bisection
-        first, and the |F| scan runs only when none of them is feasible.
-        """
-        x = self.mask_of(delete)
-        y = self.mask_of(contract)
+        """Delete X and contract Y, disjoint, by ``_minor_masks``; labels keep ground order."""
+        x, y = self.mask_of(delete), self.mask_of(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
-        gone = x | y
-        masks = self.masks
-        keep = self.full_mask & ~gone
-        family = []
-        if 1 << keep.bit_count() < len(masks):
-            s = keep
-            while True:
-                i = bisect_left(masks, y | s)
-                if i < len(masks) and masks[i] == y | s:
-                    family.append(y | s)
-                if not s:
-                    break
-                s = (s - 1) & keep
-        if not family:
-            # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
-            scores = [((m ^ y) & gone).bit_count() for m in masks]
-            best = min(scores)
-            family = [m for m, s in zip(masks, scores) if s == best]
-        # one pass per run p..hi-1 of removed positions, from the top down
-        rest = gone
-        while rest:
-            hi = rest.bit_length()
-            p = (rest ^ (1 << hi) - 1).bit_length()
-            below = (1 << p) - 1
-            rest &= below
-            family = [(m & below) | (m >> hi << p) for m in family]
-        return DeltaMatroid(
-            [e for i, e in enumerate(self.labels) if not gone >> i & 1],
-            family,
-            _trusted=True,
-        )
+        labels = [e for i, e in enumerate(self.labels) if not (x | y) >> i & 1]
+        return DeltaMatroid(labels, _minor_masks(self.masks, self.full_mask, x, y), _trusted=True)
 
     def delete(self, e: str) -> "DeltaMatroid":
         """Remove ``e``, keeping the feasible sets avoiding it (or, when

@@ -3,10 +3,10 @@ routes.
 
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one. Isomorphism is brute force over label
-permutations, up to a budget of n! * |F|. ``is_obstructed`` and
-``matroid_twist_obstructions`` search neither minors nor isomorphisms: a
-table of the 36 raw twists of the catalog carries the map of ``certify``'s
-minor witness onto the route's target list, verified once on the input.
+permutations, up to a budget of n! * |F|, but no entry point searches:
+``certify`` looks its witness's map up in ``_catalog_maps`` by its masks,
+and ``is_obstructed`` and ``matroid_twist_obstructions`` carry it through
+``_twist_tables`` (the 36 raw catalog twists) and verify it once on the input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
-from .core import DeltaMatroid, GroundSetError
+from .core import DeltaMatroid, GroundSetError, _minor_masks
 
 # Budget for the isomorphism search, against its worst case of n! label
 # permutations, each mapping |F| feasible sets. Every family on 7 elements
@@ -45,16 +45,19 @@ class Obstruction(NamedTuple):
                 f"contract_set={self.contract_set!r}, target_index={self.target_index!r})")
 
     def verify(self, host: DeltaMatroid) -> bool:
-        """Re-check the witness against ``host`` from scratch: ``iso`` must
-        be a bijection from the minor's labels onto the target's that
-        carries the minor's feasible masks exactly onto the target's."""
-        minor = host.minor(self.delete_set, self.contract_set)
-        pos = self.target._pos
-        perm = [pos.get(self.iso.get(e)) for e in minor.labels]
+        """Re-check on ``host`` from scratch: disjoint delete and contract sets
+        of its labels, and ``iso`` a bijection onto the target's labels and masks."""
+        delete, contract = self.delete_set, self.contract_set
+        if delete & contract or not host._pos.keys() >= delete | contract:
+            return False
+        x, y = host.mask_of(delete), host.mask_of(contract)
+        kept = [e for i, e in enumerate(host.labels) if not (x | y) >> i & 1]
+        perm = [self.target._pos.get(self.iso.get(e)) for e in kept]
         return (
-            len(self.iso) == minor.n == self.target.n
-            and set(perm) == set(range(minor.n))
-            and _permuted_masks(minor.masks, perm) == self.target.masks
+            len(self.iso) == len(kept) == self.target.n
+            and set(perm) == set(range(len(kept)))
+            and _permuted_masks(_minor_masks(host.masks, host.full_mask, x, y), perm)
+            == self.target.masks
         )
 
 
@@ -97,6 +100,18 @@ def _permuted_masks(masks, perm) -> tuple[int, ...]:
             i += 1
         out.append(p)
     return tuple(sorted(out))
+
+
+@lru_cache(maxsize=1)
+def _catalog_maps() -> tuple[dict, ...]:
+    """Per catalog member h, the masks of each family onto h to the images of
+    its positions under the first such permutation, as ``are_isomorphic``."""
+    out = tuple({} for _ in catalog())
+    for maps, h in zip(out, catalog()):
+        for p in permutations(range(h.n)):
+            inverse = sorted(range(h.n), key=p.__getitem__)
+            maps.setdefault(_permuted_masks(h.masks, inverse), tuple(h.labels[i] for i in p))
+    return out
 
 
 def _signature(d: DeltaMatroid) -> tuple[int, ...]:
@@ -175,9 +190,10 @@ def _certified_minor(d: DeltaMatroid, table):
     if not isinstance(cert, MinorWitness):
         return None
     obs = cert.obstruction
-    if obs.target not in table:
+    entry = table.get(obs.target)
+    if entry is None:
         raise CertificationError(f"no expected target matches {obs.target}")
-    index, target, maps = table[obs.target]
+    index, target, maps = entry
     iso = _least_iso(obs.iso, maps, target)
     return _verified(d, Obstruction(obs.delete_set, obs.contract_set, iso, target, index))
 

@@ -237,3 +237,18 @@ class TestObstructionVerify:
             obs = Obstruction(frozenset(delete.split()), frozenset(contract.split()),
                               self.ISO, cat[2], 2)
             assert not obs.verify(host)
+
+    def test_delete_or_contract_set_naming_an_unknown_label(self, cat):
+        # a bool re-check: a label the host lacks fails, it does not raise
+        host = self.host()
+        for delete, contract in (("e4 z", ""), ("e4", "z"), ("z", "")):
+            obs = Obstruction(frozenset(delete.split()), frozenset(contract.split()),
+                              self.ISO, cat[2], 2)
+            assert not obs.verify(host)
+
+    def test_overlapping_delete_and_contract_sets(self, cat):
+        host = self.host()
+        for delete, contract in (("e4", "e4"), ("e3 e4", "e4")):
+            obs = Obstruction(frozenset(delete.split()), frozenset(contract.split()),
+                              self.ISO, cat[2], 2)
+            assert not obs.verify(host)

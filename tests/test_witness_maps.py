@@ -19,6 +19,7 @@ from twistwidth import (
     MinorWitness,
     Obstruction,
     TwistWitness,
+    are_isomorphic,
     catalog,
     certify,
     is_obstructed,
@@ -136,10 +137,11 @@ def test_each_entry_point_verifies_once(host, monkeypatch):
         assert calls == [host], route.__name__
 
 
-def test_only_the_catalog_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
-    # _minor_witness matches a minor against catalog members; the lift, the
-    # composition and both routes look their maps up instead
+def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
+    # _minor_witness reads its map off _catalog_maps; the lift, the
+    # composition and both routes look theirs up in _twist_tables
     minors_module._twist_tables()
+    minors_module._catalog_maps()
     targets = []
     original = minors_module.are_isomorphic
 
@@ -148,14 +150,47 @@ def test_only_the_catalog_is_searched_once_the_tables_exist(dms_by_n, monkeypatc
         return original(d1, d2)
 
     monkeypatch.setattr(minors_module, "are_isomorphic", recording)
-    monkeypatch.setattr(certify_module, "are_isomorphic", recording)
+    assert not hasattr(certify_module, "are_isomorphic")
     for n in (1, 2, 3, 4):
         for d in dms_by_n[n]:
             certify(d)
             is_obstructed(d)
             matroid_twist_obstructions(d)
-    assert targets
-    assert all(any(h is c for c in catalog()) for h in targets)
+    assert targets == []
+
+
+# -- the certificate's catalog maps, against are_isomorphic
+
+
+def test_catalog_maps_agree_with_are_isomorphic(dms_by_n):
+    # a family hits member j's table exactly when are_isomorphic maps it onto
+    # the member, with the images of that same map; the tables hold no more
+    tables = minors_module._catalog_maps()
+    for j, h in enumerate(catalog()):
+        hits = 0
+        for d in dms_by_n[h.n]:
+            iso = are_isomorphic(d, h)
+            images = tables[j].get(d.masks)
+            assert images == (None if iso is None else tuple(iso[e] for e in d.labels)), (j, d)
+            hits += images is not None
+        assert hits == len(tables[j])
+
+
+def test_wrong_permutation_in_the_catalog_maps_raises(monkeypatch):
+    # entry 4 has a distinguished element: swapping a and b moves {a} onto {b}
+    h = catalog()[4]
+    table = minors_module._catalog_maps()[4]
+    assert table[h.masks] == ("a", "b", "c")
+    monkeypatch.setitem(table, h.masks, ("b", "a", "c"))
+    with pytest.raises(CertificationError, match="fails to verify"):
+        certify(h)
+
+
+def test_empty_catalog_maps_raise(monkeypatch):
+    monkeypatch.setattr(certify_module, "_catalog_maps", lambda: ({},) * len(catalog()))
+    for j, h in enumerate(catalog()):
+        with pytest.raises(CertificationError, match=rf"matched none of \[{j}\]"):
+            certify(h)
 
 
 def test_wrong_map_in_the_table_raises(monkeypatch):
