@@ -17,7 +17,9 @@ restriction); a non-bipartite graph yields a forbidden minor by induction
 on the length of a shortest odd cycle. The graph is 2-colored first, in
 O(V + E). When that coloring fails, the least triangle is looked for
 directly; the O(V·E) all-sources odd-cycle search runs only on a graph
-with no triangle. Each witness's catalog map is looked up by its masks.
+with no triangle. Through the cases, the reduction and the lift a minor
+witness is its delete set, its contract set and its catalog index;
+``certify`` looks its label map up on the input, by ``minors._witness``.
 
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
@@ -28,9 +30,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, DeltaMatroidError, _minor_masks, _small_masks
-from .minors import (CertificationError, Obstruction, _catalog_maps, _least_iso, _twist_tables,
-                     _verified, catalog)
+from .core import DeltaMatroid, DeltaMatroidError, _small_masks
+from .minors import CertificationError, Obstruction, _verified, _witness, catalog
 from .structure import _twist_width
 
 
@@ -200,27 +201,16 @@ def _odd_cycle_search(g: AuxGraph):
 
 
 def _minor_witness(d, keep, contract, index):
-    """Witness that restricting ``d`` to ``keep`` and then contracting
-    ``contract`` gives the catalog entry ``index``; the label map looked up
-    here is kept through each reduction and the lift."""
-    delete = frozenset(d.labels) - frozenset(keep)
-    contract = frozenset(contract)
-    x, y = d.mask_of(delete), d.mask_of(contract)
-    kept = [e for i, e in enumerate(d.labels) if not (x | y) >> i & 1]
-    images = _catalog_maps()[index].get(_minor_masks(d.masks, d.full_mask, x, y))
-    if images is None or len(images) != len(kept):
-        raise CertificationError(f"deleting {sorted(delete)} and contracting "
-                                 f"{sorted(contract)} matched none of [{index}]")
-    return MinorWitness(Obstruction(delete, contract, dict(zip(kept, images)), catalog()[index], index))
+    """(delete set, contract set, index): restricting ``d`` to ``keep`` and
+    then contracting ``contract`` gives the catalog entry ``index``."""
+    return frozenset(d.labels) - frozenset(keep), frozenset(contract), index
 
 
-def _compose(d, keep, contract, inner: MinorWitness) -> MinorWitness:
-    """Lift a witness on restrict(d, keep) / contract back to ``d``; the
-    minor it names is the inner one on the same labels, so the map stays."""
-    obs = inner.obstruction
-    delete = (frozenset(d.labels) - frozenset(keep)) | obs.delete_set
-    return MinorWitness(obs._replace(delete_set=delete,
-                                     contract_set=frozenset(contract) | obs.contract_set))
+def _compose(d, keep, contract, inner):
+    """Lift a witness on restrict(d, keep) / contract back to ``d``: the
+    minor it names is the inner one, so the sets are unions."""
+    delete, contract, index = _minor_witness(d, keep, contract, inner[2])
+    return delete | inner[0], contract | inner[1], index
 
 
 def _bipartite_case(d, g, color):
@@ -300,7 +290,7 @@ def _long_cycle_case(d, g, cycle):
     contract = {xs[-2], xs[-1]}
     sub = d.minor(set(d.labels) - keep, contract)
     inner = _certify_impl(sub, len(cycle))
-    if not isinstance(inner, MinorWitness):
+    if isinstance(inner, TwistWitness):
         raise CertificationError(
             "reduced instance unexpectedly produced a twist witness"
         )
@@ -331,19 +321,14 @@ def _lift(d, f, cert):
     fset = d.set_of(f)
     if isinstance(cert, TwistWitness):
         return TwistWitness(cert.twist_set ^ fset, cert.width)
-    obs = cert.obstruction
-    x, y = obs.delete_set, obs.contract_set
-    moved = (x | y) & fset  # deleting e from d twisted by F contracts it from d
-    # the minor of d is the twisted one's minor twisted by F - X - Y, so the
-    # same map carries it onto the target twisted by the image of F - X - Y
-    target = obs.target.twist([obs.iso[e] for e in fset - x - y])
-    iso = _least_iso(obs.iso, _twist_tables()[0][target], target)
-    return MinorWitness(Obstruction(x ^ moved, y ^ moved, iso, target, obs.target_index))
+    delete, contract, index = cert
+    moved = (delete | contract) & fset  # deleting e from d twisted by F contracts it from d
+    return delete ^ moved, contract ^ moved, index
 
 
 def _certificate(d: DeltaMatroid):
-    """``certify(d)`` with a twist witness's width re-checked on ``d`` and a
-    minor witness not yet re-verified."""
+    """``certify(d)`` with a twist witness's width re-checked on ``d``, and a
+    minor witness as its (delete set, contract set, catalog index)."""
     f = d.masks[0]
     cert = _certify_impl(d.twist(f) if f else d, None)
     if f:
@@ -368,6 +353,14 @@ def certify(d: DeltaMatroid):
     certificate raises CertificationError.
     """
     cert = _certificate(d)
-    if isinstance(cert, MinorWitness):
-        _verified(d, cert.obstruction)
-    return cert
+    if isinstance(cert, TwistWitness):
+        return cert
+    delete, contract, index = cert
+    target = catalog()[index]
+    if f := d.masks[0]:
+        # phi maps the minor of d twisted by F, the one certified, onto the
+        # member; the minor of d is that one twisted by F - X - Y, so it is
+        # isomorphic to the member twisted by phi's image of F - X - Y
+        phi = _witness(d, delete, contract, ((index, target),), f).iso
+        target = target.twist([phi[e] for e in d.set_of(f) - delete - contract])
+    return MinorWitness(_verified(d, _witness(d, delete, contract, ((index, target),))))

@@ -73,7 +73,12 @@ def parse(text: str) -> DeltaMatroid:
 
 
 def serialize(d: DeltaMatroid) -> str:
-    """Canonical text form; ``parse(serialize(d)) == d``."""
+    """Canonical text form; ``parse(serialize(d)) == d``. ValueError on a
+    label the format cannot hold: empty, or with whitespace or ``#``."""
+    for e in d.labels:
+        if "#" in e or e.split() != [e]:
+            raise ValueError(f"label {e!r} cannot be serialized: it is empty, "
+                             "or has whitespace or '#'")
     lines = ["elements: " + " ".join(d.labels) if d.labels else "elements:"]
     for m in d.masks:
         members = [e for i, e in enumerate(d.labels) if m >> i & 1]

@@ -4,9 +4,8 @@ routes.
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one. Isomorphism is brute force over label
 permutations, up to a budget of n! * |F|, but no entry point searches:
-``certify`` looks its witness's map up in ``_catalog_maps`` by its masks,
-and ``is_obstructed`` and ``matroid_twist_obstructions`` carry it through
-``_twist_tables`` (the 36 raw catalog twists) and verify it once on the input.
+each entry point looks its witness's label map up on the input with
+``_witness``, in ``_witness_table`` for the list of targets it answers with.
 """
 
 from __future__ import annotations
@@ -102,18 +101,6 @@ def _permuted_masks(masks, perm) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=1)
-def _catalog_maps() -> tuple[dict, ...]:
-    """Per catalog member h, the masks of each family onto h to the images of
-    its positions under the first such permutation, as ``are_isomorphic``."""
-    out = tuple({} for _ in catalog())
-    for maps, h in zip(out, catalog()):
-        for p in permutations(range(h.n)):
-            inverse = sorted(range(h.n), key=p.__getitem__)
-            maps.setdefault(_permuted_masks(h.masks, inverse), tuple(h.labels[i] for i in p))
-    return out
-
-
 def _signature(d: DeltaMatroid) -> tuple[int, ...]:
     return tuple(sorted(m.bit_count() for m in d.masks))
 
@@ -134,14 +121,10 @@ def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):
             f"{d1.n} elements need about {work:.1e} operations, over the budget "
             f"of {MAX_ISO_WORK:.1e}"
         )
-    return next(_isomorphisms(d1, d2), None)
-
-
-def _isomorphisms(d1: DeltaMatroid, d2: DeltaMatroid):
-    """Every feasible map d1 -> d2 of equal sizes, permutations in lexicographic order."""
     for perm in permutations(range(d1.n)):
         if _permuted_masks(d1.masks, perm) == d2.masks:
-            yield {d1.labels[i]: d2.labels[perm[i]] for i in range(d1.n)}
+            return {d1.labels[i]: d2.labels[perm[i]] for i in range(d1.n)}
+    return None
 
 
 def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
@@ -161,41 +144,50 @@ def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _twist_tables():
-    """Lookups keyed by the 36 raw twists T of the catalog: T to its
-    automorphisms, and T to (index, target, every map of T onto it) into the
-    D5 list and into ``_matroid_twist_targets`` (the twists of the triangle)."""
-    raw, reps, targets = set(d5_family()), d5_family(up_to_iso=True), _matroid_twist_targets()
-    d5 = {t: next((j, h, list(_isomorphisms(t, h))) for j, h in enumerate(reps)
-                  if are_isomorphic(t, h) is not None) for t in raw}
-    matroid = {t: (i, g, maps) for t, (_, h, maps) in d5.items()
-               for i, g in enumerate(targets) if g == h}
-    return {t: list(_isomorphisms(t, t)) for t in raw}, d5, matroid
+@lru_cache(maxsize=None)
+def _witness_table(pairs) -> dict:
+    """(n, masks) of every family isomorphic to a target of ``pairs``, a
+    tuple of (index, target), to (index, target, the images of its
+    positions): the first such target and the first permutation in
+    lexicographic order, the map ``are_isomorphic`` returns. Its lists are
+    the catalog members, their 36 twists and the two route lists."""
+    table = {}
+    for index, h in pairs:
+        for p in permutations(range(h.n)):
+            inverse = sorted(range(h.n), key=p.__getitem__)
+            table.setdefault((h.n, _permuted_masks(h.masks, inverse)),
+                             (index, h, tuple(h.labels[i] for i in p)))
+    return table
 
 
-def _least_iso(phi: dict, maps, target: DeltaMatroid) -> dict:
-    """The least m∘phi over ``maps`` onto ``target``, ranked by the target
-    positions of phi's keys in order: the map ``are_isomorphic`` returns."""
-    pos = target._pos
-    best = min(maps, key=lambda m: [pos[m[phi[e]]] for e in phi])
-    return {e: best[phi[e]] for e in phi}
-
-
-def _certified_minor(d: DeltaMatroid, table):
-    """certify(d)'s minor witness carried onto its ``table`` entry and
-    verified once, or None when certify finds a twist of width at most one."""
-    from .certify import MinorWitness, _certificate
-    cert = _certificate(d)
-    if not isinstance(cert, MinorWitness):
-        return None
-    obs = cert.obstruction
-    entry = table.get(obs.target)
+def _witness(host: DeltaMatroid, delete, contract, pairs, twist: int = 0) -> Obstruction:
+    """The minor of ``host`` deleting ``delete`` and contracting ``contract``,
+    with its sets twisted by the kept bits of the host mask ``twist``, looked
+    up in ``_witness_table(pairs)``; CertificationError when it is not there."""
+    x, y = host.mask_of(delete), host.mask_of(contract)
+    kept = [e for i, e in enumerate(host.labels) if not (x | y) >> i & 1]
+    masks = _minor_masks(host.masks, host.full_mask, x, y)
+    if twist:
+        z = sum(1 << k for k, e in enumerate(kept) if twist >> host._pos[e] & 1)
+        masks = tuple(sorted(m ^ z for m in masks))
+    entry = _witness_table(pairs).get((len(kept), masks))
     if entry is None:
-        raise CertificationError(f"no expected target matches {obs.target}")
-    index, target, maps = entry
-    iso = _least_iso(obs.iso, maps, target)
-    return _verified(d, Obstruction(obs.delete_set, obs.contract_set, iso, target, index))
+        raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "
+                                 f"matched none of {[index for index, _ in pairs]}")
+    index, target, images = entry
+    return Obstruction(delete, contract, dict(zip(kept, images)), target, index)
+
+
+def _certified_minor(d: DeltaMatroid, pairs):
+    """certify(d)'s minor witness sets looked up in the table for ``pairs``
+    and verified once, or None when certify finds a twist of width at most
+    one."""
+    from .certify import TwistWitness, _certificate
+    cert = _certificate(d)
+    if isinstance(cert, TwistWitness):
+        return None
+    delete, contract, _ = cert
+    return _verified(d, _witness(d, delete, contract, pairs))
 
 
 def is_obstructed(d: DeltaMatroid):
@@ -205,7 +197,7 @@ def is_obstructed(d: DeltaMatroid):
     it keeps, with ``target_index`` indexing ``d5_family(up_to_iso=True)``;
     CertificationError if it fails to verify.
     """
-    return _certified_minor(d, _twist_tables()[1])
+    return _certified_minor(d, _route_targets()[0])
 
 
 @lru_cache(maxsize=1)
@@ -214,6 +206,18 @@ def _matroid_twist_targets() -> tuple[DeltaMatroid, ...]:
     single = DeltaMatroid("a", ["", "a"])
     triangle = catalog()[2]
     return (single, triangle, triangle.twist("a"))
+
+
+@lru_cache(maxsize=1)
+def _route_targets() -> tuple:
+    """The (index, target) pairs of ``d5_family(up_to_iso=True)`` and of
+    ``_matroid_twist_targets``, with both witness tables built: the first
+    ``is_obstructed`` call builds them, witness or not."""
+    routes = tuple(tuple(enumerate(targets))
+                   for targets in (d5_family(up_to_iso=True), _matroid_twist_targets()))
+    for pairs in routes:
+        _witness_table(pairs)
+    return routes
 
 
 def matroid_twist_obstructions(d: DeltaMatroid):
@@ -228,12 +232,11 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     onto the triangle (1) or its twist (2). CertificationError if it fails to
     verify.
     """
-    table = _twist_tables()[2]
+    pairs = _route_targets()[1]
     if d.is_even():
-        return _certified_minor(d, table)
+        return _certified_minor(d, pairs)
     feasible = set(d.masks)
     # a closest feasible pair of opposite parity is one exchange step apart
     f, i = next((f, i) for f in d.masks for i in range(d.n)
                 if not f >> i & 1 and f | 1 << i in feasible)
-    return _verified(d, Obstruction(d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f),
-                                    {d.labels[i]: "a"}, _matroid_twist_targets()[0], 0))
+    return _verified(d, _witness(d, d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f), pairs))

@@ -27,6 +27,7 @@ from twistwidth import (
     d_min,
     enumerate_all,
     is_matroid,
+    validate,
 )
 from twistwidth.core import find_axiom_violation
 
@@ -400,6 +401,23 @@ def sample_with_empty_feasible(n, rng):
                 rows[j] |= 1 << i
     d = DeltaMatroid(_labels(n), principal_minors(rows, n), _trusted=True)
     return d.twist(rng.choice(d.masks))
+
+
+def odd_cycle_instance(m, extra, loops, seed):
+    """Principal-minor delta-matroid over GF(2) of a symmetric matrix that is
+    an m-cycle's adjacency on m of the m + extra elements, with ``loops``
+    diagonal ones. Its aux graph is that cycle plus hub edges, so unlike a
+    random matrix's it has a long odd cycle, and certify reduces it."""
+    rng = random.Random(seed)
+    n = m + extra
+    rows = [0] * n
+    ring = rng.sample(range(n), m)
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    for i in rng.sample(range(n), loops):
+        rows[i] |= 1 << i
+    return validate([f"e{i}" for i in range(n)], principal_minors(rows, n))
 
 
 def is_gf2_representable(d):

@@ -22,7 +22,7 @@ from twistwidth import (
 )
 from twistwidth.certify import _canonical_cycle, shortest_odd_cycle, two_coloring
 from helpers import (_brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
-                     brute_shortest_odd_cycle, draw_with_empty_feasible, principal_minors,
+                     brute_shortest_odd_cycle, draw_with_empty_feasible, odd_cycle_instance,
                      sample_with_empty_feasible, twist_off_empty)
 
 # the package's ``certify`` attribute is the function, not the module
@@ -161,23 +161,6 @@ def _twisted_uniform(rank, n, seed):
     return d.twist(random.Random(seed).choice(d.masks))
 
 
-def _odd_cycle_instance(m, extra, loops, seed):
-    """Principal-minor delta-matroid over GF(2) of a symmetric matrix that is
-    an m-cycle's adjacency on m of the m + extra elements, with ``loops``
-    diagonal ones. Its aux graph is that cycle plus hub edges, so unlike a
-    random matrix's it has a long odd cycle, and certify reduces it."""
-    rng = random.Random(seed)
-    n = m + extra
-    rows = [0] * n
-    ring = rng.sample(range(n), m)
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    for i in rng.sample(range(n), loops):
-        rows[i] |= 1 << i
-    return validate([f"e{i}" for i in range(n)], principal_minors(rows, n))
-
-
 # the even delta-matroid of a 5-cycle's adjacency matrix over GF(2): its aux
 # graph is that 5-cycle, so certify reduces it once by _long_cycle_case
 FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
@@ -243,7 +226,7 @@ class TestOddCycleOracle:
            st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_odd_cycle_instances(self, m, extra, loops, seed):
-        _check_odd_cycle_against_oracle(_odd_cycle_instance(m, extra, loops, seed))
+        _check_odd_cycle_against_oracle(odd_cycle_instance(m, extra, loops, seed))
 
 
 _cycles_with_keys = st.sampled_from(range(3, 22, 2)).flatmap(lambda m: st.tuples(
@@ -443,7 +426,7 @@ class TestEveryDeltaMatroid:
            st.integers(min_value=0, max_value=2), SEEDS)
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_odd_cycle_instances(self, m, extra, loops, seed):
-        odd = _odd_cycle_instance(m, extra, loops, seed)
+        odd = odd_cycle_instance(m, extra, loops, seed)
         _check_certificate(twist_off_empty(odd, random.Random(seed)))
         if loops == 0:
             # no singleton is feasible, so the first element is the smallest

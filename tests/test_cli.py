@@ -184,6 +184,12 @@ GOLDEN_FILES = {
     # the empty set is infeasible, and the witness lifted back from the twist
     # by {e1} lands on a target with automorphisms
     "aut.dm": "elements: e1 e2 e3 e4\nfeasible: e1\nfeasible: e2\nfeasible: e1 e2\nfeasible: e3\nfeasible: e1 e2 e3\n",
+    # FIVE_CYCLE of test_certify.py twisted by {b} and by {a}; each is
+    # certified through its twist by {a}. c5b's has a triangle, and its
+    # witness comes back with delete and contract swapped on a; c5a's is
+    # FIVE_CYCLE itself, which certify reduces once before lifting back
+    "c5b.dm": "elements: a b c d e\nfeasible: a\nfeasible: b\nfeasible: c\nfeasible: a c d\nfeasible: b c d\nfeasible: a b e\nfeasible: a c e\nfeasible: a d e\nfeasible: b d e\nfeasible: c d e\nfeasible: a b c d e\n",
+    "c5a.dm": "elements: a b c d e\nfeasible: a\nfeasible: b\nfeasible: a b c\nfeasible: a c d\nfeasible: b c d\nfeasible: e\nfeasible: b c e\nfeasible: a d e\nfeasible: b d e\nfeasible: c d e\nfeasible: a b c d e\n",
 }
 FILE_COMMANDS = (
     "validate F", "info F", "twist F -A a", "minor F --delete a",
@@ -280,6 +286,14 @@ GOLDEN_OK = [
     ("certify aut.dm --json", 1, '{"obstruction": {"delete": ["e4"], "contract": [], "target_index": 4, "iso": {"e1": "a", "e2": "b", "e3": "c"}}}\n'),
     ("obstruct aut.dm", 1, "obstruction: delete {e4} contract {} -> excluded minor #3 (e1->a, e2->b, e3->c)\n"),
     ("obstruct aut.dm --json", 1, '{"obstruction": {"delete": ["e4"], "contract": [], "target_index": 3, "iso": {"e1": "a", "e2": "b", "e3": "c"}}}\n'),
+    ("certify c5b.dm", 1, "obstruction: delete {b} contract {a} -> excluded minor #2 (c->a, d->b, e->c)\n"),
+    ("certify c5b.dm --json", 1, '{"obstruction": {"delete": ["b"], "contract": ["a"], "target_index": 2, "iso": {"c": "a", "d": "b", "e": "c"}}}\n'),
+    ("obstruct c5b.dm", 1, "obstruction: delete {b} contract {a} -> excluded minor #5 (c->a, d->b, e->c)\n"),
+    ("obstruct c5b.dm --json", 1, '{"obstruction": {"delete": ["b"], "contract": ["a"], "target_index": 5, "iso": {"c": "a", "d": "b", "e": "c"}}}\n'),
+    ("certify c5a.dm", 1, "obstruction: delete {} contract {d e} -> excluded minor #2 (a->a, b->b, c->c)\n"),
+    ("certify c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 2, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
+    ("obstruct c5a.dm", 1, "obstruction: delete {} contract {d e} -> excluded minor #6 (a->a, b->b, c->c)\n"),
+    ("obstruct c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 6, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
     ("enumerate -n 1", 0, "{}\n{e1}\n{} {e1}\n"),
     ("enumerate -n 1 --count-only", 0, "3\n"),
     ("enumerate -n 1 --count-only --json", 0, '{"n": 1, "count": 3}\n'),
@@ -343,7 +357,7 @@ def test_golden_covers_every_subcommand():
 # Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
 # Each file is the text the workflow's one-liners print; the small valid
 # file, the bad file, certify without the empty set and obstruct --json on
-# aut.dm are golden rows.
+# aut.dm, c5b.dm and c5a.dm are golden rows.
 def _ci_file(n, sets):
     labels = [f"e{i}" for i in range(n)]
     lines = [["elements:", *labels]]

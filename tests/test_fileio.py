@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from twistwidth import (
@@ -6,6 +8,7 @@ from twistwidth import (
     enumerate_all,
     parse,
     serialize,
+    validate,
 )
 
 FOUR_POINT = "elements: a b\nfeasible:\nfeasible: a\nfeasible: b\nfeasible: a b\n"
@@ -75,6 +78,14 @@ def test_serialize_idempotent_canonicalization():
 def test_roundtrip_catalog(cat):
     for d in cat:
         assert parse(serialize(d)) == d
+
+
+@pytest.mark.parametrize("label", ["a b", "a#", "", "a\tb", "a\u2028b"])
+def test_serialize_refuses_labels_the_format_cannot_hold(label):
+    # as text each would parse back as another delta-matroid, or not at all
+    d = validate([label, "c"], [[], [label]])
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r} cannot be serialized")):
+        serialize(d)
 
 
 def test_roundtrip_all_enumerated_n3():

@@ -26,8 +26,9 @@ from twistwidth import (
     matroid_twist_obstructions,
     validate,
 )
-from helpers import (d5_dedup, draw_with_empty_feasible, matroid_twist_targets, rematch,
-                     twist_off_empty)
+from twistwidth.core import _minor_masks
+from helpers import (d5_dedup, draw_with_empty_feasible, matroid_twist_targets, odd_cycle_instance,
+                     rematch, twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
 minors_module = importlib.import_module("twistwidth.minors")
@@ -138,10 +139,9 @@ def test_each_entry_point_verifies_once(host, monkeypatch):
 
 
 def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
-    # _minor_witness reads its map off _catalog_maps; the lift, the
-    # composition and both routes look theirs up in _twist_tables
-    minors_module._twist_tables()
-    minors_module._catalog_maps()
+    # every witness reads its map off minors._witness_table; only the
+    # deduplicated D5 list behind is_obstructed's table is found by a search
+    is_obstructed(catalog()[0])
     targets = []
     original = minors_module.are_isomorphic
 
@@ -159,49 +159,99 @@ def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch)
     assert targets == []
 
 
-# -- the certificate's catalog maps, against are_isomorphic
+def test_the_first_is_obstructed_call_builds_both_route_tables():
+    # even on unobstructed input, so that a warm-up call leaves no table to build
+    minors_module._route_targets.cache_clear()
+    minors_module._witness_table.cache_clear()
+    assert is_obstructed(validate("a", ["", "a"])) is None
+    info = minors_module._witness_table.cache_info()
+    assert info.currsize == 2
+    for targets in (d5_dedup(), matroid_twist_targets()):
+        minors_module._witness_table(tuple(enumerate(targets)))
+    assert minors_module._witness_table.cache_info().hits == info.hits + 2
+
+
+# -- the witness tables, against are_isomorphic
+
+
+def _table(targets):
+    return minors_module._witness_table(tuple(targets))
 
 
 def test_catalog_maps_agree_with_are_isomorphic(dms_by_n):
     # a family hits member j's table exactly when are_isomorphic maps it onto
     # the member, with the images of that same map; the tables hold no more
-    tables = minors_module._catalog_maps()
     for j, h in enumerate(catalog()):
+        table = _table([(j, h)])
         hits = 0
         for d in dms_by_n[h.n]:
             iso = are_isomorphic(d, h)
-            images = tables[j].get(d.masks)
-            assert images == (None if iso is None else tuple(iso[e] for e in d.labels)), (j, d)
-            hits += images is not None
-        assert hits == len(tables[j])
+            entry = table.get((d.n, d.masks))
+            assert entry == (None if iso is None else (j, h, tuple(iso[e] for e in d.labels))), (j, d)
+            hits += entry is not None
+        assert hits == len(table)
+    # every family on at most three elements gets from each route's table the
+    # index and map that rematch finds over the route's list
+    whole = Obstruction(frozenset(), frozenset(), None, None)
+    for targets in (d5_dedup(), matroid_twist_targets()):
+        table = _table(enumerate(targets))
+        hits = 0
+        for n in (1, 2, 3):
+            for d in dms_by_n[n]:
+                found = rematch(d, whole, enumerate(targets))
+                entry = table.get((d.n, d.masks))
+                assert (None if found is None else found[2:]) == (
+                    None if entry is None else (entry[0], dict(zip(d.labels, entry[2])))), d
+                hits += entry is not None
+        assert hits == len(table)
 
 
 def test_wrong_permutation_in_the_catalog_maps_raises(monkeypatch):
     # entry 4 has a distinguished element: swapping a and b moves {a} onto {b}
     h = catalog()[4]
-    table = minors_module._catalog_maps()[4]
-    assert table[h.masks] == ("a", "b", "c")
-    monkeypatch.setitem(table, h.masks, ("b", "a", "c"))
+    table = _table([(4, h)])
+    assert table[3, h.masks] == (4, h, ("a", "b", "c"))
+    monkeypatch.setitem(table, (3, h.masks), (4, h, ("b", "a", "c")))
     with pytest.raises(CertificationError, match="fails to verify"):
         certify(h)
 
 
 def test_empty_catalog_maps_raise(monkeypatch):
-    monkeypatch.setattr(certify_module, "_catalog_maps", lambda: ({},) * len(catalog()))
+    monkeypatch.setattr(minors_module, "_witness_table", lambda pairs: {})
     for j, h in enumerate(catalog()):
         with pytest.raises(CertificationError, match=rf"matched none of \[{j}\]"):
             certify(h)
+    with pytest.raises(CertificationError, match=r"matched none of \[0, 1, 2, 3, 4, 5, 6\]"):
+        is_obstructed(catalog()[0])
 
 
 def test_wrong_map_in_the_table_raises(monkeypatch):
-    table = minors_module._twist_tables()[1]
-    key = certify(AUT_HOST).obstruction.target
-    index, h, maps = table[key]
+    obs = is_obstructed(AUT_HOST)
+    x, y = AUT_HOST.mask_of(obs.delete_set), AUT_HOST.mask_of(obs.contract_set)
+    key = (len(obs.iso), _minor_masks(AUT_HOST.masks, AUT_HOST.full_mask, x, y))
+    table = _table(enumerate(d5_dedup()))
+    index, h, images = table[key]
     # a transposition of the target's labels that moves a feasible set off it
     swaps = ({a: b, b: a} for i, a in enumerate(h.labels) for b in h.labels[i + 1:])
     swap = next(p for p in swaps if validate(h.labels, [
         [p.get(e, e) for e in f] for f in h.feasible_sets()]) != h)
-    wrong = [{t: swap.get(m[t], m[t]) for t in m} for m in maps]
-    monkeypatch.setitem(table, key, (index, h, wrong))
+    monkeypatch.setitem(table, key, (index, h, tuple(swap.get(e, e) for e in images)))
     with pytest.raises(CertificationError, match="fails to verify"):
         is_obstructed(AUT_HOST)
+
+
+# -- witnesses composed through the reduction step
+
+
+@given(st.sampled_from((5, 7, 9)), st.integers(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_odd_cycle_instances_and_their_twists(m, extra, loops, seed):
+    # long odd cycles send certify through _long_cycle_case, which the draws
+    # above rarely reach; each instance is also twisted off the empty set
+    odd = odd_cycle_instance(m, extra, loops, seed)
+    for d in (odd, twist_off_empty(odd, random.Random(seed))):
+        cert = _check_certify(d)
+        obs = _check_is_obstructed(d)
+        assert (obs is None) == isinstance(cert, TwistWitness)
+        _check_matroid_twist(d)
