@@ -30,8 +30,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, DeltaMatroidError, _small_masks
-from .minors import CertificationError, Obstruction, _verified, _witness, catalog
+from .core import DeltaMatroid, DeltaMatroidError, _labels_at, _small_masks
+from .minors import CertificationError, Obstruction, _minor_of, _verified, _witness, catalog
 from .structure import _twist_width
 
 
@@ -40,6 +40,10 @@ class _Hub:
 
     def __repr__(self):
         return "v_L"
+
+    def __reduce__(self):
+        # pickled by name, so copies and unpickled graphs keep the one hub
+        return "HUB"
 
 
 HUB = _Hub()
@@ -96,13 +100,13 @@ def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
             near[low.bit_length() - 1] |= m ^ low
             near[(m ^ low).bit_length() - 1] |= low
     labels = d.labels
-    others = [i for i in range(d.n) if not singles >> i & 1]
+    rest = d.full_mask & ~singles
+    others = [i for i in range(d.n) if rest >> i & 1]
     adjacency = {HUB: tuple([labels[i] for i in others if near[i] & singles])}
     for i in others:
         # {i} is infeasible, so i is not its own neighbour
         adj = [HUB] if near[i] & singles else []
-        adj += [labels[j] for j in others if near[i] >> j & 1]
-        adjacency[labels[i]] = tuple(adj)
+        adjacency[labels[i]] = tuple(adj + _labels_at(labels, near[i] & rest))
     return AuxGraph(d.set_of(singles), tuple(adjacency), adjacency)
 
 
@@ -357,10 +361,14 @@ def certify(d: DeltaMatroid):
         return cert
     delete, contract, index = cert
     target = catalog()[index]
+    minor = _minor_of(d, delete, contract)
     if f := d.masks[0]:
         # phi maps the minor of d twisted by F, the one certified, onto the
         # member; the minor of d is that one twisted by F - X - Y, so it is
         # isomorphic to the member twisted by phi's image of F - X - Y
-        phi = _witness(d, delete, contract, ((index, target),), f).iso
+        kept, masks = minor
+        z = sum(1 << k for k, e in enumerate(kept) if f >> d._pos[e] & 1)
+        twisted = kept, tuple(sorted([m ^ z for m in masks]))
+        phi = _witness(twisted, delete, contract, ((index, target),)).iso
         target = target.twist([phi[e] for e in d.set_of(f) - delete - contract])
-    return MinorWitness(_verified(d, _witness(d, delete, contract, ((index, target),))))
+    return MinorWitness(_verified(d, _witness(minor, delete, contract, ((index, target),))))

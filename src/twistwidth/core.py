@@ -19,8 +19,14 @@ latter exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError``
 before the check runs, so the refused inputs stay the same.
 
 A minor keeping k elements (``_minor_masks``, on masks alone) looks up its
-2^k score-0 candidates in the sorted masks when 2^k < |F|, scores all |F|
-otherwise or on no hit, and packs the kept bits in one pass per removed run.
+2^k score-0 candidates in the sorted masks when 2^k < |F|: it walks the
+packed subsets of the kept positions in ascending order, spreads each onto
+the host's positions through a 2^k-entry table and finds it by bisection,
+so the hits come out packed and ascending. Otherwise, or on no hit, it
+scores all |F| and packs the kept bits in one pass per removed run.
+
+Twists share the host's labels and label index. The hash is computed once
+per object; pickling and copying rebuild from (labels, masks).
 """
 
 from __future__ import annotations
@@ -173,6 +179,17 @@ def _members(bits: int) -> list[int]:
     return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
 
 
+def _labels_at(labels: Sequence[str], bits: int) -> list[str]:
+    """The labels at the set bits of ``bits``, ascending: O(set bits), where
+    ``_members`` pays a text scan of all of them."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(labels[low.bit_length() - 1])
+        bits ^= low
+    return out
+
+
 def _subset_violation(masks: Sequence[int], n: int):
     """Subset kernel: a set of subsets is a 2^n-bit int, bit Z for Z. By
     the column kernel's condition, Y violates the infeasible Z exactly when
@@ -220,27 +237,32 @@ def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, 
     They are F - (X | Y) for the feasible F minimizing |F & X| - |F & Y|:
     order-independent, and total, as deleting a coloop strips it from every
     feasible set and contracting a loop keeps them all. The least score is 0
-    exactly when some F & (X | Y) == Y; when 2^k < |F| for the k kept
-    elements, the sets Y | S, S within them, are looked up by bisection
-    first, and all |F| are scored only on no hit.
+    exactly when some F & (X | Y) == Y. When 2^k < |F| for the k kept
+    elements, those candidates come first: ``spread[s]`` is Y with the
+    packed subset s of the kept positions unpacked onto them, ascending in
+    s, so one bisection per s, each starting where the last stopped, finds
+    the hits already packed (s itself) and ascending. All |F| are scored
+    only on no hit.
     """
     gone = x | y
     keep = full & ~gone
-    family = []
     if 1 << keep.bit_count() < len(masks):
-        s = keep
-        while True:
-            i = bisect_left(masks, y | s)
-            if i < len(masks) and masks[i] == y | s:
-                family.append(y | s)
-            if not s:
-                break
-            s = (s - 1) & keep
-    if not family:
-        # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
-        scores = [((m ^ y) & gone).bit_count() for m in masks]
-        best = min(scores)
-        family = [m for m, s in zip(masks, scores) if s == best]
+        spread = [y]
+        while keep:
+            low = keep & -keep
+            spread += [m | low for m in spread]
+            keep ^= low
+        hits, i = [], 0
+        for s, m in enumerate(spread):
+            i = bisect_left(masks, m, i)
+            if i < len(masks) and masks[i] == m:
+                hits.append(s)
+        if hits:
+            return tuple(hits)
+    # |F & X| + |Y - F|, which is |F & X| - |F & Y| shifted by |Y|
+    scores = [((m ^ y) & gone).bit_count() for m in masks]
+    best = min(scores)
+    family = [m for m, s in zip(masks, scores) if s == best]
     # one pass per run p..hi-1 of removed positions, from the top down
     rest = gone
     while rest:
@@ -259,7 +281,7 @@ class DeltaMatroid:
     that provably preserve the axiom (twists, minors) skip re-validation.
     """
 
-    __slots__ = ("labels", "masks", "_pos")
+    __slots__ = ("labels", "masks", "_pos", "_hash")
 
     labels: tuple[str, ...]
     masks: tuple[int, ...]
@@ -297,6 +319,11 @@ class DeltaMatroid:
 
     def __setattr__(self, name, value):
         raise AttributeError("DeltaMatroid instances are immutable")
+
+    def __reduce__(self):
+        # (labels, masks) alone: the cached hash of str labels differs
+        # between processes
+        return _rebuild, (self.labels, self.masks)
 
     # -- representation helpers -------------------------------------------
 
@@ -344,7 +371,11 @@ class DeltaMatroid:
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.masks))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.labels, self.masks)))
+            return self._hash
 
     def __repr__(self) -> str:
         fam = ", ".join(
@@ -392,11 +423,15 @@ class DeltaMatroid:
     # -- twist and dual ---------------------------------------------------
 
     def twist(self, elems) -> "DeltaMatroid":
-        """Twist by a subset A: replace each feasible F by A ^ F."""
+        """Twist by a subset A: replace each feasible F by A ^ F. XOR by A
+        keeps the masks distinct, so they are only sorted, and the labels
+        and their index are shared with ``self``."""
         a = self.mask_of(elems)
-        return DeltaMatroid(
-            self.labels, [a ^ m for m in self.masks], _trusted=True
-        )
+        d = object.__new__(DeltaMatroid)
+        object.__setattr__(d, "labels", self.labels)
+        object.__setattr__(d, "_pos", self._pos)
+        object.__setattr__(d, "masks", tuple(sorted([a ^ m for m in self.masks])))
+        return d
 
     def dual(self) -> "DeltaMatroid":
         """Twist by the whole ground set."""
@@ -409,7 +444,7 @@ class DeltaMatroid:
         x, y = self.mask_of(delete), self.mask_of(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
-        labels = [e for i, e in enumerate(self.labels) if not (x | y) >> i & 1]
+        labels = _labels_at(self.labels, self.full_mask & ~(x | y))
         return DeltaMatroid(labels, _minor_masks(self.masks, self.full_mask, x, y), _trusted=True)
 
     def delete(self, e: str) -> "DeltaMatroid":
@@ -425,6 +460,11 @@ class DeltaMatroid:
     def restrict(self, elems) -> "DeltaMatroid":
         """Delete everything outside A; keeps A's labels in ground order."""
         return self.minor(delete=self.full_mask & ~self.mask_of(elems))
+
+
+def _rebuild(labels, masks) -> DeltaMatroid:
+    """Unpickle: ``masks`` come from a DeltaMatroid, so the axiom holds."""
+    return DeltaMatroid(labels, masks, _trusted=True)
 
 
 def validate(labels: Iterable[str], family: Iterable) -> DeltaMatroid:

@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
-from .core import DeltaMatroid, GroundSetError, _minor_masks
+from .core import DeltaMatroid, GroundSetError, _labels_at, _minor_masks
 
 # Budget for the isomorphism search, against its worst case of n! label
 # permutations, each mapping |F| feasible sets. Every family on 7 elements
@@ -49,14 +49,12 @@ class Obstruction(NamedTuple):
         delete, contract = self.delete_set, self.contract_set
         if delete & contract or not host._pos.keys() >= delete | contract:
             return False
-        x, y = host.mask_of(delete), host.mask_of(contract)
-        kept = [e for i, e in enumerate(host.labels) if not (x | y) >> i & 1]
+        kept, masks = _minor_of(host, delete, contract)
         perm = [self.target._pos.get(self.iso.get(e)) for e in kept]
         return (
             len(self.iso) == len(kept) == self.target.n
             and set(perm) == set(range(len(kept)))
-            and _permuted_masks(_minor_masks(host.masks, host.full_mask, x, y), perm)
-            == self.target.masks
+            and _permuted_masks(masks, perm) == self.target.masks
         )
 
 
@@ -160,16 +158,20 @@ def _witness_table(pairs) -> dict:
     return table
 
 
-def _witness(host: DeltaMatroid, delete, contract, pairs, twist: int = 0) -> Obstruction:
-    """The minor of ``host`` deleting ``delete`` and contracting ``contract``,
-    with its sets twisted by the kept bits of the host mask ``twist``, looked
-    up in ``_witness_table(pairs)``; CertificationError when it is not there."""
+def _minor_of(host: DeltaMatroid, delete, contract):
+    """The kept labels, in ground order, and the masks of the minor of
+    ``host`` deleting ``delete`` and contracting ``contract``; the labels
+    are read off the kept bits."""
     x, y = host.mask_of(delete), host.mask_of(contract)
-    kept = [e for i, e in enumerate(host.labels) if not (x | y) >> i & 1]
-    masks = _minor_masks(host.masks, host.full_mask, x, y)
-    if twist:
-        z = sum(1 << k for k, e in enumerate(kept) if twist >> host._pos[e] & 1)
-        masks = tuple(sorted(m ^ z for m in masks))
+    kept = _labels_at(host.labels, host.full_mask & ~(x | y))
+    return kept, _minor_masks(host.masks, host.full_mask, x, y)
+
+
+def _witness(minor, delete, contract, pairs) -> Obstruction:
+    """``minor``, the (kept labels, masks) of the minor deleting ``delete``
+    and contracting ``contract``, looked up in ``_witness_table(pairs)``;
+    CertificationError when it is not there."""
+    kept, masks = minor
     entry = _witness_table(pairs).get((len(kept), masks))
     if entry is None:
         raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "
@@ -187,7 +189,7 @@ def _certified_minor(d: DeltaMatroid, pairs):
     if isinstance(cert, TwistWitness):
         return None
     delete, contract, _ = cert
-    return _verified(d, _witness(d, delete, contract, pairs))
+    return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))
 
 
 def is_obstructed(d: DeltaMatroid):
@@ -239,4 +241,5 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     # a closest feasible pair of opposite parity is one exchange step apart
     f, i = next((f, i) for f in d.masks for i in range(d.n)
                 if not f >> i & 1 and f | 1 << i in feasible)
-    return _verified(d, _witness(d, d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f), pairs))
+    delete, contract = d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f)
+    return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))

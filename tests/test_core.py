@@ -1,3 +1,9 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from twistwidth import (
@@ -11,6 +17,11 @@ from twistwidth import (
 
 def fam(d):
     return sorted(sorted(f) for f in d.feasible_sets())
+
+
+def same(d1, d2):
+    """Equal, and hashing equal, each hash computed twice (once cached)."""
+    return d1 == d2 and hash(d1) == hash(d2) == hash(d1) == hash(d2)
 
 
 class TestValidate:
@@ -65,7 +76,7 @@ class TestValidate:
 class TestTwist:
     def test_empty_twist_is_identity(self, cat):
         d1 = cat[0]
-        assert d1.twist([]) == d1
+        assert same(d1.twist([]), d1)
 
     def test_twist_of_odd_triangle_by_one_element(self, cat):
         twisted = cat[2].twist("a")
@@ -73,7 +84,7 @@ class TestTwist:
 
     def test_twist_is_involution(self, cat):
         d2 = cat[1]
-        assert d2.twist("ab").twist("ab") == d2
+        assert same(d2.twist("ab").twist("ab"), d2)
 
     def test_twist_outside_ground_set(self, cat):
         with pytest.raises(GroundSetError):
@@ -86,11 +97,11 @@ class TestDual:
         assert fam(d.dual()) == [["a"]]
 
     def test_self_dual_four_point_family(self, cat):
-        assert cat[0].dual() == cat[0]
+        assert same(cat[0].dual(), cat[0])
 
     def test_dual_involution(self, cat):
         d5 = cat[4]
-        assert d5.dual().dual() == d5
+        assert same(d5.dual().dual(), d5)
 
 
 class TestLoopsColoops:
@@ -121,15 +132,15 @@ class TestMinors:
 
     def test_loop_contract_equals_delete(self):
         d = validate("ab", ["a"])
-        assert d.contract("b") == d.delete("b")
+        assert same(d.contract("b"), d.delete("b"))
         assert fam(d.contract("b")) == [["a"]]
 
     def test_coloop_delete_equals_contract(self):
         d = validate("ab", ["a", "ab"])
-        assert d.delete("a") == d.contract("a")
+        assert same(d.delete("a"), d.contract("a"))
 
     def test_trivial_minor(self, cat):
-        assert cat[2].minor([], []) == cat[2]
+        assert same(cat[2].minor([], []), cat[2])
 
     def test_minor_by_deletion_set(self, cat):
         assert fam(cat[4].minor(delete="c")) == [[], ["a"], ["a", "b"]]
@@ -138,8 +149,8 @@ class TestMinors:
         d4 = cat[3]
         via_delete_first = d4.delete("a").contract("b")
         via_contract_first = d4.contract("b").delete("a")
-        assert via_delete_first == via_contract_first
-        assert d4.minor(delete="a", contract="b") == via_delete_first
+        assert same(via_delete_first, via_contract_first)
+        assert same(d4.minor(delete="a", contract="b"), via_delete_first)
 
     def test_overlapping_minor_sets_rejected(self, cat):
         with pytest.raises(GroundSetError):
@@ -151,7 +162,7 @@ class TestRestrict:
         assert fam(cat[1].restrict("ab")) == [[], ["a"], ["b"]]
 
     def test_restrict_to_ground_set(self, cat):
-        assert cat[2].restrict("abc") == cat[2]
+        assert same(cat[2].restrict("abc"), cat[2])
 
     def test_restrict_odd_triangle(self, cat):
         assert fam(cat[2].restrict("ab")) == [[], ["a", "b"]]
@@ -205,15 +216,42 @@ class TestExhaustiveIdentities:
                 for a in range(d.full_mask + 1):
                     t = d.twist(a)
                     DeltaMatroid(t.labels, t.masks)  # axiom re-check
-                    assert t.twist(a) == d
+                    assert same(t.twist(a), d)
 
     def test_contract_is_twisted_delete(self, dms_by_n):
         for n in (1, 2, 3):
             for d in dms_by_n[n]:
                 for e in d.labels:
-                    assert d.contract(e) == d.twist([e]).delete(e)
-                    assert d.delete(e) == d.twist([e]).contract(e)
+                    assert same(d.contract(e), d.twist([e]).delete(e))
+                    assert same(d.delete(e), d.twist([e]).contract(e))
 
     def test_width_invariant_under_dual(self, dms_by_n):
         for d in dms_by_n[3]:
             assert d.dual().width() == d.width()
+
+
+class TestHashAndPickle:
+    def test_every_route_to_an_instance_hashes_equal(self, dms_by_n):
+        # each instance from enumerate_all against validate, a twist and its
+        # twist back, a trivial minor and pickle, copy and deepcopy round trips
+        for n in (1, 2, 3):
+            for d in dms_by_n[n]:
+                fresh = validate(d.labels, d.feasible_sets())
+                a = d.masks[-1]
+                for other in (fresh, d.twist(a).twist(a), d.minor(), pickle.loads(pickle.dumps(d)),
+                              copy.copy(fresh), copy.deepcopy(fresh)):
+                    assert type(other) is DeltaMatroid and same(other, d)
+
+    def test_unpickling_recomputes_the_hash_in_another_process(self):
+        # str hashes differ between processes, so a pickled hash would be stale
+        d = validate(["e1", "e2", "e3"], [[], ["e1"], ["e2", "e3"], ["e1", "e2", "e3"]])
+        hash(d)
+        code = (
+            "import pickle, sys; from twistwidth import validate\n"
+            "d = pickle.load(sys.stdin.buffer)\n"
+            "assert {validate(['e1', 'e2', 'e3'], [[], ['e1'], ['e2', 'e3'], ['e1', 'e2', 'e3']]): 1}[d] == 1\n"
+            "assert d.twist(['e1']).twist(['e1']) == d and d.labels == ('e1', 'e2', 'e3')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="12345")
+        subprocess.run([sys.executable, "-c", code], input=pickle.dumps(d), env=env,
+                       capture_output=True, check=True)

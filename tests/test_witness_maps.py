@@ -7,8 +7,10 @@ finds again from its delete and contract sets alone, with
 that matches, and the first map in lexicographic order of permutations.
 """
 
+import copy
 import hashlib
 import importlib
+import pickle
 import random
 
 import pytest
@@ -26,11 +28,13 @@ from twistwidth import (
     matroid_twist_obstructions,
     validate,
 )
+from twistwidth.certify import HUB, build_aux_graph
 from twistwidth.core import _minor_masks
 from helpers import (d5_dedup, draw_with_empty_feasible, matroid_twist_targets, odd_cycle_instance,
                      rematch, twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
+core_module = importlib.import_module("twistwidth.core")
 minors_module = importlib.import_module("twistwidth.minors")
 
 # aut.dm of the CLI golden table: the empty set is infeasible, and the witness
@@ -136,6 +140,33 @@ def test_each_entry_point_verifies_once(host, monkeypatch):
         calls.clear()
         assert route(host) is not None
         assert calls == [host], route.__name__
+
+
+def test_lifted_certificate_computes_the_host_minor_once_for_both_lookups(monkeypatch):
+    # one _minor_masks call serves the phi and the target lookup, one is the verify
+    calls = []
+    original = _minor_masks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core_module, "_minor_masks", counted)
+    monkeypatch.setattr(minors_module, "_minor_masks", counted)
+    assert isinstance(certify(AUT_HOST), MinorWitness)
+    assert len(calls) == 2
+
+
+def test_witnesses_and_graphs_pickle_and_copy():
+    cert = certify(AUT_HOST)
+    graph = build_aux_graph(AUT_HOST.twist(AUT_HOST.masks[0]))
+    assert graph.adjacency[HUB]
+    for clone in (pickle.loads(pickle.dumps((AUT_HOST, cert, graph))),
+                  copy.copy((AUT_HOST, cert, graph)), copy.deepcopy((AUT_HOST, cert, graph))):
+        host, again, g = clone
+        assert host == AUT_HOST and hash(host) == hash(AUT_HOST)
+        assert again == cert and again.obstruction.verify(host)
+        assert g == graph and g.vertices[0] is HUB and g.adjacency[HUB] == graph.adjacency[HUB]
 
 
 def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
