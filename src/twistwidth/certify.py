@@ -8,18 +8,20 @@ is feasible, and lifts the result back: a twist set T becomes T ^ F, and
 deleting (contracting) an element of F there is contracting (deleting) it
 here.
 
-On an instance with the empty set feasible, the procedure builds an
-auxiliary graph from the size-one and size-two feasible sets: a hub vertex
-standing for the elements whose singletons are feasible, one vertex per
-remaining element, and edges recording two-element feasible sets. A
-bipartite graph yields a twist set from a 2-coloring (or a small forbidden
-restriction); a non-bipartite graph yields a forbidden minor by induction
-on the length of a shortest odd cycle. The graph is 2-colored first, in
-O(V + E). When that coloring fails, the least triangle is looked for
-directly; the O(V·E) all-sources odd-cycle search runs only on a graph
-with no triangle. Through the cases, the reduction and the lift a minor
-witness is its delete set, its contract set and its catalog index;
-``certify`` looks its label map up on the input, by ``minors._witness``.
+With the empty set feasible, the procedure builds an auxiliary graph from
+the feasible sets of size one and two: a hub standing for the elements
+whose singletons are feasible, one vertex per other element, and an edge
+per feasible pair. A bipartite graph yields a twist set from a 2-coloring
+(or a small forbidden restriction); a non-bipartite one yields a forbidden
+minor by induction on the length of a shortest odd cycle. It runs on ints:
+vertex 0 is the hub and vertex i + 1 is element i, so vertex order is bit
+order, and a vertex's neighbours are one mask. A breadth-first search over
+whole levels 2-colors the graph in O(V + E); when that fails, the least
+triangle is read off the masks, and only a graph with no triangle pays for
+the O(V·E) odd-cycle search. A certificate stays masks through the cases,
+the reduction and the lift, and gets its labels once, at the end; its
+label map is looked up by ``minors._witness``. ``build_aux_graph``,
+``two_coloring`` and ``shortest_odd_cycle`` show the graph with labels.
 
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
@@ -78,59 +80,77 @@ class AuxGraph(NamedTuple):
     adjacency: dict
 
     def edges(self):
-        seen = []
-        for i, u in enumerate(self.vertices):
-            for v in self.vertices[i + 1:]:
-                if v in self.adjacency[u]:
-                    seen.append((u, v))
-        return seen
+        return [(u, v) for i, u in enumerate(self.vertices)
+                for v in self.vertices[i + 1:] if v in self.adjacency[u]]
+
+
+def _aux(d: DeltaMatroid):
+    """(singles, adj) of ``d``, the empty set feasible: the mask of the
+    elements with feasible singletons, and each vertex's neighbour mask. A
+    single-feasible element's vertex i + 1 is isolated; its pairs are hub edges."""
+    n = len(d.labels)
+    adj = [0] * (n + 1)
+    singles = 0
+    for m in _small_masks(n).intersection(d.masks):
+        if m & m - 1:
+            low = m & -m
+            adj[low.bit_length()] |= (m ^ low) << 1
+            adj[(m ^ low).bit_length()] |= low << 1
+        else:
+            singles |= m
+    hubs = singles << 1
+    for v in range(1, n + 1):
+        if hubs >> v & 1:
+            adj[v] = 0
+        elif adj[v] & hubs:
+            adj[0] |= 1 << v
+            adj[v] = adj[v] & ~hubs | 1
+    return singles, adj
+
+
+def _masks_of(g: AuxGraph) -> list[int]:
+    """The neighbour masks of any AuxGraph, its vertices indexed in order."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [sum(1 << index[u] for u in g.adjacency[v]) for v in g.vertices]
 
 
 def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
     """Construct the auxiliary graph; the empty set must be feasible."""
     if d.masks[0] != 0:
         raise DeltaMatroidError("the empty set must be feasible")
-    near = [0] * d.n  # bit j of near[i]: {i, j} is feasible
-    singles = 0
-    for m in _small_masks(d.n).intersection(d.masks):
-        low = m & -m
-        if m == low:
-            singles |= m
-        else:
-            near[low.bit_length() - 1] |= m ^ low
-            near[(m ^ low).bit_length() - 1] |= low
-    labels = d.labels
-    rest = d.full_mask & ~singles
-    others = [i for i in range(d.n) if rest >> i & 1]
-    adjacency = {HUB: tuple([labels[i] for i in others if near[i] & singles])}
-    for i in others:
-        # {i} is infeasible, so i is not its own neighbour
-        adj = [HUB] if near[i] & singles else []
-        adjacency[labels[i]] = tuple(adj + _labels_at(labels, near[i] & rest))
+    singles, adj = _aux(d)
+    names = (HUB, *d.labels)
+    adjacency = {names[v]: tuple(_labels_at(names, near))
+                 for v, near in enumerate(adj) if not singles << 1 >> v & 1}
     return AuxGraph(d.set_of(singles), tuple(adjacency), adjacency)
+
+
+def _coloring(adj):
+    """The vertices at even depth of a breadth-first search over whole
+    levels, each component rooted at its least vertex, or None when an edge
+    joins two vertices of one level, which closes an odd cycle."""
+    even, unseen = 0, (1 << len(adj)) - 1
+    while unseen:
+        level, keep = unseen & -unseen, -1  # all ones on even levels, 0 on odd
+        while level:
+            unseen ^= level
+            even |= level & keep
+            below, rest = 0, level
+            while rest:
+                near = adj[(rest & -rest).bit_length() - 1]
+                if near & level:
+                    return None
+                below |= near
+                rest &= rest - 1
+            level, keep = below & unseen, ~keep
+    return even
 
 
 def two_coloring(g: AuxGraph):
     """BFS 2-coloring with the hub colored 0, or None if non-bipartite.
-
-    Components are rooted in vertex order with root color 0, so the
-    coloring is deterministic.
-    """
-    color = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
+    Components are rooted in vertex order with root color 0."""
+    even = _coloring(_masks_of(g))
+    return None if even is None else {v: 1 - (even >> i & 1) for i, v in enumerate(g.vertices)}
 
 
 def _canonical_cycle(cycle, key):
@@ -145,204 +165,183 @@ def _canonical_cycle(cycle, key):
     return tuple(map(key, seq)), seq
 
 
+def _shortest_cycle(adj):
+    """``shortest_odd_cycle`` on neighbour masks. A triangle's canonical
+    form is its vertices in ascending order, so the least triangle is read
+    off directly: the first u on a triangle, its first neighbour v on one
+    with it, and the least w in adj[u] & adj[v]; u < v < w. Only a graph
+    with no triangle pays for the search of ``_odd_cycle_search``."""
+    for u, near in enumerate(adj):
+        rest = near
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            if common := near & adj[v]:
+                return [u, v, (common & -common).bit_length() - 1]
+            rest &= rest - 1
+    return _odd_cycle_search(adj)
+
+
 def shortest_odd_cycle(g: AuxGraph):
-    """A shortest odd cycle as a vertex list, or None when bipartite.
-
-    Ties are broken by the lexicographically smallest canonical vertex
-    sequence. A triangle's canonical form is its vertices in vertex order,
-    so the least triangle is read off directly: the first u in vertex order
-    on a triangle, its first neighbour v on a triangle with it, and their
-    first common neighbour w. No triangle runs through a vertex before u,
-    and a common neighbour before v would have been found as v, so
-    u < v < w. Only a graph with no triangle pays for the O(V·E)
-    breadth-first search of ``_odd_cycle_search``. ``certify`` calls this
-    only after ``two_coloring`` has found the graph non-bipartite.
-    """
-    adj = g.adjacency
-    for u in g.vertices:
-        near = set(adj[u])
-        for v in adj[u]:
-            for w in adj[v]:
-                if w in near:
-                    return [u, v, w]
-    return _odd_cycle_search(g)
+    """A shortest odd cycle as a vertex list, or None when bipartite. Ties
+    go to the lexicographically least canonical sequence in vertex order."""
+    cycle = _shortest_cycle(_masks_of(g))
+    return None if cycle is None else [g.vertices[v] for v in cycle]
 
 
-def _odd_cycle_search(g: AuxGraph):
+def _odd_cycle_search(adj):
     """Breadth-first search on the bipartite double cover from every
-    vertex; the least odd closed walk overall is a simple cycle, and the
-    least canonical one of that length is returned. O(V·E)."""
-    key = {v: i for i, v in enumerate(g.vertices)}.__getitem__
+    vertex, neighbours in ascending order; a state is vertex << 1 | parity.
+    The least odd closed walk overall is a simple cycle, and the least
+    canonical one of that length is returned. O(V·E)."""
     best = None
-    for s in g.vertices:
-        parent = {(s, 0): None}
-        queue = deque([(s, 0)])
+    for s in range(len(adj)):
+        parent = {s << 1: None}
+        queue = deque([s << 1])
         while queue:
-            u, p = queue.popleft()
-            for v in g.adjacency[u]:
-                state = (v, 1 - p)
-                if state not in parent:
-                    parent[state] = (u, p)
-                    queue.append(state)
-        goal = (s, 1)
-        if goal not in parent:
+            state = queue.popleft()
+            rest, flip = adj[state >> 1], ~state & 1
+            while rest:
+                nxt = (rest & -rest).bit_length() - 1 << 1 | flip
+                if nxt not in parent:
+                    parent[nxt] = state
+                    queue.append(nxt)
+                rest &= rest - 1
+        state = s << 1 | 1
+        if state not in parent:
             continue
         walk = []
-        state = goal
         while state is not None:
-            walk.append(state[0])
+            walk.append(state >> 1)
             state = parent[state]
         cycle = walk[:-1]  # closed walk; drop the repeated start
         if len(set(cycle)) != len(cycle):
             continue  # not simple; a strictly better start vertex exists
-        ranked, canon = _canonical_cycle(cycle, key)
-        if best is None or (len(ranked), ranked) < (len(best[0]), best[0]):
-            best = ranked, canon
-    return None if best is None else best[1]
+        canon = _canonical_cycle(cycle, int)[1]
+        if best is None or (len(canon), canon) < (len(best), best):
+            best = canon
+    return best
 
 
-# -- certificate assembly -------------------------------------------------
+# -- certificate assembly: twist sets and witnesses are masks --------------
 
 
 def _minor_witness(d, keep, contract, index):
-    """(delete set, contract set, index): restricting ``d`` to ``keep`` and
-    then contracting ``contract`` gives the catalog entry ``index``."""
-    return frozenset(d.labels) - frozenset(keep), frozenset(contract), index
+    """(delete, contract, index) masks: ``d`` restricted to ``keep``, then ``contract``."""
+    return d.full_mask & ~keep, contract, index
 
 
 def _compose(d, keep, contract, inner):
     """Lift a witness on restrict(d, keep) / contract back to ``d``: the
-    minor it names is the inner one, so the sets are unions."""
-    delete, contract, index = _minor_witness(d, keep, contract, inner[2])
-    return delete | inner[0], contract | inner[1], index
+    minor it names is the inner one, so the sets are unions, once the inner
+    masks are unpacked onto the positions that minor kept."""
+    ix, iy, index = inner
+    x, y, rest = d.full_mask & ~keep, contract, keep & ~contract
+    while rest:
+        low = rest & -rest
+        x, y = x | low * (ix & 1), y | low * (iy & 1)
+        ix, iy, rest = ix >> 1, iy >> 1, rest ^ low
+    return x, y, index
 
 
-def _bipartite_case(d, g, color):
-    singles = g.singles
-    a_elems = set(singles) | {
-        v for v in g.vertices[1:] if color[v] == 0
-    }
-    amask = d.mask_of(a_elems)
+def _bipartite_case(d, even):
+    # a single-feasible element's vertex is isolated, so at even depth too:
+    # A is the singles and the elements colored like the hub
+    amask = even >> 1
     inside = [m for m in d.masks if not m & ~amask]
-    sizes = {m.bit_count() for m in inside}
-    if 2 in sizes:
-        pair = next(m for m in inside if m.bit_count() == 2)
-        return _minor_witness(d, d.set_of(pair), (), 0)
-    if 1 not in sizes:
-        width = 0
-    elif max(sizes) == 1:
-        width = 1
-    else:
-        triples = [m for m in inside if m.bit_count() == 3]
-        if not triples:
-            raise CertificationError(
-                "restriction has large feasible sets but none of size three"
-            )
-        return _minor_witness(d, d.set_of(triples[0]), (), 1)
-    best = min(amask, d.full_mask & ~amask)
-    return TwistWitness(d.set_of(best), width)
+    first = {m.bit_count(): m for m in reversed(inside)}  # the least mask of each size
+    if 2 in first:
+        return _minor_witness(d, first[2], 0, 0)
+    if max(first) > 1:
+        # exchange from the empty set puts a singleton or a pair below it
+        if 3 not in first:
+            raise CertificationError("restriction has large feasible sets but none of size three")
+        return _minor_witness(d, first[3], 0, 1)
+    return TwistWitness(min(amask, d.full_mask & ~amask), max(first))
 
 
-def _partner_in_singles(d, g, x):
-    """Smallest single-feasible element z (ground order) with {x,z} feasible."""
-    xbit = 1 << d._pos[x]
-    for z in d.labels:
-        if z in g.singles and d.is_feasible(xbit | (1 << d._pos[z])):
+def _partner_in_singles(d, singles, x):
+    """Lowest single-feasible element bit z with x | z feasible."""
+    rest = singles
+    while rest:
+        z = rest & -rest
+        if d.is_feasible(x | z):
             return z
-    raise CertificationError(f"hub edge for {x!r} has no feasible partner")
+        rest ^= z
+    raise CertificationError(f"hub edge for {d.labels[x.bit_length() - 1]!r} has no feasible partner")
 
 
-def _hub_triangle(d, x, y, s):
-    """Triangle through the hub with a shared partner s for x and y."""
-    if d.is_feasible([x, y, s]):
-        return _minor_witness(d, {x, y, s}, {s}, 0)
-    return _minor_witness(d, {x, y, s}, (), 4)
-
-
-def _triangle_case(d, g, cycle):
-    if HUB not in cycle:
+def _triangle_case(d, singles, cycle):
+    # a cycle starts at its least vertex, so at the hub when it is on it
+    w, x, y = (1 << v >> 1 for v in cycle)
+    if w:
         # the three pairs are feasible and no singleton is; entry 3 adds the triple
-        return _minor_witness(d, set(cycle), (), 3 if d.is_feasible(cycle) else 2)
-    i = cycle.index(HUB)
-    _, x, y = cycle[i:] + cycle[:i]
-    alpha = _partner_in_singles(d, g, x)
-    beta = _partner_in_singles(d, g, y)
-    if d.is_feasible([y, alpha]):
-        return _hub_triangle(d, x, y, alpha)
-    if d.is_feasible([x, beta]):
-        return _hub_triangle(d, y, x, beta)
-    if d.is_feasible([alpha, beta]):
-        return _minor_witness(d, {alpha, beta}, (), 0)
-    if d.is_feasible([x, y, alpha, beta]):
-        return _minor_witness(d, {x, y, alpha, beta}, {x, y}, 0)
-    return _minor_witness(d, {x, y, alpha, beta}, {alpha}, 4)
+        return _minor_witness(d, w | x | y, 0, 3 if d.is_feasible(w | x | y) else 2)
+    alpha = _partner_in_singles(d, singles, x)
+    beta = _partner_in_singles(d, singles, y)
+    for s, z in ((alpha, y), (beta, x)):
+        if d.is_feasible(z | s):
+            # a triangle through the hub with a partner s shared by x and y
+            t = x | y | s
+            return _minor_witness(d, t, s, 0) if d.is_feasible(t) else _minor_witness(d, t, 0, 4)
+    if d.is_feasible(alpha | beta):
+        return _minor_witness(d, alpha | beta, 0, 0)
+    if d.is_feasible(x | y | alpha | beta):
+        return _minor_witness(d, x | y | alpha | beta, x | y, 0)
+    return _minor_witness(d, x | y | alpha | beta, alpha, 4)
 
 
-def _long_cycle_case(d, g, cycle):
-    if HUB in cycle:
-        i = cycle.index(HUB)
-        cycle = cycle[i:] + cycle[:i]
-        xs = cycle[1:]
-        alpha = _partner_in_singles(d, g, xs[0])
-        beta = _partner_in_singles(d, g, xs[-1])
-        if alpha != beta and d.is_feasible([alpha, beta]):
-            return _minor_witness(d, {alpha, beta}, (), 0)
-        keep = {alpha, beta, *xs}
-    else:
-        xs = cycle
-        keep = set(xs)
-    contract = {xs[-2], xs[-1]}
-    sub = d.minor(set(d.labels) - keep, contract)
-    inner = _certify_impl(sub, len(cycle))
+def _long_cycle_case(d, singles, cycle):
+    xs = [1 << v >> 1 for v in cycle if v]
+    keep = sum(xs)
+    if not cycle[0]:
+        alpha = _partner_in_singles(d, singles, xs[0])
+        beta = _partner_in_singles(d, singles, xs[-1])
+        if alpha != beta and d.is_feasible(alpha | beta):
+            return _minor_witness(d, alpha | beta, 0, 0)
+        keep |= alpha | beta
+    contract = xs[-2] | xs[-1]
+    inner = _certify_impl(d.minor(d.full_mask & ~keep, contract), len(cycle))
     if isinstance(inner, TwistWitness):
-        raise CertificationError(
-            "reduced instance unexpectedly produced a twist witness"
-        )
+        raise CertificationError("reduced instance unexpectedly produced a twist witness")
     return _compose(d, keep, contract, inner)
 
 
 def _certify_impl(d, prev_cycle_len):
-    g = build_aux_graph(d)
-    color = two_coloring(g)
-    if color is not None:
+    singles, adj = _aux(d)
+    even = _coloring(adj)
+    if even is not None:
         if prev_cycle_len is not None:
-            raise CertificationError(
-                "reduced instance lost its odd cycle entirely"
-            )
-        return _bipartite_case(d, g, color)
-    cycle = shortest_odd_cycle(g)
+            raise CertificationError("reduced instance lost its odd cycle entirely")
+        return _bipartite_case(d, even)
+    cycle = _shortest_cycle(adj)
     if prev_cycle_len is not None and len(cycle) >= prev_cycle_len:
-        raise CertificationError(
-            "shortest odd cycle failed to shrink in the reduction"
-        )
+        raise CertificationError("shortest odd cycle failed to shrink in the reduction")
     if len(cycle) == 3:
-        return _triangle_case(d, g, cycle)
-    return _long_cycle_case(d, g, cycle)
+        return _triangle_case(d, singles, cycle)
+    return _long_cycle_case(d, singles, cycle)
 
 
 def _lift(d, f, cert):
     """Carry a certificate of ``d`` twisted by the mask ``f`` back to ``d``."""
-    fset = d.set_of(f)
     if isinstance(cert, TwistWitness):
-        return TwistWitness(cert.twist_set ^ fset, cert.width)
+        return TwistWitness(cert.twist_set ^ f, cert.width)
     delete, contract, index = cert
-    moved = (delete | contract) & fset  # deleting e from d twisted by F contracts it from d
+    moved = (delete | contract) & f  # deleting e from d twisted by F contracts it from d
     return delete ^ moved, contract ^ moved, index
 
 
 def _certificate(d: DeltaMatroid):
-    """``certify(d)`` with a twist witness's width re-checked on ``d``, and a
-    minor witness as its (delete set, contract set, catalog index)."""
+    """``certify(d)`` on masks: a twist witness whose ``twist_set`` is a mask,
+    its width re-checked on ``d``, or a minor witness as its (delete mask,
+    contract mask, catalog index)."""
     f = d.masks[0]
     cert = _certify_impl(d.twist(f) if f else d, None)
     if f:
         cert = _lift(d, f, cert)
     if isinstance(cert, TwistWitness):
-        actual = _twist_width(d, d.mask_of(cert.twist_set))
+        actual = _twist_width(d, cert.twist_set)
         if actual != cert.width or actual > 1:
-            raise CertificationError(
-                f"twist witness claims width {cert.width}, got {actual}"
-            )
+            raise CertificationError(f"twist witness claims width {cert.width}, got {actual}")
     return cert
 
 
@@ -358,10 +357,11 @@ def certify(d: DeltaMatroid):
     """
     cert = _certificate(d)
     if isinstance(cert, TwistWitness):
-        return cert
-    delete, contract, index = cert
+        return TwistWitness(d.set_of(cert.twist_set), cert.width)
+    x, y, index = cert
+    delete, contract = d.set_of(x), d.set_of(y)
     target = catalog()[index]
-    minor = _minor_of(d, delete, contract)
+    minor = _minor_of(d, x, y)
     if f := d.masks[0]:
         # phi maps the minor of d twisted by F, the one certified, onto the
         # member; the minor of d is that one twisted by F - X - Y, so it is
@@ -370,5 +370,5 @@ def certify(d: DeltaMatroid):
         z = sum(1 << k for k, e in enumerate(kept) if f >> d._pos[e] & 1)
         twisted = kept, tuple(sorted([m ^ z for m in masks]))
         phi = _witness(twisted, delete, contract, ((index, target),)).iso
-        target = target.twist([phi[e] for e in d.set_of(f) - delete - contract])
+        target = target.twist([phi[e] for e in _labels_at(d.labels, f & ~(x | y))])
     return MinorWitness(_verified(d, _witness(minor, delete, contract, ((index, target),))))

@@ -160,8 +160,8 @@ def _witness_table(pairs) -> dict:
 
 def _minor_of(host: DeltaMatroid, delete, contract):
     """The kept labels, in ground order, and the masks of the minor of
-    ``host`` deleting ``delete`` and contracting ``contract``; the labels
-    are read off the kept bits."""
+    ``host`` deleting ``delete`` and contracting ``contract``, each a label
+    set or a mask; the labels are read off the kept bits."""
     x, y = host.mask_of(delete), host.mask_of(contract)
     kept = _labels_at(host.labels, host.full_mask & ~(x | y))
     return kept, _minor_masks(host.masks, host.full_mask, x, y)
@@ -181,15 +181,15 @@ def _witness(minor, delete, contract, pairs) -> Obstruction:
 
 
 def _certified_minor(d: DeltaMatroid, pairs):
-    """certify(d)'s minor witness sets looked up in the table for ``pairs``
+    """certify(d)'s minor witness masks looked up in the table for ``pairs``
     and verified once, or None when certify finds a twist of width at most
-    one."""
+    one; labels are made only for the witness."""
     from .certify import TwistWitness, _certificate
     cert = _certificate(d)
     if isinstance(cert, TwistWitness):
         return None
-    delete, contract, _ = cert
-    return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))
+    x, y, _ = cert
+    return _verified(d, _witness(_minor_of(d, x, y), d.set_of(x), d.set_of(y), pairs))
 
 
 def is_obstructed(d: DeltaMatroid):

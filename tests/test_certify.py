@@ -17,6 +17,8 @@ from twistwidth import (
     build_aux_graph,
     catalog,
     certify,
+    is_obstructed,
+    matroid_twist_obstructions,
     min_width_twist,
     validate,
 )
@@ -168,16 +170,20 @@ FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
 
 
 def _certify_recording_graphs(d):
-    """certify(d), and every aux graph it built, reduced instances included."""
-    graphs = []
-    build = certify_module.build_aux_graph
+    """certify(d), and the aux graph of every instance it built one for,
+    reduced instances included, each checked against its definition."""
+    hosts = []
+    build = certify_module._aux
 
     def record(h):
-        graphs.append(build(h))
-        return graphs[-1]
+        hosts.append(h)
+        return build(h)
 
-    with mock.patch.object(certify_module, "build_aux_graph", record):
+    with mock.patch.object(certify_module, "_aux", record):
         cert = certify(d)
+    assert hosts, "certify built no aux graph"
+    graphs = [build_aux_graph(h) for h in hosts]
+    assert graphs == [brute_aux_graph(h) for h in hosts]
     return cert, graphs
 
 
@@ -227,6 +233,60 @@ class TestOddCycleOracle:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_odd_cycle_instances(self, m, extra, loops, seed):
         _check_odd_cycle_against_oracle(odd_cycle_instance(m, extra, loops, seed))
+
+
+@st.composite
+def _graphs(draw):
+    """An AuxGraph on 1 to 10 vertices: ints and strs in a drawn order, one
+    of them maybe HUB, with at most 3n random edges, often in several components;
+    maybe a planted odd cycle of length 5, 7 or 9, with at most two random
+    edges as chords, and maybe an isolated hub. Each vertex lists its
+    neighbours in a drawn order, not in vertex order."""
+    m = draw(st.sampled_from((None, 5, 7, 9)))
+    n = draw(st.integers(min_value=m or 1, max_value=10))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    names = [i if kind else f"v{i}" for i, kind in enumerate(kinds)]
+    hub = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if hub is not None:
+        names[hub] = HUB
+    vertices = draw(st.permutations(names))
+    edges = set()
+    if m is not None:
+        ring = draw(st.permutations(range(n)))[:m]
+        edges = {frozenset(e) for e in zip(ring, ring[1:] + ring[:1])}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges |= {frozenset(e) for e in draw(st.lists(pair, max_size=3 * n if m is None else 2))}
+    if hub is not None and draw(st.booleans()):
+        edges = {e for e in edges if vertices.index(HUB) not in e}
+    order = draw(st.permutations(range(n)))
+    return AuxGraph(frozenset(), tuple(vertices), {
+        v: tuple(vertices[j] for j in order if frozenset((i, j)) in edges)
+        for i, v in enumerate(vertices)})
+
+
+@given(_graphs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_random_graphs_through_the_public_adapters(g):
+    expected = brute_shortest_odd_cycle(g)
+    assert shortest_odd_cycle(g) == expected
+    color = two_coloring(g)
+    assert (color is None) == (expected is not None)
+    if color is None:
+        return
+    assert color.keys() == set(g.vertices)
+    assert all(color[u] != color[v] for u, v in g.edges())
+    # the first vertex of each component in vertex order is its root, colored 0
+    seen = set()
+    for root in g.vertices:
+        if root not in seen:
+            assert color[root] == 0, root
+            stack = [root]
+            seen.add(root)
+            while stack:
+                for v in g.adjacency[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
 
 
 _cycles_with_keys = st.sampled_from(range(3, 22, 2)).flatmap(lambda m: st.tuples(
@@ -293,34 +353,35 @@ class TestBipartiteFirst:
             d for n in (1, 2, 3, 4) for d in dms_by_n[n]
             if 0 in d.masks and brute_shortest_odd_cycle(build_aux_graph(d)) is None
         ]
-        monkeypatch.setattr(certify_module, "shortest_odd_cycle", forbidden)
+        monkeypatch.setattr(certify_module, "_shortest_cycle", forbidden)
         for d in bipartite:
             certify(d)
         for rank, n in ((2, 7), (3, 8)):
             assert isinstance(certify(_twisted_uniform(rank, n, 1)), TwistWitness)
 
     def test_reduced_instance_losing_its_odd_cycle_raises(self, monkeypatch):
-        coloring = certify_module.two_coloring
+        coloring = certify_module._coloring
         calls = []
 
-        def bipartite_after_first(g):
-            calls.append(g)
-            return coloring(g) if len(calls) == 1 else {v: 0 for v in g.vertices}
+        def bipartite_after_first(adj):
+            # every vertex at even depth, as on a graph with no edge
+            calls.append(adj)
+            return coloring(adj) if len(calls) == 1 else (1 << len(adj)) - 1
 
-        monkeypatch.setattr(certify_module, "two_coloring", bipartite_after_first)
+        monkeypatch.setattr(certify_module, "_coloring", bipartite_after_first)
         with pytest.raises(CertificationError, match="lost its odd cycle"):
             certify(FIVE_CYCLE)
 
     def test_odd_cycle_that_fails_to_shrink_raises(self, monkeypatch):
-        search = certify_module.shortest_odd_cycle
+        search = certify_module._shortest_cycle
         first = []
 
-        def same_length_after_first(g):
+        def same_length_after_first(adj):
             if not first:
-                first.append(search(g))
+                first.append(search(adj))
             return first[0]
 
-        monkeypatch.setattr(certify_module, "shortest_odd_cycle", same_length_after_first)
+        monkeypatch.setattr(certify_module, "_shortest_cycle", same_length_after_first)
         with pytest.raises(CertificationError, match="failed to shrink"):
             certify(FIVE_CYCLE)
 
@@ -341,6 +402,23 @@ def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
 
     monkeypatch.setattr(DeltaMatroid, "twist", forbidden)
     assert [certify(d) for d in hosts] == expected
+
+
+def test_certify_builds_no_labelled_graph(dms_by_n, monkeypatch):
+    # the procedure runs on neighbour masks; the labelled graph and its
+    # readers are for callers only, so every route answers without them
+    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [FIVE_CYCLE] + [
+        odd_cycle_instance(m, extra, loops, seed) for m in (5, 7, 9)
+        for extra in (0, 1) for loops in (0, 1, 2) for seed in range(3)]
+    routes = (certify, is_obstructed, matroid_twist_obstructions)
+    expected = [[route(d) for route in routes] for d in hosts]
+
+    def forbidden(*args):
+        raise AssertionError("a route built or read a labelled aux graph")
+
+    for name in ("build_aux_graph", "two_coloring", "shortest_odd_cycle"):
+        monkeypatch.setattr(certify_module, name, forbidden)
+    assert [[route(d) for route in routes] for d in hosts] == expected
 
 
 # -- any delta-matroid: the twist by the smallest feasible set, lifted back

@@ -190,6 +190,11 @@ GOLDEN_FILES = {
     # FIVE_CYCLE itself, which certify reduces once before lifting back
     "c5b.dm": "elements: a b c d e\nfeasible: a\nfeasible: b\nfeasible: c\nfeasible: a c d\nfeasible: b c d\nfeasible: a b e\nfeasible: a c e\nfeasible: a d e\nfeasible: b d e\nfeasible: c d e\nfeasible: a b c d e\n",
     "c5a.dm": "elements: a b c d e\nfeasible: a\nfeasible: b\nfeasible: a b c\nfeasible: a c d\nfeasible: b c d\nfeasible: e\nfeasible: b c e\nfeasible: a d e\nfeasible: b d e\nfeasible: c d e\nfeasible: a b c d e\n",
+    # U(2,6) + {∅, {e6}} twisted by {e0, e1}: its aux graph is bipartite, and
+    # the twist set is the lesser of A and E - A, here not empty
+    "u26.dm": "elements: e0 e1 e2 e3 e4 e5 e6\n" + "".join(
+        "feasible:" + "".join(f" e{i}" for i in range(7) if ((1 << x | 1 << y) ^ 3 | z) >> i & 1) + "\n"
+        for x, y in combinations(range(6), 2) for z in (0, 64)),
 }
 FILE_COMMANDS = (
     "validate F", "info F", "twist F -A a", "minor F --delete a",
@@ -294,6 +299,8 @@ GOLDEN_OK = [
     ("certify c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 2, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
     ("obstruct c5a.dm", 1, "obstruction: delete {} contract {d e} -> excluded minor #6 (a->a, b->b, c->c)\n"),
     ("obstruct c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 6, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
+    ("certify u26.dm", 0, "witness: twist by {e2 e3 e4 e5} has width 1\n"),
+    ("certify u26.dm --json", 0, '{"witness": {"twist_set": ["e2", "e3", "e4", "e5"], "width": 1}}\n'),
     ("enumerate -n 1", 0, "{}\n{e1}\n{} {e1}\n"),
     ("enumerate -n 1 --count-only", 0, "3\n"),
     ("enumerate -n 1 --count-only --json", 0, '{"n": 1, "count": 3}\n'),
@@ -356,8 +363,8 @@ def test_golden_covers_every_subcommand():
 
 # Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
 # Each file is the text the workflow's one-liners print; the small valid
-# file, the bad file, certify without the empty set and obstruct --json on
-# aut.dm, c5b.dm and c5a.dm are golden rows.
+# file, the bad file, certify without the empty set, certify --json on
+# u26.dm and obstruct --json on aut.dm, c5b.dm and c5a.dm are golden rows.
 def _ci_file(n, sets):
     labels = [f"e{i}" for i in range(n)]
     lines = [["elements:", *labels]]

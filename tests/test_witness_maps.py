@@ -122,6 +122,18 @@ def test_obstruction_and_lifted_certificate_digest(dms_by_n):
     )
 
 
+def test_matroid_twist_obstructions_digest(dms_by_n):
+    # every record, odd and even input alike, as the route gave them while
+    # the certificate procedure still ran on labels
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4):
+        for d in dms_by_n[n]:
+            digest.update(repr(_record(matroid_twist_obstructions(d))).encode())
+    assert digest.hexdigest() == (
+        "2f5f0354c134dc6db4020a37399171a89016a130c73984fb837454843fc43371"
+    )
+
+
 # -- each entry point matches its witness once and verifies it once
 
 
