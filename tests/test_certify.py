@@ -238,9 +238,9 @@ class TestOddCycleOracle:
 @st.composite
 def _graphs(draw):
     """An AuxGraph on 1 to 10 vertices: ints and strs in a drawn order, one
-    of them maybe HUB, with at most 3n random edges, often in several components;
-    maybe a planted odd cycle of length 5, 7 or 9, with at most two random
-    edges as chords, and maybe an isolated hub. Each vertex lists its
+    of them maybe HUB. Either a planted odd cycle of length 5, 7 or 9 with
+    at most two random edges as chords, or up to 3n random edges; often
+    several components, and maybe an isolated hub. Each vertex lists its
     neighbours in a drawn order, not in vertex order."""
     m = draw(st.sampled_from((None, 5, 7, 9)))
     n = draw(st.integers(min_value=m or 1, max_value=10))
