@@ -296,7 +296,13 @@ class DeltaMatroid:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", pos)
         if not _trusted:
-            feasible = {self.mask_of(f) for f in feasible}
+            feasible = list(feasible)
+            # a family of ints alone is range-checked once; any other member
+            # (bools too), or a mask out of range, sends every member through
+            # mask_of, so the error names the first offender in input order
+            if not ({*map(type, feasible)} == {int}
+                    and min(feasible) >= 0 and not max(feasible) >> len(labels)):
+                feasible = [self.mask_of(f) for f in feasible]
         masks = tuple(sorted(set(feasible)))
         object.__setattr__(self, "masks", masks)
         if not masks:
@@ -341,19 +347,17 @@ class DeltaMatroid:
             if elems < 0 or elems >> len(self.labels):
                 raise GroundSetError(f"mask {elems:#x} outside ground set")
             return elems
-        mask = 0
+        mask, pos = 0, self._pos
         for e in elems:
             try:
-                mask |= 1 << self._pos[e]
+                mask |= 1 << pos[e]
             except KeyError:
                 raise GroundSetError(f"unknown element {e!r}") from None
         return mask
 
     def set_of(self, mask: int) -> frozenset[str]:
-        """Labels corresponding to a bitmask."""
-        return frozenset(
-            e for i, e in enumerate(self.labels) if mask >> i & 1
-        )
+        """Labels corresponding to a bitmask; bits above the ground set are ignored."""
+        return frozenset(_labels_at(self.labels, mask & self.full_mask))
 
     def feasible_sets(self) -> list[frozenset[str]]:
         return [self.set_of(m) for m in self.masks]

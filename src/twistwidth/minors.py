@@ -6,6 +6,11 @@ having a twist of width at most one. Isomorphism is brute force over label
 permutations, up to a budget of n! * |F|, but no entry point searches:
 each entry point looks its witness's label map up on the input with
 ``_witness``, in ``_witness_table`` for the list of targets it answers with.
+
+The two obstruction routes, ``is_obstructed`` and the even branch of
+``matroid_twist_obstructions``, run ``certify``'s procedure through
+``_certified_minor``. ``certify`` imports from this module, so the
+procedure's names are bound at its foot, once per process.
 """
 
 from __future__ import annotations
@@ -183,8 +188,8 @@ def _witness(minor, delete, contract, pairs) -> Obstruction:
 def _certified_minor(d: DeltaMatroid, pairs):
     """certify(d)'s minor witness masks looked up in the table for ``pairs``
     and verified once, or None when certify finds a twist of width at most
-    one; labels are made only for the witness."""
-    from .certify import TwistWitness, _certificate
+    one; labels are made only for the witness. ``_certificate`` and
+    ``TwistWitness`` are bound once, at the foot of this module."""
     cert = _certificate(d)
     if isinstance(cert, TwistWitness):
         return None
@@ -243,3 +248,7 @@ def matroid_twist_obstructions(d: DeltaMatroid):
                 if not f >> i & 1 and f | 1 << i in feasible)
     delete, contract = d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f)
     return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))
+
+
+# last: certify imports names from this module, so they must exist first
+from .certify import TwistWitness, _certificate  # noqa: E402

@@ -34,6 +34,12 @@ from twistwidth.core import find_axiom_violation
 CHAIN_MAX_ELEMENTS = 8  # the largest extension-chain pool
 
 
+def scan_set_of(d: DeltaMatroid, mask: int) -> frozenset:
+    """The labels at the set bits of ``mask``, by a scan of every label;
+    bits above the ground set select nothing."""
+    return frozenset(e for i, e in enumerate(d.labels) if mask >> i & 1)
+
+
 def brute_min_twist_width(d: DeltaMatroid) -> int:
     """Minimum width over all materialized twists."""
     return min(d.twist(a).width() for a in range(d.full_mask + 1))

@@ -301,6 +301,8 @@ GOLDEN_OK = [
     ("obstruct c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 6, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
     ("certify u26.dm", 0, "witness: twist by {e2 e3 e4 e5} has width 1\n"),
     ("certify u26.dm --json", 0, '{"witness": {"twist_set": ["e2", "e3", "e4", "e5"], "width": 1}}\n'),
+    ("obstruct u26.dm", 0, "no obstruction: some twist has width at most one\n"),
+    ("obstruct u26.dm --json", 0, '{"obstruction": null}\n'),
     ("enumerate -n 1", 0, "{}\n{e1}\n{} {e1}\n"),
     ("enumerate -n 1 --count-only", 0, "3\n"),
     ("enumerate -n 1 --count-only --json", 0, '{"n": 1, "count": 3}\n'),
@@ -363,8 +365,9 @@ def test_golden_covers_every_subcommand():
 
 # Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
 # Each file is the text the workflow's one-liners print; the small valid
-# file, the bad file, certify without the empty set, certify --json on
-# u26.dm and obstruct --json on aut.dm, c5b.dm and c5a.dm are golden rows.
+# file, the bad file, certify without the empty set, certify --json and
+# obstruct --json on u26.dm and obstruct --json on aut.dm, c5b.dm and c5a.dm
+# are golden rows.
 def _ci_file(n, sets):
     labels = [f"e{i}" for i in range(n)]
     lines = [["elements:", *labels]]

@@ -13,6 +13,7 @@ from twistwidth import (
     GroundSetError,
     validate,
 )
+from helpers import scan_set_of
 
 
 def fam(d):
@@ -71,6 +72,40 @@ class TestValidate:
     def test_unknown_element_rejected(self):
         with pytest.raises(GroundSetError):
             validate("ab", ["c"])
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ([0, 8, 4], "mask 0x8 outside ground set"),
+            ([1, -1, 2], "mask -0x1 outside ground set"),
+            ([4, -2], "mask 0x4 outside ground set"),
+            ([0, ["c"], 8], "unknown element 'c'"),
+            ([0, 8, ["c"]], "mask 0x8 outside ground set"),
+            ([True, 4, "c"], "mask 0x4 outside ground set"),
+            ((m for m in [0, 9, 5]), "mask 0x9 outside ground set"),
+            ((f for f in [1, "b", -1]), "mask -0x1 outside ground set"),
+        ],
+        ids=["two-above", "negative", "above-then-negative", "mixed-label-first",
+             "mixed-mask-first", "bool-and-mask", "generator", "generator-mixed"],
+    )
+    def test_out_of_range_member_named_in_input_order(self, family, message):
+        with pytest.raises(GroundSetError) as err:
+            validate("ab", family)
+        assert str(err.value) == message
+
+    def test_int_masks_label_sets_bools_and_generators_agree(self):
+        expected = validate("ab", ["", "a", "b", "ab"])
+        for family in ([0, 1, 2, 3], [3, 0, 2, 1, 3], [0, ["a"], 2, "ab"],
+                       [False, True, 2, 3], (m for m in range(4))):
+            assert same(validate("ab", family), expected)
+
+    def test_set_of_matches_the_label_scan(self, dms_by_n):
+        # every subset, each also with a bit just above the ground set and
+        # with one far above, and -1
+        for d in [validate("", [""])] + [d for n in (1, 2, 3) for d in dms_by_n[n]]:
+            for m in range(-1, 2 << d.n):
+                for mask in (m, m | 1 << 70):
+                    assert d.set_of(mask) == scan_set_of(d, mask)
 
 
 class TestTwist:

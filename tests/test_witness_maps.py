@@ -7,15 +7,20 @@ finds again from its delete and contract sets alone, with
 that matches, and the first map in lexicographic order of permutations.
 """
 
+import builtins
 import copy
 import hashlib
 import importlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import twistwidth
 from twistwidth import (
     CertificationError,
     MinorWitness,
@@ -212,6 +217,41 @@ def test_the_first_is_obstructed_call_builds_both_route_tables():
     for targets in (d5_dedup(), matroid_twist_targets()):
         minors_module._witness_table(tuple(enumerate(targets)))
     assert minors_module._witness_table.cache_info().hits == info.hits + 2
+
+
+def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
+    # certify's procedure is bound once per process, at the foot of minors
+    routes = (is_obstructed, matroid_twist_obstructions, certify)
+    for route in routes:
+        route(AUT_HOST)
+    imported = []
+    original = builtins.__import__
+
+    def counting(name, *args, **kwargs):
+        imported.append(name)
+        return original(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting)
+    for d in [d for n in (1, 2, 3) for d in dms_by_n[n]] + [AUT_HOST]:
+        for route in routes:
+            route(d)
+    monkeypatch.undo()
+    assert imported == []
+
+
+def test_route_names_stay_in_minors():
+    for name in ("is_obstructed", "matroid_twist_obstructions", "Obstruction"):
+        assert getattr(minors_module, name) is getattr(twistwidth, name)
+
+
+@pytest.mark.parametrize("module", ["minors", "certify", "structure", "cli"])
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # the package's certify attribute is the function, so the modules come from sys.modules
+    code = (f"import sys, twistwidth.{module}\n"
+            "c, m = sys.modules['twistwidth.certify'], sys.modules['twistwidth.minors']\n"
+            "assert m._certificate is c._certificate and m.TwistWitness is c.TwistWitness\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
 
 
 # -- the witness tables, against are_isomorphic
