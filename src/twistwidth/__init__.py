@@ -16,14 +16,7 @@ from .structure import (
     rough_structure_witnesses,
     twist_width_formula,
 )
-from .minors import (
-    Obstruction,
-    are_isomorphic,
-    catalog,
-    d5_family,
-    is_obstructed,
-    matroid_twist_obstructions,
-)
+from .minors import Obstruction, are_isomorphic, catalog, d5_family
 from .certify import (
     AuxGraph,
     CertificationError,
@@ -32,6 +25,8 @@ from .certify import (
     TwistWitness,
     build_aux_graph,
     certify,
+    is_obstructed,
+    matroid_twist_obstructions,
 )
 from .enumeration import (
     EnumerationReport,
@@ -41,7 +36,7 @@ from .enumeration import (
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AxiomViolationError",

@@ -23,6 +23,11 @@ the reduction and the lift, and gets its labels once, at the end; its
 label map is looked up by ``minors._witness``. ``build_aux_graph``,
 ``two_coloring`` and ``shortest_odd_cycle`` show the graph with labels.
 
+The two obstruction routes, ``is_obstructed`` and the even branch of
+``matroid_twist_obstructions``, run the same procedure through
+``_certified_minor`` and look its minor witness up on their own target
+lists, from ``minors._route_targets``.
+
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
 """
@@ -32,9 +37,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, DeltaMatroidError, _labels_at, _small_masks
-from .minors import CertificationError, Obstruction, _minor_of, _verified, _witness, catalog
-from .structure import _twist_width
+from .core import DeltaMatroid, DeltaMatroidError, _labels_at, _small_masks, _twist_width
+from .minors import (CertificationError, Obstruction, _minor_of, _route_targets, _verified,
+                     _witness, catalog)
 
 
 class _Hub:
@@ -153,16 +158,15 @@ def two_coloring(g: AuxGraph):
     return None if even is None else {v: 1 - (even >> i & 1) for i, v in enumerate(g.vertices)}
 
 
-def _canonical_cycle(cycle, key):
-    """The least rotation or reflection of a simple cycle's vertex sequence
-    under ``key``, as (its ranks, the sequence). The vertices are distinct,
-    so the least sequence starts at the least vertex and goes on to the
-    lesser of its two neighbours: O(m)."""
-    i = cycle.index(min(cycle, key=key))
+def _canonical_cycle(cycle):
+    """The least rotation or reflection of a simple cycle's vertex sequence,
+    its vertices ints. They are distinct, so the least sequence starts at
+    the least vertex and goes on to the lesser of its two neighbours: O(m)."""
+    i = cycle.index(min(cycle))
     seq = cycle[i:] + cycle[:i]
-    if key(seq[-1]) < key(seq[1]):
+    if seq[-1] < seq[1]:
         seq = seq[:1] + seq[:0:-1]
-    return tuple(map(key, seq)), seq
+    return seq
 
 
 def _shortest_cycle(adj):
@@ -216,7 +220,7 @@ def _odd_cycle_search(adj):
         cycle = walk[:-1]  # closed walk; drop the repeated start
         if len(set(cycle)) != len(cycle):
             continue  # not simple; a strictly better start vertex exists
-        canon = _canonical_cycle(cycle, int)[1]
+        canon = _canonical_cycle(cycle)
         if best is None or (len(canon), canon) < (len(best), best):
             best = canon
     return best
@@ -372,3 +376,50 @@ def certify(d: DeltaMatroid):
         phi = _witness(twisted, delete, contract, ((index, target),)).iso
         target = target.twist([phi[e] for e in _labels_at(d.labels, f & ~(x | y))])
     return MinorWitness(_verified(d, _witness(minor, delete, contract, ((index, target),))))
+
+
+# -- the obstruction routes: a minor witness on a route's own targets ------
+
+
+def _certified_minor(d: DeltaMatroid, pairs):
+    """certify(d)'s minor witness masks looked up in the table for ``pairs``
+    and verified once, or None when certify finds a twist of width at most
+    one; labels are made only for the witness."""
+    cert = _certificate(d)
+    if isinstance(cert, TwistWitness):
+        return None
+    x, y, _ = cert
+    return _verified(d, _witness(_minor_of(d, x, y), d.set_of(x), d.set_of(y), pairs))
+
+
+def is_obstructed(d: DeltaMatroid):
+    """A minor of ``d`` isomorphic to a member of D5, or None.
+
+    This is ``certify(d)``'s minor witness, whose delete and contract sets
+    it keeps, with ``target_index`` indexing ``d5_family(up_to_iso=True)``;
+    CertificationError if it fails to verify.
+    """
+    return _certified_minor(d, _route_targets()[0])
+
+
+def matroid_twist_obstructions(d: DeltaMatroid):
+    """Minor witness ruling out any width-zero twist, or None.
+
+    Twists keep parity and matroids are even. An odd ``d`` has feasible F
+    and F + e; for the first such F in mask order and its lowest e,
+    deleting E - F - e and contracting F leaves the singleton {∅, {e}}
+    (``target_index`` 0). An even ``d`` has no width-one twist, so it has a
+    matroid twist exactly when ``certify`` finds a twist witness; otherwise
+    its D5 minor is even, so a twist of the odd triangle, and is carried
+    onto the triangle (1) or its twist (2). CertificationError if it fails to
+    verify.
+    """
+    pairs = _route_targets()[1]
+    if d.is_even():
+        return _certified_minor(d, pairs)
+    feasible = set(d.masks)
+    # a closest feasible pair of opposite parity is one exchange step apart
+    f, i = next((f, i) for f in d.masks for i in range(d.n)
+                if not f >> i & 1 and f | 1 << i in feasible)
+    delete, contract = d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f)
+    return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .certify import CertificationError, TwistWitness, certify
+from .certify import CertificationError, TwistWitness, certify, is_obstructed
 from .core import DeltaMatroid, DeltaMatroidError
 from .enumeration import (
     MAX_ENUM_ELEMENTS,
@@ -24,7 +24,6 @@ from .enumeration import (
 )
 from .fileio import ParseError, parse, serialize
 from .matroids import is_matroid
-from .minors import is_obstructed
 from .structure import min_width_twist
 
 

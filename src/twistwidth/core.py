@@ -179,6 +179,17 @@ def _members(bits: int) -> list[int]:
     return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
 
 
+def _twist_width(d: DeltaMatroid, a: int) -> int:
+    """width(D*A) by its definition: the spread of |A ^ F| over feasible F."""
+    lo = hi = (a ^ d.masks[0]).bit_count()
+    for m in d.masks:
+        if (size := (a ^ m).bit_count()) < lo:
+            lo = size
+        elif size > hi:
+            hi = size
+    return hi - lo
+
+
 def _labels_at(labels: Sequence[str], bits: int) -> list[str]:
     """The labels at the set bits of ``bits``, ascending: O(set bits), where
     ``_members`` pays a text scan of all of them."""

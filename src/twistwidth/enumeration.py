@@ -11,11 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .certify import TwistWitness, certify
-from .core import DeltaMatroid, GroundSetError, _members, _planes
-from .minors import is_obstructed
+from .certify import TwistWitness, certify, is_obstructed
+from .core import DeltaMatroid, GroundSetError, _members, _planes, _twist_width
 from .structure import (
-    _twist_width,
     min_width_twist,
     is_twist_matroid_witness,
     is_twist_width_one_witness,

@@ -1,16 +1,12 @@
-"""Isomorphism, the five-member obstruction catalog, and the obstruction
-routes.
+"""Isomorphism, the five-member obstruction catalog, and minor witnesses.
 
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one. Isomorphism is brute force over label
 permutations, up to a budget of n! * |F|, but no entry point searches:
 each entry point looks its witness's label map up on the input with
 ``_witness``, in ``_witness_table`` for the list of targets it answers with.
-
-The two obstruction routes, ``is_obstructed`` and the even branch of
-``matroid_twist_obstructions``, run ``certify``'s procedure through
-``_certified_minor``. ``certify`` imports from this module, so the
-procedure's names are bound at its foot, once per process.
+``_route_targets`` holds the target lists of the two obstruction routes,
+which run in ``certify``.
 """
 
 from __future__ import annotations
@@ -185,28 +181,6 @@ def _witness(minor, delete, contract, pairs) -> Obstruction:
     return Obstruction(delete, contract, dict(zip(kept, images)), target, index)
 
 
-def _certified_minor(d: DeltaMatroid, pairs):
-    """certify(d)'s minor witness masks looked up in the table for ``pairs``
-    and verified once, or None when certify finds a twist of width at most
-    one; labels are made only for the witness. ``_certificate`` and
-    ``TwistWitness`` are bound once, at the foot of this module."""
-    cert = _certificate(d)
-    if isinstance(cert, TwistWitness):
-        return None
-    x, y, _ = cert
-    return _verified(d, _witness(_minor_of(d, x, y), d.set_of(x), d.set_of(y), pairs))
-
-
-def is_obstructed(d: DeltaMatroid):
-    """A minor of ``d`` isomorphic to a member of D5, or None.
-
-    This is ``certify(d)``'s minor witness, whose delete and contract sets
-    it keeps, with ``target_index`` indexing ``d5_family(up_to_iso=True)``;
-    CertificationError if it fails to verify.
-    """
-    return _certified_minor(d, _route_targets()[0])
-
-
 @lru_cache(maxsize=1)
 def _matroid_twist_targets() -> tuple[DeltaMatroid, ...]:
     # the width-one singleton, the odd triangle, and its single-element twist
@@ -225,30 +199,3 @@ def _route_targets() -> tuple:
     for pairs in routes:
         _witness_table(pairs)
     return routes
-
-
-def matroid_twist_obstructions(d: DeltaMatroid):
-    """Minor witness ruling out any width-zero twist, or None.
-
-    Twists keep parity and matroids are even. An odd ``d`` has feasible F
-    and F + e; for the first such F in mask order and its lowest e,
-    deleting E - F - e and contracting F leaves the singleton {∅, {e}}
-    (``target_index`` 0). An even ``d`` has no width-one twist, so it has a
-    matroid twist exactly when ``certify`` finds a twist witness; otherwise
-    its D5 minor is even, so a twist of the odd triangle, and is carried
-    onto the triangle (1) or its twist (2). CertificationError if it fails to
-    verify.
-    """
-    pairs = _route_targets()[1]
-    if d.is_even():
-        return _certified_minor(d, pairs)
-    feasible = set(d.masks)
-    # a closest feasible pair of opposite parity is one exchange step apart
-    f, i = next((f, i) for f in d.masks for i in range(d.n)
-                if not f >> i & 1 and f | 1 << i in feasible)
-    delete, contract = d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f)
-    return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))
-
-
-# last: certify imports names from this module, so they must exist first
-from .certify import TwistWitness, _certificate  # noqa: E402

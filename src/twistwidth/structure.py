@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 
-from .core import DeltaMatroid, GroundSetError, _digits, _members, _planes
+from .core import DeltaMatroid, GroundSetError, _digits, _members, _planes, _twist_width
 
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
 # kernel; each further element doubles its 256 KB ints and may add a shell.
@@ -123,17 +123,6 @@ def _width_class(near: list[int], mirror: list[int], w: int) -> int:
     """The twist sets of width w, as bits: the OR over j of near[j] &
     mirror[j + w]."""
     return reduce(or_, map(and_, near, mirror[w:]), 0)
-
-
-def _twist_width(d: DeltaMatroid, a: int) -> int:
-    """width(D*A) by its definition: the spread of |A ^ F| over feasible F."""
-    lo = hi = (a ^ d.masks[0]).bit_count()
-    for m in d.masks:
-        if (size := (a ^ m).bit_count()) < lo:
-            lo = size
-        elif size > hi:
-            hi = size
-    return hi - lo
 
 
 def _twist_widths(d: DeltaMatroid) -> list[int]:

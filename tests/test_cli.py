@@ -50,6 +50,15 @@ def test_validate_axiom_violation_exits_2(files, capsys):
         )
 
 
+def test_validate_over_64_elements_exits_2(tmp_path, capsys):
+    path = tmp_path / "n65.dm"
+    path.write_text("elements: " + " ".join(f"e{i}" for i in range(65)) + "\nfeasible:\nfeasible: e0\n")
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: ground set exceeds 64 elements\n"
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.dm")]) == 2
     assert "error:" in capsys.readouterr().err

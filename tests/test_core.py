@@ -73,6 +73,14 @@ class TestValidate:
         with pytest.raises(GroundSetError):
             validate("ab", ["c"])
 
+    def test_ground_set_cap_is_64_elements(self):
+        labels = [f"e{i}" for i in range(65)]
+        d = validate(labels[:64], [[], ["e0"]])
+        assert d.n == 64 and d.masks == (0, 1)
+        with pytest.raises(GroundSetError) as err:
+            validate(labels, [[], ["e0"]])
+        assert str(err.value) == "ground set exceeds 64 elements"
+
     @pytest.mark.parametrize(
         "family, message",
         [

@@ -7,11 +7,14 @@ finds again from its delete and contract sets alone, with
 that matches, and the first map in lexicographic order of permutations.
 """
 
+import ast
 import builtins
 import copy
+import graphlib
 import hashlib
 import importlib
 import os
+import pathlib
 import pickle
 import random
 import subprocess
@@ -220,7 +223,7 @@ def test_the_first_is_obstructed_call_builds_both_route_tables():
 
 
 def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
-    # certify's procedure is bound once per process, at the foot of minors
+    # the routes and the procedure they run are bound at module level in certify
     routes = (is_obstructed, matroid_twist_obstructions, certify)
     for route in routes:
         route(AUT_HOST)
@@ -239,19 +242,42 @@ def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
     assert imported == []
 
 
-def test_route_names_stay_in_minors():
-    for name in ("is_obstructed", "matroid_twist_obstructions", "Obstruction"):
-        assert getattr(minors_module, name) is getattr(twistwidth, name)
+def test_route_names_live_in_certify():
+    for name in ("is_obstructed", "matroid_twist_obstructions"):
+        assert getattr(certify_module, name) is getattr(twistwidth, name)
+        assert not hasattr(minors_module, name)
+    assert minors_module.Obstruction is twistwidth.Obstruction
 
 
-@pytest.mark.parametrize("module", ["minors", "certify", "structure", "cli"])
+# each module imports only modules before it here
+LAYERS = ("core", "matroids", "fileio", "minors", "certify", "structure", "enumeration", "cli")
+
+
+def test_modules_import_in_one_order_with_no_cycle():
+    src = pathlib.Path(twistwidth.__file__).parent
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert id(node) in top, f"{path.name}:{node.lineno} imports below module level"
+                graph[path.stem].update(
+                    [node.module] if node.module else [alias.name for alias in node.names])
+    assert sorted(graph) == sorted(LAYERS)
+    for module, imported in graph.items():
+        assert all(LAYERS.index(m) < LAYERS.index(module) for m in imported), (module, imported)
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+
+
+@pytest.mark.parametrize("module", LAYERS)
 def test_each_module_imports_first_in_a_fresh_interpreter(module):
-    # the package's certify attribute is the function, so the modules come from sys.modules
-    code = (f"import sys, twistwidth.{module}\n"
-            "c, m = sys.modules['twistwidth.certify'], sys.modules['twistwidth.minors']\n"
-            "assert m._certificate is c._certificate and m.TwistWitness is c.TwistWitness\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    subprocess.run([sys.executable, "-c", f"import twistwidth.{module}"], env=env,
+                   capture_output=True, check=True)
 
 
 # -- the witness tables, against are_isomorphic
