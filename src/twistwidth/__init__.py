@@ -1,4 +1,10 @@
-"""Delta-matroid twists, width, minors, obstructions, and certificates."""
+"""Delta-matroid twists, width, minors, obstructions, and certificates.
+
+``enumeration`` and ``matroids``, which no single-instance route needs, load
+on first access to one of their names here (PEP 562).
+"""
+
+from importlib import import_module as _import_module
 
 from .core import (
     AxiomViolationError,
@@ -8,7 +14,6 @@ from .core import (
     GroundSetError,
     validate,
 )
-from .matroids import d_min, is_matroid
 from .structure import (
     is_twist_matroid_witness,
     is_twist_width_one_witness,
@@ -27,12 +32,6 @@ from .certify import (
     certify,
     is_obstructed,
     matroid_twist_obstructions,
-)
-from .enumeration import (
-    EnumerationReport,
-    count_all,
-    enumerate_all,
-    verify_theorem,
 )
 from .fileio import ParseError, parse, serialize
 
@@ -73,3 +72,24 @@ __all__ = [
     "validate",
     "verify_theorem",
 ]
+
+_DEFERRED = {
+    "enumeration": ("EnumerationReport", "count_all", "enumerate_all", "verify_theorem"),
+    "matroids": ("d_min", "is_matroid"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in (module, *names)}
+
+
+def __getattr__(name):
+    """Import the deferred module holding ``name`` and bind its names here."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = globals()[module] = _import_module(f".{module}", __name__)
+    for attr in _DEFERRED[module]:
+        globals()[attr] = getattr(mod, attr)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

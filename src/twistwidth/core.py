@@ -353,11 +353,12 @@ class DeltaMatroid:
         return (1 << len(self.labels)) - 1
 
     def mask_of(self, elems) -> int:
-        """Bitmask of a subset given as labels (or an already-built mask)."""
+        """Bitmask of a subset given as labels (or an already-built mask),
+        as a plain int: a bool mask comes back as 0 or 1."""
         if isinstance(elems, int):
             if elems < 0 or elems >> len(self.labels):
                 raise GroundSetError(f"mask {elems:#x} outside ground set")
-            return elems
+            return int(elems)
         mask, pos = 0, self._pos
         for e in elems:
             try:

@@ -128,18 +128,20 @@ def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):
 
 def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
     """All twists of the catalog members (36 raw), optionally deduplicated
-    up to isomorphism: a member is kept unless ``are_isomorphic`` matches it
-    to one kept before it, so the first representative stays."""
+    up to isomorphism: a member is kept unless its (n, masks) is among the
+    label permutations of the members kept before it, so the first
+    representative stays; the 7 kept are those ``are_isomorphic`` keeps."""
     members = []
     for base in catalog():
         for a in range(base.full_mask + 1):
             members.append(base.twist(a))
     if not up_to_iso:
         return members
-    out = []
+    out, seen = [], set()
     for m in members:
-        if all(are_isomorphic(m, kept) is None for kept in out):
+        if (m.n, m.masks) not in seen:
             out.append(m)
+            seen.update((m.n, _permuted_masks(m.masks, p)) for p in permutations(range(m.n)))
     return out
 
 

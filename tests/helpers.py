@@ -29,7 +29,7 @@ from twistwidth import (
     is_matroid,
     validate,
 )
-from twistwidth.core import find_axiom_violation
+from twistwidth.core import _members, _planes, find_axiom_violation
 
 CHAIN_MAX_ELEMENTS = 8  # the largest extension-chain pool
 
@@ -100,6 +100,16 @@ def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
             and d.restrict(ac).width() == 1
         ):
             out.append(a)
+    return out
+
+
+def pairwise_d5_dedup() -> list:
+    """The 36 twists of ``d5_family()``, a member kept unless
+    ``are_isomorphic`` matches it to one kept before it."""
+    out = []
+    for m in d5_family():
+        if all(are_isomorphic(m, kept) is None for kept in out):
+            out.append(m)
     return out
 
 
@@ -213,6 +223,34 @@ def brute_find_axiom_violation(masks, n):
                 if not exchange_ok[(x, u)] & diff:
                     return (x, y, u)
     return None
+
+
+def sweep_family_masks(n: int) -> tuple:
+    """Family bitmasks over the 2^n subsets that pass the exchange axiom,
+    by a sweep over (X, Y, u) triples with one bit per family."""
+    nsub = 1 << n
+    everything = (1 << (1 << nsub)) - 1
+    # bit f of has[s] is set iff family f contains subset s
+    has = [hi & everything for _, hi in _planes(nsub)[1]]
+    bad = 1  # the empty family is not a delta-matroid
+    for x in range(nsub):
+        for y in range(nsub):
+            diff = x ^ y
+            if not diff:
+                continue
+            ok = everything
+            for u in range(n):
+                if not diff >> u & 1:
+                    continue
+                reached = 0
+                for v in range(n):
+                    if diff >> v & 1:
+                        reached |= has[x ^ (1 << u | 1 << v)]
+                ok &= reached
+            # drop families with X and Y but, for some u in X ^ Y, no
+            # X ^ {u, v} with v in X ^ Y
+            bad |= has[x] & has[y] & ~ok
+    return tuple(_members(everything ^ bad))
 
 
 def brute_axiom_holds(masks, n) -> bool:

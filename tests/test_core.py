@@ -107,6 +107,14 @@ class TestValidate:
                        [False, True, 2, 3], (m for m in range(4))):
             assert same(validate("ab", family), expected)
 
+    def test_bool_members_are_stored_as_plain_ints(self):
+        for labels, family in (("a", [False, True]), ("ab", [True, 2, 3, 0]),
+                               ("ab", [False, 0, True, ["a", "b"]])):
+            d = validate(labels, family)
+            for again in (d, pickle.loads(pickle.dumps(d))):
+                assert [type(m) for m in again.masks] == [int] * len(again.masks)
+        assert validate("ab", [True, 2, 3, 0]).masks == (0, 1, 2, 3)
+
     def test_set_of_matches_the_label_scan(self, dms_by_n):
         # every subset, each also with a bit just above the ground set and
         # with one far above, and -1

@@ -16,7 +16,7 @@ from twistwidth import (
 from twistwidth import enumeration, structure
 from twistwidth.core import find_axiom_violation
 from twistwidth.enumeration import THEOREM_TAGS
-from helpers import brute_axiom_holds
+from helpers import brute_axiom_holds, sweep_family_masks
 
 EXPECTED_COUNTS = {1: 3, 2: 15, 3: 155, 4: 5959}  # frozen regression values
 
@@ -33,6 +33,11 @@ def test_single_element_enumeration():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_counts_frozen(n):
     assert count_all(n) == EXPECTED_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_family_table_matches_the_triple_sweep(n):
+    assert enumeration._valid_family_masks(n) == sweep_family_masks(n)
 
 
 def test_enumeration_matches_naive_axiom_check():

@@ -16,7 +16,7 @@ from twistwidth import (
     validate,
 )
 from twistwidth import minors
-from helpers import has_minor_isomorphic, sample_with_empty_feasible
+from helpers import has_minor_isomorphic, pairwise_d5_dedup, sample_with_empty_feasible
 
 D5_DEDUP_COUNT = 7  # frozen regression value from pairwise isomorphism
 
@@ -51,6 +51,10 @@ class TestD5Family:
     def test_dedup_keeps_the_first_representatives(self):
         raw = d5_family()
         assert [raw.index(m) for m in d5_family(up_to_iso=True)] == [0, 4, 5, 7, 11, 12, 13]
+
+    def test_dedup_matches_the_pairwise_oracle(self):
+        # the same members, element by element and in order
+        assert d5_family(up_to_iso=True) == pairwise_d5_dedup()
 
     def test_dedup_is_pairwise_nonisomorphic(self):
         members = d5_family(up_to_iso=True)

@@ -1,0 +1,61 @@
+"""The package namespace, each check in a fresh interpreter: ``import
+twistwidth`` leaves ``enumeration`` and ``matroids`` unloaded, and their
+names still resolve, star-import and list as before."""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SNIPPETS = {
+    "deferred-modules-stay-unloaded": """
+        import twistwidth
+        dir(twistwidth)
+        loaded = {"twistwidth.enumeration", "twistwidth.matroids"} & set(sys.modules)
+        assert not loaded, loaded
+    """,
+    "names-resolve-to-their-defining-objects": """
+        import twistwidth
+        for name in twistwidth.__all__:
+            obj = getattr(twistwidth, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+    """,
+    "star-import-binds-all": """
+        import twistwidth
+        namespace = {}
+        exec("from twistwidth import *", namespace)
+        assert {name: namespace.get(name) for name in twistwidth.__all__} == {
+            name: getattr(twistwidth, name) for name in twistwidth.__all__}
+    """,
+    "dir-lists-all": """
+        import twistwidth
+        assert set(twistwidth.__all__) <= set(dir(twistwidth))
+        assert {"enumeration", "matroids"} <= set(dir(twistwidth))
+    """,
+    "submodules-resolve-as-attributes": """
+        import twistwidth
+        assert twistwidth.enumeration is sys.modules["twistwidth.enumeration"]
+        assert twistwidth.matroids.d_min is twistwidth.d_min
+        assert twistwidth.count_all(2) == 15
+    """,
+    "unknown-name-raises-attribute-error": """
+        import twistwidth
+        try:
+            twistwidth.no_such_name
+        except AttributeError as err:
+            assert str(err) == "module 'twistwidth' has no attribute 'no_such_name'"
+        else:
+            raise AssertionError("no AttributeError")
+        assert not hasattr(twistwidth, "_twist_width")
+    """,
+}
+
+
+@pytest.mark.parametrize("name", SNIPPETS)
+def test_package_namespace_in_a_fresh_interpreter(name):
+    code = "import sys\n" + textwrap.dedent(SNIPPETS[name])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
