@@ -1,7 +1,7 @@
 """Delta-matroid twists, width, minors, obstructions, and certificates.
 
-``enumeration`` and ``matroids``, which no single-instance route needs, load
-on first access to one of their names here (PEP 562).
+``enumeration``, which no single-instance route needs, loads on the first
+access to it or to one of its names here (PEP 562).
 """
 
 from importlib import import_module as _import_module
@@ -12,6 +12,8 @@ from .core import (
     DeltaMatroidError,
     EmptyFamilyError,
     GroundSetError,
+    d_min,
+    is_matroid,
     validate,
 )
 from .structure import (
@@ -35,7 +37,7 @@ from .certify import (
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AxiomViolationError",
@@ -73,23 +75,19 @@ __all__ = [
     "verify_theorem",
 ]
 
-_DEFERRED = {
-    "enumeration": ("EnumerationReport", "count_all", "enumerate_all", "verify_theorem"),
-    "matroids": ("d_min", "is_matroid"),
-}
-_HOME = {name: module for module, names in _DEFERRED.items() for name in (module, *names)}
+_DEFERRED = ("EnumerationReport", "count_all", "enumerate_all", "verify_theorem")
 
 
 def __getattr__(name):
-    """Import the deferred module holding ``name`` and bind its names here."""
-    module = _HOME.get(name)
-    if module is None:
+    """Import ``enumeration`` on first access to it or one of its names, and
+    bind them here."""
+    if name != "enumeration" and name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    mod = globals()[module] = _import_module(f".{module}", __name__)
-    for attr in _DEFERRED[module]:
+    mod = globals()["enumeration"] = _import_module(".enumeration", __name__)
+    for attr in _DEFERRED:
         globals()[attr] = getattr(mod, attr)
     return globals()[name]
 
 
 def __dir__():
-    return sorted({*globals(), *_HOME})
+    return sorted({*globals(), "enumeration", *_DEFERRED})

@@ -37,9 +37,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, DeltaMatroidError, _labels_at, _small_masks, _twist_width
-from .minors import (CertificationError, Obstruction, _minor_of, _route_targets, _verified,
-                     _witness, catalog)
+from .core import (DeltaMatroid, DeltaMatroidError, _labels_at, _minor_of, _small_masks,
+                   _twist_width)
+from .minors import CertificationError, Obstruction, _route_targets, _verified, _witness, catalog
 
 
 class _Hub:

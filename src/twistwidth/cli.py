@@ -14,7 +14,7 @@ import json
 import sys
 
 from .certify import CertificationError, TwistWitness, certify, is_obstructed
-from .core import DeltaMatroid, DeltaMatroidError
+from .core import DeltaMatroid, DeltaMatroidError, _labels_at, is_matroid
 from .enumeration import (
     MAX_ENUM_ELEMENTS,
     THEOREM_TAGS,
@@ -23,7 +23,6 @@ from .enumeration import (
     verify_theorem,
 )
 from .fileio import ParseError, parse, serialize
-from .matroids import is_matroid
 from .structure import min_width_twist
 
 
@@ -47,7 +46,7 @@ def _ordered(d: DeltaMatroid, elems) -> list[str]:
 
 def _sets(d: DeltaMatroid) -> list[list[str]]:
     """The feasible sets, each listing its labels in ground order."""
-    return [_ordered(d, d.set_of(m)) for m in d.masks]
+    return [_labels_at(d.labels, m) for m in d.masks]
 
 
 def _dm(d: DeltaMatroid):

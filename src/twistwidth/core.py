@@ -18,15 +18,20 @@ A family whose conservative estimate |F| * n^2 * (|F|/64 + 1) of the
 latter exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError``
 before the check runs, so the refused inputs stay the same.
 
-A minor keeping k elements (``_minor_masks``, on masks alone) looks up its
-2^k score-0 candidates in the sorted masks when 2^k < |F|: it walks the
-packed subsets of the kept positions in ascending order, spreads each onto
-the host's positions through a 2^k-entry table and finds it by bisection,
+``_minor_of`` gives a minor's labels and its masks, which ``_minor_masks``
+computes on masks alone. Keeping k elements, it looks up the 2^k score-0
+candidates in the sorted masks when 2^k < |F|: it walks the packed subsets
+of the kept positions in ascending order, spreads each onto the host's
+positions through a 2^k-entry table and finds it by bisection,
 so the hits come out packed and ascending. Otherwise, or on no hit, it
 scores all |F| and packs the kept bits in one pass per removed run.
 
 Twists share the host's labels and label index. The hash is computed once
 per object; pickling and copying rebuild from (labels, masks).
+
+A matroid is exactly a width-zero delta-matroid (``is_matroid``), its
+feasible sets its bases; ``d_min`` is the matroid of the minimum-size
+feasible sets.
 """
 
 from __future__ import annotations
@@ -285,6 +290,15 @@ def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, 
     return tuple(sorted(set(family)))
 
 
+def _minor_of(host: DeltaMatroid, delete, contract):
+    """The kept labels, in ground order, and the masks of the minor of
+    ``host`` deleting ``delete`` and contracting ``contract``, each a label
+    set or a mask; the labels are read off the kept bits."""
+    x, y = host.mask_of(delete), host.mask_of(contract)
+    kept = _labels_at(host.labels, host.full_mask & ~(x | y))
+    return kept, _minor_masks(host.masks, host.full_mask, x, y)
+
+
 class DeltaMatroid:
     """An immutable delta-matroid with an explicit feasible family.
 
@@ -406,8 +420,7 @@ class DeltaMatroid:
 
     def width(self) -> int:
         """Largest feasible size minus smallest feasible size."""
-        sizes = [m.bit_count() for m in self.masks]
-        return max(sizes) - min(sizes)
+        return _twist_width(self, 0)
 
     def is_even(self) -> bool:
         """True iff all feasible sizes share parity."""
@@ -430,11 +443,10 @@ class DeltaMatroid:
         return bool(self.mask_of((e,)) & reduce(and_, self.masks))
 
     def loops(self) -> list[str]:
-        union = reduce(or_, self.masks)
-        return [self.labels[i] for i in _members(union ^ self.full_mask)]
+        return _labels_at(self.labels, reduce(or_, self.masks) ^ self.full_mask)
 
     def coloops(self) -> list[str]:
-        return [self.labels[i] for i in _members(reduce(and_, self.masks))]
+        return _labels_at(self.labels, reduce(and_, self.masks))
 
     # -- twist and dual ---------------------------------------------------
 
@@ -456,12 +468,11 @@ class DeltaMatroid:
     # -- minors -----------------------------------------------------------
 
     def minor(self, delete=(), contract=()) -> "DeltaMatroid":
-        """Delete X and contract Y, disjoint, by ``_minor_masks``; labels keep ground order."""
+        """Delete X and contract Y, disjoint, by ``_minor_of``; labels keep ground order."""
         x, y = self.mask_of(delete), self.mask_of(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
-        labels = _labels_at(self.labels, self.full_mask & ~(x | y))
-        return DeltaMatroid(labels, _minor_masks(self.masks, self.full_mask, x, y), _trusted=True)
+        return DeltaMatroid(*_minor_of(self, x, y), _trusted=True)
 
     def delete(self, e: str) -> "DeltaMatroid":
         """Remove ``e``, keeping the feasible sets avoiding it (or, when
@@ -476,6 +487,19 @@ class DeltaMatroid:
     def restrict(self, elems) -> "DeltaMatroid":
         """Delete everything outside A; keeps A's labels in ground order."""
         return self.minor(delete=self.full_mask & ~self.mask_of(elems))
+
+
+def is_matroid(d: DeltaMatroid) -> bool:
+    """True iff all feasible sets have equal size."""
+    return d.width() == 0
+
+
+def d_min(d: DeltaMatroid) -> DeltaMatroid:
+    """The matroid whose bases are the minimum-size feasible sets of ``d``."""
+    k = d.min_feasible_size()
+    return DeltaMatroid(
+        d.labels, [m for m in d.masks if m.bit_count() == k], _trusted=True
+    )
 
 
 def _rebuild(labels, masks) -> DeltaMatroid:

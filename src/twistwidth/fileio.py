@@ -8,7 +8,7 @@ ascending bitmask order with elements in ground order.
 
 from __future__ import annotations
 
-from .core import DeltaMatroid, validate
+from .core import DeltaMatroid, _labels_at, validate
 
 
 class ParseError(ValueError):
@@ -81,6 +81,6 @@ def serialize(d: DeltaMatroid) -> str:
                              "or has whitespace or '#'")
     lines = ["elements: " + " ".join(d.labels) if d.labels else "elements:"]
     for m in d.masks:
-        members = [e for i, e in enumerate(d.labels) if m >> i & 1]
+        members = _labels_at(d.labels, m)
         lines.append("feasible: " + " ".join(members) if members else "feasible:")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
-from .core import DeltaMatroid, GroundSetError, _labels_at, _minor_masks
+from .core import DeltaMatroid, GroundSetError, _minor_of
 
 # Budget for the isomorphism search, against its worst case of n! label
 # permutations, each mapping |F| feasible sets. Every family on 7 elements
@@ -159,15 +159,6 @@ def _witness_table(pairs) -> dict:
             table.setdefault((h.n, _permuted_masks(h.masks, inverse)),
                              (index, h, tuple(h.labels[i] for i in p)))
     return table
-
-
-def _minor_of(host: DeltaMatroid, delete, contract):
-    """The kept labels, in ground order, and the masks of the minor of
-    ``host`` deleting ``delete`` and contracting ``contract``, each a label
-    set or a mask; the labels are read off the kept bits."""
-    x, y = host.mask_of(delete), host.mask_of(contract)
-    kept = _labels_at(host.labels, host.full_mask & ~(x | y))
-    return kept, _minor_masks(host.masks, host.full_mask, x, y)
 
 
 def _witness(minor, delete, contract, pairs) -> Obstruction:

@@ -1,6 +1,7 @@
 """The package namespace, each check in a fresh interpreter: ``import
-twistwidth`` leaves ``enumeration`` and ``matroids`` unloaded, and their
-names still resolve, star-import and list as before."""
+twistwidth`` leaves ``enumeration`` unloaded, and its names still resolve,
+star-import and list as before; ``is_matroid`` and ``d_min`` live in
+``core``, and ``twistwidth.matroids`` is gone."""
 
 import os
 import subprocess
@@ -13,8 +14,7 @@ SNIPPETS = {
     "deferred-modules-stay-unloaded": """
         import twistwidth
         dir(twistwidth)
-        loaded = {"twistwidth.enumeration", "twistwidth.matroids"} & set(sys.modules)
-        assert not loaded, loaded
+        assert "twistwidth.enumeration" not in sys.modules
     """,
     "names-resolve-to-their-defining-objects": """
         import twistwidth
@@ -32,13 +32,23 @@ SNIPPETS = {
     "dir-lists-all": """
         import twistwidth
         assert set(twistwidth.__all__) <= set(dir(twistwidth))
-        assert {"enumeration", "matroids"} <= set(dir(twistwidth))
+        assert "enumeration" in dir(twistwidth)
     """,
     "submodules-resolve-as-attributes": """
         import twistwidth
         assert twistwidth.enumeration is sys.modules["twistwidth.enumeration"]
-        assert twistwidth.matroids.d_min is twistwidth.d_min
         assert twistwidth.count_all(2) == 15
+    """,
+    "matroid-names-live-in-core": """
+        import twistwidth
+        try:
+            import twistwidth.matroids
+        except ModuleNotFoundError:
+            pass
+        else:
+            raise AssertionError("twistwidth.matroids imported")
+        assert twistwidth.d_min is twistwidth.core.d_min
+        assert twistwidth.is_matroid is twistwidth.core.is_matroid
     """,
     "unknown-name-raises-attribute-error": """
         import twistwidth
