@@ -23,38 +23,31 @@ from .structure import (
     rough_structure_witnesses,
     twist_width_formula,
 )
-from .minors import Obstruction, are_isomorphic, catalog, d5_family
+from .minors import Obstruction, catalog, d5_family
 from .certify import (
-    AuxGraph,
     CertificationError,
-    HUB,
     MinorWitness,
     TwistWitness,
-    build_aux_graph,
     certify,
     is_obstructed,
     matroid_twist_obstructions,
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "AxiomViolationError",
-    "AuxGraph",
     "CertificationError",
     "DeltaMatroid",
     "DeltaMatroidError",
     "EmptyFamilyError",
     "EnumerationReport",
     "GroundSetError",
-    "HUB",
     "MinorWitness",
     "Obstruction",
     "ParseError",
     "TwistWitness",
-    "are_isomorphic",
-    "build_aux_graph",
     "catalog",
     "certify",
     "count_all",

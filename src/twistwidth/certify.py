@@ -20,8 +20,8 @@ whole levels 2-colors the graph in O(V + E); when that fails, the least
 triangle is read off the masks, and only a graph with no triangle pays for
 the O(V·E) odd-cycle search. A certificate stays masks through the cases,
 the reduction and the lift, and gets its labels once, at the end; its
-label map is looked up by ``minors._witness``. ``build_aux_graph``,
-``two_coloring`` and ``shortest_odd_cycle`` show the graph with labels.
+label map is looked up by ``minors._witness``, the first label permutation
+in lexicographic order.
 
 The two obstruction routes, ``is_obstructed`` and the even branch of
 ``matroid_twist_obstructions``, run the same procedure through
@@ -37,23 +37,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import (DeltaMatroid, DeltaMatroidError, _labels_at, _minor_of, _small_masks,
-                   _twist_width)
+from .core import DeltaMatroid, _labels_at, _minor_of, _small_masks, _twist_width
 from .minors import CertificationError, Obstruction, _route_targets, _verified, _witness, catalog
-
-
-class _Hub:
-    """Distinguished auxiliary-graph vertex; never collides with labels."""
-
-    def __repr__(self):
-        return "v_L"
-
-    def __reduce__(self):
-        # pickled by name, so copies and unpickled graphs keep the one hub
-        return "HUB"
-
-
-HUB = _Hub()
 
 
 class TwistWitness(NamedTuple):
@@ -69,24 +54,6 @@ class MinorWitness(NamedTuple):
     is feasible, and otherwise a twist of it."""
 
     obstruction: Obstruction
-
-
-class AuxGraph(NamedTuple):
-    """Auxiliary graph driving the certificate procedure.
-
-    ``singles`` holds the elements whose singletons are feasible (they are
-    all represented by the hub); ``vertices`` are the remaining elements in
-    ground order, preceded by the hub; ``adjacency`` maps each vertex to a
-    tuple of its neighbours in vertex order.
-    """
-
-    singles: frozenset
-    vertices: tuple
-    adjacency: dict
-
-    def edges(self):
-        return [(u, v) for i, u in enumerate(self.vertices)
-                for v in self.vertices[i + 1:] if v in self.adjacency[u]]
 
 
 def _aux(d: DeltaMatroid):
@@ -113,23 +80,6 @@ def _aux(d: DeltaMatroid):
     return singles, adj
 
 
-def _masks_of(g: AuxGraph) -> list[int]:
-    """The neighbour masks of any AuxGraph, its vertices indexed in order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return [sum(1 << index[u] for u in g.adjacency[v]) for v in g.vertices]
-
-
-def build_aux_graph(d: DeltaMatroid) -> AuxGraph:
-    """Construct the auxiliary graph; the empty set must be feasible."""
-    if d.masks[0] != 0:
-        raise DeltaMatroidError("the empty set must be feasible")
-    singles, adj = _aux(d)
-    names = (HUB, *d.labels)
-    adjacency = {names[v]: tuple(_labels_at(names, near))
-                 for v, near in enumerate(adj) if not singles << 1 >> v & 1}
-    return AuxGraph(d.set_of(singles), tuple(adjacency), adjacency)
-
-
 def _coloring(adj):
     """The vertices at even depth of a breadth-first search over whole
     levels, each component rooted at its least vertex, or None when an edge
@@ -151,13 +101,6 @@ def _coloring(adj):
     return even
 
 
-def two_coloring(g: AuxGraph):
-    """BFS 2-coloring with the hub colored 0, or None if non-bipartite.
-    Components are rooted in vertex order with root color 0."""
-    even = _coloring(_masks_of(g))
-    return None if even is None else {v: 1 - (even >> i & 1) for i, v in enumerate(g.vertices)}
-
-
 def _canonical_cycle(cycle):
     """The least rotation or reflection of a simple cycle's vertex sequence,
     its vertices ints. They are distinct, so the least sequence starts at
@@ -170,11 +113,13 @@ def _canonical_cycle(cycle):
 
 
 def _shortest_cycle(adj):
-    """``shortest_odd_cycle`` on neighbour masks. A triangle's canonical
-    form is its vertices in ascending order, so the least triangle is read
-    off directly: the first u on a triangle, its first neighbour v on one
-    with it, and the least w in adj[u] & adj[v]; u < v < w. Only a graph
-    with no triangle pays for the search of ``_odd_cycle_search``."""
+    """A shortest odd cycle of the graph with neighbour masks ``adj`` as a
+    vertex list, or None when it is bipartite; ties go to the least
+    canonical sequence. A triangle's canonical form is its vertices in
+    ascending order, so the least triangle is read off directly: the first
+    u on a triangle, its first neighbour v on one with it, and the least w
+    in adj[u] & adj[v]; u < v < w. Only a graph with no triangle pays for
+    the search of ``_odd_cycle_search``."""
     for u, near in enumerate(adj):
         rest = near
         while rest:
@@ -183,13 +128,6 @@ def _shortest_cycle(adj):
                 return [u, v, (common & -common).bit_length() - 1]
             rest &= rest - 1
     return _odd_cycle_search(adj)
-
-
-def shortest_odd_cycle(g: AuxGraph):
-    """A shortest odd cycle as a vertex list, or None when bipartite. Ties
-    go to the lexicographically least canonical sequence in vertex order."""
-    cycle = _shortest_cycle(_masks_of(g))
-    return None if cycle is None else [g.vertices[v] for v in cycle]
 
 
 def _odd_cycle_search(adj):

@@ -1,10 +1,11 @@
-"""Isomorphism, the five-member obstruction catalog, and minor witnesses.
+"""The five-member obstruction catalog and minor witnesses.
 
 The twists of the five catalog members (D5) are the excluded minors for
-having a twist of width at most one. Isomorphism is brute force over label
-permutations, up to a budget of n! * |F|, but no entry point searches:
-each entry point looks its witness's label map up on the input with
-``_witness``, in ``_witness_table`` for the list of targets it answers with.
+having a twist of width at most one. No entry point searches for an
+isomorphism: each looks its witness's label map up on the input with
+``_witness``, in ``_witness_table`` for the list of targets it answers
+with, which holds the first target a family matches and the first label
+permutation in lexicographic order that maps it there.
 ``_route_targets`` holds the target lists of the two obstruction routes,
 which run in ``certify``.
 """
@@ -13,18 +14,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 from typing import NamedTuple
 
-from .core import DeltaMatroid, GroundSetError, _minor_of
-
-# Budget for the isomorphism search, against its worst case of n! label
-# permutations, each mapping |F| feasible sets. Every family on 7 elements
-# or fewer passes, none on 10 or more. On a 2-vCPU Xeon VM, a map that is
-# the last permutation takes 0.46 s at n = 8, |F| = 24 (9.7e5) and 0.21 s
-# at n = 7, |F| = 100 (5.0e5); n = 8, |F| = 120 (4.8e6) would take 2.2 s
-# and is refused.
-MAX_ISO_WORK = 1_000_000
+from .core import DeltaMatroid, _minor_of
 
 
 class Obstruction(NamedTuple):
@@ -100,37 +92,11 @@ def _permuted_masks(masks, perm) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _signature(d: DeltaMatroid) -> tuple[int, ...]:
-    return tuple(sorted(m.bit_count() for m in d.masks))
-
-
-def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):
-    """A feasibility-preserving label bijection d1 -> d2, or None.
-
-    Ground sets or families of different sizes, or of different size
-    profiles, simply yield None. Otherwise GroundSetError when n! * |F|
-    exceeds ``MAX_ISO_WORK``, before any permutation is tried. Permutations
-    are tried in lexicographic order, so the returned map is deterministic.
-    """
-    if d1.n != d2.n or len(d1.masks) != len(d2.masks) or _signature(d1) != _signature(d2):
-        return None
-    if (work := factorial(d1.n) * len(d1.masks)) > MAX_ISO_WORK:
-        raise GroundSetError(
-            f"isomorphism search too large: {len(d1.masks)} feasible sets on "
-            f"{d1.n} elements need about {work:.1e} operations, over the budget "
-            f"of {MAX_ISO_WORK:.1e}"
-        )
-    for perm in permutations(range(d1.n)):
-        if _permuted_masks(d1.masks, perm) == d2.masks:
-            return {d1.labels[i]: d2.labels[perm[i]] for i in range(d1.n)}
-    return None
-
-
 def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
     """All twists of the catalog members (36 raw), optionally deduplicated
     up to isomorphism: a member is kept unless its (n, masks) is among the
     label permutations of the members kept before it, so the first
-    representative stays; the 7 kept are those ``are_isomorphic`` keeps."""
+    representative of each isomorphism class stays (7 of the 36)."""
     members = []
     for base in catalog():
         for a in range(base.full_mask + 1):
@@ -149,9 +115,9 @@ def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
 def _witness_table(pairs) -> dict:
     """(n, masks) of every family isomorphic to a target of ``pairs``, a
     tuple of (index, target), to (index, target, the images of its
-    positions): the first such target and the first permutation in
-    lexicographic order, the map ``are_isomorphic`` returns. Its lists are
-    the catalog members, their 36 twists and the two route lists."""
+    positions): the first such target and the first label permutation in
+    lexicographic order that maps the family onto it. Its lists are the
+    catalog members, their 36 twists and the two route lists."""
     table = {}
     for index, h in pairs:
         for p in permutations(range(h.n)):

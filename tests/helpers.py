@@ -15,13 +15,13 @@ import random
 from collections import deque
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
+from typing import NamedTuple
 
 from twistwidth import (
-    HUB,
-    AuxGraph,
     DeltaMatroid,
+    GroundSetError,
     Obstruction,
-    are_isomorphic,
     catalog,
     d5_family,
     d_min,
@@ -30,8 +30,17 @@ from twistwidth import (
     validate,
 )
 from twistwidth.core import _members, _planes, find_axiom_violation
+from twistwidth.minors import _permuted_masks
 
 CHAIN_MAX_ELEMENTS = 8  # the largest extension-chain pool
+
+# Budget for the isomorphism search, against its worst case of n! label
+# permutations, each mapping |F| feasible sets. Every family on 7 elements
+# or fewer passes, none on 10 or more. On a 2-vCPU Xeon VM, a map that is
+# the last permutation takes 0.46 s at n = 8, |F| = 24 (9.7e5) and 0.21 s
+# at n = 7, |F| = 100 (5.0e5); n = 8, |F| = 120 (4.8e6) would take 2.2 s
+# and is refused.
+MAX_ISO_WORK = 1_000_000
 
 
 def scan_set_of(d: DeltaMatroid, mask: int) -> frozenset:
@@ -101,6 +110,32 @@ def brute_rough_structure_witnesses(d: DeltaMatroid) -> list:
         ):
             out.append(a)
     return out
+
+
+def _signature(d: DeltaMatroid) -> tuple[int, ...]:
+    return tuple(sorted(m.bit_count() for m in d.masks))
+
+
+def are_isomorphic(d1: DeltaMatroid, d2: DeltaMatroid):
+    """A feasibility-preserving label bijection d1 -> d2, or None.
+
+    Ground sets or families of different sizes, or of different size
+    profiles, simply yield None. Otherwise GroundSetError when n! * |F|
+    exceeds ``MAX_ISO_WORK``, before any permutation is tried. Permutations
+    are tried in lexicographic order, so the returned map is deterministic.
+    """
+    if d1.n != d2.n or len(d1.masks) != len(d2.masks) or _signature(d1) != _signature(d2):
+        return None
+    if (work := factorial(d1.n) * len(d1.masks)) > MAX_ISO_WORK:
+        raise GroundSetError(
+            f"isomorphism search too large: {len(d1.masks)} feasible sets on "
+            f"{d1.n} elements need about {work:.1e} operations, over the budget "
+            f"of {MAX_ISO_WORK:.1e}"
+        )
+    for perm in permutations(range(d1.n)):
+        if _permuted_masks(d1.masks, perm) == d2.masks:
+            return {d1.labels[i]: d2.labels[perm[i]] for i in range(d1.n)}
+    return None
 
 
 def pairwise_d5_dedup() -> list:
@@ -324,6 +359,40 @@ def sequential_minor(labels, masks, x, y):
         if (x | y) >> p & 1:
             labels, family = _drop(labels, family, p, not x >> p & 1)
     return labels, tuple(sorted(family))
+
+
+class _Hub:
+    """The hub vertex of ``brute_aux_graph``; never equal to a label."""
+
+    def __repr__(self):
+        return "v_L"
+
+
+HUB = _Hub()
+
+
+class AuxGraph(NamedTuple):
+    """A graph as the oracles below take and return it: ``vertices`` in
+    order, ``adjacency`` mapping each to its neighbours, and the labels
+    ``singles`` that the hub stands for."""
+
+    singles: frozenset
+    vertices: tuple
+    adjacency: dict
+
+
+def graph_masks(g: AuxGraph, names) -> list:
+    """The neighbour mask of each of ``names`` in ``g``, vertex names[i]
+    at bit i; a name that is not a vertex of ``g`` gets 0."""
+    index = {v: i for i, v in enumerate(names)}
+    return [sum(1 << index[u] for u in g.adjacency.get(v, ())) for v in names]
+
+
+def mask_graph(adj) -> AuxGraph:
+    """The graph with neighbour masks ``adj`` as an AuxGraph on 0..len - 1."""
+    vertices = tuple(range(len(adj)))
+    return AuxGraph(frozenset(), vertices,
+                    {v: tuple(u for u in vertices if adj[v] >> u & 1) for v in vertices})
 
 
 def brute_aux_graph(d: DeltaMatroid) -> AuxGraph:

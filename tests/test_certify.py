@@ -7,25 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistwidth import (
-    AuxGraph,
     CertificationError,
     DeltaMatroid,
-    DeltaMatroidError,
-    HUB,
     MinorWitness,
     TwistWitness,
-    build_aux_graph,
     catalog,
     certify,
-    is_obstructed,
-    matroid_twist_obstructions,
     min_width_twist,
     validate,
 )
-from twistwidth.certify import _canonical_cycle, shortest_odd_cycle, two_coloring
-from helpers import (_brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
-                     brute_shortest_odd_cycle, draw_with_empty_feasible, odd_cycle_instance,
-                     sample_with_empty_feasible, twist_off_empty)
+from twistwidth.certify import _aux, _canonical_cycle, _coloring, _shortest_cycle
+from helpers import (HUB, _brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
+                     brute_shortest_odd_cycle, draw_with_empty_feasible, graph_masks, mask_graph,
+                     odd_cycle_instance, sample_with_empty_feasible, twist_off_empty)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -48,30 +42,16 @@ def _check_certificate(d):
 
 
 class TestAuxGraph:
-    def test_requires_empty_feasible(self, cat):
-        with pytest.raises(DeltaMatroidError):
-            build_aux_graph(validate("ab", ["a", "b"]))
-
+    # vertex 0 is the hub and vertex i + 1 element i: a, b, c are bits 1, 2, 3
     def test_odd_triangle_gives_triangle_off_hub(self, cat):
-        g = build_aux_graph(cat[2])
-        assert g.singles == frozenset()
-        assert sorted(g.adjacency[HUB]) == []
-        assert set(map(frozenset, g.edges())) == {
-            frozenset("ab"), frozenset("bc"), frozenset("ac")
-        }
+        assert _aux(cat[2]) == (0, [0, 0b1100, 0b1010, 0b0110])
 
     def test_width_one_singleton_gives_lone_hub(self):
-        g = build_aux_graph(validate("a", ["", "a"]))
-        assert g.vertices == (HUB,)
-        assert g.edges() == []
+        # the single-feasible element's vertex is isolated
+        assert _aux(validate("a", ["", "a"])) == (1, [0, 0])
 
     def test_hub_triangle(self, cat):
-        g = build_aux_graph(cat[4])
-        assert g.singles == frozenset("a")
-        edges = {frozenset(e if e is not HUB else "L" for e in edge) for edge in g.edges()}
-        assert edges == {
-            frozenset({"b", "c"}), frozenset({"b", "L"}), frozenset({"c", "L"})
-        }
+        assert _aux(cat[4]) == (0b001, [0b1100, 0, 0b1001, 0b0101])
 
 
 class TestCertifyExamples:
@@ -130,13 +110,12 @@ class TestCertifyExhaustive:
         for d in dms_by_n[3]:
             if 0 not in d.masks:
                 continue
-            g = build_aux_graph(d)
-            if shortest_odd_cycle(g) is not None:
+            even = _coloring(_aux(d)[1])
+            if even is None:
                 continue
-            color = two_coloring(g)
-            far = [v for v in g.vertices[1:] if color[v] == 1]
-            restricted = d.restrict(far)
-            assert restricted.masks == (0,)
+            # the elements at odd depth; a single-feasible one is at even depth
+            far = d.full_mask & ~(even >> 1)
+            assert d.restrict(far).masks == (0,)
 
 
 class TestCertifyRandom:
@@ -170,34 +149,36 @@ FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
 
 
 def _certify_recording_graphs(d):
-    """certify(d), and the aux graph of every instance it built one for,
-    reduced instances included, each checked against its definition."""
+    """certify(d), and the neighbour masks of the aux graph of every
+    instance it built one for, reduced instances included, each checked
+    against its definition and the odd-cycle oracle."""
     hosts = []
-    build = certify_module._aux
 
     def record(h):
         hosts.append(h)
-        return build(h)
+        return _aux(h)
 
     with mock.patch.object(certify_module, "_aux", record):
         cert = certify(d)
     assert hosts, "certify built no aux graph"
-    graphs = [build_aux_graph(h) for h in hosts]
-    assert graphs == [brute_aux_graph(h) for h in hosts]
+    graphs = []
+    for h in hosts:
+        g = brute_aux_graph(h)
+        names = (HUB, *h.labels)  # vertex 0 is the hub and vertex i + 1 element i
+        singles, adj = _aux(h)
+        assert (singles, adj) == (h.mask_of(g.singles), graph_masks(g, names))
+        _check_graph_against_oracle(adj, g, names)
+        graphs.append(adj)
     return cert, graphs
 
 
-def _check_odd_cycle_against_oracle(d):
-    # neighbour order included: the least-triangle read depends on it
-    assert build_aux_graph(d) == brute_aux_graph(d)
-    for g in _certify_recording_graphs(d)[1]:
-        _check_graph_against_oracle(g)
-
-
-def _check_graph_against_oracle(g):
+def _check_graph_against_oracle(adj, g, names):
+    """The mask kernels on ``adj`` agree with the oracle on ``g``, whose
+    vertex names[i] is bit i."""
     expected = brute_shortest_odd_cycle(g)
-    assert shortest_odd_cycle(g) == expected
-    assert (two_coloring(g) is None) == (expected is not None)
+    index = {v: i for i, v in enumerate(names)}
+    assert _shortest_cycle(adj) == (None if expected is None else [index[v] for v in expected])
+    assert (_coloring(adj) is None) == (expected is not None)
 
 
 class TestOddCycleOracle:
@@ -206,80 +187,70 @@ class TestOddCycleOracle:
         for n in (1, 2, 3, 4):
             for d in dms_by_n[n]:
                 if 0 in d.masks:
-                    _check_odd_cycle_against_oracle(d)
+                    _certify_recording_graphs(d)
 
     def test_five_cycle_and_its_reduction(self):
         cert, graphs = _certify_recording_graphs(FIVE_CYCLE)
         assert isinstance(cert, MinorWitness)
-        assert [len(shortest_odd_cycle(g)) for g in graphs] == [5, 3]
-        for g in graphs:
-            _check_graph_against_oracle(g)
+        assert [len(_shortest_cycle(adj)) for adj in graphs] == [5, 3]
 
     @given(st.integers(min_value=5, max_value=10),
            st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_sampled_instances(self, n, seed, chain):
         # extension-chain draws only at n <= 8
-        _check_odd_cycle_against_oracle(draw_with_empty_feasible(n, random.Random(seed), chain))
+        _certify_recording_graphs(draw_with_empty_feasible(n, random.Random(seed), chain))
 
     @given(st.integers(min_value=5, max_value=10), st.integers(min_value=1, max_value=4),
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_uniform_matroids(self, n, rank, seed):
-        _check_odd_cycle_against_oracle(_twisted_uniform(rank, n, seed))
+        _certify_recording_graphs(_twisted_uniform(rank, n, seed))
 
     @given(st.sampled_from((5, 7, 9)), st.integers(min_value=0, max_value=1),
            st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_odd_cycle_instances(self, m, extra, loops, seed):
-        _check_odd_cycle_against_oracle(odd_cycle_instance(m, extra, loops, seed))
+        _certify_recording_graphs(odd_cycle_instance(m, extra, loops, seed))
 
 
 @st.composite
 def _graphs(draw):
-    """An AuxGraph on 1 to 10 vertices: ints and strs in a drawn order, one
-    of them maybe HUB. Either a planted odd cycle of length 5, 7 or 9 with
-    at most two random edges as chords, or up to 3n random edges; often
-    several components, and maybe an isolated hub. Each vertex lists its
-    neighbours in a drawn order, not in vertex order."""
+    """Symmetric neighbour masks on 1 to 10 vertices: either a planted odd
+    cycle of length 5, 7 or 9 with at most two random edges as chords, or
+    up to 3n random edges; often several components, and maybe an isolated
+    vertex 0, the hub of an aux graph."""
     m = draw(st.sampled_from((None, 5, 7, 9)))
     n = draw(st.integers(min_value=m or 1, max_value=10))
-    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    names = [i if kind else f"v{i}" for i, kind in enumerate(kinds)]
-    hub = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
-    if hub is not None:
-        names[hub] = HUB
-    vertices = draw(st.permutations(names))
     edges = set()
     if m is not None:
         ring = draw(st.permutations(range(n)))[:m]
-        edges = {frozenset(e) for e in zip(ring, ring[1:] + ring[:1])}
+        edges = set(zip(ring, ring[1:] + ring[:1]))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    edges |= {frozenset(e) for e in draw(st.lists(pair, max_size=3 * n if m is None else 2))}
-    if hub is not None and draw(st.booleans()):
-        edges = {e for e in edges if vertices.index(HUB) not in e}
-    order = draw(st.permutations(range(n)))
-    return AuxGraph(frozenset(), tuple(vertices), {
-        v: tuple(vertices[j] for j in order if frozenset((i, j)) in edges)
-        for i, v in enumerate(vertices)})
+    edges |= set(draw(st.lists(pair, max_size=3 * n if m is None else 2)))
+    if draw(st.booleans()):
+        edges = {e for e in edges if 0 not in e}
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 @given(_graphs())
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_random_graphs_through_the_public_adapters(g):
-    expected = brute_shortest_odd_cycle(g)
-    assert shortest_odd_cycle(g) == expected
-    color = two_coloring(g)
-    assert (color is None) == (expected is not None)
-    if color is None:
+def test_random_graphs_through_the_mask_kernels(adj):
+    g = mask_graph(adj)
+    _check_graph_against_oracle(adj, g, g.vertices)
+    even = _coloring(adj)
+    if even is None:
         return
-    assert color.keys() == set(g.vertices)
-    assert all(color[u] != color[v] for u, v in g.edges())
-    # the first vertex of each component in vertex order is its root, colored 0
+    assert all((even >> u & 1) != (even >> v & 1) for u in g.vertices for v in g.adjacency[u])
+    # the least vertex of each component is its root, at even depth
     seen = set()
     for root in g.vertices:
         if root not in seen:
-            assert color[root] == 0, root
+            assert even >> root & 1, root
             stack = [root]
             seen.add(root)
             while stack:
@@ -312,17 +283,15 @@ class TestTriangleFirst:
     def test_least_triangle_of_a_hand_built_graph(self, monkeypatch):
         # triangles 0-1-5 and 0-2-3; the least second vertex wins
         edges = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (2, 3)]
-        adjacency = {v: tuple(sorted({b for a, b in edges if a == v}
-                                     | {a for a, b in edges if b == v}))
-                     for v in range(6)}
-        g = AuxGraph(frozenset(), tuple(range(6)), adjacency)
-        assert brute_shortest_odd_cycle(g) == [0, 1, 5]
+        adj = [sum(1 << b for a, b in edges if a == v) | sum(1 << a for a, b in edges if b == v)
+               for v in range(6)]
+        assert brute_shortest_odd_cycle(mask_graph(adj)) == [0, 1, 5]
         self._forbid_search(monkeypatch)
-        assert shortest_odd_cycle(g) == [0, 1, 5]
+        assert _shortest_cycle(adj) == [0, 1, 5]
 
     def test_graphs_with_a_triangle_skip_the_search(self, dms_by_n, monkeypatch):
         def has_triangle(d):
-            cycle = brute_shortest_odd_cycle(build_aux_graph(d))
+            cycle = brute_shortest_odd_cycle(brute_aux_graph(d))
             return cycle is not None and len(cycle) == 3
 
         small = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]
@@ -347,7 +316,7 @@ class TestBipartiteFirst:
 
         bipartite = [
             d for n in (1, 2, 3, 4) for d in dms_by_n[n]
-            if 0 in d.masks and brute_shortest_odd_cycle(build_aux_graph(d)) is None
+            if 0 in d.masks and brute_shortest_odd_cycle(brute_aux_graph(d)) is None
         ]
         monkeypatch.setattr(certify_module, "_shortest_cycle", forbidden)
         for d in bipartite:
@@ -398,23 +367,6 @@ def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
 
     monkeypatch.setattr(DeltaMatroid, "twist", forbidden)
     assert [certify(d) for d in hosts] == expected
-
-
-def test_certify_builds_no_labelled_graph(dms_by_n, monkeypatch):
-    # the procedure runs on neighbour masks; the labelled graph and its
-    # readers are for callers only, so every route answers without them
-    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [FIVE_CYCLE] + [
-        odd_cycle_instance(m, extra, loops, seed) for m in (5, 7, 9)
-        for extra in (0, 1) for loops in (0, 1, 2) for seed in range(3)]
-    routes = (certify, is_obstructed, matroid_twist_obstructions)
-    expected = [[route(d) for route in routes] for d in hosts]
-
-    def forbidden(*args):
-        raise AssertionError("a route built or read a labelled aux graph")
-
-    for name in ("build_aux_graph", "two_coloring", "shortest_odd_cycle"):
-        monkeypatch.setattr(certify_module, name, forbidden)
-    assert [[route(d) for route in routes] for d in hosts] == expected
 
 
 # -- any delta-matroid: the twist by the smallest feasible set, lifted back
@@ -474,7 +426,7 @@ class TestEveryDeltaMatroid:
         # reduces FIVE_CYCLE itself and lifts the reduced minor back
         host = FIVE_CYCLE.twist("a")
         cert, graphs = _certify_recording_graphs(host)
-        assert [len(shortest_odd_cycle(g)) for g in graphs] == [5, 3]
+        assert [len(_shortest_cycle(adj)) for adj in graphs] == [5, 3]
         assert _check_certificate(host) == cert
         inner = certify(FIVE_CYCLE).obstruction
         swapped = (inner.delete_set | inner.contract_set) & {"a"}

@@ -12,9 +12,9 @@ for k = 1. The library has no list for k = 2, so its counts are pinned.
 
 import pytest
 
-from twistwidth import DeltaMatroid, are_isomorphic, enumerate_all
+from twistwidth import DeltaMatroid, enumerate_all
 from twistwidth.minors import _matroid_twist_targets
-from helpers import brute_min_twist_width, d5_dedup, sequential_minor
+from helpers import are_isomorphic, brute_min_twist_width, d5_dedup, sequential_minor
 
 
 def _single_element_minors(d):

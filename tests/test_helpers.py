@@ -1,12 +1,18 @@
 """The random-instance sources of helpers.py, checked on their own: the
 GF(2) sampler, its reach as counted by the representability oracle, and
-the extension-chain pools."""
+the extension-chain pools; and the brute-force isomorphism search, with
+its budget."""
 
 import random
+import time
 
-from twistwidth import DeltaMatroid, enumerate_all
+import pytest
+
+import helpers
+from twistwidth import DeltaMatroid, GroundSetError, enumerate_all, validate
 from helpers import (
     CHAIN_MAX_ELEMENTS,
+    are_isomorphic,
     brute_axiom_holds,
     extension_pool,
     is_gf2_representable,
@@ -48,3 +54,63 @@ def test_extension_pools():
     assert representable == {5: 6, 6: 0, 7: 0, 8: 0}
     for masks in extension_pool(5):
         assert brute_axiom_holds(masks, 5)
+
+
+class TestIsomorphism:
+    def test_relabeling_found(self, cat):
+        d3 = cat[2]
+        renamed = validate("xyz", ["", "xy", "yz", "xz"])
+        iso = are_isomorphic(d3, renamed)
+        assert iso is not None
+        mapped = {
+            frozenset(iso[e] for e in f) for f in d3.feasible_sets()
+        }
+        assert mapped == set(renamed.feasible_sets())
+
+    def test_different_family_sizes(self, cat):
+        assert are_isomorphic(cat[2], cat[3]) is None
+
+    def test_identity_via_empty_twist(self, cat):
+        d = cat[1]
+        iso = are_isomorphic(d, d.twist([]))
+        assert iso == {e: e for e in d.labels}
+
+    def test_different_ground_sizes_give_none(self, cat):
+        assert are_isomorphic(cat[0], cat[2]) is None
+
+    def test_symmetry(self, cat):
+        d = cat[4]
+        renamed = validate("xyz", ["", "x", "xy", "yz", "xz"])
+        fwd = are_isomorphic(d, renamed)
+        back = are_isomorphic(renamed, d)
+        assert fwd is not None and back is not None
+
+    def test_relabeled_copy_is_isomorphic(self, cat):
+        renamed = validate("zyx", ["", "zy", "yx", "zx"])
+        assert are_isomorphic(renamed, cat[2]) == {"z": "a", "y": "b", "x": "c"}
+
+
+class TestIsomorphismBudget:
+    def test_over_budget_search_refuses_fast(self):
+        # 120 feasible sets on 8 elements, no automorphism; the copy lists its
+        # labels in reverse, so the one map, the identity, is the last of the
+        # 8! permutations: 8! * 120 = 4.8e6, over the budget
+        d = sample_with_empty_feasible(8, random.Random(1))
+        copy = DeltaMatroid(d.labels[::-1], d.feasible_sets())
+        assert len(d.masks) == 120
+        start = time.perf_counter()
+        with pytest.raises(GroundSetError, match="isomorphism search too large"):
+            are_isomorphic(d, copy)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_boundary(self, cat, monkeypatch):
+        # D3: 3! permutations of 4 feasible sets
+        renamed = validate("zyx", ["", "zy", "yx", "zx"])
+        monkeypatch.setattr(helpers, "MAX_ISO_WORK", 24)
+        assert are_isomorphic(renamed, cat[2]) == {"z": "a", "y": "b", "x": "c"}
+        monkeypatch.setattr(helpers, "MAX_ISO_WORK", 23)
+        with pytest.raises(GroundSetError, match="isomorphism search too large"):
+            are_isomorphic(renamed, cat[2])
+        # sizes and size profiles are compared before the budget
+        assert are_isomorphic(cat[2], cat[3]) is None
+        assert are_isomorphic(cat[2], validate("abc", ["", "a", "b", "c"])) is None

@@ -1,7 +1,8 @@
 """The package namespace, each check in a fresh interpreter: ``import
 twistwidth`` leaves ``enumeration`` unloaded, and its names still resolve,
 star-import and list as before; ``is_matroid`` and ``d_min`` live in
-``core``, and ``twistwidth.matroids`` is gone."""
+``core``, and ``twistwidth.matroids`` is gone, as are the labelled
+aux-graph adapters and the isomorphism search."""
 
 import os
 import subprocess
@@ -49,6 +50,22 @@ SNIPPETS = {
             raise AssertionError("twistwidth.matroids imported")
         assert twistwidth.d_min is twistwidth.core.d_min
         assert twistwidth.is_matroid is twistwidth.core.is_matroid
+    """,
+    "labelled-adapters-and-isomorphism-search-are-gone": """
+        import importlib
+        import twistwidth
+        import twistwidth.minors
+        certify = importlib.import_module("twistwidth.certify")
+        gone = {
+            twistwidth: ("AuxGraph", "HUB", "are_isomorphic", "build_aux_graph"),
+            twistwidth.minors: ("are_isomorphic", "_signature", "MAX_ISO_WORK"),
+            certify: ("AuxGraph", "HUB", "build_aux_graph", "two_coloring",
+                      "shortest_odd_cycle"),
+        }
+        for module, names in gone.items():
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in twistwidth.__all__, name
     """,
     "unknown-name-raises-attribute-error": """
         import twistwidth

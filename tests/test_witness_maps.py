@@ -2,9 +2,10 @@
 
 ``certify``, ``is_obstructed`` and ``matroid_twist_obstructions`` return a
 minor witness whose target index and label map ``rematch`` (helpers.py)
-finds again from its delete and contract sets alone, with
-``are_isomorphic`` over the route's own target list: the first target
-that matches, and the first map in lexicographic order of permutations.
+finds again from its delete and contract sets alone, with the brute-force
+``are_isomorphic`` (helpers.py) over the route's own target list: the
+first target that matches, and the first map in lexicographic order of
+permutations.
 """
 
 import ast
@@ -29,17 +30,15 @@ from twistwidth import (
     MinorWitness,
     Obstruction,
     TwistWitness,
-    are_isomorphic,
     catalog,
     certify,
     is_obstructed,
     matroid_twist_obstructions,
     validate,
 )
-from twistwidth.certify import HUB, build_aux_graph
 from twistwidth.core import _minor_masks
-from helpers import (d5_dedup, draw_with_empty_feasible, matroid_twist_targets, odd_cycle_instance,
-                     rematch, twist_off_empty)
+from helpers import (are_isomorphic, d5_dedup, draw_with_empty_feasible, matroid_twist_targets,
+                     odd_cycle_instance, rematch, twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
 core_module = importlib.import_module("twistwidth.core")
@@ -176,37 +175,27 @@ def test_lifted_certificate_computes_the_host_minor_once_for_both_lookups(monkey
     assert len(calls) == 2
 
 
-def test_witnesses_and_graphs_pickle_and_copy():
+def test_witnesses_pickle_and_copy():
     cert = certify(AUT_HOST)
-    graph = build_aux_graph(AUT_HOST.twist(AUT_HOST.masks[0]))
-    assert graph.adjacency[HUB]
-    for clone in (pickle.loads(pickle.dumps((AUT_HOST, cert, graph))),
-                  copy.copy((AUT_HOST, cert, graph)), copy.deepcopy((AUT_HOST, cert, graph))):
-        host, again, g = clone
+    for clone in (pickle.loads(pickle.dumps((AUT_HOST, cert))),
+                  copy.copy((AUT_HOST, cert)), copy.deepcopy((AUT_HOST, cert))):
+        host, again = clone
         assert host == AUT_HOST and hash(host) == hash(AUT_HOST)
         assert again == cert and again.obstruction.verify(host)
-        assert g == graph and g.vertices[0] is HUB and g.adjacency[HUB] == graph.adjacency[HUB]
 
 
 def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
-    # every witness reads its map off minors._witness_table; only the
-    # deduplicated D5 list behind is_obstructed's table is found by a search
-    is_obstructed(catalog()[0])
-    targets = []
-    original = minors_module.are_isomorphic
+    # every witness reads its map off minors._witness_table, and every
+    # permutation the library tries is in building a table or the D5 dedupe
+    routes = (certify, is_obstructed, matroid_twist_obstructions)
+    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]]
+    warm = [[route(d) for route in routes] for d in hosts]
 
-    def recording(d1, d2):
-        targets.append(d2)
-        return original(d1, d2)
+    def forbidden(*args):
+        raise AssertionError("a route tried label permutations once the tables existed")
 
-    monkeypatch.setattr(minors_module, "are_isomorphic", recording)
-    assert not hasattr(certify_module, "are_isomorphic")
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            certify(d)
-            is_obstructed(d)
-            matroid_twist_obstructions(d)
-    assert targets == []
+    monkeypatch.setattr(minors_module, "permutations", forbidden)
+    assert [[route(d) for route in routes] for d in hosts] == warm
 
 
 def test_the_first_is_obstructed_call_builds_both_route_tables():
@@ -279,7 +268,7 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
                    capture_output=True, check=True)
 
 
-# -- the witness tables, against are_isomorphic
+# -- the witness tables, against the brute-force are_isomorphic
 
 
 def _table(targets):
