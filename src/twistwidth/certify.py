@@ -19,9 +19,9 @@ order, and a vertex's neighbours are one mask. A breadth-first search over
 whole levels 2-colors the graph in O(V + E); when that fails, the least
 triangle is read off the masks, and only a graph with no triangle pays for
 the O(V·E) odd-cycle search. A certificate stays masks through the cases,
-the reduction and the lift, and gets its labels once, at the end; its
-label map is looked up by ``minors._witness``, the first label permutation
-in lexicographic order.
+the reduction and the lift, and gets its labels once, at the end. Its
+label map, the first label permutation in lexicographic order onto the
+target, is looked up by ``minors._witness``.
 
 The two obstruction routes, ``is_obstructed`` and the even branch of
 ``matroid_twist_obstructions``, run the same procedure through
