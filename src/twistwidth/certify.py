@@ -11,16 +11,17 @@ here.
 With the empty set feasible, the procedure builds an auxiliary graph from
 the feasible sets of size one and two: a hub standing for the elements
 whose singletons are feasible, one vertex per other element, and an edge
-per feasible pair. A bipartite graph yields a twist set from a 2-coloring
-(or a small forbidden restriction); a non-bipartite one yields a forbidden
-minor by induction on the length of a shortest odd cycle. It runs on ints:
-vertex 0 is the hub and vertex i + 1 is element i, so vertex order is bit
-order, and a vertex's neighbours are one mask. A breadth-first search over
-whole levels 2-colors the graph in O(V + E); when that fails, the least
-triangle is read off the masks, and only a graph with no triangle pays for
-the O(V·E) odd-cycle search. A certificate stays masks through the cases,
-the reduction and the lift, and gets its labels once, at the end. Its
-label map, the first label permutation in lexicographic order onto the
+per feasible pair. Vertex 0 is the hub and vertex i + 1 is element i, so
+vertex order is bit order, and a vertex's neighbours are one mask. One
+breadth-first search over whole levels 2-colors the graph in O(V + E); a
+bipartite graph yields a twist set (or a small forbidden restriction).
+Otherwise a loop runs the induction on the length of a shortest odd cycle
+over minors of the host. Each level reads its least triangle off the
+masks, pays for the O(V·E) odd-cycle search only without one, and names a
+catalog member, its masks put back onto the host's positions, or reduces
+to a minor with a shorter odd cycle. A certificate stays masks through the
+cases, the reduction and the lift, and gets its labels once, at the end.
+Its label map, the first label permutation in lexicographic order onto the
 target, is looked up by ``minors._witness``.
 
 The two obstruction routes, ``is_obstructed`` and the even branch of
@@ -167,24 +168,6 @@ def _odd_cycle_search(adj):
 # -- certificate assembly: twist sets and witnesses are masks --------------
 
 
-def _minor_witness(d, keep, contract, index):
-    """(delete, contract, index) masks: ``d`` restricted to ``keep``, then ``contract``."""
-    return d.full_mask & ~keep, contract, index
-
-
-def _compose(d, keep, contract, inner):
-    """Lift a witness on restrict(d, keep) / contract back to ``d``: the
-    minor it names is the inner one, so the sets are unions, once the inner
-    masks are unpacked onto the positions that minor kept."""
-    ix, iy, index = inner
-    x, y, rest = d.full_mask & ~keep, contract, keep & ~contract
-    while rest:
-        low = rest & -rest
-        x, y = x | low * (ix & 1), y | low * (iy & 1)
-        ix, iy, rest = ix >> 1, iy >> 1, rest ^ low
-    return x, y, index
-
-
 def _bipartite_case(d, even):
     # a single-feasible element's vertex is isolated, so at even depth too:
     # A is the singles and the elements colored like the hub
@@ -192,12 +175,12 @@ def _bipartite_case(d, even):
     inside = [m for m in d.masks if not m & ~amask]
     first = {m.bit_count(): m for m in reversed(inside)}  # the least mask of each size
     if 2 in first:
-        return _minor_witness(d, first[2], 0, 0)
+        return d.full_mask & ~first[2], 0, 0
     if max(first) > 1:
         # exchange from the empty set puts a singleton or a pair below it
         if 3 not in first:
             raise CertificationError("restriction has large feasible sets but none of size three")
-        return _minor_witness(d, first[3], 0, 1)
+        return d.full_mask & ~first[3], 0, 1
     return TwistWitness(min(amask, d.full_mask & ~amask), max(first))
 
 
@@ -217,19 +200,19 @@ def _triangle_case(d, singles, cycle):
     w, x, y = (1 << v >> 1 for v in cycle)
     if w:
         # the three pairs are feasible and no singleton is; entry 3 adds the triple
-        return _minor_witness(d, w | x | y, 0, 3 if d.is_feasible(w | x | y) else 2)
+        return w | x | y, 0, 3 if d.is_feasible(w | x | y) else 2
     alpha = _partner_in_singles(d, singles, x)
     beta = _partner_in_singles(d, singles, y)
     for s, z in ((alpha, y), (beta, x)):
         if d.is_feasible(z | s):
             # a triangle through the hub with a partner s shared by x and y
             t = x | y | s
-            return _minor_witness(d, t, s, 0) if d.is_feasible(t) else _minor_witness(d, t, 0, 4)
+            return (t, s, 0) if d.is_feasible(t) else (t, 0, 4)
     if d.is_feasible(alpha | beta):
-        return _minor_witness(d, alpha | beta, 0, 0)
+        return alpha | beta, 0, 0
     if d.is_feasible(x | y | alpha | beta):
-        return _minor_witness(d, x | y | alpha | beta, x | y, 0)
-    return _minor_witness(d, x | y | alpha | beta, alpha, 4)
+        return x | y | alpha | beta, x | y, 0
+    return x | y | alpha | beta, alpha, 4
 
 
 def _long_cycle_case(d, singles, cycle):
@@ -239,28 +222,40 @@ def _long_cycle_case(d, singles, cycle):
         alpha = _partner_in_singles(d, singles, xs[0])
         beta = _partner_in_singles(d, singles, xs[-1])
         if alpha != beta and d.is_feasible(alpha | beta):
-            return _minor_witness(d, alpha | beta, 0, 0)
+            return alpha | beta, 0, 0
         keep |= alpha | beta
-    contract = xs[-2] | xs[-1]
-    inner = _certify_impl(d.minor(d.full_mask & ~keep, contract), len(cycle))
-    if isinstance(inner, TwistWitness):
-        raise CertificationError("reduced instance unexpectedly produced a twist witness")
-    return _compose(d, keep, contract, inner)
+    return keep, xs[-2] | xs[-1], None  # reduce: contract the cycle's last two
 
 
-def _certify_impl(d, prev_cycle_len):
+def _certify_impl(d):
+    """Certificate masks of ``d``, the empty set feasible. Loop invariant:
+    the instance h is the minor of ``d`` contracting ``shut`` and deleting
+    the rest outside ``alive``, whose set bits are h's positions. A case
+    gives (keep, contract, index) masks on h, index None for a reduction;
+    only ``d`` is 2-colored, as ``_shortest_cycle`` is None when bipartite."""
     singles, adj = _aux(d)
     even = _coloring(adj)
     if even is not None:
-        if prev_cycle_len is not None:
-            raise CertificationError("reduced instance lost its odd cycle entirely")
         return _bipartite_case(d, even)
-    cycle = _shortest_cycle(adj)
-    if prev_cycle_len is not None and len(cycle) >= prev_cycle_len:
-        raise CertificationError("shortest odd cycle failed to shrink in the reduction")
-    if len(cycle) == 3:
-        return _triangle_case(d, singles, cycle)
-    return _long_cycle_case(d, singles, cycle)
+    h, alive, shut, last = d, d.full_mask, 0, len(adj) + 1  # longer than any cycle
+    while (cycle := _shortest_cycle(adj)) is not None:
+        if len(cycle) >= last:
+            raise CertificationError("shortest odd cycle failed to shrink in the reduction")
+        case = _triangle_case if len(cycle) == 3 else _long_cycle_case
+        keep, contract, index = case(h, singles, cycle)
+        # onto the host: a zero goes back in at each position h lacks, lowest first
+        kept, contracted, rest = keep, contract, d.full_mask & ~alive
+        while rest:
+            low = rest & -rest
+            kept = kept & low - 1 | (kept & -low) << 1
+            contracted = contracted & low - 1 | (contracted & -low) << 1
+            rest ^= low
+        shut |= contracted
+        if index is not None:
+            return d.full_mask & ~(kept | shut), shut, index
+        h, alive, last = h.minor(h.full_mask & ~keep, contract), kept & ~contracted, len(cycle)
+        singles, adj = _aux(h)
+    raise CertificationError("reduced instance lost its odd cycle entirely")
 
 
 def _lift(d, f, cert):
@@ -277,7 +272,7 @@ def _certificate(d: DeltaMatroid):
     its width re-checked on ``d``, or a minor witness as its (delete mask,
     contract mask, catalog index)."""
     f = d.masks[0]
-    cert = _certify_impl(d.twist(f) if f else d, None)
+    cert = _certify_impl(d.twist(f) if f else d)
     if f:
         cert = _lift(d, f, cert)
     if isinstance(cert, TwistWitness):

@@ -169,6 +169,15 @@ def _planes(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return full, tuple(planes)
 
 
+def _dilate(bits: int, planes: Sequence[tuple[int, int]]) -> int:
+    """The sets one element away from a set in ``bits``, over ``planes``."""
+    out = 0
+    for step, hi in planes:
+        up = bits & hi  # the sets with the plane's element lose it, the rest gain it
+        out |= up >> step | (bits ^ up) << step
+    return out
+
+
 def _digits(masks: Iterable[int], n: int) -> bytearray:
     """2^n digits for int(..., 2), "1" at index m for each mask m: O(2^n)
     where an OR per mask costs O(|F| * 2^n)."""
@@ -238,7 +247,7 @@ def _subset_violation(masks: Sequence[int], n: int):
             bad |= rest & low[y & lowmask]
     if not bad:
         return None
-    xs = fam & reduce(or_, ((bad & hi) >> b | (bad & ~hi) << b for b, hi in planes))
+    xs = fam & _dilate(bad, planes)
     x = (xs & -xs).bit_length() - 1
     nbrs = sum(1 << (x ^ 1 << u) for u in range(n))
     for y in masks:

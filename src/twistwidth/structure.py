@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 
-from .core import DeltaMatroid, GroundSetError, _digits, _members, _planes, _twist_width
+from .core import DeltaMatroid, GroundSetError, _digits, _dilate, _members, _planes, _twist_width
 
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
 # kernel; each further element doubles its 256 KB ints and may add a shell.
@@ -107,11 +107,7 @@ def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
     full, planes = _planes(n)
     seen, near, far = front, [front], [front >> (1 << n)]
     while front and seen != full:
-        grown = 0
-        for step, hi in planes:
-            up = front & hi
-            grown |= up >> step | (front ^ up) << step
-        front = grown & ~seen
+        front = _dilate(front, planes) & ~seen
         seen |= front
         near.append(front)
         far.append(front >> (1 << n))

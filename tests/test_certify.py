@@ -13,6 +13,8 @@ from twistwidth import (
     TwistWitness,
     catalog,
     certify,
+    is_obstructed,
+    matroid_twist_obstructions,
     min_width_twist,
     validate,
 )
@@ -325,15 +327,15 @@ class TestBipartiteFirst:
             assert isinstance(certify(_twisted_uniform(rank, n, 1)), TwistWitness)
 
     def test_reduced_instance_losing_its_odd_cycle_raises(self, monkeypatch):
-        coloring = certify_module._coloring
+        search = certify_module._shortest_cycle
         calls = []
 
         def bipartite_after_first(adj):
-            # every vertex at even depth, as on a graph with no edge
+            # no odd cycle, as on a bipartite graph; reduced levels are not colored
             calls.append(adj)
-            return coloring(adj) if len(calls) == 1 else (1 << len(adj)) - 1
+            return search(adj) if len(calls) == 1 else None
 
-        monkeypatch.setattr(certify_module, "_coloring", bipartite_after_first)
+        monkeypatch.setattr(certify_module, "_shortest_cycle", bipartite_after_first)
         with pytest.raises(CertificationError, match="lost its odd cycle"):
             certify(FIVE_CYCLE)
 
@@ -374,12 +376,19 @@ def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _obstruction_record(obs):
+    """An obstruction as sorted lists, whose repr does not depend on the
+    string hash seed as a set's does; None for None."""
+    if obs is None:
+        return None
+    return (sorted(obs.delete_set), sorted(obs.contract_set),
+            sorted(obs.iso.items()), obs.target_index)
+
+
 def _record(cert):
     if isinstance(cert, TwistWitness):
         return ("twist", sorted(cert.twist_set), cert.width)
-    obs = cert.obstruction
-    return ("minor", sorted(obs.delete_set), sorted(obs.contract_set),
-            sorted(obs.iso.items()), obs.target_index)
+    return ("minor", *_obstruction_record(cert.obstruction))
 
 
 class TestEveryDeltaMatroid:
@@ -461,3 +470,54 @@ class TestEveryDeltaMatroid:
             cert, graphs = _certify_recording_graphs(host)
             assert len(graphs) >= 2
             assert _check_certificate(host) == cert
+
+
+# -- the odd-cycle reduction is one loop over minors of the host
+
+
+class TestReductionLoop:
+    def test_ring_instances_keep_their_certificates(self):
+        # the digest of every record of the three routes on ring instances,
+        # as built and twisted off the empty set, as the recursive
+        # reduction gave them
+        digest = hashlib.sha256()
+        for m in (5, 7, 9, 11):
+            for extra in (0, 1):
+                for loops in (0, 1, 2):
+                    for seed in range(3):
+                        odd = odd_cycle_instance(m, extra, loops, seed)
+                        for d in (odd, twist_off_empty(odd, random.Random(seed))):
+                            record = (_record(certify(d)),
+                                      _obstruction_record(is_obstructed(d)),
+                                      _obstruction_record(matroid_twist_obstructions(d)))
+                            digest.update(repr(record).encode())
+        assert digest.hexdigest() == (
+            "ec0862b6b2ea327d28f8d8b4e40e642bd70cf51febca4a3baade145d4b3af936"
+        )
+
+    @pytest.mark.parametrize("m", [7, 9, 11, 13])
+    def test_each_level_is_two_shorter(self, m):
+        cert, graphs = _certify_recording_graphs(odd_cycle_instance(m, 0, 0, 0))
+        assert isinstance(cert, MinorWitness)
+        assert [len(_shortest_cycle(adj)) for adj in graphs] == list(range(m, 1, -2))
+
+    def test_one_impl_call_and_one_coloring_per_certificate(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            inner = getattr(certify_module, name)
+
+            def call(*args):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(certify_module, name, call)
+
+        counted("_certify_impl")
+        counted("_coloring")
+        for m in (5, 9, 13):
+            odd = odd_cycle_instance(m, 0, 0, 0)
+            for route, d in ((certify, odd), (is_obstructed, odd), (certify, odd.twist(1))):
+                calls.clear()
+                assert route(d) is not None
+                assert calls == ["_certify_impl", "_coloring"], (m, route)

@@ -175,6 +175,10 @@ GOLDEN_FILES = {
     # FIVE_CYCLE itself, which certify reduces once before lifting back
     "c5b.dm": "elements: a b c d e\nfeasible: a\nfeasible: b\nfeasible: c\nfeasible: a c d\nfeasible: b c d\nfeasible: a b e\nfeasible: a c e\nfeasible: a d e\nfeasible: b d e\nfeasible: c d e\nfeasible: a b c d e\n",
     "c5a.dm": "elements: a b c d e\nfeasible: a\nfeasible: b\nfeasible: a b c\nfeasible: a c d\nfeasible: b c d\nfeasible: e\nfeasible: b c e\nfeasible: a d e\nfeasible: b d e\nfeasible: c d e\nfeasible: a b c d e\n",
+    # odd_cycle_instance(7, 0, 0, 0) of tests/helpers.py twisted by {e3}:
+    # certify twists it back by {e3}, reduces its 7-cycle to 5 and 3, and
+    # lifts the witness with e3 swapped from contract to delete
+    "c7.dm": "elements: e0 e1 e2 e3 e4 e5 e6\nfeasible: e3\nfeasible: e0 e1 e3\nfeasible: e1 e2 e3\nfeasible: e2 e3 e4\nfeasible: e0 e1 e2 e3 e4\nfeasible: e5\nfeasible: e0 e1 e5\nfeasible: e1 e2 e5\nfeasible: e0 e3 e5\nfeasible: e0 e1 e2 e3 e5\nfeasible: e2 e4 e5\nfeasible: e0 e1 e2 e4 e5\nfeasible: e0 e2 e3 e4 e5\nfeasible: e6\nfeasible: e0 e1 e6\nfeasible: e1 e2 e6\nfeasible: e2 e4 e6\nfeasible: e0 e1 e2 e4 e6\nfeasible: e3 e4 e6\nfeasible: e0 e1 e3 e4 e6\nfeasible: e1 e2 e3 e4 e6\nfeasible: e0 e5 e6\nfeasible: e0 e1 e2 e5 e6\nfeasible: e4 e5 e6\nfeasible: e0 e1 e4 e5 e6\nfeasible: e0 e2 e4 e5 e6\nfeasible: e1 e2 e4 e5 e6\nfeasible: e0 e3 e4 e5 e6\nfeasible: e0 e1 e2 e3 e4 e5 e6\n",
     # U(2,6) + {∅, {e6}} twisted by {e0, e1}: its aux graph is bipartite, and
     # the twist set is the lesser of A and E - A, here not empty
     "u26.dm": "elements: e0 e1 e2 e3 e4 e5 e6\n" + "".join(
@@ -288,6 +292,10 @@ GOLDEN_OK = [
     ("certify c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 2, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
     ("obstruct c5a.dm", 1, "obstruction: delete {} contract {d e} -> excluded minor #6 (a->a, b->b, c->c)\n"),
     ("obstruct c5a.dm --json", 1, '{"obstruction": {"delete": [], "contract": ["d", "e"], "target_index": 6, "iso": {"a": "a", "b": "b", "c": "c"}}}\n'),
+    ("certify c7.dm", 1, "obstruction: delete {e3} contract {e4 e5 e6} -> excluded minor #2 (e0->a, e1->b, e2->c)\n"),
+    ("certify c7.dm --json", 1, '{"obstruction": {"delete": ["e3"], "contract": ["e4", "e5", "e6"], "target_index": 2, "iso": {"e0": "a", "e1": "b", "e2": "c"}}}\n'),
+    ("obstruct c7.dm", 1, "obstruction: delete {e3} contract {e4 e5 e6} -> excluded minor #5 (e0->a, e1->b, e2->c)\n"),
+    ("obstruct c7.dm --json", 1, '{"obstruction": {"delete": ["e3"], "contract": ["e4", "e5", "e6"], "target_index": 5, "iso": {"e0": "a", "e1": "b", "e2": "c"}}}\n'),
     ("certify u26.dm", 0, "witness: twist by {e2 e3 e4 e5} has width 1\n"),
     ("certify u26.dm --json", 0, '{"witness": {"twist_set": ["e2", "e3", "e4", "e5"], "width": 1}}\n'),
     ("obstruct u26.dm", 0, "no obstruction: some twist has width at most one\n"),
@@ -359,8 +367,8 @@ def test_golden_covers_every_subcommand():
 # Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
 # Each file is the text the workflow's one-liners print; the small valid
 # file, the bad file, certify without the empty set, certify --json and
-# obstruct --json on u26.dm and obstruct --json on aut.dm, c5b.dm and c5a.dm
-# are golden rows.
+# obstruct --json on u26.dm, obstruct --json on aut.dm, c5b.dm and c5a.dm,
+# and certify --json and obstruct --json on c7.dm are golden rows.
 def _ci_file(n, sets):
     labels = [f"e{i}" for i in range(n)]
     lines = [["elements:", *labels]]
