@@ -18,11 +18,12 @@ bipartite graph yields a twist set (or a small forbidden restriction).
 Otherwise a loop runs the induction on the length of a shortest odd cycle
 over minors of the host. Each level reads its least triangle off the
 masks, pays for the O(V·E) odd-cycle search only without one, and names a
-catalog member, its masks put back onto the host's positions, or reduces
-to a minor with a shorter odd cycle. A certificate stays masks through the
-cases, the reduction and the lift, and gets its labels once, at the end.
-Its label map, the first label permutation in lexicographic order onto the
-target, is looked up by ``minors._witness``.
+catalog member, its masks carried onto the host through the level's
+labels, or reduces to the host's minor with a shorter odd cycle. A
+certificate stays masks through the cases, the reduction and the lift,
+and gets its labels once, at the end. Its label map, the first label
+permutation in lexicographic order onto the target, is looked up by
+``minors._witness``.
 
 The two obstruction routes, ``is_obstructed`` and the even branch of
 ``matroid_twist_obstructions``, run the same procedure through
@@ -229,37 +230,34 @@ def _long_cycle_case(d, singles, cycle):
 
 def _certify_impl(d):
     """Certificate masks of ``d``, the empty set feasible. Loop invariant:
-    the instance h is the minor of ``d`` contracting ``shut`` and deleting
-    the rest outside ``alive``, whose set bits are h's positions. A case
-    gives (keep, contract, index) masks on h, index None for a reduction;
-    only ``d`` is 2-colored, as ``_shortest_cycle`` is None when bipartite."""
+    the instance h is ``d`` or the minor of ``d`` contracting ``shut`` and
+    deleting every other element outside h's labels. A case gives (keep,
+    contract, index) masks on h, index None for a reduction; h's labels
+    carry them onto ``d``, whose minor is the next level. Only ``d`` is
+    2-colored, as ``_shortest_cycle`` is None when bipartite."""
     singles, adj = _aux(d)
     even = _coloring(adj)
     if even is not None:
         return _bipartite_case(d, even)
-    h, alive, shut, last = d, d.full_mask, 0, len(adj) + 1  # longer than any cycle
+    h, shut, last = d, 0, len(adj) + 1  # longer than any cycle
     while (cycle := _shortest_cycle(adj)) is not None:
         if len(cycle) >= last:
             raise CertificationError("shortest odd cycle failed to shrink in the reduction")
         case = _triangle_case if len(cycle) == 3 else _long_cycle_case
         keep, contract, index = case(h, singles, cycle)
-        # onto the host: a zero goes back in at each position h lacks, lowest first
-        kept, contracted, rest = keep, contract, d.full_mask & ~alive
-        while rest:
-            low = rest & -rest
-            kept = kept & low - 1 | (kept & -low) << 1
-            contracted = contracted & low - 1 | (contracted & -low) << 1
-            rest ^= low
-        shut |= contracted
+        if h is not d:  # onto the host: h's labels are its elements of d
+            keep = d.mask_of(_labels_at(h.labels, keep))
+            contract = d.mask_of(_labels_at(h.labels, contract))
+        shut |= contract
         if index is not None:
-            return d.full_mask & ~(kept | shut), shut, index
-        h, alive, last = h.minor(h.full_mask & ~keep, contract), kept & ~contracted, len(cycle)
+            return d.full_mask & ~(keep | shut), shut, index
+        h, last = d.minor(d.full_mask & ~(keep | shut), shut), len(cycle)
         singles, adj = _aux(h)
     raise CertificationError("reduced instance lost its odd cycle entirely")
 
 
-def _lift(d, f, cert):
-    """Carry a certificate of ``d`` twisted by the mask ``f`` back to ``d``."""
+def _lift(f, cert):
+    """Carry a certificate of D twisted by the mask ``f`` back to D."""
     if isinstance(cert, TwistWitness):
         return TwistWitness(cert.twist_set ^ f, cert.width)
     delete, contract, index = cert
@@ -274,7 +272,7 @@ def _certificate(d: DeltaMatroid):
     f = d.masks[0]
     cert = _certify_impl(d.twist(f) if f else d)
     if f:
-        cert = _lift(d, f, cert)
+        cert = _lift(f, cert)
     if isinstance(cert, TwistWitness):
         actual = _twist_width(d, cert.twist_set)
         if actual != cert.width or actual > 1:

@@ -39,11 +39,6 @@ def _fmt_set(labels) -> str:
     return "{" + " ".join(sorted(labels)) + "}"
 
 
-def _ordered(d: DeltaMatroid, elems) -> list[str]:
-    elems = set(elems)
-    return [e for e in d.labels if e in elems]
-
-
 def _sets(d: DeltaMatroid) -> list[list[str]]:
     """The feasible sets, each listing its labels in ground order."""
     return [_labels_at(d.labels, m) for m in d.masks]
@@ -59,8 +54,8 @@ def _obstruction(d: DeltaMatroid, obs):
     """Payload and text of an excluded-minor witness."""
     iso = dict(sorted(obs.iso.items()))
     payload = {
-        "delete": _ordered(d, obs.delete_set),
-        "contract": _ordered(d, obs.contract_set),
+        "delete": _labels_at(d.labels, d.mask_of(obs.delete_set)),
+        "contract": _labels_at(d.labels, d.mask_of(obs.contract_set)),
         "target_index": obs.target_index,
         "iso": iso,
     }
@@ -125,7 +120,7 @@ def _cmd_min_width_twist(args):
     d = _load(args.file)
     a, w = min_width_twist(d, check=args.check)
     twist_set = d.set_of(a)
-    payload = {"twist_set": _ordered(d, twist_set), "width": w}
+    payload = {"twist_set": _labels_at(d.labels, a), "width": w}
     return 0, payload, f"twist-set: {_fmt_set(twist_set)}\nwidth: {w}"
 
 
@@ -134,7 +129,7 @@ def _cmd_certify(args):
     cert = certify(d)
     if not isinstance(cert, TwistWitness):
         return (1, *_obstruction(d, cert.obstruction))
-    witness = {"twist_set": _ordered(d, cert.twist_set), "width": cert.width}
+    witness = {"twist_set": _labels_at(d.labels, d.mask_of(cert.twist_set)), "width": cert.width}
     text = f"witness: twist by {_fmt_set(cert.twist_set)} has width {cert.width}"
     return 0, {"witness": witness}, text
 

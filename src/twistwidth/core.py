@@ -9,14 +9,15 @@ Feasible sets are stored as bitmasks over ground-set positions (position i
 corresponds to the i-th label), kept deduplicated and sorted ascending, so
 structural equality is a plain tuple comparison.
 
-Building from untrusted input checks the axiom (``find_axiom_violation``)
-with one of two kernels that return the same witness: up to 12 elements
-with sets of subsets as 2^n-bit ints, one AND per feasible set; above,
-with one |F|-bit column per element, one AND per infeasible set next to
-a feasible one, in about |F| * n * (|F|/64 + 1) word operations at most.
-A family whose conservative estimate |F| * n^2 * (|F|/64 + 1) of the
-latter exceeds ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError``
-before the check runs, so the refused inputs stay the same.
+Building from untrusted input checks the axiom (``find_axiom_violation``).
+Only the column kernel names a witness, with one |F|-bit column per
+element and one AND per infeasible set next to a feasible one, in about
+|F| * n * (|F|/64 + 1) word operations at most. Up to 12 elements a subset
+kernel (sets of subsets as 2^n-bit ints, one AND per feasible set) first
+tests whether any violation exists. A family whose conservative estimate
+|F| * n^2 * (|F|/64 + 1) of the column kernel's work exceeds
+``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before the check
+runs, so the refused inputs stay the same.
 
 ``_minor_of`` gives a minor's labels and its masks, which ``_minor_masks``
 computes on masks alone. Keeping k elements, it looks up the 2^k score-0
@@ -50,10 +51,10 @@ MAX_ELEMENTS = 64
 # against the estimate |F| * n^2 * (|F|/64 + 1): n columns of |F| bits for
 # each of the |F| * n pairs (X, u). The column kernel ANDs at most one
 # column per pair, so the estimate is a conservative gate, kept to fix the
-# set of refused inputs; at n <= 12 (at most 3.8e7) the subset kernel runs
-# instead. On a 2-vCPU Xeon VM, U(4, 24) (1.0e9) takes about 0.19 s,
-# U(4, 25) (1.6e9) 0.24 s and U(2, 63) (2.4e8) 0.09 s; U(3, 63) (9.8e10)
-# is refused.
+# set of refused inputs; at n <= 12 (at most 3.8e7) it runs only on a family
+# the subset kernel found violating. On a 2-vCPU Xeon VM, U(4, 24) (1.0e9)
+# takes about 0.19 s, U(4, 25) (1.6e9) 0.24 s and U(2, 63) (2.4e8) 0.09 s;
+# U(3, 63) (9.8e10) is refused.
 MAX_AXIOM_WORK = 2_000_000_000
 # Largest n for the subset kernel; its fixed cost doubles per element, so
 # sparse families lose first. Column -> subset kernel, best of 200 calls,
@@ -95,8 +96,9 @@ def find_axiom_violation(masks: Sequence[int], n: int):
     """Return a violating triple ``(x_mask, y_mask, u_pos)`` or None.
 
     ``masks`` are distinct and ascending. The least X wins, then its first
-    Y, then the lowest u. Up to ``MAX_SUBSET_KERNEL_ELEMENTS`` elements the
-    subset kernel runs, above it the column kernel.
+    Y, then the lowest u; only the column kernel picks them. Up to
+    ``MAX_SUBSET_KERNEL_ELEMENTS`` elements the subset kernel tests first and
+    calls it on a violation, above it the column kernel runs alone.
     """
     if n <= MAX_SUBSET_KERNEL_ELEMENTS:
         return _subset_violation(masks, n)
@@ -223,8 +225,8 @@ def _subset_violation(masks: Sequence[int], n: int):
     in Y: one OR of a table entry for Y's low h = n // 2 bits and one for
     its high bits, each complemented once per high part as the masks
     ascend, so each Y costs one AND, about 2^(h + 1) + |F| operations on
-    2^n bits. X is the least feasible neighbour of a violated Z; a second
-    pass reads off the first Y and the lowest u.
+    2^n bits. It names no witness: at the first Y that violates some Z it
+    returns the column kernel's triple.
     """
     fam = int(_digits(masks, n)[::-1], 2)
     planes = _planes(n)[1]
@@ -240,19 +242,12 @@ def _subset_violation(masks: Sequence[int], n: int):
         return t
 
     low, high = [cand & ~c for c in table(range(h))], table(range(h, n))
-    bad = 0
     for top, ys in groupby(masks, h.__rrshift__):
         rest = cand & ~high[top]
         for y in ys:
-            bad |= rest & low[y & lowmask]
-    if not bad:
-        return None
-    xs = fam & _dilate(bad, planes)
-    x = (xs & -xs).bit_length() - 1
-    nbrs = sum(1 << (x ^ 1 << u) for u in range(n))
-    for y in masks:
-        if zs := nbrs & ~high[y >> h] & low[y & lowmask]:
-            return x, y, next(u for u in range(n) if zs >> (x ^ 1 << u) & 1)
+            if rest & low[y & lowmask]:
+                return _column_violation(masks, n)
+    return None
 
 
 def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, ...]:

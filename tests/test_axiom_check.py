@@ -4,10 +4,12 @@ untrusted families before the check.
 
 ``find_axiom_violation`` runs the subset kernel up to
 ``MAX_SUBSET_KERNEL_ELEMENTS`` elements and the column kernel above it.
-Each kernel must return the oracle's exact triple (first X, then first Y,
-then lowest u), not just agree on the verdict, so the oracle tests call
-both kernels by their private names: at n <= 12 nothing else reaches the
-column kernel.
+Only the column kernel picks the witness: the subset kernel tests for a
+violation and, on one, returns the column kernel's triple, so at n <= 12
+the column kernel runs exactly once per violating family and never on a
+valid one. Each kernel must return the oracle's exact triple (first X,
+then first Y, then lowest u), not just agree on the verdict, so the
+oracle tests call both kernels by their private names.
 """
 
 import random
@@ -151,6 +153,18 @@ def test_kernels_agree_across_cutoff(n, source, data):
     assert core._subset_violation(masks, n) == core._column_violation(masks, n)
 
 
+def _count_column_calls(monkeypatch):
+    calls = []
+    column = core._column_violation
+
+    def counted(masks, n):
+        calls.append(n)
+        return column(masks, n)
+
+    monkeypatch.setattr(core, "_column_violation", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [12, 13])
 def test_dispatch_at_the_cutoff(n, monkeypatch):
     def refuse(masks, n):
@@ -160,14 +174,61 @@ def test_dispatch_at_the_cutoff(n, monkeypatch):
     masks = sorted(m ^ 0b1011011 for m in _uniform(2, n) if m not in (0b11, 0b101))
     want = (0b11010, 0b1011101, 6)
     assert core._column_violation(masks, n) == core._subset_violation(masks, n) == want
-    other = "_column_violation" if n <= 12 else "_subset_violation"
-    monkeypatch.setattr(core, other, refuse)
-    assert find_axiom_violation(masks, n) == want
-    monkeypatch.undo()
-    ran = "_subset_violation" if n <= 12 else "_column_violation"
-    monkeypatch.setattr(core, ran, refuse)
-    with pytest.raises(LookupError, match="wrong kernel"):
-        find_axiom_violation(masks, n)
+    if n <= 12:
+        monkeypatch.setattr(core, "_subset_violation", refuse)
+        with pytest.raises(LookupError, match="wrong kernel"):
+            find_axiom_violation(masks, n)
+        monkeypatch.undo()
+        # the subset kernel hands its verdict to the column kernel, once
+        calls = _count_column_calls(monkeypatch)
+        assert find_axiom_violation(masks, n) == want
+        assert calls == [n]
+    else:
+        monkeypatch.setattr(core, "_subset_violation", refuse)
+        assert find_axiom_violation(masks, n) == want
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "_column_violation", refuse)
+        with pytest.raises(LookupError, match="wrong kernel"):
+            find_axiom_violation(masks, n)
+
+
+def test_column_kernel_runs_once_per_violating_family(monkeypatch):
+    # every family at n <= 3, then GF(2) draws at n = 4..12, each as drawn
+    # (valid) and with one subset toggled (mostly violating)
+    cases = [
+        ([s for s in range(1 << n) if fam >> s & 1], n)
+        for n in range(4) for fam in range(1, 1 << (1 << n))
+    ]
+    rng = random.Random(33)
+    for n in range(4, 13):
+        for _ in range(4):
+            masks = sample_with_empty_feasible(n, rng).masks
+            cases += [(list(masks), n), (sorted(set(masks) ^ {rng.randrange(1 << n)}), n)]
+    calls = _count_column_calls(monkeypatch)
+    violating = 0
+    for masks, n in cases:
+        del calls[:]
+        found = find_axiom_violation(masks, n)
+        assert calls == ([n] if found is not None else []), (masks, n)
+        violating += found is not None
+    assert 0 < violating < len(cases)
+
+
+def test_violating_n12_family_fails_fast():
+    # a GF(2) draw with 2078 feasible sets, one of them dropped
+    rng = random.Random(0)
+    d = sample_with_empty_feasible(12, rng)
+    masks = sorted(set(d.masks) ^ {rng.randrange(1 << 12)})
+    assert len(masks) == 2077
+    start = time.perf_counter()
+    with pytest.raises(AxiomViolationError) as err:
+        validate(d.labels, masks)
+    assert time.perf_counter() - start < 1.0
+    # pinned when the subset kernel still read off its own witness
+    assert find_axiom_violation(masks, 12) == (1739, 3531, 11)
+    assert (err.value.x, err.value.y, err.value.u) == (
+        d.set_of(1739), d.set_of(3531), d.labels[11]
+    )
 
 
 # -- the work budget ------------------------------------------------------

@@ -426,7 +426,7 @@ class TestEveryDeltaMatroid:
         assert obs.target == cat[2].twist("a")
 
     def test_lifted_twist_set_is_rechecked_on_the_host(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_lift", lambda d, f, cert: cert)
+        monkeypatch.setattr(certify_module, "_lift", lambda f, cert: cert)
         with pytest.raises(CertificationError, match="twist witness claims"):
             certify(validate("ab", ["a", "b"]))
 
