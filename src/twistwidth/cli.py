@@ -27,7 +27,8 @@ from .structure import min_width_twist
 
 
 def _load(path: str) -> DeltaMatroid:
-    with open(path, encoding="utf-8") as fh:
+    """The file at ``path``, read as UTF-8 with any leading byte-order mark dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -232,9 +233,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -165,6 +167,8 @@ GOLDEN_FILES = {
     "w1.dm": WIDTH_ONE_TEXT,
     "no_empty.dm": "elements: a b\nfeasible: a\nfeasible: b\n",
     "bad.dm": BAD_TEXT,
+    # d1.dm behind a UTF-8 byte-order mark, as some editors save it
+    "bom.dm": "\ufeff" + D1_TEXT,
     "garbled.dm": "feasible: a\nelements: a\n",
     # the empty set is infeasible, and the witness lifted back from the twist
     # by {e1} lands on a target with automorphisms
@@ -216,6 +220,8 @@ GOLDEN_OK = [
     ("certify d1.dm --json", 1, '{"obstruction": {"delete": [], "contract": [], "target_index": 0, "iso": {"a": "a", "b": "b"}}}\n'),
     ("obstruct d1.dm", 1, "obstruction: delete {} contract {} -> excluded minor #0 (a->a, b->b)\n"),
     ("obstruct d1.dm --json", 1, '{"obstruction": {"delete": [], "contract": [], "target_index": 0, "iso": {"a": "a", "b": "b"}}}\n'),
+    ("validate bom.dm", 0, "valid: 2 elements, 4 feasible sets\n"),
+    ("validate bom.dm --json", 0, '{"valid": true, "elements": 2, "feasible": 4}\n'),
     ("validate d3.dm", 0, "valid: 3 elements, 4 feasible sets\n"),
     ("validate d3.dm --json", 0, '{"valid": true, "elements": 3, "feasible": 4}\n'),
     ("info d3.dm", 0, "elements: a b c\nfeasible sets: 4\nwidth: 2\neven: yes\nloops: -\ncoloops: -\nmatroid: no\n"),
@@ -335,7 +341,7 @@ GOLDEN = [(cmd, code, out, "") for cmd, code, out in GOLDEN_OK] + [
 @pytest.fixture
 def golden_dir(tmp_path, monkeypatch):
     for name, text in GOLDEN_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 
@@ -344,6 +350,23 @@ def test_golden(row, golden_dir, capsys):
     cmd, code, out, err = row
     assert main(cmd.split()) == code
     assert capsys.readouterr() == (out, err)
+
+
+GOLDEN_BY_COMMAND = {row[0]: row for row in GOLDEN}
+
+
+@pytest.mark.parametrize(
+    "cmd", ["validate d1.dm", "certify aut.dm --json", "validate bad.dm"]
+)
+def test_golden_through_a_process(cmd, golden_dir):
+    # the module run as a program in a fresh interpreter, so the exit code
+    # is the process's own and each stream is what a shell would read
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistwidth.cli", *cmd.split()],
+        env=env, capture_output=True, text=True,
+    )
+    assert (cmd, proc.returncode, proc.stdout, proc.stderr) == GOLDEN_BY_COMMAND[cmd]
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
@@ -364,12 +387,12 @@ def test_golden_covers_every_subcommand():
     assert {row[0].split()[0] for row in GOLDEN} == set(sub.choices)
 
 
-# Tier-1 twins of the console-script checks in .github/workflows/tests.yml.
-# Each file is the text the workflow's one-liners print; the small valid
-# file, the bad file, certify without the empty set, certify --json and
-# obstruct --json on u26.dm, obstruct --json on aut.dm, c5b.dm and c5a.dm,
-# and certify --json and obstruct --json on c7.dm are golden rows.
-def _ci_file(n, sets):
+# The large-file CLI checks. These tests and the golden rows above are the
+# only home of the CLI's byte contract: CI runs just two commands through
+# the installed script (validate on d1.dm and on bad.dm, both golden rows).
+def _numbered_file(n, sets):
+    """The file text on elements e0..e(n-1) whose feasible sets are ``sets``,
+    each a list of element indices."""
     labels = [f"e{i}" for i in range(n)]
     lines = [["elements:", *labels]]
     lines += [["feasible:", *(labels[i] for i in s)] for s in sets]
@@ -389,7 +412,7 @@ def test_console_violating_twisted_u2_exact_stderr(n, tmp_path, capsys):
     # the pairs {e0, e1} and {e0, e2} are left out; the subset kernel runs
     # at 12 elements, the column kernel at 13, and both name one witness
     p = tmp_path / f"bad_u2_{n}.dm"
-    p.write_text(_ci_file(n, _twisted_pairs(n, skip={(0, 1), (0, 2)})))
+    p.write_text(_numbered_file(n, _twisted_pairs(n, skip={(0, 1), (0, 2)})))
     assert main(["validate", str(p)]) == 2
     assert capsys.readouterr() == ("", (
         "error: symmetric exchange fails: X=['e1', 'e3', 'e4'] "
@@ -399,14 +422,14 @@ def test_console_violating_twisted_u2_exact_stderr(n, tmp_path, capsys):
 
 def test_console_over_budget_u3_63_exits_2(tmp_path, capsys):
     p = tmp_path / "u3_63.dm"
-    p.write_text(_ci_file(63, combinations(range(63), 3)))
+    p.write_text(_numbered_file(63, combinations(range(63), 3)))
     assert main(["validate", str(p)]) == 2
     assert capsys.readouterr().out == ""
 
 
 def test_console_twisted_u2_20_untwists_and_restricts(tmp_path, capsys):
     p = tmp_path / "u2_20.dm"
-    p.write_text(_ci_file(20, _twisted_pairs(20)))
+    p.write_text(_numbered_file(20, _twisted_pairs(20)))
     assert main(["min-width-twist", str(p)]) == 0
     assert capsys.readouterr().out == "twist-set: {e0 e1 e3 e4 e6}\nwidth: 0\n"
     delete = ",".join(f"e{i}" for i in range(7, 20))
@@ -419,7 +442,7 @@ def test_console_twisted_u2_20_untwists_and_restricts(tmp_path, capsys):
 
 def test_console_21_element_search_exits_2(tmp_path, capsys):
     p = tmp_path / "n21.dm"
-    p.write_text(_ci_file(21, [[]]))
+    p.write_text(_numbered_file(21, [[]]))
     assert main(["min-width-twist", str(p)]) == 2
     assert capsys.readouterr().out == ""
 
@@ -428,7 +451,7 @@ def test_console_check_mode_on_twisted_u2_14_prints_the_search_answer(
     tmp_path, capsys
 ):
     p = tmp_path / "u2_14.dm"
-    p.write_text(_ci_file(14, _twisted_pairs(14)))
+    p.write_text(_numbered_file(14, _twisted_pairs(14)))
     assert main(["min-width-twist", str(p)]) == 0
     plain = capsys.readouterr()
     assert main(["min-width-twist", str(p), "--check"]) == 0
@@ -439,7 +462,7 @@ def test_console_check_mode_on_twisted_u2_14_prints_the_search_answer(
 
 def test_check_mode_on_20_elements_exits_2_fast(tmp_path, capsys):
     p = tmp_path / "u2_20.dm"
-    p.write_text(_ci_file(20, _twisted_pairs(20)))
+    p.write_text(_numbered_file(20, _twisted_pairs(20)))
     start = time.perf_counter()
     assert main(["min-width-twist", str(p), "--check"]) == 2
     assert time.perf_counter() - start < 1.0
