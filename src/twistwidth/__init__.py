@@ -34,7 +34,7 @@ from .certify import (
 )
 from .fileio import ParseError, parse, serialize
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AxiomViolationError",

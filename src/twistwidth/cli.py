@@ -27,8 +27,8 @@ from .structure import min_width_twist
 
 
 def _load(path: str) -> DeltaMatroid:
-    """The file at ``path``, read as UTF-8 with any leading byte-order mark dropped."""
-    with open(path, encoding="utf-8-sig") as fh:
+    """The file at ``path``, read as UTF-8."""
+    with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
 
 
@@ -119,7 +119,7 @@ def _cmd_rho(args):
 
 def _cmd_min_width_twist(args):
     d = _load(args.file)
-    a, w = min_width_twist(d, check=args.check)
+    a, w = min_width_twist(d)
     twist_set = d.set_of(a)
     payload = {"twist_set": _labels_at(d.labels, a), "width": w}
     return 0, payload, f"twist-set: {_fmt_set(twist_set)}\nwidth: {w}"
@@ -201,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-A", "--set", type=_subset_arg, default=[])
 
-    p = add("min-width-twist", _cmd_min_width_twist, "twist set minimizing width")
-    p.add_argument("file")
-    p.add_argument("--check", action="store_true", help="cross-validate against the formula and the width by definition")
+    add("min-width-twist", _cmd_min_width_twist, "twist set minimizing width").add_argument("file")
 
     add("certify", _cmd_certify, "width<=1 twist witness or forbidden minor").add_argument("file")
     add("obstruct", _cmd_obstruct, "excluded-minor witness from the certificate, or none").add_argument("file")

@@ -2,8 +2,9 @@
 
 One ``elements:`` line declaring the ground set (order defines bit
 positions), then one ``feasible:`` line per feasible set. ``#`` starts a
-comment, blank lines are ignored. Canonical output lists feasible lines in
-ascending bitmask order with elements in ground order.
+comment, blank lines are ignored, and one leading byte-order mark (U+FEFF)
+is dropped. Canonical output lists feasible lines in ascending bitmask
+order with elements in ground order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def parse(text: str) -> DeltaMatroid:
     masks: list[int] = []
     seen: set[int] = set()
     elements_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix("\ufeff").splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -27,9 +27,7 @@ S_j = {A : dist(A) = j} grow from the feasible family, one dilation across
 all n bits each, and the S'_k of dist(A~) from the complemented family in
 the high half of the same int. The twist sets of width w are the OR over j
 of S_j & S'_(n - w - j): about n * D * 2^(n+1) / 64 word operations, with
-D <= n the largest distance. No route materializes twisted families; a
-check mode cross-validates both against ``_twist_width``, the width by its
-definition: the spread of |A ^ F| over the feasible F.
+D <= n the largest distance. No route materializes twisted families.
 """
 
 from __future__ import annotations
@@ -37,19 +35,11 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 
-from .core import DeltaMatroid, GroundSetError, _digits, _dilate, _members, _planes, _twist_width
+from .core import DeltaMatroid, GroundSetError, _digits, _dilate, _members, _planes
 
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
 # kernel; each further element doubles its 256 KB ints and may add a shell.
 MAX_SEARCH_ELEMENTS = 20
-# Budget for check mode, against the estimate 2^n * (|F| + 16): each twist
-# set costs one pass of the formula and one of the width by definition over
-# the |F| feasible sets, plus a fixed cost of about 6 sets' worth; 16 keeps
-# the refused inputs unchanged. On a 2-vCPU Xeon VM, twisted U(2, 14)
-# (1.8e6) takes 0.20 s, U(3, 14) (6.2e6) 0.69 s, one set on 18 elements
-# (4.5e6) 0.19 s, U(2, 16) (8.9e6) 0.94 s and U(3, 15) (1.5e7) 1.7 s; every
-# family on 20 elements (at least 1.8e7) is refused.
-MAX_CHECK_WORK = 16_000_000
 
 
 def _terms(d: DeltaMatroid, a: int) -> tuple[int, int, int]:
@@ -86,11 +76,6 @@ def _restriction_width(d: DeltaMatroid, a: int) -> int:
     return _terms(d, a)[0]
 
 
-def _formula(d: DeltaMatroid, a: int) -> int:
-    restricted, complemented, connectivity = _terms(d, a)
-    return restricted + complemented + 2 * connectivity
-
-
 def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
     """Shells S_j of dist(A) and, at index n - k, S'_k of dist(A~), so that
     the A of width w are the OR over j of near[j] & mirror[j + w]. One
@@ -121,18 +106,10 @@ def _width_class(near: list[int], mirror: list[int], w: int) -> int:
     return reduce(or_, map(and_, near, mirror[w:]), 0)
 
 
-def _twist_widths(d: DeltaMatroid) -> list[int]:
-    """Width of twist(d, A) for every A, indexed by the mask of A."""
-    (near, mirror), widths = _shells(d), [-1] * (1 << d.n)
-    for w in range(d.n + 1):
-        for a in _members(_width_class(near, mirror, w)):
-            widths[a] = w
-    return widths
-
-
 def twist_width_formula(d: DeltaMatroid, elems) -> int:
     """Width of twist(d, A) computed structurally, without twisting."""
-    return _formula(d, d.mask_of(elems))
+    restricted, complemented, connectivity = _terms(d, d.mask_of(elems))
+    return restricted + complemented + 2 * connectivity
 
 
 def is_twist_matroid_witness(d: DeltaMatroid, elems) -> bool:
@@ -155,39 +132,19 @@ def is_twist_width_one_witness(d: DeltaMatroid, elems) -> bool:
     return twist_width_formula(d, elems) == 1
 
 
-def min_width_twist(d: DeltaMatroid, check: bool = False) -> tuple[int, int]:
+def min_width_twist(d: DeltaMatroid) -> tuple[int, int]:
     """Twist set minimizing the twist's width.
 
     Returns ``(a_mask, width)``, the lowest bit of the first nonempty width
-    class, so ties go to the smallest bitmask. ``check=True`` compares the
-    widths expanded from the shells with the formula, the width by
-    definition and the answer. Raises GroundSetError above
-    ``MAX_SEARCH_ELEMENTS`` and, in check mode, above ``MAX_CHECK_WORK``
-    before any work.
+    class, so ties go to the smallest bitmask. Raises GroundSetError above
+    ``MAX_SEARCH_ELEMENTS`` before any work.
     """
-    if check and (work := (len(d.masks) + 16) << d.n) > MAX_CHECK_WORK:
-        raise GroundSetError(
-            f"check mode too large: {len(d.masks)} feasible sets on {d.n} "
-            f"elements need about {work:.1e} operations, over the budget of "
-            f"{MAX_CHECK_WORK:.1e}"
-        )
     near, mirror = _shells(d)
     # j, k < len(near), so the classes below n + 2 - 2 * len(near) are empty
     for w in range(max(0, len(mirror) + 1 - 2 * len(near)), len(mirror)):
         if found := _width_class(near, mirror, w):
             break
-    best = (found & -found).bit_length() - 1, w
-    if check:
-        widths = _twist_widths(d)
-        for a, got in enumerate(widths):
-            if not got == _formula(d, a) == _twist_width(d, a):
-                raise AssertionError(
-                    f"kernel width {got} disagrees with the formula or the "
-                    f"width by definition for A={a:#x}"
-                )
-        if best != (widths.index(min(widths)), min(widths)):
-            raise AssertionError(f"{best} is not the first argmin")
-    return best
+    return (found & -found).bit_length() - 1, w
 
 
 def rough_structure_witnesses(d: DeltaMatroid) -> list[int]:

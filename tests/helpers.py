@@ -2,8 +2,10 @@
 
 Everything here recomputes quantities by direct definition (materialized
 twists, naive axiom checks, minor search over every delete/contract
-pair), independent of the structural formulas the
-package uses, so tests compare two genuinely different routes.
+pair), independent of the structural formulas the package uses, so tests
+compare two genuinely different routes. The one exception,
+``kernel_twist_widths``, expands the library's all-twists kernel into one
+width per twist set, for the tests to compare with those oracles.
 
 The randomized tests draw from two sources: principal-minor families of
 random symmetric GF(2) matrices, which reach 135 of the 155 delta-matroids
@@ -31,6 +33,7 @@ from twistwidth import (
 )
 from twistwidth.core import _members, _planes, find_axiom_violation
 from twistwidth.minors import _permuted_masks
+from twistwidth.structure import _shells, _width_class
 
 CHAIN_MAX_ELEMENTS = 8  # the largest extension-chain pool
 
@@ -52,6 +55,17 @@ def scan_set_of(d: DeltaMatroid, mask: int) -> frozenset:
 def brute_min_twist_width(d: DeltaMatroid) -> int:
     """Minimum width over all materialized twists."""
     return min(d.twist(a).width() for a in range(d.full_mask + 1))
+
+
+def kernel_twist_widths(d: DeltaMatroid) -> list:
+    """Width of twist(d, A) for every A, indexed by the mask of A, read off
+    the library's all-twists kernel: its width classes expanded to one
+    width per twist set. Not an oracle; the tests compare it with them."""
+    (near, mirror), widths = _shells(d), [-1] * (1 << d.n)
+    for w in range(d.n + 1):
+        for a in _members(_width_class(near, mirror, w)):
+            widths[a] = w
+    return widths
 
 
 def hamming_twist_widths(d: DeltaMatroid) -> list:

@@ -101,8 +101,14 @@ def _assert_every_instance_fails(report):
 
 @pytest.mark.parametrize("tag", ["t2", "tt2", "tt"])
 def test_verify_catches_a_wrong_formula(monkeypatch, tag):
-    formula = structure._formula
-    monkeypatch.setattr(structure, "_formula", lambda d, a: formula(d, a) + 2)
+    # one more in the connectivity term puts the formula 2 above the width
+    terms = structure._terms
+
+    def wrong(d, a):
+        restricted, complemented, connectivity = terms(d, a)
+        return restricted, complemented, connectivity + 1
+
+    monkeypatch.setattr(structure, "_terms", wrong)
     report = verify_theorem(3, tag)
     assert report.checked == 155
     assert report.failures >= 1

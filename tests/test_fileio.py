@@ -36,6 +36,10 @@ def test_comments_and_blank_lines():
     assert d.feasible_sets() == [frozenset({"a"})]
 
 
+def test_leading_byte_order_mark_is_dropped():
+    assert parse("\ufeff" + FOUR_POINT) == parse(FOUR_POINT)
+
+
 def test_unknown_label_has_line_number():
     with pytest.raises(ParseError) as err:
         parse("elements: a\nfeasible: q")
@@ -112,6 +116,15 @@ def test_roundtrip_all_enumerated_n3():
         ),
         ("feasible: a", "line 1: feasible line before elements line"),
         ("elements: a b", "line 1: at least one feasible line is required"),
+        # only one byte-order mark is dropped, and only at the start
+        (
+            "\ufeff\ufeffelements: a\nfeasible:",
+            "line 1: expected 'elements:' or 'feasible:', got '\\ufeffelements: a'",
+        ),
+        (
+            "elements: a\n\ufefffeasible:",
+            "line 2: expected 'elements:' or 'feasible:', got '\\ufefffeasible:'",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):

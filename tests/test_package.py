@@ -2,7 +2,8 @@
 twistwidth`` leaves ``enumeration`` unloaded, and its names still resolve,
 star-import and list as before; ``is_matroid`` and ``d_min`` live in
 ``core``, and ``twistwidth.matroids`` is gone, as are the labelled
-aux-graph adapters and the isomorphism search."""
+aux-graph adapters, the isomorphism search and ``min_width_twist``'s check
+mode."""
 
 import os
 import subprocess
@@ -66,6 +67,13 @@ SNIPPETS = {
             for name in names:
                 assert not hasattr(module, name), (module.__name__, name)
                 assert name not in twistwidth.__all__, name
+    """,
+    "min-width-twist-check-mode-is-gone": """
+        import inspect
+        import twistwidth.structure as structure
+        assert "check" not in inspect.signature(structure.min_width_twist).parameters
+        for name in ("MAX_CHECK_WORK", "_twist_widths", "_formula"):
+            assert not hasattr(structure, name), name
     """,
     "unknown-name-raises-attribute-error": """
         import twistwidth

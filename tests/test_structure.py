@@ -71,10 +71,10 @@ def test_min_width_twist_small_instance():
     assert min_width_twist(d) == (0, 1)
 
 
-def test_min_width_twist_check_mode(cat):
+def test_min_width_twist_of_catalog_is_first_argmin(cat):
     for d in cat:
-        a, w = min_width_twist(d, check=True)
-        assert w == d.twist(a).width()
+        widths = [d.twist(x).width() for x in range(d.full_mask + 1)]
+        assert min_width_twist(d) == (widths.index(min(widths)), min(widths))
 
 
 def test_min_width_twist_tie_break_is_smallest_mask(dms_by_n):

@@ -1,20 +1,21 @@
 """The all-twists width kernel and the twist-width formula against
 materialized twists and the oracles.
 
-``_twist_widths`` expands the kernel's Hamming distance shells, each set
-of twist sets a 2^n-bit int grown by one dilation per shell, into one
-width per twist set; the kernel costs about n * D * 2^(n+1) / 64 word
-operations, D <= n the largest distance (about 0.15 s on twisted U(2,20),
-and 0.03-0.08 ms on the sampled n = 8..10 instances of the benchmark, on a
-2-vCPU Xeon VM). Here each value is compared with ``d.twist(A).width()``
-and the structural formula, and with ``hamming_twist_widths`` (helpers.py),
-the list-based distance transform, up to n = 16. The two searches built
-on the kernel are compared with ``brute_rough_structure_witnesses``
-(helpers.py) and with the argmin of materialized or oracle widths. The
-formula reads its three terms off one pass over the feasible masks; each
-term is compared on its own with the width of the restriction it stands
-for, built by ``d.restrict``, or with ``dmin_connectivity`` (helpers.py),
-which builds D_min, and their sum with the materialized twist's width.
+``kernel_twist_widths`` (helpers.py) expands the kernel's Hamming
+distance shells, each set of twist sets a 2^n-bit int grown by one
+dilation per shell, into one width per twist set; the kernel costs about
+n * D * 2^(n+1) / 64 word operations, D <= n the largest distance (about
+0.15 s on twisted U(2,20), and 0.03-0.08 ms on the sampled n = 8..10
+instances of the benchmark, on a 2-vCPU Xeon VM). Here each value is
+compared with ``d.twist(A).width()`` and the structural formula, and
+with ``hamming_twist_widths`` (helpers.py), the list-based distance
+transform, up to n = 16. The two searches built on the kernel are
+compared with ``brute_rough_structure_witnesses`` (helpers.py) and with
+the argmin of materialized or oracle widths. The formula reads its three
+terms off one pass over the feasible masks; each term is compared on its
+own with the width of the restriction it stands for, built by
+``d.restrict``, or with ``dmin_connectivity`` (helpers.py), which builds
+D_min, and their sum with the materialized twist's width.
 """
 
 import random
@@ -25,26 +26,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
-    DeltaMatroid,
     GroundSetError,
     enumerate_all,
     min_width_twist,
     rough_structure_witnesses,
+    twist_width_formula,
     validate,
 )
-from twistwidth import structure
-from twistwidth.structure import (
-    MAX_SEARCH_ELEMENTS,
-    _formula,
-    _restriction_width,
-    _terms,
-    _twist_widths,
-)
+from twistwidth.structure import MAX_SEARCH_ELEMENTS, _restriction_width, _terms
 from helpers import (
     brute_rough_structure_witnesses,
     dmin_connectivity,
     draw_with_empty_feasible,
     hamming_twist_widths,
+    kernel_twist_widths,
 )
 
 
@@ -88,13 +83,13 @@ def _check_formula(d):
         )
         assert _terms(d, a) == oracle
         assert _restriction_width(d, a) == inside
-        assert _formula(d, a) == inside + outside + 2 * connectivity
-        assert _formula(d, a) == d.twist(a).width()
+        assert twist_width_formula(d, a) == inside + outside + 2 * connectivity
+        assert twist_width_formula(d, a) == d.twist(a).width()
 
 
 def _check_searches(d):
     widths = _materialized(d)
-    assert _twist_widths(d) == widths
+    assert kernel_twist_widths(d) == widths
     best = min(widths)
     assert min_width_twist(d) == (widths.index(best), best)
     assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
@@ -102,10 +97,10 @@ def _check_searches(d):
 
 def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
     for d in _every_dm(dms_by_n):
-        kernel = _twist_widths(d)
+        kernel = kernel_twist_widths(d)
         assert len(kernel) == 1 << d.n
         for a, w in enumerate(kernel):
-            assert w == d.twist(a).width() == _formula(d, a)
+            assert w == d.twist(a).width() == twist_width_formula(d, a)
 
 
 def test_formula_and_restriction_width_match_oracles_exhaustively(dms_by_n):
@@ -123,50 +118,6 @@ def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
 def test_rough_structure_witnesses_match_oracle_exhaustively(dms_by_n):
     for d in _every_dm(dms_by_n):
         assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
-
-
-@pytest.mark.parametrize("wrong", ["kernel", "formula", "shells", "width"])
-def test_check_mode_raises_on_a_mismatch(cat, monkeypatch, wrong):
-    if wrong == "width":
-        width = structure._twist_width
-        monkeypatch.setattr(
-            structure, "_twist_width", lambda d, a: width(d, a) + 2
-        )
-    elif wrong == "kernel":
-        kernel = structure._twist_widths
-        monkeypatch.setattr(
-            structure, "_twist_widths", lambda d: [w + 2 for w in kernel(d)]
-        )
-    elif wrong == "shells":
-        shells = structure._shells
-
-        def moved(d):
-            # the sets at distance 1 are reported at distance 2
-            near, mirror = shells(d)
-            near = [*near, 0]
-            near[1:3] = 0, near[1] | near[2]
-            return near, mirror
-
-        monkeypatch.setattr(structure, "_shells", moved)
-    else:
-        formula = structure._formula
-        monkeypatch.setattr(
-            structure, "_formula", lambda d, a: formula(d, a) + 2
-        )
-    with pytest.raises(AssertionError):
-        min_width_twist(cat[2], check=True)
-
-
-def test_check_mode_builds_no_twist(dms_by_n, monkeypatch):
-    # check mode compares with the width by definition, not a twisted copy
-    dms = [d for n in (1, 2, 3) for d in dms_by_n[n]]
-    expected = [min_width_twist(d, check=True) for d in dms]
-
-    def forbidden(self, elems):
-        raise AssertionError("check mode built a twist")
-
-    monkeypatch.setattr(DeltaMatroid, "twist", forbidden)
-    assert [min_width_twist(d, check=True) for d in dms] == expected
 
 
 _RANDOM_TWISTS = given(
@@ -241,7 +192,7 @@ def test_searches_fail_fast_above_cap(search):
 
 def _check_against_oracle(d):
     widths = hamming_twist_widths(d)
-    assert _twist_widths(d) == widths
+    assert kernel_twist_widths(d) == widths
     best = min(widths)
     assert min_width_twist(d) == (widths.index(best), best)
     assert rough_structure_witnesses(d) == [
@@ -281,7 +232,7 @@ def test_bitsets_shorter_than_a_byte(n):
         d = validate([f"e{i}" for i in range(n)], masks)
         _check_searches(d)
         _check_against_oracle(d)
-        assert min_width_twist(d, check=True) == min_width_twist(d)
+        _check_formula(d)
 
 
 def test_twisted_uniform_matroid_on_20_elements_untwists():
@@ -289,27 +240,6 @@ def test_twisted_uniform_matroid_on_20_elements_untwists():
     full = (1 << n) - 1
     d = validate([f"e{i}" for i in range(n)], [m ^ a for m in _uniform(2, n)])
     assert min_width_twist(d) == (min(a, full ^ a), 0)
-
-
-def test_check_mode_on_20_elements_refuses_fast():
-    # one feasible set is the least check work on 20 elements
-    labels = [f"e{i}" for i in range(20)]
-    for d in (validate(labels, [[]]), _twisted_uniform(20, 2, False, 20)):
-        start = time.perf_counter()
-        with pytest.raises(GroundSetError, match="check mode too large"):
-            min_width_twist(d, check=True)
-        assert time.perf_counter() - start < 1.0
-
-
-def test_check_budget_boundary(cat, monkeypatch):
-    # D3: 4 feasible sets on 3 elements, (4 + 16) * 2^3 = 160
-    monkeypatch.setattr(structure, "MAX_CHECK_WORK", 160)
-    assert min_width_twist(cat[2], check=True) == (0, 2)
-    monkeypatch.setattr(structure, "MAX_CHECK_WORK", 159)
-    with pytest.raises(GroundSetError, match="check mode too large"):
-        min_width_twist(cat[2], check=True)
-    # the search itself has no work budget
-    assert min_width_twist(cat[2]) == (0, 2)
 
 
 def test_width_one_sum_on_20_elements():
@@ -320,5 +250,5 @@ def test_width_one_sum_on_20_elements():
     witnesses = rough_structure_witnesses(d)
     assert witnesses
     for a in witnesses:
-        assert _formula(d, a) == 1
+        assert twist_width_formula(d, a) == 1
         assert _restriction_width(d, a) == 0
