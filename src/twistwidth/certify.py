@@ -3,10 +3,9 @@
 Given any delta-matroid, ``certify`` produces either a twist set whose
 twist has width at most one, or a minor witness onto a twist of one of the
 five catalog obstructions. When the empty set is infeasible, it certifies
-the twist by the smallest feasible set F instead, in which the empty set
-is feasible, and lifts the result back: a twist set T becomes T ^ F, and
-deleting (contracting) an element of F there is contracting (deleting) it
-here.
+the twist by the smallest feasible set F, in which the empty set is
+feasible, and lifts the result back: a twist set T becomes T ^ F, and
+deleting (contracting) an element of F there contracts (deletes) it here.
 
 With the empty set feasible, the procedure builds an auxiliary graph from
 the feasible sets of size one and two: a hub standing for the elements
@@ -15,20 +14,18 @@ per feasible pair. Vertex 0 is the hub and vertex i + 1 is element i, so
 vertex order is bit order, and a vertex's neighbours are one mask. One
 breadth-first search over whole levels 2-colors the graph in O(V + E); a
 bipartite graph yields a twist set (or a small forbidden restriction).
-Otherwise a loop runs the induction on the length of a shortest odd cycle
-over minors of the host. Each level reads its least triangle off the
-masks, pays for the O(V·E) odd-cycle search only without one, and names a
-catalog member, its masks carried onto the host through the level's
-labels, or reduces to the host's minor with a shorter odd cycle. A
-certificate stays masks through the cases, the reduction and the lift,
-and gets its labels once, at the end. Its label map, the first label
-permutation in lexicographic order onto the target, is looked up by
-``minors._witness``.
+Otherwise a loop runs the induction on the length of a shortest odd cycle.
+Each level reads its least triangle off the masks, pays for the O(V·E)
+search only without one, and names a catalog member or reduces to a
+level with a shorter odd cycle. Levels are (kept, shut) views of the
+host's masks twisted by F, on its positions, so no minor or twist is
+built and a certificate stays masks through the cases, the reduction and
+the lift. Labels come once, at the end: the label map, the first label
+permutation in lexicographic order onto the target, from ``minors._witness``.
 
-The two obstruction routes, ``is_obstructed`` and the even branch of
-``matroid_twist_obstructions``, run the same procedure through
-``_certified_minor`` and look its minor witness up on their own target
-lists, from ``minors._route_targets``.
+The obstruction routes, ``is_obstructed`` and the even branch of
+``matroid_twist_obstructions``, run it through ``_certified_minor`` and
+look its minor witness up on their own targets, ``minors._route_targets``.
 
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
@@ -36,6 +33,7 @@ returns it; a failed re-check raises instead of silently falling back.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple
 
@@ -58,14 +56,17 @@ class MinorWitness(NamedTuple):
     obstruction: Obstruction
 
 
-def _aux(d: DeltaMatroid):
-    """(singles, adj) of ``d``, the empty set feasible: the mask of the
-    elements with feasible singletons, and each vertex's neighbour mask. A
-    single-feasible element's vertex i + 1 is isolated; its pairs are hub edges."""
-    n = len(d.labels)
-    adj = [0] * (n + 1)
-    singles = 0
-    for m in _small_masks(n).intersection(d.masks):
+def _aux(masks, f, shut, kept):
+    """(singles, adj) of the level (kept, shut) of the host ``masks`` twisted
+    by ``f``, on host positions: the kept e with {e} | shut feasible, and each
+    vertex's neighbour mask, isolated outside kept and for a single-feasible
+    element, whose pairs are hub edges. A set s is s ^ off in the host, and
+    off = shut ^ f, feasible there, is 0 only at level 0 with f = 0."""
+    n, off = kept.bit_length(), shut ^ f
+    hits = _small_masks(n).intersection(masks) if not off else [
+        m ^ off for m in {s ^ off for s in _small_masks(n) if not s & ~kept}.intersection(masks)]
+    adj, singles = [0] * (n + 1), 0
+    for m in hits:
         if m & m - 1:
             low = m & -m
             adj[low.bit_length()] |= (m ^ low) << 1
@@ -73,7 +74,7 @@ def _aux(d: DeltaMatroid):
         else:
             singles |= m
     hubs = singles << 1
-    for v in range(1, n + 1):
+    for v in range(1, len(adj)):
         if hubs >> v & 1:
             adj[v] = 0
         elif adj[v] & hubs:
@@ -169,90 +170,90 @@ def _odd_cycle_search(adj):
 # -- certificate assembly: twist sets and witnesses are masks --------------
 
 
-def _bipartite_case(d, even):
+def _bipartite_case(masks, f, full, even):
     # a single-feasible element's vertex is isolated, so at even depth too:
     # A is the singles and the elements colored like the hub
     amask = even >> 1
-    inside = [m for m in d.masks if not m & ~amask]
-    first = {m.bit_count(): m for m in reversed(inside)}  # the least mask of each size
+    rest, out = ~amask, f & ~amask  # F ^ f is inside A when F & rest == out
+    inside = [m ^ f for m in masks if m & rest == out]
+    first = {m.bit_count(): m for m in sorted(inside, reverse=True)}  # the least of each size
     if 2 in first:
-        return d.full_mask & ~first[2], 0, 0
+        return full & ~first[2], 0, 0
     if max(first) > 1:
         # exchange from the empty set puts a singleton or a pair below it
         if 3 not in first:
             raise CertificationError("restriction has large feasible sets but none of size three")
-        return d.full_mask & ~first[3], 0, 1
-    return TwistWitness(min(amask, d.full_mask & ~amask), max(first))
+        return full & ~first[3], 0, 1
+    return TwistWitness(min(amask, full & ~amask), max(first))
 
 
-def _partner_in_singles(d, singles, x):
+def _partner_in_singles(feasible, labels, singles, x):
     """Lowest single-feasible element bit z with x | z feasible."""
     rest = singles
     while rest:
         z = rest & -rest
-        if d.is_feasible(x | z):
+        if feasible(x | z):
             return z
         rest ^= z
-    raise CertificationError(f"hub edge for {d.labels[x.bit_length() - 1]!r} has no feasible partner")
+    raise CertificationError(f"hub edge for {labels[x.bit_length() - 1]!r} has no feasible partner")
 
 
-def _triangle_case(d, singles, cycle):
+def _triangle_case(feasible, labels, singles, cycle):
     # a cycle starts at its least vertex, so at the hub when it is on it
     w, x, y = (1 << v >> 1 for v in cycle)
     if w:
         # the three pairs are feasible and no singleton is; entry 3 adds the triple
-        return w | x | y, 0, 3 if d.is_feasible(w | x | y) else 2
-    alpha = _partner_in_singles(d, singles, x)
-    beta = _partner_in_singles(d, singles, y)
+        return w | x | y, 0, 3 if feasible(w | x | y) else 2
+    alpha = _partner_in_singles(feasible, labels, singles, x)
+    beta = _partner_in_singles(feasible, labels, singles, y)
     for s, z in ((alpha, y), (beta, x)):
-        if d.is_feasible(z | s):
+        if feasible(z | s):
             # a triangle through the hub with a partner s shared by x and y
             t = x | y | s
-            return (t, s, 0) if d.is_feasible(t) else (t, 0, 4)
-    if d.is_feasible(alpha | beta):
+            return (t, s, 0) if feasible(t) else (t, 0, 4)
+    if feasible(alpha | beta):
         return alpha | beta, 0, 0
-    if d.is_feasible(x | y | alpha | beta):
+    if feasible(x | y | alpha | beta):
         return x | y | alpha | beta, x | y, 0
     return x | y | alpha | beta, alpha, 4
 
 
-def _long_cycle_case(d, singles, cycle):
+def _long_cycle_case(feasible, labels, singles, cycle):
     xs = [1 << v >> 1 for v in cycle if v]
     keep = sum(xs)
     if not cycle[0]:
-        alpha = _partner_in_singles(d, singles, xs[0])
-        beta = _partner_in_singles(d, singles, xs[-1])
-        if alpha != beta and d.is_feasible(alpha | beta):
+        alpha = _partner_in_singles(feasible, labels, singles, xs[0])
+        beta = _partner_in_singles(feasible, labels, singles, xs[-1])
+        if alpha != beta and feasible(alpha | beta):
             return alpha | beta, 0, 0
         keep |= alpha | beta
     return keep, xs[-2] | xs[-1], None  # reduce: contract the cycle's last two
 
 
 def _certify_impl(d):
-    """Certificate masks of ``d``, the empty set feasible. Loop invariant:
-    the instance h is ``d`` or the minor of ``d`` contracting ``shut`` and
-    deleting every other element outside h's labels. A case gives (keep,
-    contract, index) masks on h, index None for a reduction; h's labels
-    carry them onto ``d``, whose minor is the next level. Only ``d`` is
-    2-colored, as ``_shortest_cycle`` is None when bipartite."""
-    singles, adj = _aux(d)
+    """Certificate masks of ``d`` twisted by its least feasible set f. On a
+    level (kept, shut), shut is feasible and S is feasible exactly when
+    (S | shut) ^ f is in ``d``. A case gives (keep, contract, index) on host
+    positions, index None for a reduction; only level 0 is 2-colored."""
+    masks, f, full = d.masks, d.masks[0], d.full_mask
+    singles, adj = _aux(masks, f, 0, full)
     even = _coloring(adj)
     if even is not None:
-        return _bipartite_case(d, even)
-    h, shut, last = d, 0, len(adj) + 1  # longer than any cycle
+        return _bipartite_case(masks, f, full, even)
+    shut, last = 0, len(adj) + 1  # longer than any cycle
+    def feasible(s):  # the last host mask <= t is t; index -1 is the greatest
+        t = (s | shut) ^ f
+        return masks[bisect_right(masks, t) - 1] == t
     while (cycle := _shortest_cycle(adj)) is not None:
         if len(cycle) >= last:
             raise CertificationError("shortest odd cycle failed to shrink in the reduction")
         case = _triangle_case if len(cycle) == 3 else _long_cycle_case
-        keep, contract, index = case(h, singles, cycle)
-        if h is not d:  # onto the host: h's labels are its elements of d
-            keep = d.mask_of(_labels_at(h.labels, keep))
-            contract = d.mask_of(_labels_at(h.labels, contract))
+        keep, contract, index = case(feasible, d.labels, singles, cycle)
         shut |= contract
         if index is not None:
-            return d.full_mask & ~(keep | shut), shut, index
-        h, last = d.minor(d.full_mask & ~(keep | shut), shut), len(cycle)
-        singles, adj = _aux(h)
+            return full & ~(keep | shut), shut, index
+        last = len(cycle)
+        singles, adj = _aux(masks, f, shut, keep & ~shut)
     raise CertificationError("reduced instance lost its odd cycle entirely")
 
 
@@ -269,9 +270,8 @@ def _certificate(d: DeltaMatroid):
     """``certify(d)`` on masks: a twist witness whose ``twist_set`` is a mask,
     its width re-checked on ``d``, or a minor witness as its (delete mask,
     contract mask, catalog index)."""
-    f = d.masks[0]
-    cert = _certify_impl(d.twist(f) if f else d)
-    if f:
+    cert = _certify_impl(d)
+    if f := d.masks[0]:
         cert = _lift(f, cert)
     if isinstance(cert, TwistWitness):
         actual = _twist_width(d, cert.twist_set)

@@ -43,17 +43,40 @@ def _check_certificate(d):
     return cert
 
 
+def _level0(d):
+    """``_aux`` on level 0 of ``d``, the empty set feasible: nothing shut,
+    everything kept."""
+    return _aux(d.masks, 0, 0, d.full_mask)
+
+
 class TestAuxGraph:
     # vertex 0 is the hub and vertex i + 1 element i: a, b, c are bits 1, 2, 3
     def test_odd_triangle_gives_triangle_off_hub(self, cat):
-        assert _aux(cat[2]) == (0, [0, 0b1100, 0b1010, 0b0110])
+        assert _level0(cat[2]) == (0, [0, 0b1100, 0b1010, 0b0110])
 
     def test_width_one_singleton_gives_lone_hub(self):
         # the single-feasible element's vertex is isolated
-        assert _aux(validate("a", ["", "a"])) == (1, [0, 0])
+        assert _level0(validate("a", ["", "a"])) == (1, [0, 0])
 
     def test_hub_triangle(self, cat):
-        assert _aux(cat[4]) == (0b001, [0b1100, 0, 0b1001, 0b0101])
+        assert _level0(cat[4]) == (0b001, [0b1100, 0, 0b1001, 0b0101])
+
+    def test_twisted_host_reads_like_its_twist(self, dms_by_n):
+        # level 0 of a host with the empty set infeasible is its twist by
+        # its least feasible set f, read off the host's masks XORed with f
+        for n in (1, 2, 3):
+            for d in dms_by_n[n]:
+                f = d.masks[0]
+                assert _aux(d.masks, f, 0, d.full_mask) == _level0(d.twist(f))
+
+    def test_reduced_level_isolates_what_it_does_not_keep(self):
+        # FIVE_CYCLE contracting the feasible pair {a, b} and keeping c, d, e:
+        # {c, d}, {c, e} and {d, e} with {a, b} added are feasible, so c, d, e
+        # (vertices 3, 4, 5) form a triangle, and vertices 1 and 2 (a and b)
+        # have no edge
+        shut, kept = 0b00011, 0b11100
+        assert _aux(FIVE_CYCLE.masks, 0, shut, kept) == (
+            0, [0, 0, 0, 0b110000, 0b101000, 0b011000])
 
 
 class TestCertifyExamples:
@@ -112,7 +135,7 @@ class TestCertifyExhaustive:
         for d in dms_by_n[3]:
             if 0 not in d.masks:
                 continue
-            even = _coloring(_aux(d)[1])
+            even = _coloring(_level0(d)[1])
             if even is None:
                 continue
             # the elements at odd depth; a single-feasible one is at even depth
@@ -150,26 +173,52 @@ FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
                                 "bcde", "acde", "abde", "abce", "abcd"])
 
 
-def _certify_recording_graphs(d):
-    """certify(d), and the neighbour masks of the aux graph of every
-    instance it built one for, reduced instances included, each checked
-    against its definition and the odd-cycle oracle."""
-    hosts = []
+def _packed(bits, kept):
+    """The bits of ``bits`` at the set positions of ``kept``, packed in
+    ascending order: a host-position mask as a mask of the level's minor."""
+    out, j, rest = 0, 0, kept
+    while rest:
+        low = rest & -rest
+        out |= bool(bits & low) << j
+        j += 1
+        rest ^= low
+    return out
 
-    def record(h):
-        hosts.append(h)
-        return _aux(h)
+
+def _certify_recording_graphs(d):
+    """certify(d), and the neighbour masks of the aux graph of each level
+    it reached, reduced levels included. Each level (kept, shut) is checked
+    against its definition and the odd-cycle oracle on the minor of ``d``
+    twisted by its least feasible set that deletes the rest and contracts
+    shut, its graph packed from host positions to the minor's."""
+    levels = []
+
+    def record(masks, f, shut, kept):
+        graph = _aux(masks, f, shut, kept)
+        levels.append((shut, kept, graph))
+        return graph
 
     with mock.patch.object(certify_module, "_aux", record):
         cert = certify(d)
-    assert hosts, "certify built no aux graph"
+    assert levels, "certify built no aux graph"
+    host = d.twist(d.masks[0])
     graphs = []
-    for h in hosts:
-        g = brute_aux_graph(h)
-        names = (HUB, *h.labels)  # vertex 0 is the hub and vertex i + 1 element i
-        singles, adj = _aux(h)
-        assert (singles, adj) == (h.mask_of(g.singles), graph_masks(g, names))
-        _check_graph_against_oracle(adj, g, names)
+    for shut, kept, (singles, adj) in levels:
+        assert not shut & kept and not singles & ~kept
+        # vertices outside kept are isolated, and no edge reaches one
+        vertices = kept << 1 | 1
+        assert all(not near & ~vertices for near in adj)
+        assert all(not adj[v] for v in range(1, len(adj)) if not vertices >> v & 1)
+        level = host.minor(host.full_mask & ~(kept | shut), shut)
+        g = brute_aux_graph(level)
+        names = (HUB, *level.labels)  # vertex 0 is the hub and vertex i + 1 element i
+        packed = [_packed(adj[v], vertices) for v in range(len(adj)) if vertices >> v & 1]
+        assert (_packed(singles, kept), packed) == (level.mask_of(g.singles), graph_masks(g, names))
+        _check_graph_against_oracle(packed, g, names)
+        # packing keeps vertex order, so the host-position cycle packs to it
+        cycle = _shortest_cycle(adj)
+        rank = [(vertices & (1 << v) - 1).bit_count() for v in range(len(adj))]
+        assert (None if cycle is None else [rank[v] for v in cycle]) == _shortest_cycle(packed)
         graphs.append(adj)
     return cert, graphs
 
@@ -472,7 +521,27 @@ class TestEveryDeltaMatroid:
             assert _check_certificate(host) == cert
 
 
-# -- the odd-cycle reduction is one loop over minors of the host
+def test_tie_breaks_of_the_three_routes_on_draws_past_four_elements():
+    # the digest of every record of the three routes on extension-chain and
+    # GF(2) draws at n = 5..12, each as drawn and twisted off the empty set,
+    # as the reduction over minors of the host gave them
+    digest = hashlib.sha256()
+    for n in range(5, 13):
+        for chain in (True, False):
+            for seed in range(10):
+                rng = random.Random(seed)
+                drawn = draw_with_empty_feasible(n, rng, chain)
+                for d in (drawn, twist_off_empty(drawn, rng)):
+                    record = (_record(certify(d)),
+                              _obstruction_record(is_obstructed(d)),
+                              _obstruction_record(matroid_twist_obstructions(d)))
+                    digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "eb425562b750d91321e97244ebb775f4cdf5f3ca867050ddba55d6471477248a"
+    )
+
+
+# -- the odd-cycle reduction is one loop over (kept, shut) views of the host
 
 
 class TestReductionLoop:
@@ -521,3 +590,29 @@ class TestReductionLoop:
                 calls.clear()
                 assert route(d) is not None
                 assert calls == ["_certify_impl", "_coloring"], (m, route)
+
+    def test_no_delta_matroid_is_built_in_the_loop(self, cat, monkeypatch):
+        # levels are (kept, shut) views of the host, and a host with the
+        # empty set infeasible is read through its masks XORed with f: no
+        # construction, twist or minor between the input and the certificate
+        odd = odd_cycle_instance(9, 0, 0, 0)
+        member = twist_off_empty(cat[2], random.Random(1))
+        hosts = [odd_cycle_instance(m, 0, 0, 0) for m in range(5, 14)]
+        hosts += [odd.twist(1), member]
+        assert odd.twist(1).masks[0] and member.masks[0]
+        expected = [certify_module._certificate(d) for d in hosts]
+        built = []
+
+        def counted(name):
+            inner = getattr(DeltaMatroid, name)
+
+            def call(*args, **kwargs):
+                built.append(name)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(DeltaMatroid, name, call)
+
+        for name in ("__init__", "twist", "minor"):
+            counted(name)
+        assert [certify_module._certificate(d) for d in hosts] == expected
+        assert built == []

@@ -1,7 +1,6 @@
 from twistwidth import (
     DeltaMatroid,
     Obstruction,
-    catalog,
     d5_family,
     is_obstructed,
     matroid_twist_obstructions,

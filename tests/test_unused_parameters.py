@@ -13,12 +13,18 @@ reach it, and a test oracle belongs in ``tests/helpers.py``. Dunders
 (``__version__``, ``__all__``, ...) are exempt. A ``MAX_*`` cap or budget
 that no library code compares with bounds nothing, so it counts as dead
 too, public or not.
+
+Every name an import binds, in the library or in the tests, is read by
+its module: an unread import is a dependency that nothing uses. Names
+listed in ``__all__`` are re-exports and ``from __future__`` imports are
+directives, so both are exempt.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "twistwidth"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "twistwidth"
 
 
 def _params(args):
@@ -121,3 +127,44 @@ def test_the_check_sees_an_unread_private_name():
     }
     assert sorted(_unread_definitions(trees)) == [
         "a.MAX_WORK", "a._Gone", "a._recursive", "a._seen"]
+
+
+def _unread_imports(tree):
+    """Each name an import in ``tree`` binds that the module never reads,
+    leaving out ``from __future__`` and the names in ``__all__``."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                # ``import a.b`` binds a
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    yield name
+
+
+def test_every_import_is_read():
+    unread = {
+        f"{path.parent.name}/{path.name}": sorted(
+            _unread_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    }
+    assert {k: v for k, v in unread.items() if v} == {}
+
+
+def test_the_check_sees_an_unread_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\nimport xml.dom\n"
+        "from math import ceil, floor as fl, pi\n"
+        "from .core import exported\n"
+        "__all__ = ['exported']\n"
+        "def f():\n    import json\n    return ceil(pi) + xml.dom.x\n"
+    )
+    assert sorted(_unread_imports(tree)) == ["fl", "json", "os", "osp"]
