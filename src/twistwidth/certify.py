@@ -17,11 +17,9 @@ bipartite graph yields a twist set (or a small forbidden restriction).
 Otherwise a loop runs the induction on the length of a shortest odd cycle.
 Each level reads its least triangle off the masks, pays for the O(V·E)
 search only without one, and names a catalog member or reduces to a
-level with a shorter odd cycle. Levels are (kept, shut) views of the
-host's masks twisted by F, on its positions, so no minor or twist is
-built and a certificate stays masks through the cases, the reduction and
-the lift. Labels come once, at the end: the label map, the first label
-permutation in lexicographic order onto the target, from ``minors._witness``.
+level with a shorter odd cycle. Levels are (kept, shut) views of the host
+twisted by F, on its positions, so no minor or twist is built. A certificate
+stays masks until ``minors._witness`` labels it, once, at the end.
 
 The obstruction routes, ``is_obstructed`` and the even branch of
 ``matroid_twist_obstructions``, run it through ``_certified_minor`` and
@@ -33,7 +31,6 @@ returns it; a failed re-check raises instead of silently falling back.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple
 
@@ -56,15 +53,18 @@ class MinorWitness(NamedTuple):
     obstruction: Obstruction
 
 
-def _aux(masks, f, shut, kept):
-    """(singles, adj) of the level (kept, shut) of the host ``masks`` twisted
-    by ``f``, on host positions: the kept e with {e} | shut feasible, and each
-    vertex's neighbour mask, isolated outside kept and for a single-feasible
-    element, whose pairs are hub edges. A set s is s ^ off in the host, and
-    off = shut ^ f, feasible there, is 0 only at level 0 with f = 0."""
-    n, off = kept.bit_length(), shut ^ f
-    hits = _small_masks(n).intersection(masks) if not off else [
-        m ^ off for m in {s ^ off for s in _small_masks(n) if not s & ~kept}.intersection(masks)]
+def _aux(d, f, shut, kept):
+    """(singles, adj) of the level (kept, shut) of ``d`` twisted by ``f``, on
+    host positions: the kept e with {e} | shut feasible, and each vertex's
+    neighbour mask, isolated outside kept and for a single-feasible element,
+    whose pairs are hub edges. Level 0 is one C-level intersection; a reduced
+    level asks for the k(k+1)/2 small sets of its k kept elements alone."""
+    n = kept.bit_length()
+    if shut:
+        bits = [1 << i for i in range(n) if kept >> i & 1]
+        hits = filter(_query(d, shut ^ f), [b | c for i, b in enumerate(bits) for c in bits[i:]])
+    else:
+        hits = _small_masks(n).intersection([m ^ f for m in d.masks] if f else d.masks)
     adj, singles = [0] * (n + 1), 0
     for m in hits:
         if m & m - 1:
@@ -175,8 +175,9 @@ def _bipartite_case(masks, f, full, even):
     # A is the singles and the elements colored like the hub
     amask = even >> 1
     rest, out = ~amask, f & ~amask  # F ^ f is inside A when F & rest == out
-    inside = [m ^ f for m in masks if m & rest == out]
-    first = {m.bit_count(): m for m in sorted(inside, reverse=True)}  # the least of each size
+    inside = [m for m in masks if m & rest == out]
+    inside = sorted([m ^ f for m in inside]) if f else inside  # XOR by f reorders them
+    first = {m.bit_count(): m for m in reversed(inside)}  # the least of each size
     if 2 in first:
         return full & ~first[2], 0, 0
     if max(first) > 1:
@@ -185,6 +186,11 @@ def _bipartite_case(masks, f, full, even):
             raise CertificationError("restriction has large feasible sets but none of size three")
         return full & ~first[3], 0, 1
     return TwistWitness(min(amask, full & ~amask), max(first))
+
+
+def _query(d, off):
+    """The feasibility query of the level whose contracted set XOR f is ``off``."""
+    return (lambda s: d.is_feasible(s ^ off)) if off else d.is_feasible
 
 
 def _partner_in_singles(feasible, labels, singles, x):
@@ -232,28 +238,22 @@ def _long_cycle_case(feasible, labels, singles, cycle):
 
 def _certify_impl(d):
     """Certificate masks of ``d`` twisted by its least feasible set f. On a
-    level (kept, shut), shut is feasible and S is feasible exactly when
-    (S | shut) ^ f is in ``d``. A case gives (keep, contract, index) on host
-    positions, index None for a reduction; only level 0 is 2-colored."""
-    masks, f, full = d.masks, d.masks[0], d.full_mask
-    singles, adj = _aux(masks, f, 0, full)
-    even = _coloring(adj)
-    if even is not None:
-        return _bipartite_case(masks, f, full, even)
+    level (kept, shut), shut is feasible and S is feasible when (S | shut) ^ f
+    is; a case gives (keep, contract, index), index None for a reduction."""
+    f, full = d.masks[0], d.full_mask
+    singles, adj = _aux(d, f, 0, full)
+    if (even := _coloring(adj)) is not None:  # only level 0 is 2-colored
+        return _bipartite_case(d.masks, f, full, even)
     shut, last = 0, len(adj) + 1  # longer than any cycle
-    def feasible(s):  # the last host mask <= t is t; index -1 is the greatest
-        t = (s | shut) ^ f
-        return masks[bisect_right(masks, t) - 1] == t
     while (cycle := _shortest_cycle(adj)) is not None:
         if len(cycle) >= last:
             raise CertificationError("shortest odd cycle failed to shrink in the reduction")
         case = _triangle_case if len(cycle) == 3 else _long_cycle_case
-        keep, contract, index = case(feasible, d.labels, singles, cycle)
+        keep, contract, index = case(_query(d, shut ^ f), d.labels, singles, cycle)
         shut |= contract
         if index is not None:
             return full & ~(keep | shut), shut, index
-        last = len(cycle)
-        singles, adj = _aux(masks, f, shut, keep & ~shut)
+        last, (singles, adj) = len(cycle), _aux(d, f, shut, keep & ~shut)
     raise CertificationError("reduced instance lost its odd cycle entirely")
 
 

@@ -46,7 +46,7 @@ def _check_certificate(d):
 def _level0(d):
     """``_aux`` on level 0 of ``d``, the empty set feasible: nothing shut,
     everything kept."""
-    return _aux(d.masks, 0, 0, d.full_mask)
+    return _aux(d, 0, 0, d.full_mask)
 
 
 class TestAuxGraph:
@@ -67,7 +67,7 @@ class TestAuxGraph:
         for n in (1, 2, 3):
             for d in dms_by_n[n]:
                 f = d.masks[0]
-                assert _aux(d.masks, f, 0, d.full_mask) == _level0(d.twist(f))
+                assert _aux(d, f, 0, d.full_mask) == _level0(d.twist(f))
 
     def test_reduced_level_isolates_what_it_does_not_keep(self):
         # FIVE_CYCLE contracting the feasible pair {a, b} and keeping c, d, e:
@@ -75,8 +75,18 @@ class TestAuxGraph:
         # (vertices 3, 4, 5) form a triangle, and vertices 1 and 2 (a and b)
         # have no edge
         shut, kept = 0b00011, 0b11100
-        assert _aux(FIVE_CYCLE.masks, 0, shut, kept) == (
+        assert _aux(FIVE_CYCLE, 0, shut, kept) == (
             0, [0, 0, 0, 0b110000, 0b101000, 0b011000])
+
+    def test_reduced_level_asks_only_for_its_small_sets(self, monkeypatch):
+        # three kept elements have six sets of size one or two; the level
+        # asks the host for each of them with {a, b} added, and for no other
+        asked = []
+        inner = DeltaMatroid.is_feasible
+        monkeypatch.setattr(DeltaMatroid, "is_feasible",
+                            lambda d, elems: asked.append(elems) or inner(d, elems))
+        _aux(FIVE_CYCLE, 0, 0b00011, 0b11100)
+        assert sorted(asked) == sorted(s << 2 | 0b00011 for s in (1, 2, 4, 3, 5, 6))
 
 
 class TestCertifyExamples:
@@ -193,8 +203,8 @@ def _certify_recording_graphs(d):
     shut, its graph packed from host positions to the minor's."""
     levels = []
 
-    def record(masks, f, shut, kept):
-        graph = _aux(masks, f, shut, kept)
+    def record(host, f, shut, kept):
+        graph = _aux(host, f, shut, kept)
         levels.append((shut, kept, graph))
         return graph
 
