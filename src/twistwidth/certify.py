@@ -19,11 +19,12 @@ Each level reads its least triangle off the masks, pays for the O(V·E)
 search only without one, and names a catalog member or reduces to a
 level with a shorter odd cycle. Levels are (kept, shut) views of the host
 twisted by F, on its positions, so no minor or twist is built. A certificate
-stays masks until ``minors._witness`` labels it, once, at the end.
-
-The obstruction routes, ``is_obstructed`` and the even branch of
-``matroid_twist_obstructions``, run it through ``_certified_minor`` and
-look its minor witness up on their own targets, ``minors._route_targets``.
+stays masks until ``_obstruction`` labels it, once, at the end. Every
+minor witness goes through it: the witness minor is computed once, looked
+up on a route of ``minors._target_table`` (``certify``'s catalog member, or
+an obstruction route's own targets) and verified. ``is_obstructed`` and the
+even branch of ``matroid_twist_obstructions`` run the procedure through
+``_certified_minor``; the odd branch names its minor directly.
 
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
@@ -35,7 +36,8 @@ from collections import deque
 from typing import NamedTuple
 
 from .core import DeltaMatroid, _labels_at, _minor_of, _small_masks, _twist_width
-from .minors import CertificationError, Obstruction, _route_targets, _verified, _witness, catalog
+from .minors import (_D5_ROUTE, _MATROID_TWIST_ROUTE, _MEMBER_ROUTES, CertificationError,
+                     Obstruction, _target_table, _witness, catalog)
 
 
 class TwistWitness(NamedTuple):
@@ -294,33 +296,46 @@ def certify(d: DeltaMatroid):
     if isinstance(cert, TwistWitness):
         return TwistWitness(d.set_of(cert.twist_set), cert.width)
     x, y, index = cert
+    return MinorWitness(_obstruction(d, x, y, _MEMBER_ROUTES[index], d.masks[0]))
+
+
+def _obstruction(d, x, y, route, f=0):
+    """The witness deleting the mask x and contracting the mask y from ``d``,
+    its minor computed once, matched on ``route`` and verified once; with
+    ``f``, ``d``'s twist by it was certified onto the member on ``route``."""
     delete, contract = d.set_of(x), d.set_of(y)
-    target = catalog()[index]
     minor = _minor_of(d, x, y)
-    if f := d.masks[0]:
+    if f:
         # phi maps the minor of d twisted by F, the one certified, onto the
         # member; the minor of d is that one twisted by F - X - Y, so it is
         # isomorphic to the member twisted by phi's image of F - X - Y
         kept, masks = minor
         z = sum(1 << k for k, e in enumerate(kept) if f >> d._pos[e] & 1)
         twisted = kept, tuple(sorted([m ^ z for m in masks]))
-        phi = _witness(twisted, delete, contract, ((index, target),)).iso
-        target = target.twist([phi[e] for e in _labels_at(d.labels, f & ~(x | y))])
-    return MinorWitness(_verified(d, _witness(minor, delete, contract, ((index, target),))))
+        phi = _witness(twisted, delete, contract, route).iso
+        (index, member), = route
+        a = catalog()[index].mask_of([phi[e] for e in _labels_at(d.labels, f & ~(x | y))])
+        route = ((index, member + a),)
+    obs = _witness(minor, delete, contract, route)
+    if not obs.verify(d):
+        raise CertificationError(f"{obs} fails to verify")
+    return obs
 
 
 # -- the obstruction routes: a minor witness on a route's own targets ------
 
 
-def _certified_minor(d: DeltaMatroid, pairs):
-    """certify(d)'s minor witness masks looked up in the table for ``pairs``
-    and verified once, or None when certify finds a twist of width at most
-    one; labels are made only for the witness."""
+def _certified_minor(d: DeltaMatroid, route):
+    """certify(d)'s minor witness masks matched on ``route`` and verified
+    once, or None when certify finds a twist of width at most one. The first
+    call builds the target table, witness or not, so that no later call pays
+    for it."""
+    _target_table()
     cert = _certificate(d)
     if isinstance(cert, TwistWitness):
         return None
     x, y, _ = cert
-    return _verified(d, _witness(_minor_of(d, x, y), d.set_of(x), d.set_of(y), pairs))
+    return _obstruction(d, x, y, route)
 
 
 def is_obstructed(d: DeltaMatroid):
@@ -330,7 +345,7 @@ def is_obstructed(d: DeltaMatroid):
     it keeps, with ``target_index`` indexing ``d5_family(up_to_iso=True)``;
     CertificationError if it fails to verify.
     """
-    return _certified_minor(d, _route_targets()[0])
+    return _certified_minor(d, _D5_ROUTE)
 
 
 def matroid_twist_obstructions(d: DeltaMatroid):
@@ -345,12 +360,10 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     onto the triangle (1) or its twist (2). CertificationError if it fails to
     verify.
     """
-    pairs = _route_targets()[1]
     if d.is_even():
-        return _certified_minor(d, pairs)
+        return _certified_minor(d, _MATROID_TWIST_ROUTE)
     feasible = set(d.masks)
     # a closest feasible pair of opposite parity is one exchange step apart
     f, i = next((f, i) for f in d.masks for i in range(d.n)
                 if not f >> i & 1 and f | 1 << i in feasible)
-    delete, contract = d.set_of(d.full_mask ^ f ^ 1 << i), d.set_of(f)
-    return _verified(d, _witness(_minor_of(d, delete, contract), delete, contract, pairs))
+    return _obstruction(d, d.full_mask ^ f ^ 1 << i, f, _MATROID_TWIST_ROUTE)

@@ -1,13 +1,13 @@
 """The five-member obstruction catalog and minor witnesses.
 
 The twists of the five catalog members (D5) are the excluded minors for
-having a twist of width at most one. No entry point searches for an
-isomorphism: each looks its witness's label map up on the input with
-``_witness``, in ``_witness_table`` for the list of targets it answers
-with, which holds the first target a family matches and the first label
-permutation in lexicographic order that maps it there.
-``_route_targets`` holds the target lists of the two obstruction routes,
-which run in ``certify``.
+having a twist of width at most one, so every minor witness maps onto one
+of the 37 targets of ``_target_table``: the 36 twists and the singleton
+{∅, {a}}. No entry point searches for an isomorphism: each looks its
+witness's label map up on the input with ``_witness``, on its route, the
+targets it answers with, in the one table built once per process. The
+table holds, per target, the first label permutation in lexicographic
+order that maps a family onto it; the route picks the first target.
 """
 
 from __future__ import annotations
@@ -20,10 +20,13 @@ from .core import DeltaMatroid, _minor_of
 
 
 class Obstruction(NamedTuple):
-    """A minor witness: minor(host, delete_set, contract_set) is isomorphic
-    to ``target``. ``target_index`` is the entry of the list it was matched
-    to; from ``certify`` on a host with the empty set infeasible, ``target``
-    is a twist of that entry rather than the entry itself."""
+    """A minor witness: minor(host, delete_set, contract_set) maps onto
+    ``target`` by ``iso``. ``target_index`` is the entry of the route's list
+    it was matched to: the catalog member from ``certify``, a class of
+    ``d5_family(up_to_iso=True)`` from ``is_obstructed``, and 0, 1 or 2 from
+    ``matroid_twist_obstructions``. From ``certify`` on a host with the empty
+    set infeasible, ``target`` is a twist of that member rather than the
+    member itself."""
 
     delete_set: frozenset
     contract_set: frozenset
@@ -53,13 +56,6 @@ class Obstruction(NamedTuple):
 
 class CertificationError(RuntimeError):
     """An internal invariant of the certificate procedure failed."""
-
-
-def _verified(host: DeltaMatroid, obs: Obstruction) -> Obstruction:
-    """``obs`` once it re-verifies on ``host``; CertificationError otherwise."""
-    if not obs.verify(host):
-        raise CertificationError(f"{obs} fails to verify")
-    return obs
 
 
 @lru_cache(maxsize=1)
@@ -94,67 +90,56 @@ def _permuted_masks(masks, perm) -> tuple[int, ...]:
 
 def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
     """All twists of the catalog members (36 raw), optionally deduplicated
-    up to isomorphism: a member is kept unless its (n, masks) is among the
-    label permutations of the members kept before it, so the first
-    representative of each isomorphism class stays (7 of the 36)."""
-    members = []
+    up to isomorphism: the first twist of each isomorphism class, in this
+    order, is kept (7 of the 36, the targets of ``is_obstructed``)."""
+    targets = _target_table()[0]
+    return [targets[t] for _, t in _D5_ROUTE] if up_to_iso else list(targets[:36])
+
+
+# A route is the (target_index, target number) pairs an entry point answers
+# with, first match first: certify's member alone, the first twist of each D5
+# class, or the singleton, the odd triangle and its twist by {a}. Catalog member
+# j twisted by the mask a is number (0, 4, 12, 20, 28)[j] + a; 36 is the singleton.
+_MEMBER_ROUTES = tuple(((j, t),) for j, t in enumerate((0, 4, 12, 20, 28)))
+_D5_ROUTE = tuple(enumerate((0, 4, 5, 7, 11, 12, 13)))
+_MATROID_TWIST_ROUTE = ((0, 36), (1, 12), (2, 13))
+
+
+@lru_cache(maxsize=1)
+def _target_table() -> tuple:
+    """(targets, maps): the 36 twists of the catalog members in ``d5_family()``
+    order, then the singleton {∅, {a}}; and the (n, masks) of every family
+    isomorphic to a target, to {target number: its positions' images under the
+    first label permutation in lexicographic order onto the target}. One pass
+    per member permutation: its masks are permuted once, through the images of
+    all 2^n masks, and each twist then costs one XOR and a sort."""
+    single = DeltaMatroid("a", [0, 1], _trusted=True)
+    targets, maps = [], {(1, single.masks): {36: single.labels}}
     for base in catalog():
-        for a in range(base.full_mask + 1):
-            members.append(base.twist(a))
-    if not up_to_iso:
-        return members
-    out, seen = [], set()
-    for m in members:
-        if (m.n, m.masks) not in seen:
-            out.append(m)
-            seen.update((m.n, _permuted_masks(m.masks, p)) for p in permutations(range(m.n)))
-    return out
+        first, n = len(targets), base.n
+        targets += [base.twist(a) if a else base for a in range(1 << n)]
+        for p in permutations(range(n)):
+            image = [0]  # image[m]: m with its bit p[j] moved to bit j
+            for j in sorted(range(n), key=p.__getitem__):  # bit p[j] ascending
+                image += [m | 1 << j for m in image]
+            moved = [image[m] for m in base.masks]
+            labels = tuple(base.labels[i] for i in p)
+            for t, a_moved in enumerate(image, first):  # the twist by a is first + a
+                key = n, tuple(sorted([m ^ a_moved for m in moved]))
+                maps.setdefault(key, {}).setdefault(t, labels)
+    return (*targets, single), maps
 
 
-@lru_cache(maxsize=None)
-def _witness_table(pairs) -> dict:
-    """(n, masks) of every family isomorphic to a target of ``pairs``, a
-    tuple of (index, target), to (index, target, the images of its
-    positions): the first such target and the first label permutation in
-    lexicographic order that maps the family onto it. Its lists are the
-    catalog members, their 36 twists and the two route lists."""
-    table = {}
-    for index, h in pairs:
-        for p in permutations(range(h.n)):
-            inverse = sorted(range(h.n), key=p.__getitem__)
-            table.setdefault((h.n, _permuted_masks(h.masks, inverse)),
-                             (index, h, tuple(h.labels[i] for i in p)))
-    return table
-
-
-def _witness(minor, delete, contract, pairs) -> Obstruction:
+def _witness(minor, delete, contract, route) -> Obstruction:
     """``minor``, the (kept labels, masks) of the minor deleting ``delete``
-    and contracting ``contract``, looked up in ``_witness_table(pairs)``;
-    CertificationError when it is not there."""
+    and contracting ``contract``, as the first target on ``route`` it maps
+    onto, with that target's map from ``_target_table()``;
+    CertificationError when it maps onto none."""
     kept, masks = minor
-    entry = _witness_table(pairs).get((len(kept), masks))
-    if entry is None:
-        raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "
-                                 f"matched none of {[index for index, _ in pairs]}")
-    index, target, images = entry
-    return Obstruction(delete, contract, dict(zip(kept, images)), target, index)
-
-
-@lru_cache(maxsize=1)
-def _matroid_twist_targets() -> tuple[DeltaMatroid, ...]:
-    # the width-one singleton, the odd triangle, and its single-element twist
-    single = DeltaMatroid("a", ["", "a"])
-    triangle = catalog()[2]
-    return (single, triangle, triangle.twist("a"))
-
-
-@lru_cache(maxsize=1)
-def _route_targets() -> tuple:
-    """The (index, target) pairs of ``d5_family(up_to_iso=True)`` and of
-    ``_matroid_twist_targets``, with both witness tables built: the first
-    ``is_obstructed`` call builds them, witness or not."""
-    routes = tuple(tuple(enumerate(targets))
-                   for targets in (d5_family(up_to_iso=True), _matroid_twist_targets()))
-    for pairs in routes:
-        _witness_table(pairs)
-    return routes
+    targets, maps = _target_table()
+    found = maps.get((len(kept), masks), {})
+    for index, t in route:
+        if t in found:
+            return Obstruction(delete, contract, dict(zip(kept, found[t])), targets[t], index)
+    raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "
+                             f"matched none of {[index for index, _ in route]}")

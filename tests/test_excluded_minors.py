@@ -5,16 +5,21 @@ An excluded minor has least twist width above k, and each of its 2n
 single-element deletions and contractions has least width at most k.
 Widths come from materialized twists and minors from the bare-mask rule,
 both in helpers.py, so no certificate, catalog lookup or twist kernel
-takes part. The classes found must be, one to one, those of
-``_matroid_twist_targets()`` for k = 0 and of ``d5_family(up_to_iso=True)``
+takes part. The classes found must be, one to one, the targets of the
+library's matroid-twist route for k = 0 and ``d5_family(up_to_iso=True)``
 for k = 1. The library has no list for k = 2, so its counts are pinned.
 """
 
 import pytest
 
 from twistwidth import DeltaMatroid, enumerate_all
-from twistwidth.minors import _matroid_twist_targets
+from twistwidth.minors import _MATROID_TWIST_ROUTE, _target_table
 from helpers import are_isomorphic, brute_min_twist_width, d5_dedup, sequential_minor
+
+
+def _matroid_twist_targets():
+    targets = _target_table()[0]
+    return [targets[t] for _, t in _MATROID_TWIST_ROUTE]
 
 
 def _single_element_minors(d):

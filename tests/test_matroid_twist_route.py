@@ -21,7 +21,7 @@ from twistwidth import (
     matroid_twist_obstructions,
     validate,
 )
-from twistwidth.minors import _matroid_twist_targets
+from twistwidth.minors import _MATROID_TWIST_ROUTE, _target_table
 from helpers import (brute_matroid_twist_obstructions, brute_min_twist_width,
                      draw_with_empty_feasible)
 
@@ -142,7 +142,7 @@ def test_rematched_witness_is_rechecked(monkeypatch, cat):
     # only a witness onto the twisted triangle fails, and the route's witness
     # for this host is one
     host = cat[2].twist("a")
-    twisted = _matroid_twist_targets()[2]
+    twisted = _target_table()[0][dict(_MATROID_TWIST_ROUTE)[2]]
     original = Obstruction.verify
     monkeypatch.setattr(
         Obstruction,

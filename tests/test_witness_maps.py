@@ -32,6 +32,7 @@ from twistwidth import (
     TwistWitness,
     catalog,
     certify,
+    d5_family,
     is_obstructed,
     matroid_twist_obstructions,
     validate,
@@ -185,8 +186,8 @@ def test_witnesses_pickle_and_copy():
 
 
 def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
-    # every witness reads its map off minors._witness_table, and every
-    # permutation the library tries is in building a table or the D5 dedupe
+    # every witness reads its map off minors._target_table, and every
+    # permutation the library tries is in building that table
     routes = (certify, is_obstructed, matroid_twist_obstructions)
     hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]]
     warm = [[route(d) for route in routes] for d in hosts]
@@ -198,16 +199,48 @@ def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch)
     assert [[route(d) for route in routes] for d in hosts] == warm
 
 
-def test_the_first_is_obstructed_call_builds_both_route_tables():
+def test_the_first_is_obstructed_call_builds_the_target_table():
     # even on unobstructed input, so that a warm-up call leaves no table to build
-    minors_module._route_targets.cache_clear()
-    minors_module._witness_table.cache_clear()
+    minors_module._target_table.cache_clear()
     assert is_obstructed(validate("a", ["", "a"])) is None
-    info = minors_module._witness_table.cache_info()
-    assert info.currsize == 2
-    for targets in (d5_dedup(), matroid_twist_targets()):
-        minors_module._witness_table(tuple(enumerate(targets)))
-    assert minors_module._witness_table.cache_info().hits == info.hits + 2
+    info = minors_module._target_table.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    minors_module._target_table()
+    assert minors_module._target_table.cache_info().hits == info.hits + 1
+
+
+def test_the_table_permutes_each_catalog_member_once(monkeypatch):
+    # one permutation pass per member serves every route; certify adds none
+    passes = []
+    original = minors_module.permutations
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(minors_module, "permutations", counted)
+    minors_module._target_table.cache_clear()
+    assert is_obstructed(AUT_HOST) is not None
+    assert len(passes) == len(catalog()) == 5
+    passes.clear()
+    for h in catalog():
+        assert isinstance(certify(h), MinorWitness)
+    assert passes == []
+
+
+def test_no_route_hashes_a_delta_matroid(dms_by_n, monkeypatch):
+    # every lookup is keyed on ints and tuples of them, never on a target
+    routes = (certify, is_obstructed, matroid_twist_obstructions)
+    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [AUT_HOST]
+    warm = [[route(d) for route in routes] for d in hosts]
+
+    def unhashable(self):
+        raise AssertionError("a route hashed a delta-matroid")
+
+    monkeypatch.setattr(core_module.DeltaMatroid, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(AUT_HOST)
+    assert [[route(d) for route in routes] for d in hosts] == warm
 
 
 def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
@@ -268,53 +301,70 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
                    capture_output=True, check=True)
 
 
-# -- the witness tables, against the brute-force are_isomorphic
+# -- the target table, against the brute-force are_isomorphic
 
 
-def _table(targets):
-    return minors_module._witness_table(tuple(targets))
+def _targets_on(route):
+    targets = minors_module._target_table()[0]
+    return [targets[t] for _, t in route]
+
+
+def test_the_targets_are_the_d5_twists_and_the_singleton():
+    targets = minors_module._target_table()[0]
+    assert list(targets[:36]) == d5_family()
+    assert targets[36:] == (validate("a", ["", "a"]),)
+    for j, h in enumerate(catalog()):
+        (index, first), = minors_module._MEMBER_ROUTES[j]
+        assert index == j
+        assert list(targets[first:first + h.full_mask + 1]) == [
+            h.twist(a) for a in range(h.full_mask + 1)]
+    assert _targets_on(minors_module._D5_ROUTE) == list(d5_dedup())
+    assert _targets_on(minors_module._MATROID_TWIST_ROUTE) == list(matroid_twist_targets())
 
 
 def test_catalog_maps_agree_with_are_isomorphic(dms_by_n):
-    # a family hits member j's table exactly when are_isomorphic maps it onto
-    # the member, with the images of that same map; the tables hold no more
-    for j, h in enumerate(catalog()):
-        table = _table([(j, h)])
+    # a family has a map onto target t exactly when are_isomorphic maps it
+    # onto the target, with the images of that same map, for all 37 targets;
+    # the table holds no more
+    targets, maps = minors_module._target_table()
+    for t, h in enumerate(targets):
         hits = 0
         for d in dms_by_n[h.n]:
             iso = are_isomorphic(d, h)
-            entry = table.get((d.n, d.masks))
-            assert entry == (None if iso is None else (j, h, tuple(iso[e] for e in d.labels))), (j, d)
-            hits += entry is not None
-        assert hits == len(table)
-    # every family on at most three elements gets from each route's table the
-    # index and map that rematch finds over the route's list
+            images = maps.get((d.n, d.masks), {}).get(t)
+            assert images == (None if iso is None else tuple(iso[e] for e in d.labels)), (t, d)
+            hits += images is not None
+        assert hits == sum(t in found for found in maps.values()), t
+    # every family on at most three elements gets on each route the index and
+    # map that rematch finds over the route's list
     whole = Obstruction(frozenset(), frozenset(), None, None)
-    for targets in (d5_dedup(), matroid_twist_targets()):
-        table = _table(enumerate(targets))
-        hits = 0
+    for route in (minors_module._D5_ROUTE, minors_module._MATROID_TWIST_ROUTE):
         for n in (1, 2, 3):
             for d in dms_by_n[n]:
-                found = rematch(d, whole, enumerate(targets))
-                entry = table.get((d.n, d.masks))
+                found = rematch(d, whole, enumerate(_targets_on(route)))
+                try:
+                    obs = minors_module._witness((d.labels, d.masks), frozenset(), frozenset(),
+                                                 route)
+                except CertificationError:
+                    obs = None
                 assert (None if found is None else found[2:]) == (
-                    None if entry is None else (entry[0], dict(zip(d.labels, entry[2])))), d
-                hits += entry is not None
-        assert hits == len(table)
+                    None if obs is None else (obs.target_index, obs.iso)), d
 
 
 def test_wrong_permutation_in_the_catalog_maps_raises(monkeypatch):
     # entry 4 has a distinguished element: swapping a and b moves {a} onto {b}
     h = catalog()[4]
-    table = _table([(4, h)])
-    assert table[3, h.masks] == (4, h, ("a", "b", "c"))
-    monkeypatch.setitem(table, (3, h.masks), (4, h, ("b", "a", "c")))
+    (_, t), = minors_module._MEMBER_ROUTES[4]
+    found = minors_module._target_table()[1][3, h.masks]
+    assert found[t] == ("a", "b", "c")
+    monkeypatch.setitem(found, t, ("b", "a", "c"))
     with pytest.raises(CertificationError, match="fails to verify"):
         certify(h)
 
 
 def test_empty_catalog_maps_raise(monkeypatch):
-    monkeypatch.setattr(minors_module, "_witness_table", lambda pairs: {})
+    targets = minors_module._target_table()[0]
+    monkeypatch.setattr(minors_module, "_target_table", lambda: (targets, {}))
     for j, h in enumerate(catalog()):
         with pytest.raises(CertificationError, match=rf"matched none of \[{j}\]"):
             certify(h)
@@ -326,13 +376,14 @@ def test_wrong_map_in_the_table_raises(monkeypatch):
     obs = is_obstructed(AUT_HOST)
     x, y = AUT_HOST.mask_of(obs.delete_set), AUT_HOST.mask_of(obs.contract_set)
     key = (len(obs.iso), _minor_masks(AUT_HOST.masks, AUT_HOST.full_mask, x, y))
-    table = _table(enumerate(d5_dedup()))
-    index, h, images = table[key]
+    targets, maps = minors_module._target_table()
+    t = dict(minors_module._D5_ROUTE)[obs.target_index]
+    h, images = targets[t], maps[key][t]
     # a transposition of the target's labels that moves a feasible set off it
     swaps = ({a: b, b: a} for i, a in enumerate(h.labels) for b in h.labels[i + 1:])
     swap = next(p for p in swaps if validate(h.labels, [
         [p.get(e, e) for e in f] for f in h.feasible_sets()]) != h)
-    monkeypatch.setitem(table, key, (index, h, tuple(swap.get(e, e) for e in images)))
+    monkeypatch.setitem(maps[key], t, tuple(swap.get(e, e) for e in images))
     with pytest.raises(CertificationError, match="fails to verify"):
         is_obstructed(AUT_HOST)
 
