@@ -21,10 +21,11 @@ level with a shorter odd cycle. Levels are (kept, shut) views of the host
 twisted by F, on its positions, so no minor or twist is built. A certificate
 stays masks until ``_obstruction`` labels it, once, at the end. Every
 minor witness goes through it: the witness minor is computed once, looked
-up on a route of ``minors._target_table`` (``certify``'s catalog member, or
-an obstruction route's own targets) and verified. ``is_obstructed`` and the
-even branch of ``matroid_twist_obstructions`` run the procedure through
-``_certified_minor``; the odd branch names its minor directly.
+up once on a route of ``minors._target_table`` (the twists of ``certify``'s
+catalog member in mask order, or an obstruction route's own targets) and
+verified. ``is_obstructed`` and the even branch of
+``matroid_twist_obstructions`` run the procedure through ``_certified_minor``;
+the odd branch names its minor directly.
 
 Every certificate is re-verified from scratch once, before ``certify``
 returns it; a failed re-check raises instead of silently falling back.
@@ -35,9 +36,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, _labels_at, _minor_of, _small_masks, _twist_width
+from .core import DeltaMatroid, _minor_of, _small_masks, _twist_width
 from .minors import (_D5_ROUTE, _MATROID_TWIST_ROUTE, _MEMBER_ROUTES, CertificationError,
-                     Obstruction, _target_table, _witness, catalog)
+                     Obstruction, _target_table, _witness)
 
 
 class TwistWitness(NamedTuple):
@@ -48,9 +49,9 @@ class TwistWitness(NamedTuple):
 
 
 class MinorWitness(NamedTuple):
-    """A verified minor isomorphic to ``obstruction.target``: the catalog
-    member ``catalog()[obstruction.target_index]`` itself when the empty set
-    is feasible, and otherwise a twist of it."""
+    """A verified minor isomorphic to ``obstruction.target``: the first twist,
+    in mask order, of the catalog member ``catalog()[obstruction.target_index]``
+    that it maps onto; the member itself when the empty set is feasible."""
 
     obstruction: Obstruction
 
@@ -296,27 +297,13 @@ def certify(d: DeltaMatroid):
     if isinstance(cert, TwistWitness):
         return TwistWitness(d.set_of(cert.twist_set), cert.width)
     x, y, index = cert
-    return MinorWitness(_obstruction(d, x, y, _MEMBER_ROUTES[index], d.masks[0]))
+    return MinorWitness(_obstruction(d, x, y, _MEMBER_ROUTES[index]))
 
 
-def _obstruction(d, x, y, route, f=0):
+def _obstruction(d, x, y, route):
     """The witness deleting the mask x and contracting the mask y from ``d``,
-    its minor computed once, matched on ``route`` and verified once; with
-    ``f``, ``d``'s twist by it was certified onto the member on ``route``."""
-    delete, contract = d.set_of(x), d.set_of(y)
-    minor = _minor_of(d, x, y)
-    if f:
-        # phi maps the minor of d twisted by F, the one certified, onto the
-        # member; the minor of d is that one twisted by F - X - Y, so it is
-        # isomorphic to the member twisted by phi's image of F - X - Y
-        kept, masks = minor
-        z = sum(1 << k for k, e in enumerate(kept) if f >> d._pos[e] & 1)
-        twisted = kept, tuple(sorted([m ^ z for m in masks]))
-        phi = _witness(twisted, delete, contract, route).iso
-        (index, member), = route
-        a = catalog()[index].mask_of([phi[e] for e in _labels_at(d.labels, f & ~(x | y))])
-        route = ((index, member + a),)
-    obs = _witness(minor, delete, contract, route)
+    its minor computed once, looked up once on ``route`` and verified once."""
+    obs = _witness(_minor_of(d, x, y), d.set_of(x), d.set_of(y), route)
     if not obs.verify(d):
         raise CertificationError(f"{obs} fails to verify")
     return obs

@@ -13,7 +13,7 @@ order that maps a family onto it; the route picks the first target.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import pairwise, permutations
 from typing import NamedTuple
 
 from .core import DeltaMatroid, _minor_of
@@ -25,8 +25,8 @@ class Obstruction(NamedTuple):
     it was matched to: the catalog member from ``certify``, a class of
     ``d5_family(up_to_iso=True)`` from ``is_obstructed``, and 0, 1 or 2 from
     ``matroid_twist_obstructions``. From ``certify`` on a host with the empty
-    set infeasible, ``target`` is a twist of that member rather than the
-    member itself."""
+    set infeasible, ``target`` is the first twist of the member, in mask
+    order, that the minor maps onto, rather than the member itself."""
 
     delete_set: frozenset
     contract_set: frozenset
@@ -97,10 +97,12 @@ def d5_family(up_to_iso: bool = False) -> list[DeltaMatroid]:
 
 
 # A route is the (target_index, target number) pairs an entry point answers
-# with, first match first: certify's member alone, the first twist of each D5
-# class, or the singleton, the odd triangle and its twist by {a}. Catalog member
-# j twisted by the mask a is number (0, 4, 12, 20, 28)[j] + a; 36 is the singleton.
-_MEMBER_ROUTES = tuple(((j, t),) for j, t in enumerate((0, 4, 12, 20, 28)))
+# with, first match first: certify's member's twists in mask order, the first
+# twist of each D5 class, or the singleton, the odd triangle and its twist by
+# {a}. Member j twisted by the mask a is number (0, 4, 12, 20, 28)[j] + a; 36 is
+# the singleton.
+_MEMBER_ROUTES = tuple(tuple((j, t) for t in range(first, end)) for j, (first, end)
+                       in enumerate(pairwise((0, 4, 12, 20, 28, 36))))
 _D5_ROUTE = tuple(enumerate((0, 4, 5, 7, 11, 12, 13)))
 _MATROID_TWIST_ROUTE = ((0, 36), (1, 12), (2, 13))
 
@@ -142,4 +144,4 @@ def _witness(minor, delete, contract, route) -> Obstruction:
         if t in found:
             return Obstruction(delete, contract, dict(zip(kept, found[t])), targets[t], index)
     raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "
-                             f"matched none of {[index for index, _ in route]}")
+                             f"matched none of {list(dict.fromkeys(i for i, _ in route))}")

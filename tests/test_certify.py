@@ -501,6 +501,22 @@ class TestEveryDeltaMatroid:
         assert cert.obstruction.delete_set == inner.delete_set ^ swapped
         assert cert.obstruction.contract_set == inner.contract_set ^ swapped
 
+    @pytest.mark.parametrize("host", [catalog()[2].twist("a"), FIVE_CYCLE.twist("a")],
+                             ids=["triangle-a", "five-cycle-a"])
+    def test_twisted_host_looks_its_witness_up_once(self, host, monkeypatch):
+        # the member's route lists its twists, so no lookup picks the twist first
+        assert host.masks[0] != 0
+        calls = []
+        original = certify_module._witness
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(certify_module, "_witness", counted)
+        assert isinstance(certify(host), MinorWitness)
+        assert len(calls) == 1
+
     @given(st.integers(min_value=5, max_value=8), SEEDS, st.booleans())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_sampled_instances(self, n, seed, chain):

@@ -105,6 +105,38 @@ def test_sampled_instances_twisted_off_the_empty_set(n, seed, chain):
     _check_matroid_twist(d)
 
 
+def _check_first_twist(d):
+    # with the empty set infeasible, certify's target is the first twist of
+    # its member, in ascending mask order, that the witness minor maps onto,
+    # by the map are_isomorphic returns for it
+    cert = certify(d)
+    if isinstance(cert, TwistWitness):
+        return
+    obs = cert.obstruction
+    minor = d.minor(obs.delete_set, obs.contract_set)
+    base = catalog()[obs.target_index]
+    twists = (base.twist(a) for a in range(base.full_mask + 1))
+    target, iso = next((h, iso) for h in twists if (iso := are_isomorphic(minor, h)) is not None)
+    assert (obs.target, obs.iso) == (target, iso), d
+
+
+def test_twisted_small_instances_take_the_first_twist_of_the_member(dms_by_n):
+    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n] if d.masks[0]]
+    assert sum(isinstance(certify(d), MinorWitness) for d in hosts) == 1618
+    for d in hosts:
+        _check_first_twist(d)
+
+
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_twisted_draws_take_the_first_twist_of_the_member(n, seed, chain):
+    rng = random.Random(seed)
+    d = twist_off_empty(draw_with_empty_feasible(n, rng, chain), rng)
+    assume(d is not None)
+    _check_first_twist(d)
+
+
 def _record(obs):
     if obs is None:
         return None
@@ -313,11 +345,11 @@ def test_the_targets_are_the_d5_twists_and_the_singleton():
     targets = minors_module._target_table()[0]
     assert list(targets[:36]) == d5_family()
     assert targets[36:] == (validate("a", ["", "a"]),)
-    for j, h in enumerate(catalog()):
-        (index, first), = minors_module._MEMBER_ROUTES[j]
-        assert index == j
-        assert list(targets[first:first + h.full_mask + 1]) == [
-            h.twist(a) for a in range(h.full_mask + 1)]
+    for j, (h, first) in enumerate(zip(catalog(), (0, 4, 12, 20, 28))):
+        # certify's route for member j is its twists, in ascending mask order
+        twists = range(h.full_mask + 1)
+        assert minors_module._MEMBER_ROUTES[j] == tuple((j, first + a) for a in twists)
+        assert list(targets[first:first + h.full_mask + 1]) == [h.twist(a) for a in twists]
     assert _targets_on(minors_module._D5_ROUTE) == list(d5_dedup())
     assert _targets_on(minors_module._MATROID_TWIST_ROUTE) == list(matroid_twist_targets())
 
@@ -354,7 +386,7 @@ def test_catalog_maps_agree_with_are_isomorphic(dms_by_n):
 def test_wrong_permutation_in_the_catalog_maps_raises(monkeypatch):
     # entry 4 has a distinguished element: swapping a and b moves {a} onto {b}
     h = catalog()[4]
-    (_, t), = minors_module._MEMBER_ROUTES[4]
+    _, t = minors_module._MEMBER_ROUTES[4][0]
     found = minors_module._target_table()[1][3, h.masks]
     assert found[t] == ("a", "b", "c")
     monkeypatch.setitem(found, t, ("b", "a", "c"))
