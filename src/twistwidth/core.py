@@ -27,8 +27,8 @@ positions through a 2^k-entry table and finds it by bisection,
 so the hits come out packed and ascending. Otherwise, or on no hit, it
 scores all |F| and packs the kept bits in one pass per removed run.
 
-Twists share the host's labels and label index. The hash is computed once
-per object; pickling and copying rebuild from (labels, masks).
+Every instance, twists and minors included, is built by ``__init__`` and
+never written after it; pickling and copying rebuild from (labels, masks).
 
 A matroid is exactly a width-zero delta-matroid (``is_matroid``), its
 feasible sets its bases; ``d_min`` is the matroid of the minimum-size
@@ -310,7 +310,7 @@ class DeltaMatroid:
     that provably preserve the axiom (twists, minors) skip re-validation.
     """
 
-    __slots__ = ("labels", "masks", "_pos", "_hash")
+    __slots__ = ("labels", "masks", "_pos")
 
     labels: tuple[str, ...]
     masks: tuple[int, ...]
@@ -356,8 +356,8 @@ class DeltaMatroid:
         raise AttributeError("DeltaMatroid instances are immutable")
 
     def __reduce__(self):
-        # (labels, masks) alone: the cached hash of str labels differs
-        # between processes
+        # the default protocol restores slots through __setattr__, which
+        # refuses; rebuild instead, skipping the axiom check the masks passed
         return _rebuild, (self.labels, self.masks)
 
     # -- representation helpers -------------------------------------------
@@ -405,11 +405,7 @@ class DeltaMatroid:
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.labels, self.masks)))
-            return self._hash
+        return hash((self.labels, self.masks))
 
     def __repr__(self) -> str:
         fam = ", ".join(
@@ -455,15 +451,10 @@ class DeltaMatroid:
     # -- twist and dual ---------------------------------------------------
 
     def twist(self, elems) -> "DeltaMatroid":
-        """Twist by a subset A: replace each feasible F by A ^ F. XOR by A
-        keeps the masks distinct, so they are only sorted, and the labels
-        and their index are shared with ``self``."""
+        """Twist by a subset A: replace each feasible F by A ^ F. Twisting
+        preserves the axiom, so the result skips the check."""
         a = self.mask_of(elems)
-        d = object.__new__(DeltaMatroid)
-        object.__setattr__(d, "labels", self.labels)
-        object.__setattr__(d, "_pos", self._pos)
-        object.__setattr__(d, "masks", tuple(sorted([a ^ m for m in self.masks])))
-        return d
+        return DeltaMatroid(self.labels, [a ^ m for m in self.masks], _trusted=True)
 
     def dual(self) -> "DeltaMatroid":
         """Twist by the whole ground set."""

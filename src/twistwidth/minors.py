@@ -75,6 +75,7 @@ def catalog() -> tuple[DeltaMatroid, ...]:
 
 
 def _permuted_masks(masks, perm) -> tuple[int, ...]:
+    """``masks`` with bit i of each moved to bit perm[i], ascending."""
     out = []
     for m in masks:
         p = 0
@@ -113,21 +114,18 @@ def _target_table() -> tuple:
     order, then the singleton {∅, {a}}; and the (n, masks) of every family
     isomorphic to a target, to {target number: its positions' images under the
     first label permutation in lexicographic order onto the target}. One pass
-    per member permutation: its masks are permuted once, through the images of
-    all 2^n masks, and each twist then costs one XOR and a sort."""
+    per member permutation p: ``_permuted_masks`` moves bit p[j] of each of
+    the member's twists to bit j."""
     single = DeltaMatroid("a", [0, 1], _trusted=True)
     targets, maps = [], {(1, single.masks): {36: single.labels}}
     for base in catalog():
         first, n = len(targets), base.n
         targets += [base.twist(a) if a else base for a in range(1 << n)]
         for p in permutations(range(n)):
-            image = [0]  # image[m]: m with its bit p[j] moved to bit j
-            for j in sorted(range(n), key=p.__getitem__):  # bit p[j] ascending
-                image += [m | 1 << j for m in image]
-            moved = [image[m] for m in base.masks]
+            back = sorted(range(n), key=p.__getitem__)  # back[p[j]] == j
             labels = tuple(base.labels[i] for i in p)
-            for t, a_moved in enumerate(image, first):  # the twist by a is first + a
-                key = n, tuple(sorted([m ^ a_moved for m in moved]))
+            for t in range(first, len(targets)):
+                key = n, _permuted_masks(targets[t].masks, back)
                 maps.setdefault(key, {}).setdefault(t, labels)
     return (*targets, single), maps
 

@@ -11,6 +11,10 @@ from twistwidth import (
     DeltaMatroid,
     EmptyFamilyError,
     GroundSetError,
+    d_min,
+    enumerate_all,
+    parse,
+    serialize,
     validate,
 )
 from helpers import scan_set_of
@@ -21,7 +25,7 @@ def fam(d):
 
 
 def same(d1, d2):
-    """Equal, and hashing equal, each hash computed twice (once cached)."""
+    """Equal, and hashing equal, each hash computed twice."""
     return d1 == d2 and hash(d1) == hash(d2) == hash(d1) == hash(d2)
 
 
@@ -306,3 +310,44 @@ class TestHashAndPickle:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="12345")
         subprocess.run([sys.executable, "-c", code], input=pickle.dumps(d), env=env,
                        capture_output=True, check=True)
+
+
+def test_init_runs_once_per_new_instance_and_hash_writes_no_slot(monkeypatch):
+    # every route to an instance goes through __init__, exactly once for
+    # each instance it returns, and hashing leaves the instance as it was
+    d = validate("abc", ["", "ab", "bc", "ac", "abc"])
+    built = []
+    original = DeltaMatroid.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeltaMatroid, "__init__", counted)
+    routes = {
+        "validate": lambda: [validate(d.labels, d.feasible_sets())],
+        "parse": lambda: [parse(serialize(d))],
+        "twist": lambda: [d.twist("a")],
+        "dual": lambda: [d.dual()],
+        "minor": lambda: [d.minor(delete="a", contract="b")],
+        "delete": lambda: [d.delete("a")],
+        "contract": lambda: [d.contract("a")],
+        "restrict": lambda: [d.restrict("ab")],
+        "d_min": lambda: [d_min(d)],
+        "enumerate_all": lambda: list(enumerate_all(2)),
+        "pickle": lambda: [pickle.loads(pickle.dumps(d))],
+        "copy": lambda: [copy.copy(d)],
+        "deepcopy": lambda: [copy.deepcopy(d)],
+    }
+    every = [d]
+    for name, route in routes.items():
+        built.clear()
+        made = route()
+        assert len(built) == len(made) and all(a is b for a, b in zip(built, made)), name
+        every += made
+    missing = object()
+    for e in every:
+        before = {slot: getattr(e, slot, missing) for slot in DeltaMatroid.__slots__}
+        hash(e)
+        after = {slot: getattr(e, slot, missing) for slot in DeltaMatroid.__slots__}
+        assert all(before[slot] is after[slot] for slot in before)
