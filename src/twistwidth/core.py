@@ -19,13 +19,13 @@ tests whether any violation exists. A family whose conservative estimate
 ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before the check
 runs, so the refused inputs stay the same.
 
-``_minor_of`` gives a minor's labels and its masks, which ``_minor_masks``
-computes on masks alone. Keeping k elements, it looks up the 2^k score-0
-candidates in the sorted masks when 2^k < |F|: it walks the packed subsets
-of the kept positions in ascending order, spreads each onto the host's
-positions through a 2^k-entry table and finds it by bisection,
-so the hits come out packed and ascending. Otherwise, or on no hit, it
-scores all |F| and packs the kept bits in one pass per removed run.
+``_minor_of`` takes a delete and a contract mask and gives the minor's labels
+and its masks, which ``_minor_masks`` computes. Keeping k elements, it looks
+up the 2^k score-0 candidates in the sorted masks when 2^k < |F|: it walks the
+packed subsets of the kept positions in ascending order, spreads each onto the
+host's positions through a 2^k-entry table and finds it by bisection, so the
+hits come out packed and ascending. Otherwise, or on no hit, it scores all |F|
+and packs the kept bits in one pass per removed run.
 
 Every instance, twists and minors included, is built by ``__init__`` and
 never written after it; pickling and copying rebuild from (labels, masks).
@@ -294,11 +294,10 @@ def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, 
     return tuple(sorted(set(family)))
 
 
-def _minor_of(host: DeltaMatroid, delete, contract):
+def _minor_of(host: DeltaMatroid, x: int, y: int):
     """The kept labels, in ground order, and the masks of the minor of
-    ``host`` deleting ``delete`` and contracting ``contract``, each a label
-    set or a mask; the labels are read off the kept bits."""
-    x, y = host.mask_of(delete), host.mask_of(contract)
+    ``host`` deleting the mask x and contracting the disjoint mask y; the
+    labels are read off the kept bits."""
     kept = _labels_at(host.labels, host.full_mask & ~(x | y))
     return kept, _minor_masks(host.masks, host.full_mask, x, y)
 
@@ -463,7 +462,7 @@ class DeltaMatroid:
     # -- minors -----------------------------------------------------------
 
     def minor(self, delete=(), contract=()) -> "DeltaMatroid":
-        """Delete X and contract Y, disjoint, by ``_minor_of``; labels keep ground order."""
+        """Delete X, contract Y (disjoint) as masks by ``_minor_of``; labels keep ground order."""
         x, y = self.mask_of(delete), self.mask_of(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")

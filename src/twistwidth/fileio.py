@@ -76,11 +76,11 @@ def parse(text: str) -> DeltaMatroid:
 
 def serialize(d: DeltaMatroid) -> str:
     """Canonical text form; ``parse(serialize(d)) == d``. ValueError on a
-    label the format cannot hold: empty, or with whitespace or ``#``."""
+    label the format cannot hold: not a str, empty, or with whitespace or ``#``."""
     for e in d.labels:
-        if "#" in e or e.split() != [e]:
-            raise ValueError(f"label {e!r} cannot be serialized: it is empty, "
-                             "or has whitespace or '#'")
+        if not isinstance(e, str) or "#" in e or e.split() != [e]:
+            raise ValueError(f"label {e!r} cannot be serialized: it is not a str, "
+                             "is empty, or has whitespace or '#'")
     lines = ["elements: " + " ".join(d.labels) if d.labels else "elements:"]
     for m in d.masks:
         members = _labels_at(d.labels, m)

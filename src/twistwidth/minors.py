@@ -41,11 +41,12 @@ class Obstruction(NamedTuple):
 
     def verify(self, host: DeltaMatroid) -> bool:
         """Re-check on ``host`` from scratch: disjoint delete and contract sets
-        of its labels, and ``iso`` a bijection onto the target's labels and masks."""
+        of its labels, translated once to masks for ``_minor_of``, and ``iso``
+        a bijection onto the target's labels and masks."""
         delete, contract = self.delete_set, self.contract_set
         if delete & contract or not host._pos.keys() >= delete | contract:
             return False
-        kept, masks = _minor_of(host, delete, contract)
+        kept, masks = _minor_of(host, host.mask_of(delete), host.mask_of(contract))
         perm = [self.target._pos.get(self.iso.get(e)) for e in kept]
         return (
             len(self.iso) == len(kept) == self.target.n

@@ -71,11 +71,6 @@ def _terms(d: DeltaMatroid, a: int) -> tuple[int, int, int]:
     return hi1 - lo1, hi2 - lo2, hi3 - lo3
 
 
-def _restriction_width(d: DeltaMatroid, a: int) -> int:
-    """width(D|A), the first of the formula's terms."""
-    return _terms(d, a)[0]
-
-
 def _shells(d: DeltaMatroid) -> tuple[list[int], list[int]]:
     """Shells S_j of dist(A) and, at index n - k, S'_k of dist(A~), so that
     the A of width w are the OR over j of near[j] & mirror[j + w]. One
@@ -157,4 +152,4 @@ def rough_structure_witnesses(d: DeltaMatroid) -> list[int]:
     """
     near, mirror = _shells(d)
     return [a for a in _members(_width_class(near, mirror, 1))
-            if _restriction_width(d, a) == 0]
+            if _terms(d, a)[0] == 0]

@@ -211,6 +211,19 @@ class TestMinors:
         with pytest.raises(GroundSetError):
             cat[1].minor(delete="a", contract="a")
 
+    def test_minor_translates_each_argument_once(self, cat, monkeypatch):
+        # minor hands its checked masks on, so nothing below it reads a label
+        calls = []
+        original = DeltaMatroid.mask_of
+
+        def counted(self, elems):
+            calls.append(elems)
+            return original(self, elems)
+
+        monkeypatch.setattr(DeltaMatroid, "mask_of", counted)
+        assert fam(cat[3].minor(["a"], ["b"])) == [["c"]]
+        assert calls == [["a"], ["b"]]
+
 
 class TestRestrict:
     def test_restrict_drops_outside_sets(self, cat):

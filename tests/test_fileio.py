@@ -84,9 +84,10 @@ def test_roundtrip_catalog(cat):
         assert parse(serialize(d)) == d
 
 
-@pytest.mark.parametrize("label", ["a b", "a#", "", "a\tb", "a\u2028b"])
+@pytest.mark.parametrize("label", ["a b", "a#", "", "a\tb", "a\u2028b", 1])
 def test_serialize_refuses_labels_the_format_cannot_hold(label):
-    # as text each would parse back as another delta-matroid, or not at all
+    # as text each would parse back as another delta-matroid, or not at all;
+    # a label that is not a str would come back as one
     d = validate([label, "c"], [[], [label]])
     with pytest.raises(ValueError, match=re.escape(f"label {label!r} cannot be serialized")):
         serialize(d)

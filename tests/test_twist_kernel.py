@@ -33,7 +33,7 @@ from twistwidth import (
     twist_width_formula,
     validate,
 )
-from twistwidth.structure import MAX_SEARCH_ELEMENTS, _restriction_width, _terms
+from twistwidth.structure import MAX_SEARCH_ELEMENTS, _terms
 from helpers import (
     brute_rough_structure_witnesses,
     dmin_connectivity,
@@ -82,7 +82,6 @@ def _check_formula(d):
             dmin_connectivity(d, a),
         )
         assert _terms(d, a) == oracle
-        assert _restriction_width(d, a) == inside
         assert twist_width_formula(d, a) == inside + outside + 2 * connectivity
         assert twist_width_formula(d, a) == d.twist(a).width()
 
@@ -198,7 +197,7 @@ def _check_against_oracle(d):
     assert rough_structure_witnesses(d) == [
         a
         for a, w in enumerate(widths)
-        if w == 1 and _restriction_width(d, a) == 0
+        if w == 1 and _terms(d, a)[0] == 0
     ]
 
 
@@ -251,4 +250,4 @@ def test_width_one_sum_on_20_elements():
     assert witnesses
     for a in witnesses:
         assert twist_width_formula(d, a) == 1
-        assert _restriction_width(d, a) == 0
+        assert _terms(d, a)[0] == 0

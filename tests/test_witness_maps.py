@@ -194,8 +194,9 @@ def test_each_entry_point_verifies_once(host, monkeypatch):
         assert calls == [host], route.__name__
 
 
-def test_lifted_certificate_computes_the_host_minor_once_for_both_lookups(monkeypatch):
-    # one _minor_masks call serves the phi and the target lookup, one is the verify
+def test_lifted_certificate_computes_the_host_minor_once_for_the_lookup_and_once_for_verify(
+        monkeypatch):
+    # one _minor_masks call serves the target lookup, one is the verify
     calls = []
     original = _minor_masks
 
