@@ -5,6 +5,12 @@ subsets. The axiom is checked for all candidates at once, on Python
 integers used as bitsets with one bit per family, by a pass over the 2^n
 sets Z with two subset tables each, so the table of every delta-matroid on
 four elements takes a few milliseconds.
+
+``verify_theorem`` checks one property on every instance. Each check reads
+the instance's 2^n twist widths, computed once from their definition, and
+p1 reads its minors' least widths off the table of the instances on one
+element fewer, so no check calls the twist-width kernel or ``certify``
+for its expected answer.
 """
 
 from __future__ import annotations
@@ -14,13 +20,7 @@ from typing import Iterator, NamedTuple
 
 from .certify import TwistWitness, certify, is_obstructed
 from .core import DeltaMatroid, GroundSetError, _members, _planes, _twist_width
-from .structure import (
-    min_width_twist,
-    is_twist_matroid_witness,
-    is_twist_width_one_witness,
-    rough_structure_witnesses,
-    twist_width_formula,
-)
+from .structure import rough_structure_witnesses, twist_width_formula
 
 MAX_ENUM_ELEMENTS = 4
 CANONICAL_LABELS = ("e1", "e2", "e3", "e4")
@@ -91,6 +91,20 @@ def count_all(n: int) -> int:
 # -- theorem verification -------------------------------------------------
 
 
+def _widths(d: DeltaMatroid) -> list[int]:
+    """width(D*A) by its definition, for every twist set A in mask order."""
+    return [_twist_width(d, a) for a in range(d.full_mask + 1)]
+
+
+@lru_cache(maxsize=None)
+def _least_widths(n: int) -> dict[tuple[int, ...], int]:
+    """The least twist width of every delta-matroid on n elements, keyed by
+    its masks; on no elements the one family {∅} has width 0."""
+    if n == 0:
+        return {(0,): 0}
+    return {d.masks: min(_widths(d)) for d in enumerate_all(n)}
+
+
 def _all_minors(d: DeltaMatroid) -> set[DeltaMatroid]:
     out = set()
     full = d.full_mask
@@ -105,44 +119,33 @@ def _all_minors(d: DeltaMatroid) -> set[DeltaMatroid]:
     return out
 
 
-def _per_twist(holds):
-    """Check ``holds(d, a, width(D*A))`` for every twist set A of ``d``."""
-
-    def check(d):
-        for a in range(d.full_mask + 1):
-            if not holds(d, a, _twist_width(d, a)):
-                return f"{d!r} with A mask {a:#x}"
-        return None
-
-    return check
-
-
-def _check_tm1(d):
-    has_width_one = any(
-        _twist_width(d, a) == 1 for a in range(d.full_mask + 1)
-    )
-    if bool(rough_structure_witnesses(d)) != has_width_one:
-        return repr(d)
+def _check_t2(d, widths):
+    for a, w in enumerate(widths):
+        if twist_width_formula(d, a) != w:
+            return f"{d!r} with A mask {a:#x}"
     return None
 
 
-def _check_t1(d):
-    if (is_obstructed(d) is None) != (min_width_twist(d)[1] <= 1):
-        return repr(d)
-    return None
+def _check_tm1(d, widths):
+    return repr(d) if bool(rough_structure_witnesses(d)) != (1 in widths) else None
 
 
-def _check_p1(d):
-    base = min_width_twist(d)[1]
+def _check_t1(d, widths):
+    return repr(d) if (is_obstructed(d) is None) != (min(widths) <= 1) else None
+
+
+def _check_p1(d, widths):
+    # each minor is an instance on n - 1 elements, its masks already packed
+    least, base = _least_widths(d.n - 1), min(widths)
     for e in d.labels:
         for m in (d.delete(e), d.contract(e)):
-            if min_width_twist(m)[1] > base:
+            if least[m.masks] > base:
                 return f"{d!r} at element {e!r}"
     return None
 
 
-def _check_l1(d):
-    for a in range(d.full_mask + 1):
+def _check_l1(d, widths):
+    for a in range(len(widths)):
         a_labels = d.set_of(a)
         lhs = _all_minors(d.twist(a))
         rhs = {
@@ -154,22 +157,15 @@ def _check_l1(d):
     return None
 
 
-def _check_l2(d):
+def _check_l2(d, widths):
     cert = certify(d)  # self-verifying; raises on internal failure
-    if isinstance(cert, TwistWitness) != (min_width_twist(d)[1] <= 1):
-        return repr(d)
-    return None
+    return repr(d) if isinstance(cert, TwistWitness) != (min(widths) <= 1) else None
 
 
+# tt2 and tt are the formula's == 0 and == 1, so t2's check decides them
 _CHECKS = {
-    "t2": _per_twist(lambda d, a, w: twist_width_formula(d, a) == w),
-    "tt2": _per_twist(lambda d, a, w: is_twist_matroid_witness(d, a) == (w == 0)),
-    "tt": _per_twist(lambda d, a, w: is_twist_width_one_witness(d, a) == (w == 1)),
-    "tm1": _check_tm1,
-    "t1": _check_t1,
-    "p1": _check_p1,
-    "l1": _check_l1,
-    "l2": _check_l2,
+    "t2": _check_t2, "tt2": _check_t2, "tt": _check_t2, "tm1": _check_tm1,
+    "t1": _check_t1, "p1": _check_p1, "l1": _check_l1, "l2": _check_l2,
 }
 
 THEOREM_TAGS = tuple(_CHECKS)
@@ -177,37 +173,37 @@ THEOREM_TAGS = tuple(_CHECKS)
 _TAG_LIMITS = {"l1": 3}
 
 
+def _verify(n: int, tags) -> list[EnumerationReport]:
+    """One pass over every delta-matroid on n elements: its widths once,
+    each distinct check of ``tags`` once; one report per tag, in order."""
+    for which in tags:
+        if which not in _CHECKS:
+            raise ValueError(
+                f"unknown theorem tag {which!r}; expected one of {THEOREM_TAGS}"
+            )
+        limit = _TAG_LIMITS.get(which, MAX_ENUM_ELEMENTS)
+        if not 1 <= n <= limit:
+            raise GroundSetError(f"tag {which!r} supports 1 <= n <= {limit}")
+    tally = {_CHECKS[which]: [0, None] for which in tags}  # failures, first
+    for d in enumerate_all(n):
+        widths = _widths(d)
+        for check, seen in tally.items():
+            if (result := check(d, widths)) is not None:
+                seen[0] += 1
+                seen[1] = seen[1] or result
+    total, count = (1 << (1 << n)) - 1, count_all(n)
+    return [EnumerationReport(n, total, count, which, count, *tally[_CHECKS[which]])
+            for which in tags]
+
+
 def verify_theorem(n: int, which: str) -> EnumerationReport:
     """Run one exhaustive property over every delta-matroid on n elements.
 
-    Tags: t2 (twist-width formula), tt2 (matroid-twist criterion), tt
-    (width-one-twist criterion), tm1 (rough-structure witnesses), t1
-    (excluded-minor characterisation), p1 (minor monotonicity), l1
-    (minor/twist commutation, n <= 3), l2 (certificates, every instance).
+    Tags: t2 (twist-width formula), tt2 (matroid-twist criterion) and tt
+    (width-one-twist criterion), which are t2's check; tm1 (rough-structure
+    witnesses), t1 (excluded-minor characterisation), p1 (minor
+    monotonicity), l1 (minor/twist commutation, n <= 3), l2 (certificates,
+    every instance). Every tag but l1 compares with the widths by their
+    definition, never with ``certify``.
     """
-    if which not in _CHECKS:
-        raise ValueError(
-            f"unknown theorem tag {which!r}; expected one of {THEOREM_TAGS}"
-        )
-    limit = _TAG_LIMITS.get(which, MAX_ENUM_ELEMENTS)
-    if not 1 <= n <= limit:
-        raise GroundSetError(f"tag {which!r} supports 1 <= n <= {limit}")
-    check = _CHECKS[which]
-    checked = failures = 0
-    first = None
-    for d in enumerate_all(n):
-        result = check(d)
-        checked += 1
-        if result is not None:
-            failures += 1
-            if first is None:
-                first = result
-    return EnumerationReport(
-        n=n,
-        total_families=(1 << (1 << n)) - 1,
-        valid_count=count_all(n),
-        theorem=which,
-        checked=checked,
-        failures=failures,
-        first_counterexample=first,
-    )
+    return _verify(n, (which,))[0]

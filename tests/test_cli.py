@@ -320,6 +320,8 @@ GOLDEN_OK = [
     ("verify -n 2 --theorem t1 --json", 0, '{"n": 2, "theorem": "t1", "checked": 15, "failures": 0, "first_counterexample": null}\n'),
     ("verify -n 3 --theorem t2", 0, "theorem t2 at n=3: 155 instances checked, 0 failures\n"),
     ("verify -n 3 --theorem t2 --json", 0, '{"n": 3, "theorem": "t2", "checked": 155, "failures": 0, "first_counterexample": null}\n'),
+    ("verify -n 1 --theorem p1", 0, "theorem p1 at n=1: 3 instances checked, 0 failures\n"),
+    ("verify -n 4 --theorem tt2 --json", 0, '{"n": 4, "theorem": "tt2", "checked": 5959, "failures": 0, "first_counterexample": null}\n'),
 ]
 # (command line, stderr), each also with --json; exit code 2, stdout empty
 GOLDEN_ERR = [

@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
     AxiomViolationError,
+    DeltaMatroid,
     GroundSetError,
+    TwistWitness,
+    catalog,
     count_all,
     enumerate_all,
     validate,
@@ -101,7 +105,8 @@ def _assert_every_instance_fails(report):
 
 @pytest.mark.parametrize("tag", ["t2", "tt2", "tt"])
 def test_verify_catches_a_wrong_formula(monkeypatch, tag):
-    # one more in the connectivity term puts the formula 2 above the width
+    # one more in the connectivity term puts the formula 2 above the width;
+    # tt2 and tt are the formula's == 0 and == 1, so they run t2's check
     terms = structure._terms
 
     def wrong(d, a):
@@ -109,13 +114,7 @@ def test_verify_catches_a_wrong_formula(monkeypatch, tag):
         return restricted, complemented, connectivity + 1
 
     monkeypatch.setattr(structure, "_terms", wrong)
-    report = verify_theorem(3, tag)
-    assert report.checked == 155
-    assert report.failures >= 1
-    assert report.first_counterexample is not None
-    assert " with A mask " in report.first_counterexample
-    if tag == "t2":
-        _assert_every_instance_fails(report)
+    _assert_every_instance_fails(verify_theorem(3, tag))
 
 
 def test_verify_t2_catches_a_wrong_direct_width(monkeypatch):
@@ -124,11 +123,67 @@ def test_verify_t2_catches_a_wrong_direct_width(monkeypatch):
     _assert_every_instance_fails(verify_theorem(3, "t2"))
 
 
+# (tag, owner, name, stand-in, failures at n = 3): the failures are the
+# instances on which the stand-in's answer differs from the true one
+FAULTS = [
+    # no obstruction anywhere: wrong on the 49 of least width >= 2
+    ("t1", enumeration, "is_obstructed", lambda d: None, 49),
+    # a width-one witness everywhere: wrong on the same 49
+    ("l2", enumeration, "certify", lambda d: TwistWitness(frozenset(), 0), 49),
+    # no rough-structure witness: wrong on the 78 with a width-one twist
+    ("tm1", enumeration, "rough_structure_witnesses", lambda d: [], 78),
+    # every contraction has least width 2: wrong on the 106 of least width <= 1
+    ("p1", DeltaMatroid, "contract", lambda d, e: catalog()[0], 106),
+]
+
+
+@pytest.mark.parametrize("tag, owner, name, stand_in, failures", FAULTS, ids=[f[0] for f in FAULTS])
+def test_verify_catches_an_injected_fault(monkeypatch, tag, owner, name, stand_in, failures):
+    monkeypatch.setattr(owner, name, stand_in)
+    report = verify_theorem(3, tag)
+    assert (report.checked, report.failures) == (155, failures)
+    assert report.first_counterexample is not None
+
+
 def test_verify_l2_checks_every_instance():
     # certify takes every delta-matroid, the empty set feasible or not
     report = verify_theorem(4, "l2")
     assert report.passed
     assert report.checked == count_all(4) == 5959
+
+
+@lru_cache(maxsize=None)
+def _one_pass(n):
+    """The report of every tag that runs at n, from one ``_verify`` pass."""
+    tags = tuple(t for t in THEOREM_TAGS if t != "l1" or n <= 3)
+    return dict(zip(tags, enumeration._verify(n, tags)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_pass_matches_the_separate_runs(n):
+    # every field, first_counterexample included; at n = 1, p1's minors
+    # have no elements
+    reports = _one_pass(n)
+    assert reports == {tag: verify_theorem(n, tag) for tag in reports}
+
+
+def test_one_pass_computes_each_width_and_formula_once(monkeypatch):
+    calls = []
+    width, formula = enumeration._twist_width, enumeration.twist_width_formula
+
+    def counted(inner, kind):
+        def call(d, a):
+            calls.append((kind, d.n))
+            return inner(d, a)
+        return call
+
+    monkeypatch.setattr(enumeration, "_twist_width", counted(width, "width"))
+    monkeypatch.setattr(enumeration, "twist_width_formula", counted(formula, "formula"))
+    reports = enumeration._verify(3, THEOREM_TAGS)
+    assert [r.theorem for r in reports] == list(THEOREM_TAGS)
+    assert all(r.passed and r.checked == 155 for r in reports)
+    # p1's table of the instances on 2 elements may come from an earlier call
+    assert calls.count(("width", 3)) == calls.count(("formula", 3)) == 155 * 8
 
 
 # (n, count) for each tag at the largest n it supports: every delta-matroid
@@ -142,7 +197,7 @@ EXHAUSTIVE = {
 @pytest.mark.parametrize("tag", EXHAUSTIVE)
 def test_verify_checks_every_instance(tag):
     n, count = EXHAUSTIVE[tag]
-    report = verify_theorem(n, tag)
+    report = _one_pass(n)[tag]
     assert report.passed
     assert report.checked == count
 
