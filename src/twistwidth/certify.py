@@ -1,34 +1,37 @@
 """Constructive certificates for twist-width at most one.
 
-Given any delta-matroid, ``certify`` produces either a twist set whose
-twist has width at most one, or a minor witness onto a twist of one of the
-five catalog obstructions. When the empty set is infeasible, it certifies
-the twist by the smallest feasible set F, in which the empty set is
-feasible, and lifts the result back: a twist set T becomes T ^ F, and
-deleting (contracting) an element of F there contracts (deletes) it here.
+Given any delta-matroid D, ``certify`` produces either a twist set whose twist
+has width at most one, or a minor witness onto a twist of one of the five
+catalog obstructions. It certifies D twisted by its least feasible set f, in
+which the empty set is feasible, and lifts the result back: a twist set T
+becomes T ^ f, and deleting (contracting) an element of f there contracts
+(deletes) it here.
 
-With the empty set feasible, the procedure builds an auxiliary graph from
-the feasible sets of size one and two: a hub standing for the elements
-whose singletons are feasible, one vertex per other element, and an edge
-per feasible pair. Vertex 0 is the hub and vertex i + 1 is element i, so
-vertex order is bit order, and a vertex's neighbours are one mask. One
-breadth-first search over whole levels 2-colors the graph in O(V + E); a
+The auxiliary graph has a hub standing for the elements whose singletons are
+feasible, one vertex per other element, and an edge per feasible pair. Vertex
+0 is the hub and vertex i + 1 is element i, so a vertex's neighbours are one
+mask. One breadth-first search over whole levels 2-colors it in O(V + E); a
 bipartite graph yields a twist set (or a small forbidden restriction).
-Otherwise a loop runs the induction on the length of a shortest odd cycle.
-Each level reads its least triangle off the masks, pays for the O(V·E)
-search only without one, and names a catalog member or reduces to a
-level with a shorter odd cycle. Levels are (kept, shut) views of the host
-twisted by F, on its positions, so no minor or twist is built. A certificate
-stays masks until ``_obstruction`` labels it, once, at the end. Every
-minor witness goes through it: the witness minor is computed once, looked
-up once on a route of ``minors._target_table`` (the twists of ``certify``'s
-catalog member in mask order, or an obstruction route's own targets) and
-verified. ``is_obstructed`` and the even branch of
-``matroid_twist_obstructions`` run the procedure through ``_certified_minor``;
-the odd branch names its minor directly.
+Otherwise a loop runs the induction on the length of a shortest odd cycle:
+each level reads its least triangle off the masks, pays for the O(V·E) search
+only without one, and names a catalog member or reduces to a level with a
+shorter odd cycle. Levels are (kept, shut) views of D twisted by f, on its
+positions, so no minor or twist is built. A certificate stays masks until
+``_obstruction`` labels it, computes its minor once, looks it up once on a
+route of ``minors._target_table`` and verifies it. ``is_obstructed`` and the
+even branch of ``matroid_twist_obstructions`` run the procedure through
+``_certified_minor``; the odd branch names its minor directly. Each
+certificate is re-verified once before it is returned: a failure raises.
 
-Every certificate is re-verified from scratch once, before ``certify``
-returns it; a failed re-check raises instead of silently falling back.
+D is read only through ``labels``, ``n``, ``full_mask``, ``mask_of``,
+``set_of``, ``is_feasible``, ``is_even`` and six reads on masks, which a
+representation implements (``DeltaMatroid`` from its sorted family):
+``_least()``, the least feasible f; ``_small(f)``, the feasible sets of one or
+two elements of D*f; ``_inside(a, f)``, the least feasible set of each size
+inside a, in D*f; ``_odd_pair()``, the first feasible F with some F + e
+feasible, and its lowest e; ``_twist_width(t)``, the width of D*t; and
+``_minor_of(x, y)``, the kept labels and packed ascending masks of the minor
+deleting x and contracting y, which keeps at most three elements.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid, _minor_of, _small_masks, _twist_width
+from .core import DeltaMatroid
 from .minors import (_D5_ROUTE, _MATROID_TWIST_ROUTE, _MEMBER_ROUTES, CertificationError,
                      Obstruction, _target_table, _witness)
 
@@ -60,14 +63,14 @@ def _aux(d, f, shut, kept):
     """(singles, adj) of the level (kept, shut) of ``d`` twisted by ``f``, on
     host positions: the kept e with {e} | shut feasible, and each vertex's
     neighbour mask, isolated outside kept and for a single-feasible element,
-    whose pairs are hub edges. Level 0 is one C-level intersection; a reduced
-    level asks for the k(k+1)/2 small sets of its k kept elements alone."""
+    whose pairs are hub edges. Level 0 reads them all with ``d._small``; a
+    reduced level asks for the k(k+1)/2 small sets of its k kept elements."""
     n = kept.bit_length()
     if shut:
         bits = [1 << i for i in range(n) if kept >> i & 1]
         hits = filter(_query(d, shut ^ f), [b | c for i, b in enumerate(bits) for c in bits[i:]])
     else:
-        hits = _small_masks(n).intersection([m ^ f for m in d.masks] if f else d.masks)
+        hits = d._small(f)
     adj, singles = [0] * (n + 1), 0
     for m in hits:
         if m & m - 1:
@@ -173,14 +176,11 @@ def _odd_cycle_search(adj):
 # -- certificate assembly: twist sets and witnesses are masks --------------
 
 
-def _bipartite_case(masks, f, full, even):
+def _bipartite_case(d, f, full, even):
     # a single-feasible element's vertex is isolated, so at even depth too:
     # A is the singles and the elements colored like the hub
     amask = even >> 1
-    rest, out = ~amask, f & ~amask  # F ^ f is inside A when F & rest == out
-    inside = [m for m in masks if m & rest == out]
-    inside = sorted([m ^ f for m in inside]) if f else inside  # XOR by f reorders them
-    first = {m.bit_count(): m for m in reversed(inside)}  # the least of each size
+    first = d._inside(amask, f)
     if 2 in first:
         return full & ~first[2], 0, 0
     if max(first) > 1:
@@ -243,10 +243,10 @@ def _certify_impl(d):
     """Certificate masks of ``d`` twisted by its least feasible set f. On a
     level (kept, shut), shut is feasible and S is feasible when (S | shut) ^ f
     is; a case gives (keep, contract, index), index None for a reduction."""
-    f, full = d.masks[0], d.full_mask
+    f, full = d._least(), d.full_mask
     singles, adj = _aux(d, f, 0, full)
     if (even := _coloring(adj)) is not None:  # only level 0 is 2-colored
-        return _bipartite_case(d.masks, f, full, even)
+        return _bipartite_case(d, f, full, even)
     shut, last = 0, len(adj) + 1  # longer than any cycle
     while (cycle := _shortest_cycle(adj)) is not None:
         if len(cycle) >= last:
@@ -274,10 +274,10 @@ def _certificate(d: DeltaMatroid):
     its width re-checked on ``d``, or a minor witness as its (delete mask,
     contract mask, catalog index)."""
     cert = _certify_impl(d)
-    if f := d.masks[0]:
+    if f := d._least():
         cert = _lift(f, cert)
     if isinstance(cert, TwistWitness):
-        actual = _twist_width(d, cert.twist_set)
+        actual = d._twist_width(cert.twist_set)
         if actual != cert.width or actual > 1:
             raise CertificationError(f"twist witness claims width {cert.width}, got {actual}")
     return cert
@@ -303,7 +303,7 @@ def certify(d: DeltaMatroid):
 def _obstruction(d, x, y, route):
     """The witness deleting the mask x and contracting the mask y from ``d``,
     its minor computed once, looked up once on ``route`` and verified once."""
-    obs = _witness(_minor_of(d, x, y), d.set_of(x), d.set_of(y), route)
+    obs = _witness(d._minor_of(x, y), d.set_of(x), d.set_of(y), route)
     if not obs.verify(d):
         raise CertificationError(f"{obs} fails to verify")
     return obs
@@ -349,8 +349,6 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     """
     if d.is_even():
         return _certified_minor(d, _MATROID_TWIST_ROUTE)
-    feasible = set(d.masks)
     # a closest feasible pair of opposite parity is one exchange step apart
-    f, i = next((f, i) for f in d.masks for i in range(d.n)
-                if not f >> i & 1 and f | 1 << i in feasible)
+    f, i = d._odd_pair()
     return _obstruction(d, d.full_mask ^ f ^ 1 << i, f, _MATROID_TWIST_ROUTE)

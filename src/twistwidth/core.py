@@ -19,13 +19,8 @@ tests whether any violation exists. A family whose conservative estimate
 ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before the check
 runs, so the refused inputs stay the same.
 
-``_minor_of`` takes a delete and a contract mask and gives the minor's labels
-and its masks, which ``_minor_masks`` computes. Keeping k elements, it looks
-up the 2^k score-0 candidates in the sorted masks when 2^k < |F|: it walks the
-packed subsets of the kept positions in ascending order, spreads each onto the
-host's positions through a 2^k-entry table and finds it by bisection, so the
-hits come out packed and ascending. Otherwise, or on no hit, it scores all |F|
-and packs the kept bits in one pass per removed run.
+``_minor_of`` gives a minor's labels and masks (``_minor_masks``) from its
+delete and contract masks; it is one of the reads ``certify`` makes.
 
 Every instance, twists and minors included, is built by ``__init__`` and
 never written after it; pickling and copying rebuild from (labels, masks).
@@ -363,10 +358,12 @@ class DeltaMatroid:
 
     @property
     def n(self) -> int:
+        """The number of ground-set elements."""
         return len(self.labels)
 
     @property
     def full_mask(self) -> int:
+        """The mask of the whole ground set."""
         return (1 << len(self.labels)) - 1
 
     def mask_of(self, elems) -> int:
@@ -377,11 +374,13 @@ class DeltaMatroid:
                 raise GroundSetError(f"mask {elems:#x} outside ground set")
             return int(elems)
         mask, pos = 0, self._pos
-        for e in elems:
-            try:
+        try:
+            for e in elems:
                 mask |= 1 << pos[e]
-            except KeyError:
-                raise GroundSetError(f"unknown element {e!r}") from None
+        except KeyError:
+            raise GroundSetError(f"unknown element {e!r}") from None
+        except TypeError:
+            raise GroundSetError(f"not a set of elements or a mask: {elems!r}") from None
         return mask
 
     def set_of(self, mask: int) -> frozenset[str]:
@@ -389,9 +388,11 @@ class DeltaMatroid:
         return frozenset(_labels_at(self.labels, mask & self.full_mask))
 
     def feasible_sets(self) -> list[frozenset[str]]:
+        """The feasible sets as label sets, in mask order."""
         return [self.set_of(m) for m in self.masks]
 
     def is_feasible(self, elems) -> bool:
+        """True iff the subset, as labels or a mask, is feasible."""
         mask = self.mask_of(elems)
         i = bisect_left(self.masks, mask)
         return i < len(self.masks) and self.masks[i] == mask
@@ -415,6 +416,7 @@ class DeltaMatroid:
     # -- basic quantities -------------------------------------------------
 
     def min_feasible_size(self) -> int:
+        """The size of a smallest feasible set."""
         return min(m.bit_count() for m in self.masks)
 
     def width(self) -> int:
@@ -431,6 +433,27 @@ class DeltaMatroid:
         a = self.mask_of(elems)
         return self.n - min((a ^ m).bit_count() for m in self.masks)
 
+    # -- the reads of ``certify``, which its module docstring lists -------
+
+    def _least(self) -> int:
+        return self.masks[0]
+
+    def _small(self, f: int) -> frozenset[int]:
+        return _small_masks(self.n).intersection([m ^ f for m in self.masks] if f else self.masks)
+
+    def _inside(self, a: int, f: int) -> dict[int, int]:
+        rest, out = ~a, f & ~a  # F ^ f is inside a when F & rest == out
+        inside = [m for m in self.masks if m & rest == out]
+        inside = sorted([m ^ f for m in inside]) if f else inside  # XOR by f reorders them
+        return {m.bit_count(): m for m in reversed(inside)}
+
+    def _odd_pair(self) -> tuple[int, int]:
+        feasible = set(self.masks)
+        return next((f, i) for f in self.masks for i in range(self.n)
+                    if not f >> i & 1 and f | 1 << i in feasible)
+
+    _twist_width, _minor_of = _twist_width, _minor_of
+
     # -- loops and coloops ------------------------------------------------
 
     def is_loop(self, e: str) -> bool:
@@ -442,9 +465,11 @@ class DeltaMatroid:
         return bool(self.mask_of((e,)) & reduce(and_, self.masks))
 
     def loops(self) -> list[str]:
+        """The elements in no feasible set, in ground order."""
         return _labels_at(self.labels, reduce(or_, self.masks) ^ self.full_mask)
 
     def coloops(self) -> list[str]:
+        """The elements in every feasible set, in ground order."""
         return _labels_at(self.labels, reduce(and_, self.masks))
 
     # -- twist and dual ---------------------------------------------------
@@ -505,6 +530,8 @@ def validate(labels: Iterable[str], family: Iterable) -> DeltaMatroid:
     """Build a delta-matroid from an untrusted family, checking the axiom.
 
     Raises EmptyFamilyError or AxiomViolationError (with witness) on bad
-    input.
+    input; GroundSetError on duplicate or unknown labels, a member neither
+    a set of labels nor an in-range mask, or over ``MAX_ELEMENTS`` elements;
+    DeltaMatroidError when the axiom check's work exceeds ``MAX_AXIOM_WORK``.
     """
     return DeltaMatroid(labels, family)

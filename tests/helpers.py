@@ -7,6 +7,11 @@ compare two genuinely different routes. The one exception,
 ``kernel_twist_widths``, expands the library's all-twists kernel into one
 width per twist set, for the tests to compare with those oracles.
 
+Two stand-ins for ``DeltaMatroid`` answer only the reads ``certify``
+makes (``CERTIFY_READS``): ``FamilyReads`` hides a delta-matroid's family
+behind them, and ``TwistedUniform`` answers them in closed form with no
+family at all, so it can hold more than 64 elements.
+
 The randomized tests draw from two sources: principal-minor families of
 random symmetric GF(2) matrices, which reach 135 of the 155 delta-matroids
 on 3 elements and 2295 of the 5959 on 4, and extension chains grown from
@@ -16,7 +21,7 @@ all 5959, which are mostly not GF(2)-representable.
 import random
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import factorial
 from typing import NamedTuple
 
@@ -595,3 +600,102 @@ def draw_with_empty_feasible(n, rng, chain):
         return sample_with_empty_feasible(n, rng)
     d = DeltaMatroid(_labels(n), rng.choice(extension_pool(n)), _trusted=True)
     return d.twist(rng.choice(d.masks))
+
+
+# -- representations without a family -------------------------------------
+
+# everything certify, is_obstructed, matroid_twist_obstructions and
+# Obstruction.verify may read of their input
+CERTIFY_READS = ("labels", "n", "full_mask", "mask_of", "set_of", "is_feasible", "is_even",
+                 "_least", "_small", "_inside", "_odd_pair", "_twist_width", "_minor_of")
+
+
+class FamilyReads:
+    """A delta-matroid seen through ``CERTIFY_READS`` alone: it has no
+    ``masks`` and no ``_pos``, so reaching past the reads raises."""
+
+    __slots__ = CERTIFY_READS
+
+    def __init__(self, d: DeltaMatroid):
+        for name in CERTIFY_READS:
+            setattr(self, name, getattr(d, name))
+
+
+class TwistedUniform:
+    """U(r, m) twisted by the mask x, on labels e0..e(m-1), holding no
+    family: S is feasible iff |S ^ x| = r. Each read has a closed form, in
+    O(m) but for the 2^k candidates of a minor keeping k elements. It is
+    even, so it has no ``_odd_pair``."""
+
+    def __init__(self, r: int, m: int, x: int):
+        self.r, self.x, self.n, self.full_mask = r, x, m, (1 << m) - 1
+        self.labels = tuple(f"e{i}" for i in range(m))
+        self._index = {e: i for i, e in enumerate(self.labels)}
+
+    def mask_of(self, elems) -> int:
+        return elems if isinstance(elems, int) else sum(1 << self._index[e] for e in set(elems))
+
+    def set_of(self, mask: int) -> frozenset:
+        return frozenset(e for i, e in enumerate(self.labels) if mask >> i & 1)
+
+    def is_feasible(self, elems) -> bool:
+        return (self.mask_of(elems) ^ self.x).bit_count() == self.r
+
+    def is_even(self) -> bool:
+        return True
+
+    def _least(self) -> int:
+        # the least feasible set is the least of its size
+        return min(self._inside(self.full_mask, 0).values())
+
+    def _small(self, f: int) -> set:
+        # in the twist by f, T is feasible iff |T ^ y| = |y| + |T| - 2|T & y| = r
+        y = f ^ self.x
+        ins = [1 << i for i in range(self.n) if y >> i & 1]
+        outs = [1 << i for i in range(self.n) if not y >> i & 1]
+        gap = len(ins) - self.r
+        singles = {1: ins, -1: outs}.get(gap, [])
+        pairs = {2: combinations(ins, 2), 0: product(ins, outs), -2: combinations(outs, 2)}
+        return set(singles) | {a | b for a, b in pairs.get(gap, ())}
+
+    def _inside(self, a: int, f: int) -> dict:
+        # T inside a is feasible in the twist by f iff q - p = r - |y|, for p
+        # of its elements in y and q outside; the least such T of size p + q
+        # takes the lowest p of a & y and the lowest q of a - y
+        y = f ^ self.x
+        lows = []
+        for part in (a & y, a & ~y):
+            lows.append([0])
+            for i in range(self.n):
+                if part >> i & 1:
+                    lows[-1].append(lows[-1][-1] | 1 << i)
+        (ones, zeros), shift = lows, self.r - y.bit_count()
+        return {2 * p + shift: ones[p] | zeros[p + shift]
+                for p in range(max(0, -shift), len(ones)) if p + shift < len(zeros)}
+
+    def _twist_width(self, t: int) -> int:
+        # |F ^ t| = z + r - 2|B & z| for F = x ^ B with |B| = r and z = t ^ x
+        z = (t ^ self.x).bit_count()
+        return 2 * (min(self.r, z) - max(0, self.r + z - self.n))
+
+    def _minor_of(self, x: int, y: int):
+        # F is S on the kept positions, P in x and Q in y; |P ^ self.x| and
+        # |Q ^ self.x| on them add up to d = r - |S ^ self.x|, so the least
+        # score |P| + |y - Q| at S is |d - |x & self.x| - |y - self.x||, when
+        # 0 <= d <= |x | y|
+        keep = self.full_mask & ~(x | y)
+        bits = [1 << i for i in range(self.n) if keep >> i & 1]
+        near = (x & self.x).bit_count() + (y & ~self.x).bit_count()
+        cost = {}
+        for s in range(1 << len(bits)):
+            d = self.r - (sum(b for j, b in enumerate(bits) if s >> j & 1) ^ self.x & keep).bit_count()
+            if 0 <= d <= (x | y).bit_count():
+                cost[s] = abs(d - near)
+        best = min(cost.values())
+        return [self.labels[b.bit_length() - 1] for b in bits], tuple(s for s, c in cost.items() if c == best)
+
+    def family(self) -> DeltaMatroid:
+        """The same delta-matroid with its family listed."""
+        bits = [1 << i for i in range(self.n)]
+        masks = [self.x ^ sum(c) for c in combinations(bits, self.r)]
+        return DeltaMatroid(self.labels, masks, _trusted=True)

@@ -105,6 +105,23 @@ class TestValidate:
             validate("ab", family)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            (None, "not a set of elements or a mask: None"),
+            (0.5, "not a set of elements or a mask: 0.5"),
+            ([["a"]], "not a set of elements or a mask: [['a']]"),
+        ],
+        ids=["none", "float", "unhashable-label"],
+    )
+    def test_malformed_member_named(self, member, message):
+        with pytest.raises(GroundSetError) as err:
+            validate("ab", [member])
+        assert str(err.value) == message
+        with pytest.raises(GroundSetError) as err:
+            validate("ab", [0]).is_feasible(member)
+        assert str(err.value) == message
+
     def test_int_masks_label_sets_bools_and_generators_agree(self):
         expected = validate("ab", ["", "a", "b", "ab"])
         for family in ([0, 1, 2, 3], [3, 0, 2, 1, 3], [0, ["a"], 2, "ab"],
