@@ -35,7 +35,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import lru_cache, reduce
-from itertools import groupby
 from operator import and_, or_
 from typing import Iterable, Sequence
 
@@ -53,8 +52,8 @@ MAX_ELEMENTS = 64
 MAX_AXIOM_WORK = 2_000_000_000
 # Largest n for the subset kernel; its fixed cost doubles per element, so
 # sparse families lose first. Column -> subset kernel, best of 200 calls,
-# 2-vCPU Xeon VM: U(2, 12) 222 -> 82 us, U(3, 12) 775 -> 131 us, one set
-# at n = 12 6 -> 43 us, U(1, 13) 49 -> 118 us, U(2, 16) 584 -> 3042 us.
+# 2-vCPU Xeon VM: U(2, 12) 259 -> 86 us, U(3, 12) 886 -> 129 us, one set
+# at n = 12 7 -> 53 us, U(1, 13) 54 -> 144 us, U(2, 16) 623 -> 3713 us.
 MAX_SUBSET_KERNEL_ELEMENTS = 12
 
 
@@ -217,11 +216,14 @@ def _subset_violation(masks: Sequence[int], n: int):
     the column kernel's condition, Y violates the infeasible Z exactly when
     Z lies outside cover(Y), the OR over v of down[v] (Z without v, Z + v
     feasible) for v in Y and of up[v] (Z with v, Z - v feasible) for v not
-    in Y: one OR of a table entry for Y's low h = n // 2 bits and one for
-    its high bits, each complemented once per high part as the masks
-    ascend, so each Y costs one AND, about 2^(h + 1) + |F| operations on
-    2^n bits. It names no witness: at the first Y that violates some Z it
-    returns the column kernel's triple.
+    in Y. Two tables, built by doubling, hold for each subset of the low
+    h = n // 2 positions, and of the high n - h, the candidates Z
+    (infeasible, one element from F) outside the covers of that part of
+    Y; each entry costs one AND with ~up[v] or ~down[v], complemented once
+    per element. Y violates some Z exactly when its two entries share a
+    bit: one AND per Y, about 2^(h + 1) + |F| operations on 2^n bits. It
+    names no witness: at the first Y that violates some Z it returns the
+    column kernel's triple.
     """
     fam = int(_digits(masks, n)[::-1], 2)
     planes = _planes(n)[1]
@@ -229,19 +231,14 @@ def _subset_violation(masks: Sequence[int], n: int):
     down = [(fam & hi) >> step for step, hi in planes]
     cand = reduce(or_, up + down, 0) & ~fam
     h, lowmask = n // 2, (1 << n // 2) - 1
-
-    def table(vs):
-        t = [0]
-        for v in vs:
-            t = [c | up[v] for c in t] + [c | down[v] for c in t]
-        return t
-
-    low, high = [cand & ~c for c in table(range(h))], table(range(h, n))
-    for top, ys in groupby(masks, h.__rrshift__):
-        rest = cand & ~high[top]
-        for y in ys:
-            if rest & low[y & lowmask]:
-                return _column_violation(masks, n)
+    tables = [[cand], [cand]]  # indexed by Y's low part, then its high part
+    for v in range(n):
+        t, off_up, off_down = tables[v >= h], ~up[v], ~down[v]
+        tables[v >= h] = [c & off_up for c in t] + [c & off_down for c in t]
+    low, high = tables
+    for y in masks:
+        if high[y >> h] & low[y & lowmask]:
+            return _column_violation(masks, n)
     return None
 
 

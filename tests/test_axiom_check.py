@@ -121,15 +121,16 @@ def test_toggled_uniform_twists_match_oracle(n, data):
 
 @given(
     st.integers(min_value=10, max_value=14),
-    st.sampled_from(("gf2", "chain", "uniform")),
+    st.sampled_from(("gf2", "chain", "uniform", "sparse")),
     st.data(),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_kernels_agree_across_cutoff(n, source, data):
     # too large for the oracle: the two kernels pin each other, on GF(2)
     # draws, on the sum of an extension-chain draw on k <= 8 elements with a
-    # GF(2) draw on the other n - k, and on twisted uniform matroids, each
-    # with one or two subsets toggled
+    # GF(2) draw on the other n - k, on twisted uniform matroids, and on one
+    # to three random sets, where the subset kernel's tables are the sparsest,
+    # each with one or two subsets toggled
     if source == "gf2":
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         family = set(sample_with_empty_feasible(n, random.Random(seed)).masks)
@@ -141,10 +142,14 @@ def test_kernels_agree_across_cutoff(n, source, data):
         assert brute_axiom_holds(base, k)
         rest = sample_with_empty_feasible(n - k, rng).masks
         family = {a | b << k for a in base for b in rest}
-    else:
+    elif source == "uniform":
         r = data.draw(st.integers(min_value=1, max_value=3))
         t = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
         family = {m ^ t for m in _uniform(r, n)}
+    else:
+        family = data.draw(
+            st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=3)
+        )
     toggles = data.draw(
         st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=2)
     )
