@@ -23,7 +23,7 @@ even branch of ``matroid_twist_obstructions`` run the procedure through
 ``_certified_minor``; the odd branch names its minor directly. Each
 certificate is re-verified once before it is returned: a failure raises.
 
-D is read only through ``labels``, ``n``, ``full_mask``, ``mask_of``,
+D is read only through ``labels``, ``full_mask``, ``mask_of``,
 ``set_of``, ``is_feasible``, ``is_even`` and six reads on masks, which a
 representation implements (``DeltaMatroid`` from its sorted family):
 ``_least()``, the least feasible f; ``_small(f)``, the feasible sets of one or

@@ -28,6 +28,15 @@ never written after it; pickling and copying rebuild from (labels, masks).
 A matroid is exactly a width-zero delta-matroid (``is_matroid``), its
 feasible sets its bases; ``d_min`` is the matroid of the minimum-size
 feasible sets.
+
+Lemma: the least feasible mask F0 has the least size. Let G be feasible of
+least size with |F0 ^ G| least, and u the top of F0 ^ G. If u is in F0,
+the axiom on (F0, G, u) gives a feasible F0 ^ {u, v}, v <= u, below F0.
+Else on (G, F0, u) it gives G - u or G - u - v, smaller than G, or
+G - u + v, closer to F0. So G = F0. A face of the bisubmodular
+delta-matroid polytope (Bouchet and Cunningham 1995), such as the F of
+least |F - A| or of least |F & A|, is a delta-matroid, so its least mask
+has its least size.
 """
 
 from __future__ import annotations
@@ -109,7 +118,7 @@ def _column_violation(masks: Sequence[int], n: int):
     is in ``masks[j]``), its Ys are an AND of the column or its complement,
     as Z has the element or not, over the v; it stops at the first zero.
     That is at most |F| * n ANDs of |F| bits. Of the violated pairs
-    (Z ^ {u}, u) the least X wins, then its first Y, then the lowest u.
+    (Z ^ {u}, u) the least (X, lowest bit of the Ys, u) wins.
     """
     full = (1 << len(masks)) - 1
     cols = [0] * n
@@ -128,7 +137,7 @@ def _column_violation(masks: Sequence[int], n: int):
         for m in masks:
             z = m ^ bit
             partners[z] = get(z, 0) | bit
-    found = []
+    best = none = (1 << n,)  # sorts after every (X, lowest bit of the Ys, u)
     for z in partners.keys() - set(masks):
         near = rest = partners[z]
         ys = full
@@ -138,12 +147,10 @@ def _column_violation(masks: Sequence[int], n: int):
             ys &= cols[i] if z & low else off[i]
             rest ^= low
         if ys:
-            found += [(z ^ 1 << u, u, ys) for u in range(n) if near >> u & 1]
-    if not found:
+            best = min([best, *((z ^ 1 << u, ys & -ys, u) for u in range(n) if near >> u & 1)])
+    if best is none:
         return None
-    x = min(found)[0]
-    first = min(ys & -ys for fx, _, ys in found if fx == x)
-    u = min(u for fx, u, ys in found if fx == x and ys & first)
+    x, first, u = best
     return (x, masks[first.bit_length() - 1], u)
 
 
@@ -406,15 +413,15 @@ class DeltaMatroid:
 
     def __repr__(self) -> str:
         fam = ", ".join(
-            "{" + ",".join(sorted(self.set_of(m))) + "}" for m in self.masks
+            "{" + ",".join(sorted(map(str, self.set_of(m)))) + "}" for m in self.masks
         )
         return f"DeltaMatroid({list(self.labels)}, [{fam}])"
 
     # -- basic quantities -------------------------------------------------
 
     def min_feasible_size(self) -> int:
-        """The size of a smallest feasible set."""
-        return min(m.bit_count() for m in self.masks)
+        """The size of a smallest feasible set: the least mask's (module docstring)."""
+        return self.masks[0].bit_count()
 
     def width(self) -> int:
         """Largest feasible size minus smallest feasible size."""
@@ -513,9 +520,7 @@ def is_matroid(d: DeltaMatroid) -> bool:
 def d_min(d: DeltaMatroid) -> DeltaMatroid:
     """The matroid whose bases are the minimum-size feasible sets of ``d``."""
     k = d.min_feasible_size()
-    return DeltaMatroid(
-        d.labels, [m for m in d.masks if m.bit_count() == k], _trusted=True
-    )
+    return DeltaMatroid(d.labels, [m for m in d.masks if m.bit_count() == k], _trusted=True)
 
 
 def _rebuild(labels, masks) -> DeltaMatroid:

@@ -7,8 +7,9 @@ The central identity: the width of the twist of D by A equals
 where A~ is the complement of A and D_min is the matroid of minimum-size
 feasible sets. ``twist_width_formula`` and the two witness predicates
 evaluate that right-hand side for one A in one pass over the feasible
-masks, which keeps for each term a running least score and the least and
-greatest value at it: no restriction, D_min or twist is built.
+masks, with no restriction, D_min or twist built. Terms 1 and 2 keep the
+greatest value at a running least score, whose first F holds the least
+(the lemma in ``core``); term 3 keeps the spread at the least size k.
 
 - width(D|A) is the spread of |F & A| over the feasible F minimizing
   |F - A|, the minor rule's score with nothing contracted.
@@ -44,26 +45,20 @@ MAX_SEARCH_ELEMENTS = 20
 
 def _terms(d: DeltaMatroid, a: int) -> tuple[int, int, int]:
     """The three terms, from s = |F|, i = |F & A| and o = |F - A| per F."""
-    o1 = i2 = s3 = d.n + 1
+    k = (least := d.masks[0]).bit_count()
+    o1 = i2 = d.n + 1
+    lo3 = hi3 = (least & a).bit_count()
     for m in d.masks:
         o = (s := m.bit_count()) - (i := (m & a).bit_count())
         if o < o1:
             o1, lo1, hi1 = o, i, i
-        elif o == o1:
-            if i < lo1:
-                lo1 = i
-            elif i > hi1:
-                hi1 = i
+        elif o == o1 and i > hi1:
+            hi1 = i
         if i < i2:
             i2, lo2, hi2 = i, o, o
-        elif i == i2:
-            if o < lo2:
-                lo2 = o
-            elif o > hi2:
-                hi2 = o
-        if s < s3:
-            s3, lo3, hi3 = s, i, i
-        elif s == s3:
+        elif i == i2 and o > hi2:
+            hi2 = o
+        if s == k:
             if i < lo3:
                 lo3 = i
             elif i > hi3:

@@ -606,7 +606,7 @@ def draw_with_empty_feasible(n, rng, chain):
 
 # everything certify, is_obstructed, matroid_twist_obstructions and
 # Obstruction.verify may read of their input
-CERTIFY_READS = ("labels", "n", "full_mask", "mask_of", "set_of", "is_feasible", "is_even",
+CERTIFY_READS = ("labels", "full_mask", "mask_of", "set_of", "is_feasible", "is_even",
                  "_least", "_small", "_inside", "_odd_pair", "_twist_width", "_minor_of")
 
 

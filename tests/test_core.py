@@ -1,10 +1,13 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistwidth import (
     AxiomViolationError,
@@ -17,7 +20,7 @@ from twistwidth import (
     serialize,
     validate,
 )
-from helpers import scan_set_of
+from helpers import draw_with_empty_feasible, scan_set_of
 
 
 def fam(d):
@@ -381,3 +384,70 @@ def test_init_runs_once_per_new_instance_and_hash_writes_no_slot(monkeypatch):
         hash(e)
         after = {slot: getattr(e, slot, missing) for slot in DeltaMatroid.__slots__}
         assert all(before[slot] is after[slot] for slot in before)
+
+
+def test_repr_takes_labels_of_any_type():
+    # the constructor accepts non-str labels, so repr prints them too
+    assert repr(validate([1, 2], [0, 1, 2, 3])) == "DeltaMatroid([1, 2], [{}, {1}, {2}, {1,2}])"
+    assert repr(validate("ba", ["", "b", "ab"])) == "DeltaMatroid(['b', 'a'], [{}, {b}, {a,b}])"
+
+
+@pytest.mark.parametrize("name", ["labels", "masks", "_pos", "width_cache"])
+def test_every_write_is_refused_and_changes_nothing(name):
+    d = validate("abc", ["", "ab", "bc", "ac", "abc"])
+    before = (d.labels, d.masks, dict(d._pos), hash(d))
+    for value in ((), (0,), {}, None):
+        with pytest.raises(AttributeError, match="DeltaMatroid instances are immutable"):
+            setattr(d, name, value)
+        assert (d.labels, d.masks, d._pos, hash(d)) == before
+        assert same(d, validate("abc", ["", "ab", "bc", "ac", "abc"]))
+    assert not hasattr(d, "width_cache")
+
+
+# -- the least mask has the least size ---------------------------------------
+
+def _first_least(masks, score, value):
+    """(value at the first mask of least score, least value at that score)."""
+    best = min(map(score, masks))
+    at = [value(m) for m in masks if score(m) == best]
+    return at[0], min(at)
+
+
+def _check_least_masks(d, sets):
+    # the lemma in ``core``: the least mask, and the first mask of each face
+    # {F : |F - A| least} and {F : |F & A| least}, have the least size there
+    sizes = [m.bit_count() for m in d.masks]
+    assert d.masks[0].bit_count() == min(sizes) == d.min_feasible_size()
+    for a in sets:
+        inside, outside = (lambda m: (m & a).bit_count()), (lambda m: (m & ~a).bit_count())
+        first, least = _first_least(d.masks, outside, inside)
+        assert first == least, (d, a)
+        first, least = _first_least(d.masks, inside, outside)
+        assert first == least, (d, a)
+
+
+def test_least_masks_have_least_sizes_exhaustively(dms_by_n):
+    for n in (1, 2, 3, 4):
+        for d in dms_by_n[n]:
+            _check_least_masks(d, range(d.full_mask + 1))
+
+
+@given(
+    st.integers(min_value=5, max_value=12),
+    st.sampled_from(["gf2", "chain", "uniform"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_least_masks_have_least_sizes_on_draws(n, kind, seed):
+    # a GF(2) family (chain draws above 8 elements are GF(2) too) or U(r, n),
+    # relabelled by a random permutation of the positions, then twisted
+    rng = random.Random(seed)
+    if kind == "uniform":
+        r = rng.randint(0, n)
+        masks = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+    else:
+        masks = draw_with_empty_feasible(n, rng, kind == "chain").masks
+    p = rng.sample(range(n), n)
+    moved = [sum(1 << p[i] for i in range(n) if m >> i & 1) for m in masks]
+    d = DeltaMatroid([f"e{i}" for i in range(n)], moved, _trusted=True).twist(rng.getrandbits(n))
+    _check_least_masks(d, [rng.getrandbits(n) for _ in range(32)])

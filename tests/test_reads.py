@@ -5,7 +5,8 @@ reads neither ``host.masks`` nor ``host._pos``. Two stand-ins show that
 the reads suffice: ``FamilyReads``, a delta-matroid with its family
 hidden, gives the same records as the delta-matroid on every instance
 with n <= 4, and ``TwistedUniform``, which holds no family, gives the
-family's exact certificate, and one past the 64-element cap.
+family's exact certificate, and one past the 64-element cap. Each listed
+read is needed: without it some route fails on an instance with n <= 3.
 """
 
 import ast
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from twistwidth import certify, is_obstructed, matroid_twist_obstructions
-from helpers import FamilyReads, TwistedUniform
+from helpers import CERTIFY_READS, FamilyReads, TwistedUniform
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twistwidth"
 
@@ -118,3 +119,22 @@ def test_family_reads_hide_the_family(cat):
     seen = FamilyReads(cat[0])
     for name in ("masks", "_pos", "twist"):
         assert not hasattr(seen, name)
+
+
+def _needs(name, d):
+    """Whether some route raises AttributeError on ``d`` seen without ``name``."""
+    seen = FamilyReads(d)
+    delattr(seen, name)
+    for route in (certify, is_obstructed, matroid_twist_obstructions):
+        try:
+            route(seen)
+        except AttributeError as err:
+            assert repr(name) in str(err)
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", CERTIFY_READS)
+def test_every_listed_read_is_made(name, dms_by_n):
+    # the list names no read that the routes can do without
+    assert any(_needs(name, d) for n in (1, 2, 3) for d in dms_by_n[n])
