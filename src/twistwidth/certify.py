@@ -23,15 +23,15 @@ even branch of ``matroid_twist_obstructions`` run the procedure through
 ``_certified_minor``; the odd branch names its minor directly. Each
 certificate is re-verified once before it is returned: a failure raises.
 
-D is read only through ``labels``, ``full_mask``, ``mask_of``,
-``set_of``, ``is_feasible``, ``is_even`` and six reads on masks, which a
+D is read only through ``labels`` and seven reads on masks, which a
 representation implements (``DeltaMatroid`` from its sorted family):
-``_least()``, the least feasible f; ``_small(f)``, the feasible sets of one or
-two elements of D*f; ``_inside(a, f)``, the least feasible set of each size
-inside a, in D*f; ``_odd_pair()``, the first feasible F with some F + e
-feasible, and its lowest e; ``_twist_width(t)``, the width of D*t; and
-``_minor_of(x, y)``, the kept labels and packed ascending masks of the minor
-deleting x and contracting y, which keeps at most three elements.
+``is_feasible(s)``; ``_least()``, the least feasible f; ``_small(f)``, the
+feasible sets of one or two elements of D*f; ``_inside(a, f)``, the least
+feasible set of each size inside a, in D*f; ``_odd_pair()``, None when D is
+even, else the first feasible F with some F + e feasible, and its lowest e;
+``_twist_width(t)``, the width of D*t; and ``_minor_of(x, y)``, the packed
+ascending masks of the minor deleting x and contracting y, which keeps at
+most three elements. Masks become labels only through ``core._labels_at``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .core import DeltaMatroid
+from .core import DeltaMatroid, _labels_at
 from .minors import (_D5_ROUTE, _MATROID_TWIST_ROUTE, _MEMBER_ROUTES, CertificationError,
                      Obstruction, _target_table, _witness)
 
@@ -196,7 +196,7 @@ def _query(d, off):
     return (lambda s: d.is_feasible(s ^ off)) if off else d.is_feasible
 
 
-def _partner_in_singles(feasible, labels, singles, x):
+def _partner_in_singles(feasible, singles, x):
     """Lowest single-feasible element bit z with x | z feasible."""
     rest = singles
     while rest:
@@ -204,17 +204,17 @@ def _partner_in_singles(feasible, labels, singles, x):
         if feasible(x | z):
             return z
         rest ^= z
-    raise CertificationError(f"hub edge for {labels[x.bit_length() - 1]!r} has no feasible partner")
+    raise CertificationError(f"hub edge at position {x.bit_length() - 1} has no feasible partner")
 
 
-def _triangle_case(feasible, labels, singles, cycle):
+def _triangle_case(feasible, singles, cycle):
     # a cycle starts at its least vertex, so at the hub when it is on it
     w, x, y = (1 << v >> 1 for v in cycle)
     if w:
         # the three pairs are feasible and no singleton is; entry 3 adds the triple
         return w | x | y, 0, 3 if feasible(w | x | y) else 2
-    alpha = _partner_in_singles(feasible, labels, singles, x)
-    beta = _partner_in_singles(feasible, labels, singles, y)
+    alpha = _partner_in_singles(feasible, singles, x)
+    beta = _partner_in_singles(feasible, singles, y)
     for s, z in ((alpha, y), (beta, x)):
         if feasible(z | s):
             # a triangle through the hub with a partner s shared by x and y
@@ -227,12 +227,12 @@ def _triangle_case(feasible, labels, singles, cycle):
     return x | y | alpha | beta, alpha, 4
 
 
-def _long_cycle_case(feasible, labels, singles, cycle):
+def _long_cycle_case(feasible, singles, cycle):
     xs = [1 << v >> 1 for v in cycle if v]
     keep = sum(xs)
     if not cycle[0]:
-        alpha = _partner_in_singles(feasible, labels, singles, xs[0])
-        beta = _partner_in_singles(feasible, labels, singles, xs[-1])
+        alpha = _partner_in_singles(feasible, singles, xs[0])
+        beta = _partner_in_singles(feasible, singles, xs[-1])
         if alpha != beta and feasible(alpha | beta):
             return alpha | beta, 0, 0
         keep |= alpha | beta
@@ -243,7 +243,7 @@ def _certify_impl(d):
     """Certificate masks of ``d`` twisted by its least feasible set f. On a
     level (kept, shut), shut is feasible and S is feasible when (S | shut) ^ f
     is; a case gives (keep, contract, index), index None for a reduction."""
-    f, full = d._least(), d.full_mask
+    f, full = d._least(), (1 << len(d.labels)) - 1
     singles, adj = _aux(d, f, 0, full)
     if (even := _coloring(adj)) is not None:  # only level 0 is 2-colored
         return _bipartite_case(d, f, full, even)
@@ -252,7 +252,7 @@ def _certify_impl(d):
         if len(cycle) >= last:
             raise CertificationError("shortest odd cycle failed to shrink in the reduction")
         case = _triangle_case if len(cycle) == 3 else _long_cycle_case
-        keep, contract, index = case(_query(d, shut ^ f), d.labels, singles, cycle)
+        keep, contract, index = case(_query(d, shut ^ f), singles, cycle)
         shut |= contract
         if index is not None:
             return full & ~(keep | shut), shut, index
@@ -295,7 +295,7 @@ def certify(d: DeltaMatroid):
     """
     cert = _certificate(d)
     if isinstance(cert, TwistWitness):
-        return TwistWitness(d.set_of(cert.twist_set), cert.width)
+        return TwistWitness(frozenset(_labels_at(d.labels, cert.twist_set)), cert.width)
     x, y, index = cert
     return MinorWitness(_obstruction(d, x, y, _MEMBER_ROUTES[index]))
 
@@ -303,7 +303,7 @@ def certify(d: DeltaMatroid):
 def _obstruction(d, x, y, route):
     """The witness deleting the mask x and contracting the mask y from ``d``,
     its minor computed once, looked up once on ``route`` and verified once."""
-    obs = _witness(d._minor_of(x, y), d.set_of(x), d.set_of(y), route)
+    obs = _witness(d.labels, x, y, d._minor_of(x, y), route)
     if not obs.verify(d):
         raise CertificationError(f"{obs} fails to verify")
     return obs
@@ -347,8 +347,8 @@ def matroid_twist_obstructions(d: DeltaMatroid):
     onto the triangle (1) or its twist (2). CertificationError if it fails to
     verify.
     """
-    if d.is_even():
+    if (pair := d._odd_pair()) is None:
         return _certified_minor(d, _MATROID_TWIST_ROUTE)
     # a closest feasible pair of opposite parity is one exchange step apart
-    f, i = d._odd_pair()
-    return _obstruction(d, d.full_mask ^ f ^ 1 << i, f, _MATROID_TWIST_ROUTE)
+    f, i = pair
+    return _obstruction(d, (1 << len(d.labels)) - 1 ^ f ^ 1 << i, f, _MATROID_TWIST_ROUTE)

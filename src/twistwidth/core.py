@@ -19,8 +19,9 @@ tests whether any violation exists. A family whose conservative estimate
 ``MAX_AXIOM_WORK`` is refused with ``DeltaMatroidError`` before the check
 runs, so the refused inputs stay the same.
 
-``_minor_of`` gives a minor's labels and masks (``_minor_masks``) from its
-delete and contract masks; it is one of the reads ``certify`` makes.
+``DeltaMatroid`` answers the eight reads ``certify`` makes: ``labels``,
+``is_feasible``, ``_least``, ``_small``, ``_inside``, ``_odd_pair``,
+``_twist_width`` and ``_minor_of``, a minor's packed masks (``_minor_masks``).
 
 Every instance, twists and minors included, is built by ``__init__`` and
 never written after it; pickling and copying rebuild from (labels, masks).
@@ -91,7 +92,7 @@ class AxiomViolationError(DeltaMatroidError):
         self.u = u
         super().__init__(
             "symmetric exchange fails: X=%s Y=%s u=%r has no valid partner v"
-            % (sorted(x), sorted(y), u)
+            % (sorted(x, key=str), sorted(y, key=str), u)
         )
 
 
@@ -293,14 +294,6 @@ def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, 
     return tuple(sorted(set(family)))
 
 
-def _minor_of(host: DeltaMatroid, x: int, y: int):
-    """The kept labels, in ground order, and the masks of the minor of
-    ``host`` deleting the mask x and contracting the disjoint mask y; the
-    labels are read off the kept bits."""
-    kept = _labels_at(host.labels, host.full_mask & ~(x | y))
-    return kept, _minor_masks(host.masks, host.full_mask, x, y)
-
-
 class DeltaMatroid:
     """An immutable delta-matroid with an explicit feasible family.
 
@@ -350,8 +343,10 @@ class DeltaMatroid:
                     self.set_of(x), self.set_of(y), labels[u]
                 )
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("DeltaMatroid instances are immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # the default protocol restores slots through __setattr__, which
@@ -451,12 +446,17 @@ class DeltaMatroid:
         inside = sorted([m ^ f for m in inside]) if f else inside  # XOR by f reorders them
         return {m.bit_count(): m for m in reversed(inside)}
 
-    def _odd_pair(self) -> tuple[int, int]:
+    def _odd_pair(self) -> tuple[int, int] | None:
+        if self.is_even():
+            return None
         feasible = set(self.masks)
         return next((f, i) for f in self.masks for i in range(self.n)
                     if not f >> i & 1 and f | 1 << i in feasible)
 
-    _twist_width, _minor_of = _twist_width, _minor_of
+    def _minor_of(self, x: int, y: int) -> tuple[int, ...]:
+        return _minor_masks(self.masks, self.full_mask, x, y)
+
+    _twist_width = _twist_width
 
     # -- loops and coloops ------------------------------------------------
 
@@ -495,7 +495,8 @@ class DeltaMatroid:
         x, y = self.mask_of(delete), self.mask_of(contract)
         if x & y:
             raise GroundSetError("delete and contract sets must be disjoint")
-        return DeltaMatroid(*_minor_of(self, x, y), _trusted=True)
+        kept = _labels_at(self.labels, self.full_mask & ~(x | y))
+        return DeltaMatroid(kept, self._minor_of(x, y), _trusted=True)
 
     def delete(self, e: str) -> "DeltaMatroid":
         """Remove ``e``, keeping the feasible sets avoiding it (or, when

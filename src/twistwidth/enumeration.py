@@ -106,17 +106,8 @@ def _least_widths(n: int) -> dict[tuple[int, ...], int]:
 
 
 def _all_minors(d: DeltaMatroid) -> set[DeltaMatroid]:
-    out = set()
-    full = d.full_mask
-    for x in range(full + 1):
-        rest = full & ~x
-        y = rest
-        while True:
-            out.add(d.minor(x, y))
-            if y == 0:
-                break
-            y = (y - 1) & rest
-    return out
+    every = range(d.full_mask + 1)
+    return {d.minor(x, y) for x in every for y in every if not x & y}
 
 
 def _check_t2(d, widths):

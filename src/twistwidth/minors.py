@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import pairwise, permutations
 from typing import NamedTuple
 
-from .core import DeltaMatroid
+from .core import DeltaMatroid, _labels_at
 
 
 class Obstruction(NamedTuple):
@@ -41,17 +41,23 @@ class Obstruction(NamedTuple):
 
     def verify(self, host: DeltaMatroid) -> bool:
         """Re-check on ``host`` from scratch: disjoint delete and contract sets
-        of its labels, translated once to masks for ``host._minor_of``, and
-        ``iso`` a bijection onto the target's labels and masks."""
+        of its labels, masks for ``host._minor_of`` by one pass over its labels,
+        and ``iso`` a bijection onto the target's labels and masks."""
         delete, contract = self.delete_set, self.contract_set
-        if delete & contract or not (delete | contract).issubset(host.labels):
-            return False
-        kept, masks = host._minor_of(host.mask_of(delete), host.mask_of(contract))
+        x, y, kept = 0, 0, []
+        for i, e in enumerate(host.labels):
+            if e in delete:
+                x |= 1 << i
+            elif e in contract:
+                y |= 1 << i
+            else:
+                kept.append(e)
         perm = [self.target._pos.get(self.iso.get(e)) for e in kept]
-        return (
-            len(self.iso) == len(kept) == self.target.n
+        return (  # each named label found sets one bit: short when one is missing or in both
+            x.bit_count() + y.bit_count() == len(delete) + len(contract)
+            and len(self.iso) == len(kept) == self.target.n
             and set(perm) == set(range(len(kept)))
-            and _permuted_masks(masks, perm) == self.target.masks
+            and _permuted_masks(host._minor_of(x, y), perm) == self.target.masks
         )
 
 
@@ -131,12 +137,13 @@ def _target_table() -> tuple:
     return (*targets, single), maps
 
 
-def _witness(minor, delete, contract, route) -> Obstruction:
-    """``minor``, the (kept labels, masks) of the minor deleting ``delete``
-    and contracting ``contract``, as the first target on ``route`` it maps
-    onto, with that target's map from ``_target_table()``;
+def _witness(labels, x, y, masks, route) -> Obstruction:
+    """The minor of the host on ``labels`` deleting the mask x and contracting
+    the mask y, its packed ``masks`` given, as the first target on ``route``
+    it maps onto, with that target's map from ``_target_table()``;
     CertificationError when it maps onto none."""
-    kept, masks = minor
+    delete, contract = frozenset(_labels_at(labels, x)), frozenset(_labels_at(labels, y))
+    kept = _labels_at(labels, (1 << len(labels)) - 1 & ~(x | y))
     targets, maps = _target_table()
     found = maps.get((len(kept), masks), {})
     for index, t in route:

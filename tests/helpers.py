@@ -605,9 +605,10 @@ def draw_with_empty_feasible(n, rng, chain):
 # -- representations without a family -------------------------------------
 
 # everything certify, is_obstructed, matroid_twist_obstructions and
-# Obstruction.verify may read of their input
-CERTIFY_READS = ("labels", "full_mask", "mask_of", "set_of", "is_feasible", "is_even",
-                 "_least", "_small", "_inside", "_odd_pair", "_twist_width", "_minor_of")
+# Obstruction.verify may read of their input: its labels and seven reads on
+# masks; they turn masks into labels themselves, with core._labels_at
+CERTIFY_READS = ("labels", "is_feasible", "_least", "_small", "_inside", "_odd_pair",
+                 "_twist_width", "_minor_of")
 
 
 class FamilyReads:
@@ -625,7 +626,7 @@ class TwistedUniform:
     """U(r, m) twisted by the mask x, on labels e0..e(m-1), holding no
     family: S is feasible iff |S ^ x| = r. Each read has a closed form, in
     O(m) but for the 2^k candidates of a minor keeping k elements. It is
-    even, so it has no ``_odd_pair``."""
+    even, so its ``_odd_pair`` is None."""
 
     def __init__(self, r: int, m: int, x: int):
         self.r, self.x, self.n, self.full_mask = r, x, m, (1 << m) - 1
@@ -635,14 +636,11 @@ class TwistedUniform:
     def mask_of(self, elems) -> int:
         return elems if isinstance(elems, int) else sum(1 << self._index[e] for e in set(elems))
 
-    def set_of(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self.labels) if mask >> i & 1)
+    def is_feasible(self, mask: int) -> bool:
+        return (mask ^ self.x).bit_count() == self.r
 
-    def is_feasible(self, elems) -> bool:
-        return (self.mask_of(elems) ^ self.x).bit_count() == self.r
-
-    def is_even(self) -> bool:
-        return True
+    def _odd_pair(self) -> None:
+        return None
 
     def _least(self) -> int:
         # the least feasible set is the least of its size
@@ -692,7 +690,7 @@ class TwistedUniform:
             if 0 <= d <= (x | y).bit_count():
                 cost[s] = abs(d - near)
         best = min(cost.values())
-        return [self.labels[b.bit_length() - 1] for b in bits], tuple(s for s, c in cost.items() if c == best)
+        return tuple(s for s, c in cost.items() if c == best)
 
     def family(self) -> DeltaMatroid:
         """The same delta-matroid with its family listed."""

@@ -60,6 +60,14 @@ class TestValidate:
             f"symmetric exchange fails: X={x} Y={y} u={u!r} has no valid partner v"
         )
 
+    def test_axiom_violation_names_labels_of_mixed_types(self):
+        # labels that do not compare with each other are listed in str order
+        with pytest.raises(AxiomViolationError) as err:
+            validate([1, "a", 2], [[], [1, "a", 2]])
+        w = err.value
+        assert (w.x, w.y, w.u) == (frozenset(), frozenset([1, "a", 2]), 1)
+        assert str(w) == "symmetric exchange fails: X=[] Y=[1, 2, 'a'] u=1 has no valid partner v"
+
     def test_rank_zero_singleton(self):
         d = validate("a", [""])
         assert fam(d) == [[]]
@@ -402,6 +410,16 @@ def test_every_write_is_refused_and_changes_nothing(name):
         assert (d.labels, d.masks, d._pos, hash(d)) == before
         assert same(d, validate("abc", ["", "ab", "bc", "ac", "abc"]))
     assert not hasattr(d, "width_cache")
+
+
+@pytest.mark.parametrize("name", ["labels", "masks", "_pos"])
+def test_every_delete_is_refused_and_changes_nothing(name):
+    d = validate("abc", ["", "ab", "bc", "ac", "abc"])
+    before = (d.labels, d.masks, dict(d._pos), hash(d))
+    with pytest.raises(AttributeError, match="DeltaMatroid instances are immutable"):
+        delattr(d, name)
+    assert (d.labels, d.masks, d._pos, hash(d)) == before
+    assert same(d, validate("abc", ["", "ab", "bc", "ac", "abc"]))
 
 
 # -- the least mask has the least size ---------------------------------------

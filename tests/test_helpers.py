@@ -9,7 +9,7 @@ import time
 import pytest
 
 import helpers
-from twistwidth import DeltaMatroid, GroundSetError, enumerate_all, validate
+from twistwidth import DeltaMatroid, GroundSetError, catalog, d5_family, enumerate_all, validate
 from helpers import (
     CHAIN_MAX_ELEMENTS,
     are_isomorphic,
@@ -32,6 +32,12 @@ def test_representable_counts_on_small_ground_sets():
     # the sampler's reach: its draws are exactly the representable families
     counts = {n: sum(map(is_gf2_representable, enumerate_all(n))) for n in (1, 2, 3, 4)}
     assert counts == {1: 3, 2: 15, 3: 135, 4: 2295}
+
+
+def test_representable_catalog_and_twists():
+    # the catalog's binary members, and the binary twists among all 36
+    assert [is_gf2_representable(h) for h in catalog()] == [True, False, True, False, False]
+    assert sum(map(is_gf2_representable, d5_family())) == 12
 
 
 def test_sampled_instances_are_representable():

@@ -1,7 +1,11 @@
-"""``certify`` reads its input only through ``helpers.CERTIFY_READS``.
+"""``certify`` reads its input only through ``helpers.CERTIFY_READS``:
+``labels``, ``is_feasible``, ``_least``, ``_small``, ``_inside``,
+``_odd_pair``, ``_twist_width`` and ``_minor_of``.
 
-``certify.py`` reads no ``masks`` attribute, and ``Obstruction.verify``
-reads neither ``host.masks`` nor ``host._pos``. Two stand-ins show that
+``certify.py`` reads no attribute ``masks``, ``full_mask``, ``mask_of``,
+``set_of`` or ``is_even``, which a DeltaMatroid answers outside the
+contract, and ``Obstruction.verify`` reads no ``masks``, ``_pos``,
+``full_mask``, ``mask_of`` or ``set_of`` of its host. Two stand-ins show that
 the reads suffice: ``FamilyReads``, a delta-matroid with its family
 hidden, gives the same records as the delta-matroid on every instance
 with n <= 4, and ``TwistedUniform``, which holds no family, gives the
@@ -36,26 +40,33 @@ def _method(tree, cls, name):
     return next(n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
+# the reads a DeltaMatroid answers that the contract leaves out
+CERTIFY_SKIPS = {"masks", "full_mask", "mask_of", "set_of", "is_even"}
+VERIFY_SKIPS = {"masks", "_pos", "full_mask", "mask_of", "set_of"}
+
+
 def test_certify_reads_no_masks():
     tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
-    assert _attribute_reads(tree, {"masks"}) == []
+    assert _attribute_reads(tree, CERTIFY_SKIPS) == []
 
 
 def test_verify_reads_no_family_of_its_host():
     verify = _method(ast.parse((SRC / "minors.py").read_text(encoding="utf-8")),
                      "Obstruction", "verify")
-    assert _attribute_reads(verify, {"masks", "_pos"}, "host") == []
+    assert _attribute_reads(verify, VERIFY_SKIPS, "host") == []
 
 
 def test_the_checks_see_a_family_read():
     tree = ast.parse(
         "class Obstruction:\n"
         "    def verify(self, host):\n"
-        "        return host._pos, host.masks[0], self.target.masks, host.labels\n"
+        "        return host._pos, host.masks[0], self.target.masks, host.labels,"
+        " host.mask_of(x), d.set_of(y), d.is_even(), host.full_mask\n"
     )
-    assert _attribute_reads(tree, {"masks"}) == ["masks", "masks"]
+    assert _attribute_reads(tree, CERTIFY_SKIPS) == [
+        "full_mask", "is_even", "mask_of", "masks", "masks", "set_of"]
     assert _attribute_reads(_method(tree, "Obstruction", "verify"),
-                            {"masks", "_pos"}, "host") == ["_pos", "masks"]
+                            VERIFY_SKIPS, "host") == ["_pos", "full_mask", "mask_of", "masks"]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -65,6 +76,7 @@ def test_twisted_uniform_reads_match_the_family(m):
         u = TwistedUniform(r, m, rng.getrandbits(m))
         d = u.family()
         assert u._least() == d._least()
+        assert u._odd_pair() is d._odd_pair() is None
         for f in range(1 << m):
             assert u._small(f) == d._small(f)
             assert u._twist_width(f) == d._twist_width(f)

@@ -376,8 +376,7 @@ def test_catalog_maps_agree_with_are_isomorphic(dms_by_n):
             for d in dms_by_n[n]:
                 found = rematch(d, whole, enumerate(_targets_on(route)))
                 try:
-                    obs = minors_module._witness((d.labels, d.masks), frozenset(), frozenset(),
-                                                 route)
+                    obs = minors_module._witness(d.labels, 0, 0, d.masks, route)
                 except CertificationError:
                     obs = None
                 assert (None if found is None else found[2:]) == (
