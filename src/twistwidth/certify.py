@@ -17,8 +17,8 @@ each level reads its least triangle off the masks, pays for the O(V·E) search
 only without one, and names a catalog member or reduces to a level with a
 shorter odd cycle. Levels are (kept, shut) views of D twisted by f, on its
 positions, so no minor or twist is built. A certificate stays masks until
-``_obstruction`` labels it, computes its minor once, looks it up once on a
-route of ``minors._target_table`` and verifies it. ``is_obstructed`` and the
+``minors._witness`` labels it, computes its minor once, looks it up once on
+a route of ``minors._target_table`` and verifies it. ``is_obstructed`` and the
 even branch of ``matroid_twist_obstructions`` run the procedure through
 ``_certified_minor``; the odd branch names its minor directly. Each
 certificate is re-verified once before it is returned: a failure raises.
@@ -297,16 +297,7 @@ def certify(d: DeltaMatroid):
     if isinstance(cert, TwistWitness):
         return TwistWitness(frozenset(_labels_at(d.labels, cert.twist_set)), cert.width)
     x, y, index = cert
-    return MinorWitness(_obstruction(d, x, y, _MEMBER_ROUTES[index]))
-
-
-def _obstruction(d, x, y, route):
-    """The witness deleting the mask x and contracting the mask y from ``d``,
-    its minor computed once, looked up once on ``route`` and verified once."""
-    obs = _witness(d.labels, x, y, d._minor_of(x, y), route)
-    if not obs.verify(d):
-        raise CertificationError(f"{obs} fails to verify")
-    return obs
+    return MinorWitness(_witness(d, x, y, _MEMBER_ROUTES[index]))
 
 
 # -- the obstruction routes: a minor witness on a route's own targets ------
@@ -322,7 +313,7 @@ def _certified_minor(d: DeltaMatroid, route):
     if isinstance(cert, TwistWitness):
         return None
     x, y, _ = cert
-    return _obstruction(d, x, y, route)
+    return _witness(d, x, y, route)
 
 
 def is_obstructed(d: DeltaMatroid):
@@ -351,4 +342,4 @@ def matroid_twist_obstructions(d: DeltaMatroid):
         return _certified_minor(d, _MATROID_TWIST_ROUTE)
     # a closest feasible pair of opposite parity is one exchange step apart
     f, i = pair
-    return _obstruction(d, (1 << len(d.labels)) - 1 ^ f ^ 1 << i, f, _MATROID_TWIST_ROUTE)
+    return _witness(d, (1 << len(d.labels)) - 1 ^ f ^ 1 << i, f, _MATROID_TWIST_ROUTE)

@@ -310,7 +310,15 @@ class DeltaMatroid:
         labels = tuple(labels)
         if len(labels) > MAX_ELEMENTS:
             raise GroundSetError(f"ground set exceeds {MAX_ELEMENTS} elements")
-        pos = {e: i for i, e in enumerate(labels)}
+        try:
+            pos = {e: i for i, e in enumerate(labels)}
+        except TypeError:
+            for e in labels:  # name the first label that does not hash
+                try:
+                    hash(e)
+                except TypeError:
+                    raise GroundSetError(f"ground-set label {e!r} is not hashable") from None
+            raise
         if len(pos) != len(labels):
             raise GroundSetError("ground-set labels must be pairwise distinct")
         object.__setattr__(self, "labels", labels)
@@ -532,9 +540,9 @@ def _rebuild(labels, masks) -> DeltaMatroid:
 def validate(labels: Iterable[str], family: Iterable) -> DeltaMatroid:
     """Build a delta-matroid from an untrusted family, checking the axiom.
 
-    Raises EmptyFamilyError or AxiomViolationError (with witness) on bad
-    input; GroundSetError on duplicate or unknown labels, a member neither
-    a set of labels nor an in-range mask, or over ``MAX_ELEMENTS`` elements;
+    Raises EmptyFamilyError or AxiomViolationError (with witness); GroundSetError
+    on duplicate, unhashable or unknown labels, a member neither a set of
+    labels nor an in-range mask, or over ``MAX_ELEMENTS`` elements;
     DeltaMatroidError when the axiom check's work exceeds ``MAX_AXIOM_WORK``.
     """
     return DeltaMatroid(labels, family)

@@ -3,11 +3,11 @@
 The twists of the five catalog members (D5) are the excluded minors for
 having a twist of width at most one, so every minor witness maps onto one
 of the 37 targets of ``_target_table``: the 36 twists and the singleton
-{∅, {a}}. No entry point searches for an isomorphism: each looks its
-witness's label map up on the input with ``_witness``, on its route, the
-targets it answers with, in the one table built once per process. The
-table holds, per target, the first label permutation in lexicographic
-order that maps a family onto it; the route picks the first target.
+{∅, {a}}. No entry point searches for an isomorphism: ``_witness`` turns
+every certificate's masks into a verified record, its label map looked up on
+the route, the targets its entry point answers with, in the one table built
+once per process. The table holds, per target, the first label permutation
+in lexicographic order that maps a family onto it; the route picks the first.
 """
 
 from __future__ import annotations
@@ -137,17 +137,21 @@ def _target_table() -> tuple:
     return (*targets, single), maps
 
 
-def _witness(labels, x, y, masks, route) -> Obstruction:
-    """The minor of the host on ``labels`` deleting the mask x and contracting
-    the mask y, its packed ``masks`` given, as the first target on ``route``
-    it maps onto, with that target's map from ``_target_table()``;
-    CertificationError when it maps onto none."""
+def _witness(d, x, y, route) -> Obstruction:
+    """The minor of ``d`` deleting the mask x and contracting the mask y as
+    the first target on ``route`` it maps onto, with that target's map from
+    ``_target_table()``, verified once on ``d``; CertificationError when it
+    maps onto none or fails. Reads ``d`` only as ``Obstruction.verify`` does."""
+    labels = d.labels
     delete, contract = frozenset(_labels_at(labels, x)), frozenset(_labels_at(labels, y))
     kept = _labels_at(labels, (1 << len(labels)) - 1 & ~(x | y))
     targets, maps = _target_table()
-    found = maps.get((len(kept), masks), {})
+    found = maps.get((len(kept), d._minor_of(x, y)), {})
     for index, t in route:
         if t in found:
-            return Obstruction(delete, contract, dict(zip(kept, found[t])), targets[t], index)
+            obs = Obstruction(delete, contract, dict(zip(kept, found[t])), targets[t], index)
+            if not obs.verify(d):
+                raise CertificationError(f"{obs} fails to verify")
+            return obs
     raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "
                              f"matched none of {list(dict.fromkeys(i for i, _ in route))}")

@@ -491,6 +491,17 @@ def brute_shortest_odd_cycle(g):
 # -- random instances -----------------------------------------------------
 
 
+def every_dm(dms_by_n):
+    """Every delta-matroid on 1..4 elements, from the ``dms_by_n`` fixture."""
+    for n in (1, 2, 3, 4):
+        yield from dms_by_n[n]
+
+
+def uniform_masks(r, n):
+    """The bases of U(r, n) as masks, in ``combinations`` order."""
+    return [sum(1 << i for i in c) for c in combinations(range(n), r)]
+
+
 def principal_minors(rows, n):
     """The masks S, ascending, whose principal submatrix is nonsingular over
     GF(2), for the symmetric n x n matrix with bitmask rows ``rows`` (bit j

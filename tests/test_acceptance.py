@@ -30,6 +30,7 @@ from helpers import (
     all_minor_pairs,
     apply_ops,
     brute_min_twist_width,
+    every_dm,
     interleavings,
     sample_with_empty_feasible,
 )
@@ -37,11 +38,6 @@ from helpers import (
 
 def announce(name):
     print(f"ACCEPTANCE {name}: PASS")
-
-
-def every_dm(dms_by_n):
-    for n in (1, 2, 3, 4):
-        yield from dms_by_n[n]
 
 
 def test_criterion_1_twist_width_formula(dms_by_n):

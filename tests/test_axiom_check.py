@@ -14,7 +14,6 @@ oracle tests call both kernels by their private names.
 
 import random
 import time
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,6 +23,7 @@ from helpers import (
     brute_find_axiom_violation,
     draw_with_empty_feasible,
     sample_with_empty_feasible,
+    uniform_masks,
 )
 from twistwidth import (
     AxiomViolationError,
@@ -38,10 +38,6 @@ from twistwidth.cli import main
 from twistwidth.core import find_axiom_violation
 
 KERNELS = (core._subset_violation, core._column_violation)
-
-
-def _uniform(r, n):
-    return [sum(1 << i for i in c) for c in combinations(range(n), r)]
 
 
 def _kernels_match(masks, n, want):
@@ -114,7 +110,7 @@ def test_toggled_uniform_twists_match_oracle(n, data):
     toggles = data.draw(
         st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=2)
     )
-    masks = sorted({m ^ t for m in _uniform(r, n)} ^ toggles)
+    masks = sorted({m ^ t for m in uniform_masks(r, n)} ^ toggles)
     assume(masks)
     _kernels_match(masks, n, brute_find_axiom_violation(masks, n))
 
@@ -145,7 +141,7 @@ def test_kernels_agree_across_cutoff(n, source, data):
     elif source == "uniform":
         r = data.draw(st.integers(min_value=1, max_value=3))
         t = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-        family = {m ^ t for m in _uniform(r, n)}
+        family = {m ^ t for m in uniform_masks(r, n)}
     else:
         family = data.draw(
             st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=3)
@@ -176,7 +172,7 @@ def test_dispatch_at_the_cutoff(n, monkeypatch):
         raise LookupError("wrong kernel")
 
     # U(2, n) without {e0, e1} and {e0, e2}, twisted by {e0, e1, e3, e4, e6}
-    masks = sorted(m ^ 0b1011011 for m in _uniform(2, n) if m not in (0b11, 0b101))
+    masks = sorted(m ^ 0b1011011 for m in uniform_masks(2, n) if m not in (0b11, 0b101))
     want = (0b11010, 0b1011101, 6)
     assert core._column_violation(masks, n) == core._subset_violation(masks, n) == want
     if n <= 12:
@@ -241,7 +237,7 @@ def test_violating_n12_family_fails_fast():
 
 def test_oversized_family_fails_fast():
     labels = [f"e{i}" for i in range(63)]
-    masks = _uniform(3, 63)
+    masks = uniform_masks(3, 63)
     start = time.perf_counter()
     with pytest.raises(DeltaMatroidError, match="axiom check too large"):
         validate(labels, masks)
@@ -249,7 +245,7 @@ def test_oversized_family_fails_fast():
 
 
 def test_cli_rejects_oversized_family(tmp_path, capsys):
-    d = DeltaMatroid([f"e{i}" for i in range(63)], _uniform(3, 63), _trusted=True)
+    d = DeltaMatroid([f"e{i}" for i in range(63)], uniform_masks(3, 63), _trusted=True)
     path = tmp_path / "u3_63.dm"
     path.write_text(serialize(d))
     assert main(["validate", str(path)]) == 2
@@ -264,11 +260,11 @@ def test_sampled_n12_family_is_accepted():
 def test_large_families_go_through_the_column_kernel():
     for r, n in [(2, 63), (4, 24)]:
         labels = [f"e{i}" for i in range(n)]
-        assert validate(labels, _uniform(r, n)).masks == tuple(sorted(_uniform(r, n)))
+        assert validate(labels, uniform_masks(r, n)).masks == tuple(sorted(uniform_masks(r, n)))
     # U(2, 63) with the 3-set {e5, e20, e40} added; the triple was read
     # from the column kernel before the subset kernel existed
     x = 1 << 5 | 1 << 20 | 1 << 40
-    masks = sorted(_uniform(2, 63) + [x])
+    masks = sorted(uniform_masks(2, 63) + [x])
     assert find_axiom_violation(masks, 63) == (x, 0b11, 0)
     with pytest.raises(AxiomViolationError) as err:
         validate([f"e{i}" for i in range(63)], masks)
@@ -279,7 +275,7 @@ def test_large_families_go_through_the_column_kernel():
 
 def test_budget_boundary(monkeypatch):
     # U(2, 5): 10 sets on 5 elements, 10 * 25 * 1 word operations
-    masks = _uniform(2, 5)
+    masks = uniform_masks(2, 5)
     monkeypatch.setattr(core, "MAX_AXIOM_WORK", 250)
     assert validate("abcde", masks).masks == tuple(sorted(masks))
     monkeypatch.setattr(core, "MAX_AXIOM_WORK", 249)

@@ -88,6 +88,20 @@ class TestValidate:
         with pytest.raises(GroundSetError):
             validate("ab", ["c"])
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([["a"]], "ground-set label ['a'] is not hashable"),
+            (["a", ("b", [])], "ground-set label ('b', []) is not hashable"),
+            (["a", "a", {"b"}], "ground-set label {'b'} is not hashable"),
+        ],
+        ids=["list", "tuple-holding-a-list", "after-a-duplicate"],
+    )
+    def test_unhashable_label_named(self, labels, message):
+        with pytest.raises(GroundSetError) as err:
+            validate(labels, [[]])
+        assert str(err.value) == message
+
     def test_ground_set_cap_is_64_elements(self):
         labels = [f"e{i}" for i in range(65)]
         d = validate(labels[:64], [[], ["e0"]])

@@ -16,13 +16,29 @@ relations:
 - a twist witness T carries to single-element minors, as the class is
   closed under minors: (D\\e)*(T - e) for e outside T and (D/e)*(T - e) for
   e in T have width <= 1.
+
+The other routes and the witnesses give four more:
+- ``matroid_twist_obstructions`` is None exactly when the least width is
+  0, and then, below 64 elements, exactly when D + {∅, {z}} (a width-one
+  part added) is unobstructed, which ties the two obstruction routes;
+- a minor witness carries to single-element minors too: deleting an element
+  of its delete set, or contracting one of its contract set, leaves an
+  input on which the same record, less that element, verifies, and which
+  ``certify`` again finds obstructed;
+- renaming the labels in place maps ``certify``'s certificate label by
+  label, and moving the positions keeps every verdict.
+An even sum with a twist of the odd triangle has least width 2, so the
+even branch of ``matroid_twist_obstructions`` answers above 20 elements.
 """
 
 from math import comb
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from twistwidth import DeltaMatroid, TwistWitness, catalog, certify, min_width_twist
+from twistwidth import (DeltaMatroid, MinorWitness, TwistWitness, catalog, certify,
+                        is_obstructed, matroid_twist_obstructions, min_width_twist)
+from twistwidth.minors import _permuted_masks
 from helpers import principal_minors
 
 MAX_PART_ELEMENTS = 9
@@ -80,8 +96,11 @@ def _sums(draw):
     return DeltaMatroid([f"v{i}" for i in range(n)], masks, _trusted=True), least
 
 
-@settings(max_examples=50, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+SUMS = settings(max_examples=50, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@SUMS
 @given(_sums(), st.data())
 def test_certify_agrees_with_the_composed_oracle(case, data):
     d, least = case
@@ -94,3 +113,89 @@ def test_certify_agrees_with_the_composed_oracle(case, data):
                                     unique=True)):
             minor = d.contract(e) if e in cert.twist_set else d.delete(e)
             assert minor.twist(cert.twist_set - {e}).width() <= 1
+
+
+def _with_free_element(d):
+    """D + {∅, {z}}: the singleton part on a new last position z."""
+    z = 1 << d.n
+    return DeltaMatroid((*d.labels, "z"), [m | b for m in d.masks for b in (0, z)],
+                        _trusted=True)
+
+
+def _check_routes(d, least):
+    obs = matroid_twist_obstructions(d)
+    assert (obs is None) == (least == 0)
+    if d.n < 64:
+        assert (is_obstructed(_with_free_element(d)) is None) == (obs is None)
+    return obs
+
+
+@SUMS
+@given(_sums())
+def test_matroid_twist_route_agrees_with_the_composed_oracle(case):
+    _check_routes(*case)
+
+
+@pytest.mark.parametrize("twist", range(8))
+def test_even_sum_with_a_twisted_triangle(twist):
+    # the odd triangle twisted, on positions 5, 12 and 20, and one-set
+    # parts on the other 21, whose one set is {0, 3, 9, 17, 23}
+    place, fixed = (5, 12, 20), sum(1 << i for i in (0, 3, 9, 17, 23))
+    part = [sum(1 << place[j] for j in range(3) if m >> j & 1)
+            for m in catalog()[2].twist(twist).masks]
+    d = DeltaMatroid([f"v{i}" for i in range(24)], [m | fixed for m in part], _trusted=True)
+    assert d._odd_pair() is None
+    assert _check_routes(d, 2).verify(d)
+
+
+def _minor_records(obs, d, chosen):
+    """(minor, the record on it) for each chosen element of the witness."""
+    for e in chosen:
+        if e in obs.delete_set:
+            yield d.delete(e), obs._replace(delete_set=obs.delete_set - {e})
+        else:
+            yield d.contract(e), obs._replace(contract_set=obs.contract_set - {e})
+
+
+@SUMS
+@given(_sums(), st.data())
+def test_minor_witness_carries_to_single_element_minors(case, data):
+    d, _ = case
+    for route in (certify, matroid_twist_obstructions):
+        found = route(d)
+        if found is None or isinstance(found, TwistWitness):
+            continue
+        obs = found.obstruction if route is certify else found
+        removed = sorted(obs.delete_set | obs.contract_set)
+        chosen = data.draw(st.lists(st.sampled_from(removed), min_size=1, max_size=3,
+                                    unique=True))
+        for minor, record in _minor_records(obs, d, chosen):
+            assert record.verify(minor)
+            assert type(route(minor)) is type(found)  # a MinorWitness or an Obstruction
+
+
+def _renamed(cert, name):
+    """``cert`` with each host label e read as name[e]."""
+    if isinstance(cert, TwistWitness):
+        return cert._replace(twist_set=frozenset(map(name.get, cert.twist_set)))
+    obs = cert.obstruction
+    return MinorWitness(obs._replace(delete_set=frozenset(map(name.get, obs.delete_set)),
+                                     contract_set=frozenset(map(name.get, obs.contract_set)),
+                                     iso={name[e]: v for e, v in obs.iso.items()}))
+
+
+@SUMS
+@given(_sums(), st.data())
+def test_relabelling_maps_the_certificate_and_keeps_the_verdict(case, data):
+    d, _ = case
+    cert = certify(d)
+    names = data.draw(st.permutations([f"w{i}" for i in range(d.n)]))
+    renamed = DeltaMatroid(names, d.masks, _trusted=True)
+    assert certify(renamed) == _renamed(cert, dict(zip(d.labels, names)))
+    perm = data.draw(st.permutations(range(d.n)))
+    labels = [None] * d.n
+    for i, p in enumerate(perm):
+        labels[p] = d.labels[i]
+    moved = DeltaMatroid(labels, _permuted_masks(d.masks, perm), _trusted=True)
+    assert isinstance(certify(moved), TwistWitness) == isinstance(cert, TwistWitness)
+    assert (matroid_twist_obstructions(moved) is None) == (matroid_twist_obstructions(d) is None)

@@ -9,7 +9,6 @@ every delete/contract pair; its witness must re-verify against the host.
 
 import random
 import time
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +22,7 @@ from twistwidth import (
 )
 from twistwidth.minors import _MATROID_TWIST_ROUTE, _target_table
 from helpers import (brute_matroid_twist_obstructions, brute_min_twist_width,
-                     draw_with_empty_feasible)
-
-
-def _uniform(rank, n):
-    return [sum(1 << i for i in c) for c in combinations(range(n), rank)]
+                     draw_with_empty_feasible, uniform_masks)
 
 
 def _check(d):
@@ -80,7 +75,7 @@ def test_agrees_with_twist_width_on_random_twists(n, seed, chain):
 def test_agrees_with_twist_width_on_twisted_uniform_matroids(n, rank, free, seed):
     # random samples rarely have a matroid twist; these always do, unless a
     # free element {∅, {x}} is added, which leaves width one at best
-    masks = _uniform(rank, n)
+    masks = uniform_masks(rank, n)
     if free:
         masks += [m | 1 << n for m in masks]
         n += 1
@@ -91,13 +86,13 @@ def test_agrees_with_twist_width_on_twisted_uniform_matroids(n, rank, free, seed
 
 def test_twisted_uniform_matroid_past_eight_elements():
     labels = [f"e{i}" for i in range(9)]
-    d = validate(labels, _uniform(3, 9)).twist(0b100101101)
+    d = validate(labels, uniform_masks(3, 9)).twist(0b100101101)
     assert _check(d) is None
 
 
 def test_free_element_past_eight_elements_hits_the_singleton():
     # U(3,8) plus a free element {∅, {x}}, twisted: width one, never zero
-    masks = _uniform(3, 8)
+    masks = uniform_masks(3, 8)
     masks += [m | 1 << 8 for m in masks]
     d = validate([f"e{i}" for i in range(9)], masks).twist(masks[17])
     obs = _check(d)
@@ -115,7 +110,7 @@ def test_empty_ground_set():
 def test_large_twisted_uniform_matroids(n, free, expected):
     # U(2,n) twisted has a matroid twist; with a free element it is odd.
     # Built unchecked: the axiom check alone would take minutes at n = 63.
-    masks = _uniform(2, n)
+    masks = uniform_masks(2, n)
     if free:
         masks += [m | 1 << n for m in masks]
         n += 1

@@ -4,8 +4,9 @@
 
 ``certify.py`` reads no attribute ``masks``, ``full_mask``, ``mask_of``,
 ``set_of`` or ``is_even``, which a DeltaMatroid answers outside the
-contract, and ``Obstruction.verify`` reads no ``masks``, ``_pos``,
-``full_mask``, ``mask_of`` or ``set_of`` of its host. Two stand-ins show that
+contract, and neither ``minors._witness`` nor ``Obstruction.verify`` reads
+``masks``, ``_pos``, ``full_mask``, ``mask_of`` or ``set_of`` of its host,
+so a record is built and checked from the reads alone. Two stand-ins show that
 the reads suffice: ``FamilyReads``, a delta-matroid with its family
 hidden, gives the same records as the delta-matroid on every instance
 with n <= 4, and ``TwistedUniform``, which holds no family, gives the
@@ -35,9 +36,18 @@ def _attribute_reads(tree, names, owner=None):
     )
 
 
+def _function(tree, name):
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def _method(tree, cls, name):
     owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
-    return next(n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return _function(owner, name)
+
+
+def _host_reads(function, names):
+    """The attributes in ``names`` that ``function`` reads of its first parameter."""
+    return _attribute_reads(function, names, function.args.args[0].arg)
 
 
 # the reads a DeltaMatroid answers that the contract leaves out
@@ -56,6 +66,11 @@ def test_verify_reads_no_family_of_its_host():
     assert _attribute_reads(verify, VERIFY_SKIPS, "host") == []
 
 
+def test_witness_reads_no_family_of_its_host():
+    witness = _function(ast.parse((SRC / "minors.py").read_text(encoding="utf-8")), "_witness")
+    assert _host_reads(witness, VERIFY_SKIPS) == []
+
+
 def test_the_checks_see_a_family_read():
     tree = ast.parse(
         "class Obstruction:\n"
@@ -67,6 +82,14 @@ def test_the_checks_see_a_family_read():
         "full_mask", "is_even", "mask_of", "masks", "masks", "set_of"]
     assert _attribute_reads(_method(tree, "Obstruction", "verify"),
                             VERIFY_SKIPS, "host") == ["_pos", "full_mask", "mask_of", "masks"]
+
+
+def test_the_witness_check_sees_a_host_masks_read():
+    tree = ast.parse(
+        "def _witness(d, x, y, route):\n"
+        "    return d.labels, d._minor_of(x, y), d.masks, route.masks, host.masks\n"
+    )
+    assert _host_reads(_function(tree, "_witness"), VERIFY_SKIPS) == ["masks"]
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -20,7 +20,6 @@ D_min, and their sum with the materialized twist's width.
 
 import random
 import time
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,22 +37,15 @@ from helpers import (
     brute_rough_structure_witnesses,
     dmin_connectivity,
     draw_with_empty_feasible,
+    every_dm,
     hamming_twist_widths,
     kernel_twist_widths,
+    uniform_masks,
 )
-
-
-def _every_dm(dms_by_n):
-    for n in (1, 2, 3, 4):
-        yield from dms_by_n[n]
 
 
 def _materialized(d):
     return [d.twist(a).width() for a in range(d.full_mask + 1)]
-
-
-def _uniform(rank, n):
-    return [sum(1 << i for i in c) for c in combinations(range(n), rank)]
 
 
 def _random_twist(n, seed, chain=False):
@@ -66,7 +58,7 @@ def _random_twist(n, seed, chain=False):
 def _twisted_uniform(n, rank, free, seed):
     # width 0 at its matroid twists; a free element {∅, {x}} makes the best
     # twists width one, which gives the rough-structure search witnesses
-    masks = _uniform(rank, n - free)
+    masks = uniform_masks(rank, n - free)
     if free:
         masks += [m | 1 << (n - 1) for m in masks]
     d = validate([f"e{i}" for i in range(n)], masks)
@@ -95,7 +87,7 @@ def _check_searches(d):
 
 
 def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
-    for d in _every_dm(dms_by_n):
+    for d in every_dm(dms_by_n):
         kernel = kernel_twist_widths(d)
         assert len(kernel) == 1 << d.n
         for a, w in enumerate(kernel):
@@ -103,19 +95,19 @@ def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
 
 
 def test_formula_and_restriction_width_match_oracles_exhaustively(dms_by_n):
-    for d in _every_dm(dms_by_n):
+    for d in every_dm(dms_by_n):
         _check_formula(d)
 
 
 def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
-    for d in _every_dm(dms_by_n):
+    for d in every_dm(dms_by_n):
         widths = _materialized(d)
         best = min(widths)
         assert min_width_twist(d) == (widths.index(best), best)
 
 
 def test_rough_structure_witnesses_match_oracle_exhaustively(dms_by_n):
-    for d in _every_dm(dms_by_n):
+    for d in every_dm(dms_by_n):
         assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
 
 
@@ -173,7 +165,7 @@ def test_twisted_uniform_matroid_on_16_elements_finds_its_matroid_twist():
     n = 16
     full = (1 << n) - 1
     a = random.Random(16).randrange(1 << n)
-    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in _uniform(3, n)])
+    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in uniform_masks(3, n)])
     got, w = min_width_twist(d)
     # U(3,16) is connected, so only A and its complement (the dual) untwist it
     assert (got, w) == (min(a, full ^ a), 0)
@@ -237,7 +229,7 @@ def test_bitsets_shorter_than_a_byte(n):
 def test_twisted_uniform_matroid_on_20_elements_untwists():
     n, a = 20, 0b1011011
     full = (1 << n) - 1
-    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in _uniform(2, n)])
+    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in uniform_masks(2, n)])
     assert min_width_twist(d) == (min(a, full ^ a), 0)
 
 

@@ -376,7 +376,7 @@ def test_catalog_maps_agree_with_are_isomorphic(dms_by_n):
             for d in dms_by_n[n]:
                 found = rematch(d, whole, enumerate(_targets_on(route)))
                 try:
-                    obs = minors_module._witness(d.labels, 0, 0, d.masks, route)
+                    obs = minors_module._witness(d, 0, 0, route)
                 except CertificationError:
                     obs = None
                 assert (None if found is None else found[2:]) == (
