@@ -18,20 +18,26 @@ only without one, and names a catalog member or reduces to a level with a
 shorter odd cycle. Levels are (kept, shut) views of D twisted by f, on its
 positions, so no minor or twist is built. A certificate stays masks until
 ``minors._witness`` labels it, computes its minor once, looks it up once on
-a route of ``minors._target_table`` and verifies it. ``is_obstructed`` and the
-even branch of ``matroid_twist_obstructions`` run the procedure through
-``_certified_minor``; the odd branch names its minor directly. Each
-certificate is re-verified once before it is returned: a failure raises.
+a route of ``minors._target_table`` and verifies it.
 
-D is read only through ``labels`` and seven reads on masks, which a
-representation implements (``DeltaMatroid`` from its sorted family):
-``is_feasible(s)``; ``_least()``, the least feasible f; ``_small(f)``, the
-feasible sets of one or two elements of D*f; ``_inside(a, f)``, the least
-feasible set of each size inside a, in D*f; ``_odd_pair()``, None when D is
-even, else the first feasible F with some F + e feasible, and its lowest e;
-``_twist_width(t)``, the width of D*t; and ``_minor_of(x, y)``, the packed
-ascending masks of the minor deleting x and contracting y, which keeps at
-most three elements. Masks become labels only through ``core._labels_at``.
+``certify``, ``is_obstructed`` (through ``_certified_minor``) and the even
+branch of ``matroid_twist_obstructions`` read one certificate per instance,
+``_certificate(d)``. The first of them to run on ``d`` pays for the
+procedure and keeps the masks, a twist witness once its width is re-checked,
+in ``d._cert``; the later ones pay only that read, the lookup and the
+verify. The odd branch names its minor directly. Every record is built
+afresh and verified on ``d`` in the call that returns it: a failure raises.
+
+D is read only through ``labels``, the ``_cert`` above if it has one, and
+seven reads on masks, which a representation implements (``DeltaMatroid``
+from its sorted family): ``is_feasible(s)``; ``_least()``, the least
+feasible f; ``_small(f)``, the feasible sets of one or two elements of D*f;
+``_inside(a, f)``, the least feasible set of each size inside a, in D*f;
+``_odd_pair()``, None when D is even, else the first feasible F with some
+F + e feasible, and its lowest e; ``_twist_width(t)``, the width of D*t;
+and ``_minor_of(x, y)``, the packed ascending masks of the minor deleting x
+and contracting y, which keeps at most three elements. Masks become labels
+only through ``core._labels_at``.
 """
 
 from __future__ import annotations
@@ -272,7 +278,12 @@ def _lift(f, cert):
 def _certificate(d: DeltaMatroid):
     """``certify(d)`` on masks: a twist witness whose ``twist_set`` is a mask,
     its width re-checked on ``d``, or a minor witness as its (delete mask,
-    contract mask, catalog index)."""
+    contract mask, catalog index). The first call keeps it in ``d._cert``,
+    which later calls return; a representation that cannot hold that
+    attribute, a class whose ``__slots__`` leave it out, pays for the
+    procedure on every call."""
+    if (cert := getattr(d, "_cert", None)) is not None:
+        return cert
     cert = _certify_impl(d)
     if f := d._least():
         cert = _lift(f, cert)
@@ -280,6 +291,10 @@ def _certificate(d: DeltaMatroid):
         actual = d._twist_width(cert.twist_set)
         if actual != cert.width or actual > 1:
             raise CertificationError(f"twist witness claims width {cert.width}, got {actual}")
+    try:
+        object.__setattr__(d, "_cert", cert)
+    except AttributeError:
+        pass
     return cert
 
 

@@ -24,7 +24,10 @@ runs, so the refused inputs stay the same.
 ``_twist_width`` and ``_minor_of``, a minor's packed masks (``_minor_masks``).
 
 Every instance, twists and minors included, is built by ``__init__`` and
-never written after it; pickling and copying rebuild from (labels, masks).
+never written after it, but for the ``_cert`` slot: unset by ``__init__``,
+it is set once by ``certify._certificate`` to the instance's re-checked
+certificate. Equality, hashing and ``repr`` ignore it, and pickling and
+copying rebuild from (labels, masks) without it.
 
 A matroid is exactly a width-zero delta-matroid (``is_matroid``), its
 feasible sets its bases; ``d_min`` is the matroid of the minimum-size
@@ -250,6 +253,15 @@ def _subset_violation(masks: Sequence[int], n: int):
     return None
 
 
+def _require_iterable(arg, name: str) -> None:
+    """GroundSetError naming the argument ``name`` when ``arg`` is not
+    iterable; a TypeError raised while iterating it is not this one."""
+    try:
+        iter(arg)
+    except TypeError:
+        raise GroundSetError(f"{name} must be iterable, not {type(arg).__name__}") from None
+
+
 def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, ...]:
     """The minor's masks, ascending and packed onto the kept positions, for
     deleting x and contracting the disjoint y from ``masks`` within ``full``.
@@ -301,13 +313,17 @@ class DeltaMatroid:
     that provably preserve the axiom (twists, minors) skip re-validation.
     """
 
-    __slots__ = ("labels", "masks", "_pos")
+    __slots__ = ("labels", "masks", "_pos", "_cert")
 
     labels: tuple[str, ...]
     masks: tuple[int, ...]
 
     def __init__(self, labels: Iterable[str], feasible: Iterable, *, _trusted=False):
-        labels = tuple(labels)
+        try:
+            labels = tuple(labels)
+        except TypeError:
+            _require_iterable(labels, "labels")
+            raise
         if len(labels) > MAX_ELEMENTS:
             raise GroundSetError(f"ground set exceeds {MAX_ELEMENTS} elements")
         try:
@@ -324,7 +340,11 @@ class DeltaMatroid:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", pos)
         if not _trusted:
-            feasible = list(feasible)
+            try:
+                feasible = list(feasible)
+            except TypeError:
+                _require_iterable(feasible, "feasible family")
+                raise
             # a family of ints alone is range-checked once; any other member
             # (bools too), or a mask out of range, sends every member through
             # mask_of, so the error names the first offender in input order
@@ -541,8 +561,9 @@ def validate(labels: Iterable[str], family: Iterable) -> DeltaMatroid:
     """Build a delta-matroid from an untrusted family, checking the axiom.
 
     Raises EmptyFamilyError or AxiomViolationError (with witness); GroundSetError
-    on duplicate, unhashable or unknown labels, a member neither a set of
-    labels nor an in-range mask, or over ``MAX_ELEMENTS`` elements;
+    on labels or a family that is not iterable, duplicate, unhashable or
+    unknown labels, a member neither a set of labels nor an in-range mask,
+    or over ``MAX_ELEMENTS`` elements;
     DeltaMatroidError when the axiom check's work exceeds ``MAX_AXIOM_WORK``.
     """
     return DeltaMatroid(labels, family)

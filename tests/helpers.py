@@ -603,6 +603,12 @@ def extension_pool(n):
     return tuple(pool)
 
 
+def fresh(d: DeltaMatroid) -> DeltaMatroid:
+    """A trusted rebuild of ``d`` from its labels and masks: equal to it,
+    with no certificate kept, so a certificate route runs the procedure."""
+    return DeltaMatroid(d.labels, d.masks, _trusted=True)
+
+
 def draw_with_empty_feasible(n, rng, chain):
     """An extension-chain draw when ``chain`` and n <= CHAIN_MAX_ELEMENTS,
     otherwise ``sample_with_empty_feasible(n, rng)``; either way twisted by
@@ -637,7 +643,10 @@ class TwistedUniform:
     """U(r, m) twisted by the mask x, on labels e0..e(m-1), holding no
     family: S is feasible iff |S ^ x| = r. Each read has a closed form, in
     O(m) but for the 2^k candidates of a minor keeping k elements. It is
-    even, so its ``_odd_pair`` is None."""
+    even, so its ``_odd_pair`` is None. It has no slot for certify's
+    memo, so every route runs the procedure again."""
+
+    __slots__ = ("r", "x", "n", "full_mask", "labels", "_index")
 
     def __init__(self, r: int, m: int, x: int):
         self.r, self.x, self.n, self.full_mask = r, x, m, (1 << m) - 1

@@ -20,8 +20,8 @@ from twistwidth import (
 )
 from twistwidth.certify import _aux, _canonical_cycle, _coloring, _shortest_cycle
 from helpers import (HUB, _brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
-                     brute_shortest_odd_cycle, draw_with_empty_feasible, graph_masks, mask_graph,
-                     odd_cycle_instance, sample_with_empty_feasible, twist_off_empty)
+                     brute_shortest_odd_cycle, draw_with_empty_feasible, fresh, graph_masks,
+                     mask_graph, odd_cycle_instance, sample_with_empty_feasible, twist_off_empty)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -200,7 +200,8 @@ def _certify_recording_graphs(d):
     it reached, reduced levels included. Each level (kept, shut) is checked
     against its definition and the odd-cycle oracle on the minor of ``d``
     twisted by its least feasible set that deletes the rest and contracts
-    shut, its graph packed from host positions to the minor's."""
+    shut, its graph packed from host positions to the minor's. A fresh copy
+    of ``d`` is certified, so the procedure runs whatever ``d`` holds."""
     levels = []
 
     def record(host, f, shut, kept):
@@ -209,7 +210,7 @@ def _certify_recording_graphs(d):
         return graph
 
     with mock.patch.object(certify_module, "_aux", record):
-        cert = certify(d)
+        cert = certify(fresh(d))
     assert levels, "certify built no aux graph"
     host = d.twist(d.masks[0])
     graphs = []
@@ -365,7 +366,7 @@ class TestTriangleFirst:
         assert len(small) > 1000 and len(sampled) == 20
         self._forbid_search(monkeypatch)
         for d in small:
-            assert isinstance(certify(d), MinorWitness)
+            assert isinstance(certify(fresh(d)), MinorWitness)
         for d in sampled:
             assert isinstance(_check_certificate(d), MinorWitness)
 
@@ -381,7 +382,7 @@ class TestBipartiteFirst:
         ]
         monkeypatch.setattr(certify_module, "_shortest_cycle", forbidden)
         for d in bipartite:
-            certify(d)
+            certify(fresh(d))
         for rank, n in ((2, 7), (3, 8)):
             assert isinstance(certify(_twisted_uniform(rank, n, 1)), TwistWitness)
 
@@ -396,7 +397,7 @@ class TestBipartiteFirst:
 
         monkeypatch.setattr(certify_module, "_shortest_cycle", bipartite_after_first)
         with pytest.raises(CertificationError, match="lost its odd cycle"):
-            certify(FIVE_CYCLE)
+            certify(fresh(FIVE_CYCLE))
 
     def test_odd_cycle_that_fails_to_shrink_raises(self, monkeypatch):
         search = certify_module._shortest_cycle
@@ -409,7 +410,7 @@ class TestBipartiteFirst:
 
         monkeypatch.setattr(certify_module, "_shortest_cycle", same_length_after_first)
         with pytest.raises(CertificationError, match="failed to shrink"):
-            certify(FIVE_CYCLE)
+            certify(fresh(FIVE_CYCLE))
 
 
 def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
@@ -427,7 +428,7 @@ def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
         raise AssertionError("certify built a twist")
 
     monkeypatch.setattr(DeltaMatroid, "twist", forbidden)
-    assert [certify(d) for d in hosts] == expected
+    assert [certify(fresh(d)) for d in hosts] == expected
 
 
 # -- any delta-matroid: the twist by the smallest feasible set, lifted back
@@ -462,7 +463,7 @@ class TestEveryDeltaMatroid:
         for n in (1, 2, 3, 4):
             for d in dms_by_n[n]:
                 if d.masks[0] == 0:
-                    cert = certify(d)
+                    cert = certify(fresh(d))
                     if isinstance(cert, MinorWitness):
                         obs = cert.obstruction
                         assert obs.target is catalog()[obs.target_index]
@@ -514,7 +515,7 @@ class TestEveryDeltaMatroid:
             return original(*args)
 
         monkeypatch.setattr(certify_module, "_witness", counted)
-        assert isinstance(certify(host), MinorWitness)
+        assert isinstance(certify(fresh(host)), MinorWitness)
         assert len(calls) == 1
 
     @given(st.integers(min_value=5, max_value=8), SEEDS, st.booleans())
@@ -614,7 +615,7 @@ class TestReductionLoop:
             odd = odd_cycle_instance(m, 0, 0, 0)
             for route, d in ((certify, odd), (is_obstructed, odd), (certify, odd.twist(1))):
                 calls.clear()
-                assert route(d) is not None
+                assert route(fresh(d)) is not None
                 assert calls == ["_certify_impl", "_coloring"], (m, route)
 
     def test_no_delta_matroid_is_built_in_the_loop(self, cat, monkeypatch):
@@ -627,6 +628,7 @@ class TestReductionLoop:
         hosts += [odd.twist(1), member]
         assert odd.twist(1).masks[0] and member.masks[0]
         expected = [certify_module._certificate(d) for d in hosts]
+        copies = [fresh(d) for d in hosts]  # built before __init__ is counted
         built = []
 
         def counted(name):
@@ -640,5 +642,5 @@ class TestReductionLoop:
 
         for name in ("__init__", "twist", "minor"):
             counted(name)
-        assert [certify_module._certificate(d) for d in hosts] == expected
+        assert [certify_module._certificate(d) for d in copies] == expected
         assert built == []

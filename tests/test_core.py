@@ -102,6 +102,29 @@ class TestValidate:
             validate(labels, [[]])
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "labels, family, message",
+        [
+            (None, [[]], "labels must be iterable, not NoneType"),
+            ("ab", None, "feasible family must be iterable, not NoneType"),
+            ("ab", 5, "feasible family must be iterable, not int"),
+        ],
+        ids=["labels-none", "family-none", "family-int"],
+    )
+    def test_non_iterable_argument_named(self, labels, family, message):
+        with pytest.raises(GroundSetError) as err:
+            validate(labels, family)
+        assert str(err.value) == message
+
+    def test_type_error_while_iterating_is_not_renamed(self):
+        def members():
+            yield 0
+            raise TypeError("from inside the family")
+
+        with pytest.raises(TypeError, match="from inside the family") as err:
+            validate("ab", members())
+        assert not isinstance(err.value, GroundSetError)
+
     def test_ground_set_cap_is_64_elements(self):
         labels = [f"e{i}" for i in range(65)]
         d = validate(labels[:64], [[], ["e0"]])

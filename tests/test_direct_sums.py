@@ -29,6 +29,9 @@ The other routes and the witnesses give four more:
   label, and moving the positions keeps every verdict.
 An even sum with a twist of the odd triangle has least width 2, so the
 even branch of ``matroid_twist_obstructions`` answers above 20 elements.
+A second strategy draws only even parts, so that branch and the
+certificate it shares with ``certify`` run on draws too: every part of an
+even sum is even.
 """
 
 from math import comb
@@ -45,20 +48,29 @@ MAX_PART_ELEMENTS = 9
 MAX_SUM_FAMILY = 6000
 
 
+KINDS = ["uniform"] * 9 + ["gf2"] * 2 + ["single", "member"]
+# every part of an even sum is even: no singleton, the odd triangle as the
+# member, and a GF(2) matrix with a zero diagonal
+EVEN_KINDS = ["uniform"] * 3 + ["gf2"] * 2 + ["member"]
+
+
 @st.composite
-def _part(draw, room, budget):
+def _part(draw, room, budget, even=False):
     """(k, masks) of one twisted part on k <= room elements with at most
     ``budget`` feasible sets: a uniform matroid, a GF(2) principal-minor
-    family, the singleton {∅, {z}} or a catalog member."""
-    kind = draw(st.sampled_from(["uniform"] * 9 + ["gf2"] * 2 + ["single", "member"]))
+    family, the singleton {∅, {z}} or a catalog member; an even one when
+    ``even``."""
+    kind = draw(st.sampled_from(EVEN_KINDS if even else KINDS))
     if kind == "member" and room >= 3 and budget >= 5:
-        member = draw(st.sampled_from(catalog()))
+        member = catalog()[2] if even else draw(st.sampled_from(catalog()))
         k, masks = member.n, member.masks
     elif kind == "gf2" and room >= 3 and budget >= 1 << 7:
         k = draw(st.integers(3, min(7, room)))
         rows = [draw(st.integers(0, (1 << k) - 1)) for _ in range(k)]
         # the symmetric matrix with row i's bits at and above the diagonal
         rows = [sum((rows[min(i, j)] >> max(i, j) & 1) << j for j in range(k)) for i in range(k)]
+        if even:
+            rows = [row & ~(1 << i) for i, row in enumerate(rows)]
         masks = principal_minors(rows, k)
     elif kind == "single":
         k, masks = 1, [0, 1]
@@ -71,14 +83,15 @@ def _part(draw, room, budget):
 
 
 @st.composite
-def _sums(draw):
+def _sums(draw, even=False):
     """(D, the sum of its parts' least twist widths) for a direct sum D on
-    21..64 elements: up to three parts drawn by ``_part``, then one-set parts
-    up to the drawn size, all on shuffled positions."""
+    21..64 elements: up to three parts drawn by ``_part``, all even when
+    ``even``, then one-set parts up to the drawn size, all on shuffled
+    positions."""
     n = draw(st.integers(21, 64))
     parts, used, family = [], 0, 1
     for _ in range(draw(st.integers(1, 3))):
-        k, masks = draw(_part(min(MAX_PART_ELEMENTS, n - used), MAX_SUM_FAMILY // family))
+        k, masks = draw(_part(min(MAX_PART_ELEMENTS, n - used), MAX_SUM_FAMILY // family, even))
         parts.append((k, masks))
         used, family = used + k, family * len(masks)
     while used < n:
@@ -134,6 +147,18 @@ def _check_routes(d, least):
 @given(_sums())
 def test_matroid_twist_route_agrees_with_the_composed_oracle(case):
     _check_routes(*case)
+
+
+@SUMS
+@given(_sums(even=True), st.data())
+def test_even_sums_agree_with_the_composed_oracle(case, data):
+    d, least = case
+    assert d._odd_pair() is None
+    assert isinstance(certify(d), TwistWitness) == (least <= 1)
+    _check_routes(d, least)
+    assert (is_obstructed(d) is None) == (least <= 1)
+    twisted = d.twist(data.draw(st.integers(0, d.full_mask)))
+    assert isinstance(certify(twisted), TwistWitness) == (least <= 1)
 
 
 @pytest.mark.parametrize("twist", range(8))

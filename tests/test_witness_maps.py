@@ -38,8 +38,8 @@ from twistwidth import (
     validate,
 )
 from twistwidth.core import _minor_masks
-from helpers import (are_isomorphic, d5_dedup, draw_with_empty_feasible, matroid_twist_targets,
-                     odd_cycle_instance, rematch, twist_off_empty)
+from helpers import (are_isomorphic, d5_dedup, draw_with_empty_feasible, fresh,
+                     matroid_twist_targets, odd_cycle_instance, rematch, twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
 core_module = importlib.import_module("twistwidth.core")
@@ -190,7 +190,7 @@ def test_each_entry_point_verifies_once(host, monkeypatch):
     monkeypatch.setattr(Obstruction, "verify", counted)
     for route in (certify, is_obstructed, matroid_twist_obstructions):
         calls.clear()
-        assert route(host) is not None
+        assert route(fresh(host)) is not None
         assert calls == [host], route.__name__
 
 
@@ -205,7 +205,7 @@ def test_lifted_certificate_computes_the_host_minor_once_for_the_lookup_and_once
         return original(*args)
 
     monkeypatch.setattr(core_module, "_minor_masks", counted)
-    assert isinstance(certify(AUT_HOST), MinorWitness)
+    assert isinstance(certify(fresh(AUT_HOST)), MinorWitness)
     assert len(calls) == 2
 
 
@@ -229,7 +229,7 @@ def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch)
         raise AssertionError("a route tried label permutations once the tables existed")
 
     monkeypatch.setattr(minors_module, "permutations", forbidden)
-    assert [[route(d) for route in routes] for d in hosts] == warm
+    assert [[route(fresh(d)) for route in routes] for d in hosts] == warm
 
 
 def test_the_first_is_obstructed_call_builds_the_target_table():
@@ -266,6 +266,8 @@ def test_no_route_hashes_a_delta_matroid(dms_by_n, monkeypatch):
     routes = (certify, is_obstructed, matroid_twist_obstructions)
     hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [AUT_HOST]
     warm = [[route(d) for route in routes] for d in hosts]
+    # a copy per route and host, so that each route runs the procedure
+    copies = [[fresh(d) for _ in routes] for d in hosts]
 
     def unhashable(self):
         raise AssertionError("a route hashed a delta-matroid")
@@ -273,7 +275,7 @@ def test_no_route_hashes_a_delta_matroid(dms_by_n, monkeypatch):
     monkeypatch.setattr(core_module.DeltaMatroid, "__hash__", unhashable)
     with pytest.raises(AssertionError, match="hashed"):
         hash(AUT_HOST)
-    assert [[route(d) for route in routes] for d in hosts] == warm
+    assert [[route(c) for route, c in zip(routes, cs)] for cs in copies] == warm
 
 
 def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
@@ -281,6 +283,9 @@ def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
     routes = (is_obstructed, matroid_twist_obstructions, certify)
     for route in routes:
         route(AUT_HOST)
+    # a copy per route and host, so that each route runs the procedure
+    copies = [[fresh(d) for _ in routes] for d in [d for n in (1, 2, 3) for d in dms_by_n[n]]
+              + [AUT_HOST]]
     imported = []
     original = builtins.__import__
 
@@ -289,9 +294,9 @@ def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
         return original(name, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "__import__", counting)
-    for d in [d for n in (1, 2, 3) for d in dms_by_n[n]] + [AUT_HOST]:
-        for route in routes:
-            route(d)
+    for cs in copies:
+        for route, c in zip(routes, cs):
+            route(c)
     monkeypatch.undo()
     assert imported == []
 
