@@ -195,6 +195,7 @@ def verify_theorem(n: int, which: str) -> EnumerationReport:
     witnesses), t1 (excluded-minor characterisation), p1 (minor
     monotonicity), l1 (minor/twist commutation, n <= 3), l2 (certificates,
     every instance). Every tag but l1 compares with the widths by their
-    definition, never with ``certify``.
+    definition, never with ``certify``; tm1 also checks ``certify``'s
+    verdict on odd instances, which ``rough_structure_witnesses`` reads.
     """
     return _verify(n, (which,))[0]

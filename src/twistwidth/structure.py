@@ -29,6 +29,9 @@ all n bits each, and the S'_k of dist(A~) from the complemented family in
 the high half of the same int. The twist sets of width w are the OR over j
 of S_j & S'_(n - w - j): about n * D * 2^(n+1) / 64 word operations, with
 D <= n the largest distance. No route materializes twisted families.
+``rough_structure_witnesses`` searches only when some twist has width one:
+twists keep parity, so never when D is even, and when D is odd exactly
+when the certificate ``certify`` keeps on D is a twist witness.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 
+from .certify import TwistWitness, _certificate
 from .core import DeltaMatroid, GroundSetError, _digits, _dilate, _members, _planes
 
 # Twisted U(2, 20) takes about 0.15 s and 32 MB peak in the all-twists
@@ -144,7 +148,16 @@ def rough_structure_witnesses(d: DeltaMatroid) -> list[int]:
     D|A~ has width one. By the formula these are exactly the A with
     width(D*A) = 1 and D|A a matroid, ascending. The list is nonempty
     exactly when some twist of ``d`` has width one.
+
+    GroundSetError above ``MAX_SEARCH_ELEMENTS`` comes first. An even
+    ``d`` gives [] in O(|F|), an odd one with a minor witness [] after the
+    certificate (so CertificationError can come from here), and only an
+    odd one with a twist witness pays for the 2^n search.
     """
+    # above the cap _shells raises before any other work
+    if d.n <= MAX_SEARCH_ELEMENTS and (
+            d.is_even() or not isinstance(_certificate(d), TwistWitness)):
+        return []
     near, mirror = _shells(d)
     return [a for a in _members(_width_class(near, mirror, 1))
             if _terms(d, a)[0] == 0]

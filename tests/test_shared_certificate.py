@@ -1,7 +1,8 @@
-"""One certificate per instance: ``certify``, ``is_obstructed`` and the even
-branch of ``matroid_twist_obstructions`` read ``certify._certificate(d)``,
-which the first of them to run on a ``DeltaMatroid`` keeps in its ``_cert``
-slot. The later routes give the records fresh copies give, each built and
+"""One certificate per instance: ``certify``, ``is_obstructed``, the even
+branch of ``matroid_twist_obstructions`` and the odd branch of
+``rough_structure_witnesses`` read ``certify._certificate(d)``, which the
+first of them to run on a ``DeltaMatroid`` keeps in its ``_cert`` slot.
+The later routes give the records fresh copies give, each built and
 verified in its own call; equality, hashing, ``repr``, pickling and copying
 ignore the slot, and a representation without it runs the procedure on
 every call.
@@ -16,12 +17,15 @@ from itertools import permutations
 import pytest
 
 from twistwidth import (CertificationError, DeltaMatroid, Obstruction, catalog, certify,
-                        is_obstructed, matroid_twist_obstructions, validate)
+                        is_obstructed, matroid_twist_obstructions, rough_structure_witnesses,
+                        validate)
 from helpers import FamilyReads, TwistedUniform, fresh, odd_cycle_instance, uniform_masks
 
 certify_module = importlib.import_module("twistwidth.certify")
 
 ROUTES = (certify, is_obstructed, matroid_twist_obstructions)
+# rough_structure_witnesses reads the family, so it takes no representation
+FOUR_ROUTES = (*ROUTES, rough_structure_witnesses)
 
 
 def _count_procedure(monkeypatch):
@@ -69,14 +73,17 @@ def test_the_odd_branch_runs_no_procedure(monkeypatch):
     assert is_obstructed(d) is not None and certify(d) is not None and len(calls) == 1
 
 
-def test_routes_in_any_order_match_fresh_copies(dms_by_n):
+def test_routes_in_any_order_match_fresh_copies(dms_by_n, monkeypatch):
+    calls = _count_procedure(monkeypatch)
     for n in (1, 2, 3, 4):
         for d in dms_by_n[n]:
-            expected = {route: route(fresh(d)) for route in ROUTES}
-            for order in permutations(ROUTES):
+            expected = {route: route(fresh(d)) for route in FOUR_ROUTES}
+            memo = certify_module._certificate(fresh(d))
+            for order in permutations(FOUR_ROUTES):
                 shared = fresh(d)
+                calls.clear()
                 assert [route(shared) for route in order] == [expected[r] for r in order]
-                assert _memo(shared) == certify_module._certificate(fresh(d))
+                assert len(calls) == 1 and _memo(shared) == memo
 
 
 def test_the_memo_is_unset_until_a_route_fills_it():
