@@ -1,4 +1,5 @@
-"""Brute-force oracles and random instances shared across the test modules.
+"""Brute-force oracles, instance builders and random instances shared
+across the test modules.
 
 Everything here recomputes quantities by direct definition (materialized
 twists, naive axiom checks, minor search over every delete/contract
@@ -6,6 +7,12 @@ pair), independent of the structural formulas the package uses, so tests
 compare two genuinely different routes. The one exception,
 ``kernel_twist_widths``, expands the library's all-twists kernel into one
 width per twist set, for the tests to compare with those oracles.
+
+The twist-width oracle is ``materialized_widths``, kept per (labels,
+masks) for the session. Each shared instance family has one builder, on
+the labels e0..e(n-1): ``labelled``, ``twisted_uniform`` (U(r, m) twisted
+by x, with an optional free element {∅, {e_m}}), ``direct_sum`` and
+``with_free_element``.
 
 Two stand-ins for ``DeltaMatroid`` answer only the reads ``certify``
 makes (``CERTIFY_READS``): ``FamilyReads`` hides a delta-matroid's family
@@ -57,9 +64,21 @@ def scan_set_of(d: DeltaMatroid, mask: int) -> frozenset:
     return frozenset(e for i, e in enumerate(d.labels) if mask >> i & 1)
 
 
+_WIDTHS = {}
+
+
+def materialized_widths(d: DeltaMatroid) -> list:
+    """Width of twist(d, A) for every A, indexed by the mask of A, each twist
+    built and measured; computed once per (labels, masks) in a session."""
+    key = d.labels, d.masks
+    if key not in _WIDTHS:
+        _WIDTHS[key] = tuple(d.twist(a).width() for a in range(d.full_mask + 1))
+    return list(_WIDTHS[key])
+
+
 def brute_min_twist_width(d: DeltaMatroid) -> int:
     """Minimum width over all materialized twists."""
-    return min(d.twist(a).width() for a in range(d.full_mask + 1))
+    return min(materialized_widths(d))
 
 
 def kernel_twist_widths(d: DeltaMatroid) -> list:
@@ -242,6 +261,12 @@ def matroid_twist_targets() -> tuple:
     """The singleton {∅, {a}}, the odd triangle and its twist by {a}."""
     triangle = catalog()[2]
     return (DeltaMatroid("a", ["", "a"]), triangle, triangle.twist("a"))
+
+
+def twist_onto_empty(d: DeltaMatroid, rng) -> DeltaMatroid:
+    """``d`` twisted by a random feasible set, so that the empty set is
+    feasible."""
+    return d.twist(rng.choice(d.masks))
 
 
 def twist_off_empty(d: DeltaMatroid, rng):
@@ -488,11 +513,15 @@ def brute_shortest_odd_cycle(g):
     return best
 
 
-# -- random instances -----------------------------------------------------
+# -- instance families ----------------------------------------------------
 
 
 def every_dm(dms_by_n):
-    """Every delta-matroid on 1..4 elements, from the ``dms_by_n`` fixture."""
+    """Every delta-matroid on 1..4 elements, from the ``dms_by_n`` fixture.
+
+    These are session objects: once any certificate route has run on one,
+    it keeps the certificate in its ``_cert`` slot, so a test that counts or
+    patches the procedure certifies ``fresh(d)`` instead."""
     for n in (1, 2, 3, 4):
         yield from dms_by_n[n]
 
@@ -500,6 +529,39 @@ def every_dm(dms_by_n):
 def uniform_masks(r, n):
     """The bases of U(r, n) as masks, in ``combinations`` order."""
     return [sum(1 << i for i in c) for c in combinations(range(n), r)]
+
+
+def labelled(masks, n, check=False) -> DeltaMatroid:
+    """The family ``masks`` on the labels e0..e(n-1), checked by ``validate``
+    when ``check`` and built trusted otherwise."""
+    labels = [f"e{i}" for i in range(n)]
+    return validate(labels, masks) if check else DeltaMatroid(labels, masks, _trusted=True)
+
+
+def twisted_uniform(r, m, x=0, free=False, check=False) -> DeltaMatroid:
+    """U(r, m) twisted by the mask ``x``, on e0..e(m-1); with ``free``, the
+    sum with a free element {∅, {e_m}} at position m, twisted by ``x`` too.
+    Checked by ``validate`` when ``check``."""
+    masks = uniform_masks(r, m)
+    if free:
+        masks += [b | 1 << m for b in masks]
+    return labelled([b ^ x for b in masks], m + free, check)
+
+
+def direct_sum(first: DeltaMatroid, second: DeltaMatroid) -> DeltaMatroid:
+    """first + second on e0..e(n-1), the second on the positions after the
+    first's; the parts' labels are dropped."""
+    return labelled([a | b << first.n for a in first.masks for b in second.masks],
+                    first.n + second.n)
+
+
+def with_free_element(d: DeltaMatroid) -> DeltaMatroid:
+    """d + {∅, {z}}, the free element z at the new last position, as
+    ``direct_sum`` labels it."""
+    return direct_sum(d, labelled([0, 1], 1))
+
+
+# -- random instances -----------------------------------------------------
 
 
 def principal_minors(rows, n):
@@ -543,7 +605,7 @@ def sample_with_empty_feasible(n, rng):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     d = DeltaMatroid(_labels(n), principal_minors(rows, n), _trusted=True)
-    return d.twist(rng.choice(d.masks))
+    return twist_onto_empty(d, rng)
 
 
 def odd_cycle_instance(m, extra, loops, seed):
@@ -560,7 +622,7 @@ def odd_cycle_instance(m, extra, loops, seed):
         rows[b] |= 1 << a
     for i in rng.sample(range(n), loops):
         rows[i] |= 1 << i
-    return validate([f"e{i}" for i in range(n)], principal_minors(rows, n))
+    return labelled(principal_minors(rows, n), n, check=True)
 
 
 def is_gf2_representable(d):
@@ -603,6 +665,19 @@ def extension_pool(n):
     return tuple(pool)
 
 
+def record_calls(monkeypatch, owner, name) -> list:
+    """The list that each call of ``owner.name``, patched for the test,
+    appends its arguments to."""
+    calls, inner = [], getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def fresh(d: DeltaMatroid) -> DeltaMatroid:
     """A trusted rebuild of ``d`` from its labels and masks: equal to it,
     with no certificate kept, so a certificate route runs the procedure."""
@@ -616,7 +691,7 @@ def draw_with_empty_feasible(n, rng, chain):
     if not (chain and n <= CHAIN_MAX_ELEMENTS):
         return sample_with_empty_feasible(n, rng)
     d = DeltaMatroid(_labels(n), rng.choice(extension_pool(n)), _trusted=True)
-    return d.twist(rng.choice(d.masks))
+    return twist_onto_empty(d, rng)
 
 
 # -- representations without a family -------------------------------------
@@ -714,6 +789,4 @@ class TwistedUniform:
 
     def family(self) -> DeltaMatroid:
         """The same delta-matroid with its family listed."""
-        bits = [1 << i for i in range(self.n)]
-        masks = [self.x ^ sum(c) for c in combinations(bits, self.r)]
-        return DeltaMatroid(self.labels, masks, _trusted=True)
+        return twisted_uniform(self.r, self.n, self.x)

@@ -32,6 +32,7 @@ from helpers import (
     brute_min_twist_width,
     every_dm,
     interleavings,
+    materialized_widths,
     sample_with_empty_feasible,
 )
 
@@ -42,14 +43,14 @@ def announce(name):
 
 def test_criterion_1_twist_width_formula(dms_by_n):
     for d in every_dm(dms_by_n):
-        for a in range(d.full_mask + 1):
-            assert twist_width_formula(d, a) == d.twist(a).width()
+        for a, w in enumerate(materialized_widths(d)):
+            assert twist_width_formula(d, a) == w
     announce("1 twist-width formula exact on all n<=4")
 
 
 def test_criterion_2_width_one_structure(dms_by_n):
     for d in every_dm(dms_by_n):
-        widths = [d.twist(a).width() for a in range(d.full_mask + 1)]
+        widths = materialized_widths(d)
         for a, w in enumerate(widths):
             assert is_twist_width_one_witness(d, a) == (w == 1)
         assert bool(rough_structure_witnesses(d)) == (1 in widths)
@@ -58,10 +59,8 @@ def test_criterion_2_width_one_structure(dms_by_n):
 
 def test_criterion_3_matroid_twists(dms_by_n):
     for d in every_dm(dms_by_n):
-        for a in range(d.full_mask + 1):
-            assert is_twist_matroid_witness(d, a) == (
-                d.twist(a).width() == 0
-            )
+        for a, w in enumerate(materialized_widths(d)):
+            assert is_twist_matroid_witness(d, a) == (w == 0)
     announce("3 matroid-twist witnesses on all n<=4")
 
 

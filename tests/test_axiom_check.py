@@ -23,6 +23,7 @@ from helpers import (
     brute_find_axiom_violation,
     draw_with_empty_feasible,
     sample_with_empty_feasible,
+    twisted_uniform,
     uniform_masks,
 )
 from twistwidth import (
@@ -245,7 +246,7 @@ def test_oversized_family_fails_fast():
 
 
 def test_cli_rejects_oversized_family(tmp_path, capsys):
-    d = DeltaMatroid([f"e{i}" for i in range(63)], uniform_masks(3, 63), _trusted=True)
+    d = twisted_uniform(3, 63)
     path = tmp_path / "u3_63.dm"
     path.write_text(serialize(d))
     assert main(["validate", str(path)]) == 2

@@ -21,7 +21,8 @@ from twistwidth import (
 from twistwidth.certify import _aux, _canonical_cycle, _coloring, _shortest_cycle
 from helpers import (HUB, _brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
                      brute_shortest_odd_cycle, draw_with_empty_feasible, fresh, graph_masks,
-                     mask_graph, odd_cycle_instance, sample_with_empty_feasible, twist_off_empty)
+                     mask_graph, odd_cycle_instance, sample_with_empty_feasible, twist_off_empty,
+                     record_calls, twist_onto_empty, twisted_uniform)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
@@ -170,13 +171,6 @@ class TestCertifyRandom:
 # -- the aux graph is 2-colored first; the odd-cycle search is the fallback
 
 
-def _twisted_uniform(rank, n, seed):
-    """U(rank, n) twisted by a random basis, so the empty set is feasible."""
-    d = validate([f"e{i}" for i in range(n)],
-                 [m for m in range(1 << n) if m.bit_count() == rank])
-    return d.twist(random.Random(seed).choice(d.masks))
-
-
 # the even delta-matroid of a 5-cycle's adjacency matrix over GF(2): its aux
 # graph is that 5-cycle, so certify reduces it once by _long_cycle_case
 FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
@@ -267,7 +261,9 @@ class TestOddCycleOracle:
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_uniform_matroids(self, n, rank, seed):
-        _certify_recording_graphs(_twisted_uniform(rank, n, seed))
+        # twisted by a random basis, so the empty set is feasible
+        d = twist_onto_empty(twisted_uniform(rank, n, check=True), random.Random(seed))
+        _certify_recording_graphs(d)
 
     @given(st.sampled_from((5, 7, 9)), st.integers(min_value=0, max_value=1),
            st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
@@ -384,7 +380,8 @@ class TestBipartiteFirst:
         for d in bipartite:
             certify(fresh(d))
         for rank, n in ((2, 7), (3, 8)):
-            assert isinstance(certify(_twisted_uniform(rank, n, 1)), TwistWitness)
+            d = twist_onto_empty(twisted_uniform(rank, n, check=True), random.Random(1))
+            assert isinstance(certify(d), TwistWitness)
 
     def test_reduced_instance_losing_its_odd_cycle_raises(self, monkeypatch):
         search = certify_module._shortest_cycle
@@ -416,11 +413,10 @@ class TestBipartiteFirst:
 def test_certify_builds_no_twist_on_unobstructed_instances(monkeypatch):
     # twisted uniform matroids and width-one sums U(r, m) + {∅, {x}}, each
     # twisted by a feasible set: the twist witness is re-checked on the masks
-    hosts = [_twisted_uniform(rank, n, n) for rank, n in ((2, 7), (3, 7), (2, 8), (3, 8))]
-    for rank, m in ((2, 6), (2, 7), (3, 7)):
-        masks = [s for s in range(1 << m) if s.bit_count() == rank]
-        d = validate([f"e{i}" for i in range(m + 1)], masks + [s | 1 << m for s in masks])
-        hosts.append(d.twist(random.Random(m).choice(d.masks)))
+    hosts = [twist_onto_empty(twisted_uniform(rank, n, check=True), random.Random(n))
+             for rank, n in ((2, 7), (3, 7), (2, 8), (3, 8))]
+    hosts += [twist_onto_empty(twisted_uniform(rank, m, free=True, check=True), random.Random(m))
+              for rank, m in ((2, 6), (2, 7), (3, 7))]
     expected = [certify(d) for d in hosts]
     assert all(d.masks[0] == 0 and isinstance(c, TwistWitness) for d, c in zip(hosts, expected))
 
@@ -507,14 +503,7 @@ class TestEveryDeltaMatroid:
     def test_twisted_host_looks_its_witness_up_once(self, host, monkeypatch):
         # the member's route lists its twists, so no lookup picks the twist first
         assert host.masks[0] != 0
-        calls = []
-        original = certify_module._witness
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(certify_module, "_witness", counted)
+        calls = record_calls(monkeypatch, certify_module, "_witness")
         assert isinstance(certify(fresh(host)), MinorWitness)
         assert len(calls) == 1
 
@@ -530,7 +519,9 @@ class TestEveryDeltaMatroid:
            SEEDS)
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_uniform_matroids(self, n, rank, seed):
-        d = twist_off_empty(_twisted_uniform(rank, n, seed), random.Random(seed))
+        # twisted by a random basis, then off the empty set, each by its own draws
+        d = twisted_uniform(rank, n, check=True)
+        d = twist_off_empty(twist_onto_empty(d, random.Random(seed)), random.Random(seed))
         assert isinstance(_check_certificate(d), TwistWitness)
 
     @given(st.sampled_from((5, 7)), st.integers(min_value=0, max_value=1),

@@ -4,7 +4,6 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +19,7 @@ from twistwidth import (
     serialize,
     validate,
 )
-from helpers import draw_with_empty_feasible, scan_set_of
+from helpers import draw_with_empty_feasible, labelled, scan_set_of, uniform_masks
 
 
 def fam(d):
@@ -499,10 +498,10 @@ def test_least_masks_have_least_sizes_on_draws(n, kind, seed):
     rng = random.Random(seed)
     if kind == "uniform":
         r = rng.randint(0, n)
-        masks = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+        masks = uniform_masks(r, n)
     else:
         masks = draw_with_empty_feasible(n, rng, kind == "chain").masks
     p = rng.sample(range(n), n)
     moved = [sum(1 << p[i] for i in range(n) if m >> i & 1) for m in masks]
-    d = DeltaMatroid([f"e{i}" for i in range(n)], moved, _trusted=True).twist(rng.getrandbits(n))
+    d = labelled(moved, n).twist(rng.getrandbits(n))
     _check_least_masks(d, [rng.getrandbits(n) for _ in range(32)])

@@ -42,7 +42,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from twistwidth import (DeltaMatroid, MinorWitness, TwistWitness, catalog, certify,
                         is_obstructed, matroid_twist_obstructions, min_width_twist)
 from twistwidth.minors import _permuted_masks
-from helpers import principal_minors
+from helpers import principal_minors, uniform_masks, with_free_element
 
 MAX_PART_ELEMENTS = 9
 MAX_SUM_FAMILY = 6000
@@ -77,7 +77,7 @@ def _part(draw, room, budget, even=False):
     else:
         k = draw(st.integers(1, min(MAX_PART_ELEMENTS, room)))
         r = draw(st.sampled_from([r for r in range(k + 1) if comb(k, r) <= budget]))
-        masks = [m for m in range(1 << k) if m.bit_count() == r]
+        masks = uniform_masks(r, k)
     x = draw(st.integers(0, (1 << k) - 1))
     return k, [m ^ x for m in masks]
 
@@ -128,18 +128,12 @@ def test_certify_agrees_with_the_composed_oracle(case, data):
             assert minor.twist(cert.twist_set - {e}).width() <= 1
 
 
-def _with_free_element(d):
-    """D + {∅, {z}}: the singleton part on a new last position z."""
-    z = 1 << d.n
-    return DeltaMatroid((*d.labels, "z"), [m | b for m in d.masks for b in (0, z)],
-                        _trusted=True)
-
-
 def _check_routes(d, least):
     obs = matroid_twist_obstructions(d)
     assert (obs is None) == (least == 0)
     if d.n < 64:
-        assert (is_obstructed(_with_free_element(d)) is None) == (obs is None)
+        # the sum is labelled e0..e(n), which is_obstructed's verdict ignores
+        assert (is_obstructed(with_free_element(d)) is None) == (obs is None)
     return obs
 
 

@@ -13,16 +13,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistwidth import (
-    CertificationError,
-    DeltaMatroid,
-    Obstruction,
-    matroid_twist_obstructions,
-    validate,
-)
+from twistwidth import CertificationError, Obstruction, matroid_twist_obstructions, validate
 from twistwidth.minors import _MATROID_TWIST_ROUTE, _target_table
 from helpers import (brute_matroid_twist_obstructions, brute_min_twist_width,
-                     draw_with_empty_feasible, uniform_masks)
+                     draw_with_empty_feasible, twisted_uniform, uniform_masks)
 
 
 def _check(d):
@@ -75,26 +69,18 @@ def test_agrees_with_twist_width_on_random_twists(n, seed, chain):
 def test_agrees_with_twist_width_on_twisted_uniform_matroids(n, rank, free, seed):
     # random samples rarely have a matroid twist; these always do, unless a
     # free element {∅, {x}} is added, which leaves width one at best
-    masks = uniform_masks(rank, n)
-    if free:
-        masks += [m | 1 << n for m in masks]
-        n += 1
-    d = validate([f"e{i}" for i in range(n)], masks)
-    obs = _check(d.twist(random.Random(seed).randrange(1 << n)))
+    x = random.Random(seed).randrange(1 << n + free)
+    obs = _check(twisted_uniform(rank, n, x, free, check=True))
     assert (obs is None) != free
 
 
 def test_twisted_uniform_matroid_past_eight_elements():
-    labels = [f"e{i}" for i in range(9)]
-    d = validate(labels, uniform_masks(3, 9)).twist(0b100101101)
-    assert _check(d) is None
+    assert _check(twisted_uniform(3, 9, 0b100101101, check=True)) is None
 
 
 def test_free_element_past_eight_elements_hits_the_singleton():
     # U(3,8) plus a free element {∅, {x}}, twisted: width one, never zero
-    masks = uniform_masks(3, 8)
-    masks += [m | 1 << 8 for m in masks]
-    d = validate([f"e{i}" for i in range(9)], masks).twist(masks[17])
+    d = twisted_uniform(3, 8, uniform_masks(3, 8)[17], free=True, check=True)
     obs = _check(d)
     assert obs is not None and obs.target_index == 0
 
@@ -110,12 +96,7 @@ def test_empty_ground_set():
 def test_large_twisted_uniform_matroids(n, free, expected):
     # U(2,n) twisted has a matroid twist; with a free element it is odd.
     # Built unchecked: the axiom check alone would take minutes at n = 63.
-    masks = uniform_masks(2, n)
-    if free:
-        masks += [m | 1 << n for m in masks]
-        n += 1
-    d = DeltaMatroid([f"e{i}" for i in range(n)], masks, _trusted=True)
-    d = d.twist(random.Random(n).randrange(1 << n))
+    d = twisted_uniform(2, n, random.Random(n + free).randrange(1 << n + free), free)
     start = time.perf_counter()
     obs = matroid_twist_obstructions(d)
     assert time.perf_counter() - start < 1.0

@@ -12,13 +12,11 @@ feasible; both branches are compared with the oracle too.
 import importlib
 import random
 from bisect import bisect_left
-from itertools import combinations
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from twistwidth import validate
-from helpers import all_minor_pairs, draw_with_empty_feasible, sequential_minor
+from helpers import all_minor_pairs, draw_with_empty_feasible, sequential_minor, twisted_uniform
 
 # the package re-exports names from ``core``; the module is patched here
 core_module = importlib.import_module("twistwidth.core")
@@ -109,9 +107,7 @@ def test_scan_answers_when_the_contract_set_lies_in_no_feasible_set(n, k, rank, 
     rng = random.Random(seed)
     k = min(k, n - rank - 1)
     keep, gone = _kept_and_gone(n, k, rng)
-    d = validate([f"e{i}" for i in range(n)],
-                 [m for m in range(1 << n) if m.bit_count() == rank])
-    d = d.twist(rng.randrange(1 << n) & keep)
+    d = twisted_uniform(rank, n, rng.randrange(1 << n) & keep, check=True)
     y = sum(1 << p for p in rng.sample([p for p in range(n) if gone >> p & 1],
                                        rng.randint(rank + 1, n - k)))
     assert all(y & ~m for m in d.masks)
@@ -122,8 +118,7 @@ def test_scan_answers_when_the_contract_set_lies_in_no_feasible_set(n, k, rank, 
 def test_twisted_u2_20_restricted_to_three_and_to_seven_elements():
     # the twist {e0 e1 e3 e4 e6} lies inside e0..e6 but not inside e0..e2,
     # so restricting to e0..e6 probes and restricting to e0..e2 scans
-    d = validate([f"e{i}" for i in range(20)],
-                 [(1 << a | 1 << b) ^ 0b1011011 for a, b in combinations(range(20), 2)])
+    d = twisted_uniform(2, 20, 0b1011011, check=True)
     seven = _minor_probing(d, d.full_mask & ~0b1111111, 0)
     assert len(seven) == 128 and any(seven)
     three = _minor_probing(d, d.full_mask & ~0b111, 0)

@@ -11,15 +11,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistwidth import (
-    CertificationError,
-    Obstruction,
-    d5_family,
-    is_obstructed,
-    validate,
-)
+from twistwidth import CertificationError, Obstruction, d5_family, is_obstructed
 from helpers import (brute_is_obstructed, brute_min_twist_width, d5_dedup,
-                     draw_with_empty_feasible)
+                     draw_with_empty_feasible, twisted_uniform)
 
 
 def _check_witness(d, obs):
@@ -69,20 +63,14 @@ def test_agrees_with_twist_width_on_random_twists(n, seed, chain):
 def test_unobstructed_random_twists(n, rank, with_free_element, seed):
     # twisted uniform matroids, optionally plus a free element {∅, {x}}:
     # twist width at most one, mostly with the empty set infeasible
-    masks = [m for m in range(1 << n) if m.bit_count() == rank]
-    if with_free_element:
-        masks += [m | 1 << n for m in masks]
-        n += 1
-    d = validate([f"e{i}" for i in range(n)], masks)
-    d = d.twist(random.Random(seed).randrange(1 << n))
+    x = random.Random(seed).randrange(1 << n + with_free_element)
+    d = twisted_uniform(rank, n, x, with_free_element, check=True)
     assert brute_min_twist_width(d) <= 1
     assert is_obstructed(d) is None
 
 
 def test_uniform_matroid_beyond_isomorphism_limit():
-    labels = [f"e{i}" for i in range(12)]
-    pairs = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
-    assert is_obstructed(validate(labels, pairs)) is None
+    assert is_obstructed(twisted_uniform(2, 12, check=True)) is None
 
 
 def test_failed_verification_raises(monkeypatch, cat):

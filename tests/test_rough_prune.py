@@ -25,7 +25,8 @@ from twistwidth import (DeltaMatroid, GroundSetError, TwistWitness, catalog, cer
                         matroid_twist_obstructions, min_width_twist, rough_structure_witnesses,
                         validate)
 from twistwidth.structure import MAX_SEARCH_ELEMENTS
-from helpers import every_dm, fresh, uniform_masks
+from helpers import (direct_sum, every_dm, fresh, record_calls, twisted_uniform,
+                     with_free_element)
 
 structure = importlib.import_module("twistwidth.structure")
 certify_module = importlib.import_module("twistwidth.certify")
@@ -41,35 +42,8 @@ def _unpruned(d):
             if structure._terms(d, a)[0] == 0]
 
 
-def _record(monkeypatch, owner, name):
-    """The list that each call of ``owner.name`` appends its input to."""
-    calls = []
-    inner = getattr(owner, name)
-
-    def recorded(d):
-        calls.append(d)
-        return inner(d)
-
-    monkeypatch.setattr(owner, name, recorded)
-    return calls
-
-
-def _labelled(masks, n):
-    return DeltaMatroid([f"e{i}" for i in range(n)], masks, _trusted=True)
-
-
-def _sum(first, second):
-    """first + second, the second on the positions after the first's."""
-    return _labelled([a | b << first.n for a in first.masks for b in second.masks],
-                     first.n + second.n)
-
-
-def _with_free_element(d):
-    return _sum(d, validate("z", ["", "z"]))
-
-
 def test_the_kernel_runs_exactly_when_a_twist_has_width_one(dms_by_n, monkeypatch):
-    calls = _record(monkeypatch, structure, "_shells")
+    calls = record_calls(monkeypatch, structure, "_shells")
     for d in every_dm(dms_by_n):
         searched = not d.is_even() and isinstance(certify(fresh(d)), TwistWitness)
         calls.clear()
@@ -79,15 +53,13 @@ def test_the_kernel_runs_exactly_when_a_twist_has_width_one(dms_by_n, monkeypatc
 
 def _large_inputs():
     rng = random.Random(18)
-    width_one = uniform_masks(2, 19)
-    width_one += [m | 1 << 19 for m in width_one]
     t18, t20 = rng.getrandbits(18), rng.getrandbits(20)
     return {
         # the odd member {∅, a, b, c, abc} beside U(2, 15) and U(2, 17)
-        "obstructed-18": (_sum(catalog()[1], _labelled(uniform_masks(2, 15), 15)), False),
-        "obstructed-20": (_sum(catalog()[1], _labelled(uniform_masks(2, 17), 17)), False),
-        "even-18": (_labelled([m ^ t18 for m in uniform_masks(3, 18)], 18), False),
-        "width-one-20": (_labelled([m ^ t20 for m in width_one], 20), True),
+        "obstructed-18": (direct_sum(catalog()[1], twisted_uniform(2, 15)), False),
+        "obstructed-20": (direct_sum(catalog()[1], twisted_uniform(2, 17)), False),
+        "even-18": (twisted_uniform(3, 18, t18), False),
+        "width-one-20": (twisted_uniform(2, 19, t20, free=True), True),
     }
 
 
@@ -96,7 +68,7 @@ def test_large_inputs_give_the_kernel_answer(name, monkeypatch):
     d, searched = _large_inputs()[name]
     expected = _unpruned(d)
     assert bool(expected) == searched
-    calls = _record(monkeypatch, structure, "_shells")
+    calls = record_calls(monkeypatch, structure, "_shells")
     assert rough_structure_witnesses(d) == expected
     assert len(calls) == searched
 
@@ -106,7 +78,7 @@ def test_an_odd_obstructed_input_above_the_cap_is_refused_first(cat, monkeypatch
     d = DeltaMatroid((*member.labels, *(f"x{i}" for i in range(18))), member.masks,
                      _trusted=True)
     assert d.n == MAX_SEARCH_ELEMENTS + 1 and not d.is_even()
-    calls = _record(monkeypatch, certify_module, "_certify_impl")
+    calls = record_calls(monkeypatch, certify_module, "_certify_impl")
     message = f"twist search needs at most {MAX_SEARCH_ELEMENTS} elements"
     with pytest.raises(GroundSetError, match=f"^{re.escape(message)}$"):
         rough_structure_witnesses(d)
@@ -116,7 +88,7 @@ def test_an_odd_obstructed_input_above_the_cap_is_refused_first(cat, monkeypatch
 def test_a_free_element_ties_the_two_routes_exhaustively(dms_by_n):
     for n in (1, 2, 3):
         for d in dms_by_n[n]:
-            has_width_one = bool(rough_structure_witnesses(_with_free_element(d)))
+            has_width_one = bool(rough_structure_witnesses(with_free_element(d)))
             assert has_width_one == (matroid_twist_obstructions(fresh(d)) is None), d
 
 
@@ -136,14 +108,12 @@ def _parts_sum(draw):
             part = draw(st.sampled_from(catalog()))
         else:
             k = draw(st.integers(2, min(5, max(2, 15 - d.n - (kind == "width-one")))))
-            part = _labelled(uniform_masks(draw(st.integers(1, k - 1)), k), k)
-            if kind == "width-one":
-                part = _with_free_element(part)
+            part = twisted_uniform(draw(st.integers(1, k - 1)), k, free=kind == "width-one")
         if d.n + part.n > 15 or len(d.masks) * len(part.masks) > 1000:
             break
         part = part.twist(draw(st.integers(0, part.full_mask)))
         assert min_width_twist(part)[1] == KINDS[kind]
-        d, bad = _sum(d, part), bad + (kind != "even")
+        d, bad = direct_sum(d, part), bad + (kind != "even")
     return d, bad
 
 
@@ -153,5 +123,5 @@ def test_a_free_element_ties_the_two_routes_on_sums(case):
     d, bad = case
     obs = matroid_twist_obstructions(d)
     assert (obs is None) == (bad == 0)
-    witnesses = rough_structure_witnesses(_with_free_element(d))
+    witnesses = rough_structure_witnesses(with_free_element(d))
     assert bool(witnesses) == (obs is None)

@@ -12,14 +12,14 @@ import copy
 import importlib
 import pickle
 import random
-from itertools import permutations
 
 import pytest
 
-from twistwidth import (CertificationError, DeltaMatroid, Obstruction, catalog, certify,
+from twistwidth import (CertificationError, Obstruction, catalog, certify,
                         is_obstructed, matroid_twist_obstructions, rough_structure_witnesses,
                         validate)
-from helpers import FamilyReads, TwistedUniform, fresh, odd_cycle_instance, uniform_masks
+from helpers import (FamilyReads, TwistedUniform, every_dm, fresh, odd_cycle_instance,
+                     record_calls, twisted_uniform)
 
 certify_module = importlib.import_module("twistwidth.certify")
 
@@ -30,15 +30,7 @@ FOUR_ROUTES = (*ROUTES, rough_structure_witnesses)
 
 def _count_procedure(monkeypatch):
     """The list that each ``_certify_impl`` call appends to."""
-    calls = []
-    inner = certify_module._certify_impl
-
-    def counted(d):
-        calls.append(d)
-        return inner(d)
-
-    monkeypatch.setattr(certify_module, "_certify_impl", counted)
-    return calls
+    return record_calls(monkeypatch, certify_module, "_certify_impl")
 
 
 def _memo(d):
@@ -48,9 +40,10 @@ def _memo(d):
 
 def _even_hosts():
     # obstructed: the odd triangle twisted off the empty set and a 5-cycle;
-    # unobstructed: U(2, 5) twisted by a basis
-    u25 = DeltaMatroid("abcde", uniform_masks(2, 5), _trusted=True).twist(0b00011)
-    return [catalog()[2].twist("a"), odd_cycle_instance(5, 0, 0, 0), u25]
+    # unobstructed: U(2, 5) twisted by a basis, whose labels no assertion
+    # reads: the records compared are of copies of one host
+    return [catalog()[2].twist("a"), odd_cycle_instance(5, 0, 0, 0),
+            twisted_uniform(2, 5, 0b00011)]
 
 
 @pytest.mark.parametrize("host", _even_hosts(), ids=["triangle-a", "five-cycle", "u25"])
@@ -74,16 +67,26 @@ def test_the_odd_branch_runs_no_procedure(monkeypatch):
 
 
 def test_routes_in_any_order_match_fresh_copies(dms_by_n, monkeypatch):
+    # by induction on the slot's two states, every order of the routes runs
+    # the procedure once and gives the fresh copies' records: from either
+    # state each route gives that record, and only one on an unset slot runs
+    # the procedure, once, to fill the slot with the certificate
     calls = _count_procedure(monkeypatch)
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            expected = {route: route(fresh(d)) for route in FOUR_ROUTES}
-            memo = certify_module._certificate(fresh(d))
-            for order in permutations(FOUR_ROUTES):
-                shared = fresh(d)
-                calls.clear()
-                assert [route(shared) for route in order] == [expected[r] for r in order]
-                assert len(calls) == 1 and _memo(shared) == memo
+    for d in every_dm(dms_by_n):
+        memo = certify_module._certificate(fresh(d))
+        fills = 0
+        for route in FOUR_ROUTES:
+            expected = route(fresh(d))
+            unset, filled = fresh(d), fresh(d)
+            kept = certify_module._certificate(filled)
+            calls.clear()
+            assert route(unset) == expected
+            assert (len(calls), _memo(unset)) in ((0, None), (1, memo))
+            fills += len(calls)
+            calls.clear()
+            assert route(filled) == expected
+            assert calls == [] and _memo(filled) is kept
+        assert fills, d
 
 
 def test_the_memo_is_unset_until_a_route_fills_it():

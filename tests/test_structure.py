@@ -9,7 +9,7 @@ from twistwidth import (
     twist_width_formula,
     validate,
 )
-from helpers import brute_min_twist_width
+from helpers import brute_min_twist_width, materialized_widths
 
 
 def test_formula_on_four_point_family(cat):
@@ -73,14 +73,14 @@ def test_min_width_twist_small_instance():
 
 def test_min_width_twist_of_catalog_is_first_argmin(cat):
     for d in cat:
-        widths = [d.twist(x).width() for x in range(d.full_mask + 1)]
+        widths = materialized_widths(d)
         assert min_width_twist(d) == (widths.index(min(widths)), min(widths))
 
 
 def test_min_width_twist_tie_break_is_smallest_mask(dms_by_n):
     for d in dms_by_n[3]:
         a, w = min_width_twist(d)
-        widths = [d.twist(x).width() for x in range(8)]
+        widths = materialized_widths(d)
         assert w == min(widths)
         assert a == widths.index(w)
 
@@ -103,15 +103,15 @@ def test_rough_structure_witness_trivial():
 
 def test_rough_structure_witnesses_iff_width_one_twist(dms_by_n):
     for d in dms_by_n[3]:
-        has = any(d.twist(a).width() == 1 for a in range(8))
+        has = 1 in materialized_widths(d)
         assert bool(rough_structure_witnesses(d)) == has
 
 
 def test_formula_exact_on_all_small_instances(dms_by_n):
     for n in (1, 2, 3):
         for d in dms_by_n[n]:
-            for a in range(d.full_mask + 1):
-                assert twist_width_formula(d, a) == d.twist(a).width()
+            for a, w in enumerate(materialized_widths(d)):
+                assert twist_width_formula(d, a) == w
 
 
 def test_min_width_agrees_with_brute_force(dms_by_n):

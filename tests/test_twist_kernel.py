@@ -7,8 +7,9 @@ dilation per shell, into one width per twist set; the kernel costs about
 n * D * 2^(n+1) / 64 word operations, D <= n the largest distance (about
 0.15 s on twisted U(2,20), and 0.03-0.08 ms on the sampled n = 8..10
 instances of the benchmark, on a 2-vCPU Xeon VM). Here each value is
-compared with ``d.twist(A).width()`` and the structural formula, and
-with ``hamming_twist_widths`` (helpers.py), the list-based distance
+compared with ``materialized_widths`` (helpers.py), which measures
+``d.twist(A)`` for every A, and the structural formula, and with
+``hamming_twist_widths`` (helpers.py), the list-based distance
 transform, up to n = 16. The two searches built on the kernel are
 compared with ``brute_rough_structure_witnesses`` (helpers.py) and with
 the argmin of materialized or oracle widths. The formula reads its three
@@ -40,12 +41,10 @@ from helpers import (
     every_dm,
     hamming_twist_widths,
     kernel_twist_widths,
-    uniform_masks,
+    labelled,
+    materialized_widths,
+    twisted_uniform,
 )
-
-
-def _materialized(d):
-    return [d.twist(a).width() for a in range(d.full_mask + 1)]
 
 
 def _random_twist(n, seed, chain=False):
@@ -55,17 +54,8 @@ def _random_twist(n, seed, chain=False):
     return d.twist(rng.randrange(1 << n))
 
 
-def _twisted_uniform(n, rank, free, seed):
-    # width 0 at its matroid twists; a free element {∅, {x}} makes the best
-    # twists width one, which gives the rough-structure search witnesses
-    masks = uniform_masks(rank, n - free)
-    if free:
-        masks += [m | 1 << (n - 1) for m in masks]
-    d = validate([f"e{i}" for i in range(n)], masks)
-    return d.twist(random.Random(seed).randrange(1 << n))
-
-
 def _check_formula(d):
+    widths = materialized_widths(d)
     for a in range(d.full_mask + 1):
         # each term on its own, so that errors cannot cancel in the sum
         inside, outside, connectivity = oracle = (
@@ -75,11 +65,11 @@ def _check_formula(d):
         )
         assert _terms(d, a) == oracle
         assert twist_width_formula(d, a) == inside + outside + 2 * connectivity
-        assert twist_width_formula(d, a) == d.twist(a).width()
+        assert twist_width_formula(d, a) == widths[a]
 
 
 def _check_searches(d):
-    widths = _materialized(d)
+    widths = materialized_widths(d)
     assert kernel_twist_widths(d) == widths
     best = min(widths)
     assert min_width_twist(d) == (widths.index(best), best)
@@ -88,10 +78,10 @@ def _check_searches(d):
 
 def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
     for d in every_dm(dms_by_n):
-        kernel = kernel_twist_widths(d)
+        kernel, widths = kernel_twist_widths(d), materialized_widths(d)
         assert len(kernel) == 1 << d.n
         for a, w in enumerate(kernel):
-            assert w == d.twist(a).width() == twist_width_formula(d, a)
+            assert w == widths[a] == twist_width_formula(d, a)
 
 
 def test_formula_and_restriction_width_match_oracles_exhaustively(dms_by_n):
@@ -101,7 +91,7 @@ def test_formula_and_restriction_width_match_oracles_exhaustively(dms_by_n):
 
 def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
     for d in every_dm(dms_by_n):
-        widths = _materialized(d)
+        widths = materialized_widths(d)
         best = min(widths)
         assert min_width_twist(d) == (widths.index(best), best)
 
@@ -116,6 +106,9 @@ _RANDOM_TWISTS = given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.booleans(),
 )
+# twisted U(rank, n - free) on n elements, width 0 at its matroid twists; a
+# free element {∅, {x}} makes the best twists width one, which gives the
+# rough-structure search witnesses
 _TWISTED_UNIFORM = given(
     st.integers(min_value=5, max_value=10),
     st.integers(min_value=1, max_value=4),
@@ -133,7 +126,8 @@ def test_searches_agree_on_random_twists(n, seed, chain):
 @_TWISTED_UNIFORM
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_searches_agree_on_twisted_uniform_matroids(n, rank, free, seed):
-    _check_searches(_twisted_uniform(n, rank, free, seed))
+    x = random.Random(seed).randrange(1 << n)
+    _check_searches(twisted_uniform(rank, n - free, x, free, check=True))
 
 
 @_RANDOM_TWISTS
@@ -145,7 +139,8 @@ def test_formula_agrees_on_random_twists(n, seed, chain):
 @_TWISTED_UNIFORM
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_formula_agrees_on_twisted_uniform_matroids(n, rank, free, seed):
-    _check_formula(_twisted_uniform(n, rank, free, seed))
+    x = random.Random(seed).randrange(1 << n)
+    _check_formula(twisted_uniform(rank, n - free, x, free, check=True))
 
 
 @given(
@@ -158,14 +153,15 @@ def test_terms_agree_on_width_one_sums(n, rank, seed):
     # each set of U(rank, n - 1) with and without the free element, so many
     # feasible sets tie on each term's least score; the draws above reach
     # such sums in only a few examples
-    _check_formula(_twisted_uniform(n, rank, 1, seed))
+    x = random.Random(seed).randrange(1 << n)
+    _check_formula(twisted_uniform(rank, n - 1, x, free=True, check=True))
 
 
 def test_twisted_uniform_matroid_on_16_elements_finds_its_matroid_twist():
     n = 16
     full = (1 << n) - 1
     a = random.Random(16).randrange(1 << n)
-    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in uniform_masks(3, n)])
+    d = twisted_uniform(3, n, a, check=True)
     got, w = min_width_twist(d)
     # U(3,16) is connected, so only A and its complement (the dual) untwist it
     assert (got, w) == (min(a, full ^ a), 0)
@@ -203,7 +199,8 @@ def _check_against_oracle(d):
 def test_kernel_matches_list_oracle_on_large_twisted_uniform(
     n, rank, free, seed
 ):
-    _check_against_oracle(_twisted_uniform(n, rank, free, seed))
+    x = random.Random(seed).randrange(1 << n)
+    _check_against_oracle(twisted_uniform(rank, n - free, x, free, check=True))
 
 
 @given(
@@ -220,7 +217,7 @@ def test_bitsets_shorter_than_a_byte(n):
     # 1, 2 and 4 twist sets: every family, width-one classes included
     families = [[[]]] if n == 0 else [d.masks for d in enumerate_all(n)]
     for masks in families:
-        d = validate([f"e{i}" for i in range(n)], masks)
+        d = labelled(masks, n, check=True)
         _check_searches(d)
         _check_against_oracle(d)
         _check_formula(d)
@@ -229,14 +226,14 @@ def test_bitsets_shorter_than_a_byte(n):
 def test_twisted_uniform_matroid_on_20_elements_untwists():
     n, a = 20, 0b1011011
     full = (1 << n) - 1
-    d = validate([f"e{i}" for i in range(n)], [m ^ a for m in uniform_masks(2, n)])
+    d = twisted_uniform(2, n, a, check=True)
     assert min_width_twist(d) == (min(a, full ^ a), 0)
 
 
 def test_width_one_sum_on_20_elements():
     # U(2,19) plus a free element {∅, {x}}: no matroid twist, width-one
     # twists that split off the free element
-    d = _twisted_uniform(20, 2, True, 20)
+    d = twisted_uniform(2, 19, random.Random(20).randrange(1 << 20), free=True, check=True)
     assert min_width_twist(d)[1] == 1
     witnesses = rough_structure_witnesses(d)
     assert witnesses

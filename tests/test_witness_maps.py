@@ -39,7 +39,8 @@ from twistwidth import (
 )
 from twistwidth.core import _minor_masks
 from helpers import (are_isomorphic, d5_dedup, draw_with_empty_feasible, fresh,
-                     matroid_twist_targets, odd_cycle_instance, rematch, twist_off_empty)
+                     matroid_twist_targets, odd_cycle_instance, record_calls, rematch,
+                     twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
 core_module = importlib.import_module("twistwidth.core")
@@ -197,14 +198,7 @@ def test_each_entry_point_verifies_once(host, monkeypatch):
 def test_lifted_certificate_computes_the_host_minor_once_for_the_lookup_and_once_for_verify(
         monkeypatch):
     # one _minor_masks call serves the target lookup, one is the verify
-    calls = []
-    original = _minor_masks
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(core_module, "_minor_masks", counted)
+    calls = record_calls(monkeypatch, core_module, "_minor_masks")
     assert isinstance(certify(fresh(AUT_HOST)), MinorWitness)
     assert len(calls) == 2
 
@@ -244,14 +238,7 @@ def test_the_first_is_obstructed_call_builds_the_target_table():
 
 def test_the_table_permutes_each_catalog_member_once(monkeypatch):
     # one permutation pass per member serves every route; certify adds none
-    passes = []
-    original = minors_module.permutations
-
-    def counted(*args):
-        passes.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(minors_module, "permutations", counted)
+    passes = record_calls(monkeypatch, minors_module, "permutations")
     minors_module._target_table.cache_clear()
     assert is_obstructed(AUT_HOST) is not None
     assert len(passes) == len(catalog()) == 5
