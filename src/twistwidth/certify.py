@@ -18,17 +18,18 @@ only without one, and names a catalog member or reduces to a level with a
 shorter odd cycle. Levels are (kept, shut) views of D twisted by f, on its
 positions, so no minor or twist is built. A certificate stays masks until
 ``minors._witness`` labels it, computes its minor once, looks it up once on
-a route of ``minors._target_table`` and verifies it.
+a route of ``minors._target_table`` and checks the record against that
+same minor.
 
 ``certify``, ``is_obstructed`` (through ``_certified_minor``), the even
 branch of ``matroid_twist_obstructions`` and the odd branch of
 ``structure.rough_structure_witnesses`` read one certificate per instance,
 ``_certificate(d)``. The first of them to run on ``d`` pays for the
 procedure and keeps the masks, a twist witness once its width is re-checked,
-in ``d._cert``; the later ones pay only that read, the lookup and the
-verify. The odd branch of ``matroid_twist_obstructions`` names its minor
-directly. Every record is built afresh and verified on ``d`` in the call
-that returns it: a failure raises.
+in ``d._cert``; the later ones pay only that read, the minor, the lookup
+and the check. The odd branch of ``matroid_twist_obstructions`` names its
+minor directly. Every record is built afresh and verified on ``d`` in the
+call that returns it: a failure raises.
 
 D is read only through ``labels``, the ``_cert`` above if it has one, and
 seven reads on masks, which a representation implements (``DeltaMatroid``

@@ -282,7 +282,8 @@ def _minor_masks(masks: Sequence[int], full: int, x: int, y: int) -> tuple[int, 
         spread = [y]
         while keep:
             low = keep & -keep
-            spread += [m | low for m in spread]
+            for i in range(len(spread)):
+                spread.append(spread[i] | low)
             keep ^= low
         hits, i = [], 0
         for s, m in enumerate(spread):

@@ -6,8 +6,11 @@ of the 37 targets of ``_target_table``: the 36 twists and the singleton
 {∅, {a}}. No entry point searches for an isomorphism: ``_witness`` turns
 every certificate's masks into a verified record, its label map looked up on
 the route, the targets its entry point answers with, in the one table built
-once per process. The table holds, per target, the first label permutation
-in lexicographic order that maps a family onto it; the route picks the first.
+once per process. One minor serves the lookup and the check:
+``Obstruction._matches`` holds what ``Obstruction.verify`` checks, and
+``_witness`` runs it against the minor it looked the record up by. The
+table holds, per target, the first label permutation in lexicographic order
+that maps a family onto it; the route picks the first.
 """
 
 from __future__ import annotations
@@ -40,9 +43,16 @@ class Obstruction(NamedTuple):
                 f"contract_set={self.contract_set!r}, target_index={self.target_index!r})")
 
     def verify(self, host: DeltaMatroid) -> bool:
-        """Re-check on ``host`` from scratch: disjoint delete and contract sets
-        of its labels, masks for ``host._minor_of`` by one pass over its labels,
-        and ``iso`` a bijection onto the target's labels and masks."""
+        """Re-check on ``host`` from scratch: ``_matches`` against the minor
+        ``host._minor_of`` gives for the masks it reads back."""
+        return self._matches(host, host._minor_of)
+
+    def _matches(self, host, minor_of) -> bool:
+        """The one check of ``verify`` and ``minors._witness``: the delete and
+        contract sets read back by one pass over ``host.labels`` as disjoint
+        masks x and y, ``iso`` a bijection from the labels kept onto the
+        target's, and the masks ``minor_of(x, y)`` moved by it equal to the
+        target's. Reads ``host`` only for its labels."""
         delete, contract = self.delete_set, self.contract_set
         x, y, kept = 0, 0, []
         for i, e in enumerate(host.labels):
@@ -57,7 +67,7 @@ class Obstruction(NamedTuple):
             x.bit_count() + y.bit_count() == len(delete) + len(contract)
             and len(self.iso) == len(kept) == self.target.n
             and set(perm) == set(range(len(kept)))
-            and _permuted_masks(host._minor_of(x, y), perm) == self.target.masks
+            and _permuted_masks(minor_of(x, y), perm) == self.target.masks
         )
 
 
@@ -140,17 +150,21 @@ def _target_table() -> tuple:
 def _witness(d, x, y, route) -> Obstruction:
     """The minor of ``d`` deleting the mask x and contracting the mask y as
     the first target on ``route`` it maps onto, with that target's map from
-    ``_target_table()``, verified once on ``d``; CertificationError when it
-    maps onto none or fails. Reads ``d`` only as ``Obstruction.verify`` does."""
+    ``_target_table()``, checked once on ``d`` by ``Obstruction._matches``
+    against the one minor it was looked up by, which stands for the masks
+    x and y only; CertificationError when it maps onto none or fails. Reads
+    ``d`` only as ``Obstruction.verify`` does."""
     labels = d.labels
     delete, contract = frozenset(_labels_at(labels, x)), frozenset(_labels_at(labels, y))
     kept = _labels_at(labels, (1 << len(labels)) - 1 & ~(x | y))
     targets, maps = _target_table()
-    found = maps.get((len(kept), d._minor_of(x, y)), {})
+    minor = d._minor_of(x, y)
+    found = maps.get((len(kept), minor), {})
     for index, t in route:
         if t in found:
             obs = Obstruction(delete, contract, dict(zip(kept, found[t])), targets[t], index)
-            if not obs.verify(d):
+            # () for other masks: no target's family is empty
+            if not obs._matches(d, lambda *at: minor if at == (x, y) else ()):
                 raise CertificationError(f"{obs} fails to verify")
             return obs
     raise CertificationError(f"deleting {sorted(delete)} and contracting {sorted(contract)} "

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from twistwidth import CertificationError, Obstruction, matroid_twist_obstructions, validate
 from twistwidth.minors import _MATROID_TWIST_ROUTE, _target_table
 from helpers import (brute_matroid_twist_obstructions, brute_min_twist_width,
-                     draw_with_empty_feasible, twisted_uniform, uniform_masks)
+                     draw_with_empty_feasible, record_calls, twisted_uniform, uniform_masks)
 
 
 def _check(d):
@@ -109,7 +109,7 @@ def test_large_twisted_uniform_matroids(n, free, expected):
 @pytest.mark.parametrize("index", [0, 2])
 def test_failed_verification_raises(monkeypatch, cat, index):
     # cat[0] is odd (singleton route), cat[2] even (certificate route)
-    monkeypatch.setattr(Obstruction, "verify", lambda self, host: False)
+    monkeypatch.setattr(Obstruction, "_matches", lambda self, host, minor_of: False)
     with pytest.raises(CertificationError):
         matroid_twist_obstructions(cat[index])
 
@@ -119,11 +119,14 @@ def test_rematched_witness_is_rechecked(monkeypatch, cat):
     # for this host is one
     host = cat[2].twist("a")
     twisted = _target_table()[0][dict(_MATROID_TWIST_ROUTE)[2]]
-    original = Obstruction.verify
+    calls = record_calls(monkeypatch, Obstruction, "_matches")
+    assert matroid_twist_obstructions(host).target is twisted
+    assert [args[1] for args in calls] == [host]
+    original = Obstruction._matches
     monkeypatch.setattr(
         Obstruction,
-        "verify",
-        lambda self, d: self.target is not twisted and original(self, d),
+        "_matches",
+        lambda self, d, minor_of: self.target is not twisted and original(self, d, minor_of),
     )
     with pytest.raises(CertificationError):
         matroid_twist_obstructions(host)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistwidth import CertificationError, Obstruction, d5_family, is_obstructed
 from helpers import (brute_is_obstructed, brute_min_twist_width, d5_dedup,
-                     draw_with_empty_feasible, twisted_uniform)
+                     draw_with_empty_feasible, fresh, record_calls, twisted_uniform)
 
 
 def _check_witness(d, obs):
@@ -74,7 +74,7 @@ def test_uniform_matroid_beyond_isomorphism_limit():
 
 
 def test_failed_verification_raises(monkeypatch, cat):
-    monkeypatch.setattr(Obstruction, "verify", lambda self, host: False)
+    monkeypatch.setattr(Obstruction, "_matches", lambda self, host, minor_of: False)
     with pytest.raises(CertificationError):
         is_obstructed(cat[1])
 
@@ -83,9 +83,11 @@ def test_lifted_witness_is_rechecked_on_the_host(monkeypatch, cat):
     # the empty set is infeasible here, so certify runs on a different twist
     host = cat[2].twist("a")
     assert 0 not in host.masks
-    original = Obstruction.verify
-    monkeypatch.setattr(
-        Obstruction, "verify", lambda self, d: d != host and original(self, d)
-    )
+    calls = record_calls(monkeypatch, Obstruction, "_matches")
+    assert is_obstructed(fresh(host)) is not None
+    assert [args[1] for args in calls] == [host]
+    original = Obstruction._matches
+    monkeypatch.setattr(Obstruction, "_matches",
+                        lambda self, d, minor_of: d != host and original(self, d, minor_of))
     with pytest.raises(CertificationError):
         is_obstructed(host)

@@ -4,9 +4,10 @@
 
 ``certify.py`` reads no attribute ``masks``, ``full_mask``, ``mask_of``,
 ``set_of`` or ``is_even``, which a DeltaMatroid answers outside the
-contract, and neither ``minors._witness`` nor ``Obstruction.verify`` reads
-``masks``, ``_pos``, ``full_mask``, ``mask_of`` or ``set_of`` of its host,
-so a record is built and checked from the reads alone. Two stand-ins show that
+contract, and neither ``minors._witness`` nor ``Obstruction.verify``, nor
+the check ``Obstruction._matches`` they share, reads ``masks``, ``_pos``,
+``full_mask``, ``mask_of`` or ``set_of`` of its host, so a record is built
+and checked from the reads alone. Two stand-ins show that
 the reads suffice: ``FamilyReads``, a delta-matroid with its family
 hidden, gives the same records as the delta-matroid on every instance
 with n <= 4, and ``TwistedUniform``, which holds no family, gives the
@@ -62,10 +63,14 @@ def test_certify_reads_no_masks():
     assert _attribute_reads(tree, CERTIFY_SKIPS) == []
 
 
+# Obstruction.verify, and the check it shares with minors._witness
+VERIFY_METHODS = ("verify", "_matches")
+
+
 def test_verify_reads_no_family_of_its_host():
-    verify = _method(ast.parse((SRC / "minors.py").read_text(encoding="utf-8")),
-                     "Obstruction", "verify")
-    assert _attribute_reads(verify, VERIFY_SKIPS, "host") == []
+    tree = ast.parse((SRC / "minors.py").read_text(encoding="utf-8"))
+    for name in VERIFY_METHODS:
+        assert _attribute_reads(_method(tree, "Obstruction", name), VERIFY_SKIPS, "host") == []
 
 
 def test_witness_reads_no_family_of_its_host():
@@ -79,11 +84,13 @@ def test_the_checks_see_a_family_read():
         "    def verify(self, host):\n"
         "        return host._pos, host.masks[0], self.target.masks, host.labels,"
         " host.mask_of(x), d.set_of(y), d.is_even(), host.full_mask\n"
+        "    def _matches(self, host, minor_of):\n"
+        "        return host.labels, host.set_of(x), self.target._pos, minor_of(x, y)\n"
     )
     assert _attribute_reads(tree, CERTIFY_SKIPS) == [
-        "full_mask", "is_even", "mask_of", "masks", "masks", "set_of"]
-    assert _attribute_reads(_method(tree, "Obstruction", "verify"),
-                            VERIFY_SKIPS, "host") == ["_pos", "full_mask", "mask_of", "masks"]
+        "full_mask", "is_even", "mask_of", "masks", "masks", "set_of", "set_of"]
+    assert [_attribute_reads(_method(tree, "Obstruction", name), VERIFY_SKIPS, "host")
+            for name in VERIFY_METHODS] == [["_pos", "full_mask", "mask_of", "masks"], ["set_of"]]
 
 
 def test_the_witness_check_sees_a_host_masks_read():

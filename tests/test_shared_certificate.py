@@ -144,15 +144,12 @@ def test_every_call_verifies_its_witness_on_the_host(cat, monkeypatch):
     for route in ROUTES:
         route(d)
     assert _memo(d) is not None
-    verified = []
-    inner = Obstruction.verify
-    monkeypatch.setattr(Obstruction, "verify",
-                        lambda self, host: verified.append(host) or inner(self, host))
+    checked = record_calls(monkeypatch, Obstruction, "_matches")
     for route in ROUTES:
-        verified.clear()
+        checked.clear()
         assert route(d) is not None
-        assert len(verified) == 1 and verified[0] is d, route.__name__
-    monkeypatch.setattr(Obstruction, "verify", lambda self, host: False)
+        assert len(checked) == 1 and checked[0][1] is d, route.__name__
+    monkeypatch.setattr(Obstruction, "_matches", lambda self, host, minor_of: False)
     for route in ROUTES:
         with pytest.raises(CertificationError, match="fails to verify"):
             route(d)

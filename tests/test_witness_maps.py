@@ -37,10 +37,10 @@ from twistwidth import (
     matroid_twist_obstructions,
     validate,
 )
-from twistwidth.core import _minor_masks
-from helpers import (are_isomorphic, d5_dedup, draw_with_empty_feasible, fresh,
+from twistwidth.core import DeltaMatroid, _minor_masks
+from helpers import (FamilyReads, are_isomorphic, d5_dedup, draw_with_empty_feasible, fresh,
                      matroid_twist_targets, odd_cycle_instance, record_calls, rematch,
-                     twist_off_empty)
+                     sequential_minor, twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
 core_module = importlib.import_module("twistwidth.core")
@@ -50,6 +50,7 @@ minors_module = importlib.import_module("twistwidth.minors")
 # lifted back from the twist by {e1} lands on a target with automorphisms
 AUT_HOST = validate(["e1", "e2", "e3", "e4"],
                     [["e1"], ["e2"], ["e1", "e2"], ["e3"], ["e1", "e2", "e3"]])
+ROUTES = (certify, is_obstructed, matroid_twist_obstructions)
 
 
 def _fields(obs):
@@ -181,26 +182,119 @@ def test_matroid_twist_obstructions_digest(dms_by_n):
 @pytest.mark.parametrize("host", [AUT_HOST, catalog()[2].twist("a")], ids=["aut", "triangle-a"])
 def test_each_entry_point_verifies_once(host, monkeypatch):
     assert host.masks[0] != 0
-    calls = []
-    original = Obstruction.verify
-
-    def counted(self, d):
-        calls.append(d)
-        return original(self, d)
-
-    monkeypatch.setattr(Obstruction, "verify", counted)
-    for route in (certify, is_obstructed, matroid_twist_obstructions):
+    calls = record_calls(monkeypatch, Obstruction, "_matches")
+    for route in ROUTES:
         calls.clear()
         assert route(fresh(host)) is not None
-        assert calls == [host], route.__name__
+        assert [args[1] for args in calls] == [host], route.__name__
 
 
-def test_lifted_certificate_computes_the_host_minor_once_for_the_lookup_and_once_for_verify(
-        monkeypatch):
-    # one _minor_masks call serves the target lookup, one is the verify
+def test_lifted_certificate_computes_the_host_minor_once(monkeypatch):
+    # one _minor_masks call serves the target lookup and the check
     calls = record_calls(monkeypatch, core_module, "_minor_masks")
     assert isinstance(certify(fresh(AUT_HOST)), MinorWitness)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def _obstruction(record):
+    """The minor witness a route returned, or None."""
+    if isinstance(record, MinorWitness):
+        return record.obstruction
+    return record if isinstance(record, Obstruction) else None
+
+
+def _small_hosts(dms_by_n):
+    # AUT_HOST is odd and its certificate lifted; the odd-cycle instance is
+    # even and its certificate reduced
+    return [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [AUT_HOST,
+                                                             odd_cycle_instance(7, 0, 0, 0)]
+
+
+def test_each_record_costs_one_minor(dms_by_n, monkeypatch):
+    # _witness looks the minor up and checks the record against it: one
+    # _minor_of per record, on the first call and on a kept certificate,
+    # through the family and through the reads alone
+    calls = record_calls(monkeypatch, DeltaMatroid, "_minor_of")
+    branches = set()
+    for d in _small_hosts(dms_by_n):
+        d = fresh(d)
+        for host in (d, d, FamilyReads(d)):
+            for route in ROUTES:
+                calls.clear()
+                records = _obstruction(route(host)) is not None
+                assert len(calls) == records, (route.__name__, d)
+                if records and route is matroid_twist_obstructions:
+                    branches.add(d._odd_pair() is None)
+    assert branches == {False, True}  # both branches of matroid_twist_obstructions
+
+
+def _holds(host, obs):
+    """The record checked on labels, one element of the minor at a time:
+    disjoint delete and contract sets of the host's labels, ``iso`` a
+    bijection from the rest onto the target's labels, and the minor's
+    family carried by it onto the target's."""
+    delete, contract = obs.delete_set, obs.contract_set
+    if delete & contract or not delete | contract <= set(host.labels):
+        return False
+    kept, masks = sequential_minor(host.labels, host.masks,
+                                   host.mask_of(delete), host.mask_of(contract))
+    if set(obs.iso) != set(kept) or sorted(obs.iso.values()) != sorted(obs.target.labels):
+        return False
+    carried = {frozenset(obs.iso[e] for i, e in enumerate(kept) if m >> i & 1) for m in masks}
+    return carried == set(obs.target.feasible_sets())
+
+
+def _mutations(host, obs):
+    """(kind, record) for each mutation that applies: the images of the
+    first two labels kept whose images' transposition is no automorphism of
+    the target swapped in ``iso``, the first label deleted or contracted
+    moved to the other set, and the first label deleted dropped."""
+    family = set(obs.target.feasible_sets())
+
+    def moves_the_target(a, b):
+        swap = {obs.iso[a]: obs.iso[b], obs.iso[b]: obs.iso[a]}
+        return {frozenset(swap.get(e, e) for e in f) for f in family} != family
+
+    kept = [e for e in host.labels if e in obs.iso]
+    pairs = ((a, b) for i, a in enumerate(kept) for b in kept[i + 1:] if moves_the_target(a, b))
+    if pair := next(pairs, None):
+        a, b = pair
+        yield "swap", obs._replace(iso={**obs.iso, a: obs.iso[b], b: obs.iso[a]})
+    delete, contract = obs.delete_set, obs.contract_set
+    if moved := next((e for e in host.labels if e in delete | contract), None):
+        yield "move", obs._replace(delete_set=delete ^ {moved}, contract_set=contract ^ {moved})
+    if dropped := next((e for e in host.labels if e in delete), None):
+        yield "drop", obs._replace(delete_set=delete - {dropped})
+
+
+def test_verify_and_the_route_check_reject_mutated_records(dms_by_n, monkeypatch):
+    # every record verifies with one minor of its own. Each mutated record,
+    # handed to _witness in the route in place of the one it built, fails the
+    # route's check; verify agrees with the label-level check, and fails it
+    # too but for a move between the delete and contract sets that leaves
+    # the minor as it was
+    minors = record_calls(monkeypatch, core_module, "_minor_masks")
+    cases = []
+    for d in _small_hosts(dms_by_n):
+        for route in ROUTES:
+            if (obs := _obstruction(route(d))) is not None:
+                minors.clear()
+                assert obs.verify(d) and len(minors) == 1, (route.__name__, d)
+                cases += [(d, route, kind, mutant) for kind, mutant in _mutations(d, obs)]
+    built = [None]
+    monkeypatch.setattr(minors_module, "Obstruction", lambda *fields: built[0])
+    verified = dict.fromkeys(("swap", "move", "drop"), 0)
+    for d, route, kind, mutant in cases:
+        built[0] = mutant
+        with pytest.raises(CertificationError, match="fails to verify"):
+            route(d)
+        verdict = mutant.verify(d)
+        assert verdict is _holds(d, mutant), (kind, route.__name__, d)
+        verified[kind] += verdict
+    counts = {kind: sum(case[2] == kind for case in cases) for kind in verified}
+    assert min(counts.values()) > 0
+    assert verified["swap"] == verified["drop"] == 0
+    assert verified["move"] < counts["move"] // 2
 
 
 def test_witnesses_pickle_and_copy():
