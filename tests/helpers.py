@@ -9,10 +9,12 @@ compare two genuinely different routes. The one exception,
 width per twist set, for the tests to compare with those oracles.
 
 The twist-width oracle is ``materialized_widths``, kept per (labels,
-masks) for the session. Each shared instance family has one builder, on
-the labels e0..e(n-1): ``labelled``, ``twisted_uniform`` (U(r, m) twisted
-by x, with an optional free element {∅, {e_m}}), ``direct_sum`` and
-``with_free_element``.
+masks) for the session. Each ``check_*`` function compares one library
+route with these oracles, both in the route's exhaustive n <= 4 loop in
+``test_acceptance.py`` and on the random draws of the route's own module.
+Each shared instance family has one builder, on the labels e0..e(n-1):
+``labelled``, ``twisted_uniform`` (U(r, m) twisted by x, with an optional
+free element {∅, {e_m}}), ``direct_sum`` and ``with_free_element``.
 
 Two stand-ins for ``DeltaMatroid`` answer only the reads ``certify``
 makes (``CERTIFY_READS``): ``FamilyReads`` hides a delta-matroid's family
@@ -36,16 +38,20 @@ from twistwidth import (
     DeltaMatroid,
     GroundSetError,
     Obstruction,
+    TwistWitness,
     catalog,
+    certify,
     d5_family,
     d_min,
     enumerate_all,
     is_matroid,
+    matroid_twist_obstructions,
+    twist_width_formula,
     validate,
 )
 from twistwidth.core import _members, _planes, find_axiom_violation
 from twistwidth.minors import _permuted_masks
-from twistwidth.structure import _shells, _width_class
+from twistwidth.structure import _shells, _terms, _width_class
 
 CHAIN_MAX_ELEMENTS = 8  # the largest extension-chain pool
 
@@ -513,6 +519,66 @@ def brute_shortest_odd_cycle(g):
     return best
 
 
+# -- checks of one route against the oracles -----------------------------
+
+
+def same(d1: DeltaMatroid, d2: DeltaMatroid) -> bool:
+    """Equal, and hashing equal, each hash computed twice."""
+    return d1 == d2 and hash(d1) == hash(d2) == hash(d1) == hash(d2)
+
+
+def check_formula(d: DeltaMatroid):
+    """``twist_width_formula`` at every A against the materialized twist's
+    width, and each of its three terms on its own against the width of the
+    restriction it stands for or ``dmin_connectivity``, so that errors
+    cannot cancel in the sum."""
+    widths = materialized_widths(d)
+    for a in range(d.full_mask + 1):
+        inside, outside, connectivity = oracle = (
+            d.restrict(a).width(),
+            d.restrict(d.full_mask & ~a).width(),
+            dmin_connectivity(d, a),
+        )
+        assert _terms(d, a) == oracle
+        assert twist_width_formula(d, a) == inside + outside + 2 * connectivity == widths[a]
+
+
+def check_certificate(d: DeltaMatroid):
+    """certify(d) agrees with the brute-force twist width, and its witness
+    holds on ``d`` itself; the witness is returned."""
+    cert = certify(d)
+    assert isinstance(cert, TwistWitness) == (brute_min_twist_width(d) <= 1)
+    if isinstance(cert, TwistWitness):
+        assert d.twist(cert.twist_set).width() == cert.width <= 1
+    else:
+        obs = cert.obstruction
+        assert obs.verify(d)
+        # the target is a twist of the catalog member, not always isomorphic to it
+        base = catalog()[obs.target_index]
+        assert obs.target in {base.twist(a) for a in range(base.full_mask + 1)}
+    return cert
+
+
+def check_d5_witness(d: DeltaMatroid, obs):
+    """The ``is_obstructed`` witness ``obs`` verifies on ``d``, onto the
+    deduplicated D5 member that its ``target_index`` names."""
+    assert obs.verify(d)
+    assert obs.target == d5_dedup()[obs.target_index]
+
+
+def check_matroid_twist_obstructions(d: DeltaMatroid):
+    """``matroid_twist_obstructions(d)`` is None exactly when the
+    brute-force twist width is zero and when the delete/contract scan finds
+    no target, and its witness verifies on ``d``; the witness is returned."""
+    obs = matroid_twist_obstructions(d)
+    assert (obs is None) == (brute_min_twist_width(d) == 0)
+    assert (obs is None) == (brute_matroid_twist_obstructions(d) is None)
+    if obs is not None:
+        assert obs.verify(d)
+        assert obs.target_index in (0, 1, 2)
+    return obs
+
+
 # -- instance families ----------------------------------------------------
 
 
@@ -667,12 +733,12 @@ def extension_pool(n):
 
 def record_calls(monkeypatch, owner, name) -> list:
     """The list that each call of ``owner.name``, patched for the test,
-    appends its arguments to."""
+    appends its positional arguments to; keyword arguments pass through."""
     calls, inner = [], getattr(owner, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, recorded)
     return calls

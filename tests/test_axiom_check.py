@@ -22,6 +22,7 @@ from helpers import (
     brute_axiom_holds,
     brute_find_axiom_violation,
     draw_with_empty_feasible,
+    record_calls,
     sample_with_empty_feasible,
     twisted_uniform,
     uniform_masks,
@@ -155,18 +156,6 @@ def test_kernels_agree_across_cutoff(n, source, data):
     assert core._subset_violation(masks, n) == core._column_violation(masks, n)
 
 
-def _count_column_calls(monkeypatch):
-    calls = []
-    column = core._column_violation
-
-    def counted(masks, n):
-        calls.append(n)
-        return column(masks, n)
-
-    monkeypatch.setattr(core, "_column_violation", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [12, 13])
 def test_dispatch_at_the_cutoff(n, monkeypatch):
     def refuse(masks, n):
@@ -182,9 +171,9 @@ def test_dispatch_at_the_cutoff(n, monkeypatch):
             find_axiom_violation(masks, n)
         monkeypatch.undo()
         # the subset kernel hands its verdict to the column kernel, once
-        calls = _count_column_calls(monkeypatch)
+        calls = record_calls(monkeypatch, core, "_column_violation")
         assert find_axiom_violation(masks, n) == want
-        assert calls == [n]
+        assert [args[1] for args in calls] == [n]
     else:
         monkeypatch.setattr(core, "_subset_violation", refuse)
         assert find_axiom_violation(masks, n) == want
@@ -206,12 +195,12 @@ def test_column_kernel_runs_once_per_violating_family(monkeypatch):
         for _ in range(4):
             masks = sample_with_empty_feasible(n, rng).masks
             cases += [(list(masks), n), (sorted(set(masks) ^ {rng.randrange(1 << n)}), n)]
-    calls = _count_column_calls(monkeypatch)
+    calls = record_calls(monkeypatch, core, "_column_violation")
     violating = 0
     for masks, n in cases:
         del calls[:]
         found = find_axiom_violation(masks, n)
-        assert calls == ([n] if found is not None else []), (masks, n)
+        assert [args[1] for args in calls] == ([n] if found is not None else []), (masks, n)
         violating += found is not None
     assert 0 < violating < len(cases)
 

@@ -1,3 +1,14 @@
+"""The certificate procedure: the aux graph of each level, its 2-coloring
+and odd-cycle search against the oracles of helpers.py, the reduction
+loop, the lift of a certificate of a twist back to its host, and pinned
+records on draws past four elements.
+
+``check_certificate`` (helpers.py) compares a certificate with the
+brute-force twist width and re-checks its witness on the host; its run
+over every instance with n <= 4 is acceptance criterion 6 in
+``test_acceptance.py``, and here it runs on the draws.
+"""
+
 import hashlib
 import importlib
 import random
@@ -15,33 +26,16 @@ from twistwidth import (
     certify,
     is_obstructed,
     matroid_twist_obstructions,
-    min_width_twist,
     validate,
 )
 from twistwidth.certify import _aux, _canonical_cycle, _coloring, _shortest_cycle
-from helpers import (HUB, _brute_canonical_cycle, brute_aux_graph, brute_min_twist_width,
-                     brute_shortest_odd_cycle, draw_with_empty_feasible, fresh, graph_masks,
+from helpers import (HUB, _brute_canonical_cycle, brute_aux_graph, brute_shortest_odd_cycle,
+                     check_certificate, draw_with_empty_feasible, every_dm, fresh, graph_masks,
                      mask_graph, odd_cycle_instance, sample_with_empty_feasible, twist_off_empty,
                      record_calls, twist_onto_empty, twisted_uniform)
 
 # the package's ``certify`` attribute is the function, not the module
 certify_module = importlib.import_module("twistwidth.certify")
-
-
-def _check_certificate(d):
-    """certify(d) agrees with the brute-force twist width, and its witness
-    holds on ``d`` itself; the witness is returned."""
-    cert = certify(d)
-    assert isinstance(cert, TwistWitness) == (brute_min_twist_width(d) <= 1)
-    if isinstance(cert, TwistWitness):
-        assert d.twist(cert.twist_set).width() == cert.width <= 1
-    else:
-        obs = cert.obstruction
-        assert obs.verify(d)
-        # the target is a twist of the catalog member, not always isomorphic to it
-        base = catalog()[obs.target_index]
-        assert obs.target in {base.twist(a) for a in range(base.full_mask + 1)}
-    return cert
 
 
 def _level0(d):
@@ -82,12 +76,10 @@ class TestAuxGraph:
     def test_reduced_level_asks_only_for_its_small_sets(self, monkeypatch):
         # three kept elements have six sets of size one or two; the level
         # asks the host for each of them with {a, b} added, and for no other
-        asked = []
-        inner = DeltaMatroid.is_feasible
-        monkeypatch.setattr(DeltaMatroid, "is_feasible",
-                            lambda d, elems: asked.append(elems) or inner(d, elems))
+        asked = record_calls(monkeypatch, DeltaMatroid, "is_feasible")
         _aux(FIVE_CYCLE, 0, 0b00011, 0b11100)
-        assert sorted(asked) == sorted(s << 2 | 0b00011 for s in (1, 2, 4, 3, 5, 6))
+        assert sorted(elems for _, elems in asked) == sorted(
+            s << 2 | 0b00011 for s in (1, 2, 4, 3, 5, 6))
 
 
 class TestCertifyExamples:
@@ -136,12 +128,6 @@ class TestCertifyExamples:
 
 
 class TestCertifyExhaustive:
-    def test_agrees_with_brute_force(self, dms_by_n):
-        for n in (1, 2, 3, 4):
-            for d in dms_by_n[n]:
-                cert = _check_certificate(d)
-                assert isinstance(cert, TwistWitness) == (min_width_twist(d)[1] <= 1)
-
     def test_bipartite_case_isolated_class_has_trivial_restriction(self, dms_by_n):
         for d in dms_by_n[3]:
             if 0 not in d.masks:
@@ -240,10 +226,9 @@ def _check_graph_against_oracle(adj, g, names):
 class TestOddCycleOracle:
     def test_exhaustive_small_instances(self, dms_by_n):
         # an odd cycle needs five elements to be long, so none reduce here
-        for n in (1, 2, 3, 4):
-            for d in dms_by_n[n]:
-                if 0 in d.masks:
-                    _certify_recording_graphs(d)
+        for d in every_dm(dms_by_n):
+            if 0 in d.masks:
+                _certify_recording_graphs(d)
 
     def test_five_cycle_and_its_reduction(self):
         cert, graphs = _certify_recording_graphs(FIVE_CYCLE)
@@ -352,8 +337,7 @@ class TestTriangleFirst:
             cycle = brute_shortest_odd_cycle(brute_aux_graph(d))
             return cycle is not None and len(cycle) == 3
 
-        small = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]
-                 if d.masks[0] == 0 and has_triangle(d)]
+        small = [d for d in every_dm(dms_by_n) if d.masks[0] == 0 and has_triangle(d)]
         sampled = []
         for seed in range(200):
             d = sample_with_empty_feasible(5 + seed % 6, random.Random(seed))
@@ -364,7 +348,7 @@ class TestTriangleFirst:
         for d in small:
             assert isinstance(certify(fresh(d)), MinorWitness)
         for d in sampled:
-            assert isinstance(_check_certificate(d), MinorWitness)
+            assert isinstance(check_certificate(d), MinorWitness)
 
 
 class TestBipartiteFirst:
@@ -372,10 +356,8 @@ class TestBipartiteFirst:
         def forbidden(g):
             raise AssertionError("odd-cycle search on a bipartite graph")
 
-        bipartite = [
-            d for n in (1, 2, 3, 4) for d in dms_by_n[n]
-            if 0 in d.masks and brute_shortest_odd_cycle(brute_aux_graph(d)) is None
-        ]
+        bipartite = [d for d in every_dm(dms_by_n)
+                     if 0 in d.masks and brute_shortest_odd_cycle(brute_aux_graph(d)) is None]
         monkeypatch.setattr(certify_module, "_shortest_cycle", forbidden)
         for d in bipartite:
             certify(fresh(d))
@@ -456,14 +438,13 @@ class TestEveryDeltaMatroid:
 
         monkeypatch.setattr(certify_module, "_lift", no_lift)
         digest = hashlib.sha256()
-        for n in (1, 2, 3, 4):
-            for d in dms_by_n[n]:
-                if d.masks[0] == 0:
-                    cert = certify(fresh(d))
-                    if isinstance(cert, MinorWitness):
-                        obs = cert.obstruction
-                        assert obs.target is catalog()[obs.target_index]
-                    digest.update(repr(_record(cert)).encode())
+        for d in every_dm(dms_by_n):
+            if d.masks[0] == 0:
+                cert = certify(fresh(d))
+                if isinstance(cert, MinorWitness):
+                    obs = cert.obstruction
+                    assert obs.target is catalog()[obs.target_index]
+                digest.update(repr(_record(cert)).encode())
         assert digest.hexdigest() == (
             "b27b0f2ae4637922292d6e7d6de463fc72e12fdc18069c870c6ad4487e96dd15"
         )
@@ -475,7 +456,7 @@ class TestEveryDeltaMatroid:
 
     def test_twisted_triangle_gets_a_twisted_target(self, cat):
         host = cat[2].twist("a")
-        cert = _check_certificate(host)
+        cert = check_certificate(host)
         obs = cert.obstruction
         assert obs.delete_set == obs.contract_set == frozenset()
         assert obs.target_index == 2
@@ -492,7 +473,7 @@ class TestEveryDeltaMatroid:
         host = FIVE_CYCLE.twist("a")
         cert, graphs = _certify_recording_graphs(host)
         assert [len(_shortest_cycle(adj)) for adj in graphs] == [5, 3]
-        assert _check_certificate(host) == cert
+        assert check_certificate(host) == cert
         inner = certify(FIVE_CYCLE).obstruction
         swapped = (inner.delete_set | inner.contract_set) & {"a"}
         assert cert.obstruction.delete_set == inner.delete_set ^ swapped
@@ -513,7 +494,7 @@ class TestEveryDeltaMatroid:
         rng = random.Random(seed)
         d = twist_off_empty(draw_with_empty_feasible(n, rng, chain), rng)
         assume(d is not None)
-        _check_certificate(d)
+        check_certificate(d)
 
     @given(st.integers(min_value=5, max_value=8), st.integers(min_value=1, max_value=4),
            SEEDS)
@@ -522,21 +503,21 @@ class TestEveryDeltaMatroid:
         # twisted by a random basis, then off the empty set, each by its own draws
         d = twisted_uniform(rank, n, check=True)
         d = twist_off_empty(twist_onto_empty(d, random.Random(seed)), random.Random(seed))
-        assert isinstance(_check_certificate(d), TwistWitness)
+        assert isinstance(check_certificate(d), TwistWitness)
 
     @given(st.sampled_from((5, 7)), st.integers(min_value=0, max_value=1),
            st.integers(min_value=0, max_value=2), SEEDS)
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_twisted_odd_cycle_instances(self, m, extra, loops, seed):
         odd = odd_cycle_instance(m, extra, loops, seed)
-        _check_certificate(twist_off_empty(odd, random.Random(seed)))
+        check_certificate(twist_off_empty(odd, random.Random(seed)))
         if loops == 0:
             # no singleton is feasible, so the first element is the smallest
             # feasible set of the twist by it, and certify reduces odd itself
             host = odd.twist(1)
             cert, graphs = _certify_recording_graphs(host)
             assert len(graphs) >= 2
-            assert _check_certificate(host) == cert
+            assert check_certificate(host) == cert
 
 
 def test_tie_breaks_of_the_three_routes_on_draws_past_four_elements():
@@ -589,25 +570,15 @@ class TestReductionLoop:
         assert [len(_shortest_cycle(adj)) for adj in graphs] == list(range(m, 1, -2))
 
     def test_one_impl_call_and_one_coloring_per_certificate(self, monkeypatch):
-        calls = []
-
-        def counted(name):
-            inner = getattr(certify_module, name)
-
-            def call(*args):
-                calls.append(name)
-                return inner(*args)
-
-            monkeypatch.setattr(certify_module, name, call)
-
-        counted("_certify_impl")
-        counted("_coloring")
+        impl = record_calls(monkeypatch, certify_module, "_certify_impl")
+        coloring = record_calls(monkeypatch, certify_module, "_coloring")
         for m in (5, 9, 13):
             odd = odd_cycle_instance(m, 0, 0, 0)
             for route, d in ((certify, odd), (is_obstructed, odd), (certify, odd.twist(1))):
-                calls.clear()
+                impl.clear()
+                coloring.clear()
                 assert route(fresh(d)) is not None
-                assert calls == ["_certify_impl", "_coloring"], (m, route)
+                assert (len(impl), len(coloring)) == (1, 1), (m, route)
 
     def test_no_delta_matroid_is_built_in_the_loop(self, cat, monkeypatch):
         # levels are (kept, shut) views of the host, and a host with the
@@ -620,18 +591,7 @@ class TestReductionLoop:
         assert odd.twist(1).masks[0] and member.masks[0]
         expected = [certify_module._certificate(d) for d in hosts]
         copies = [fresh(d) for d in hosts]  # built before __init__ is counted
-        built = []
-
-        def counted(name):
-            inner = getattr(DeltaMatroid, name)
-
-            def call(*args, **kwargs):
-                built.append(name)
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(DeltaMatroid, name, call)
-
-        for name in ("__init__", "twist", "minor"):
-            counted(name)
+        built = {name: record_calls(monkeypatch, DeltaMatroid, name)
+                 for name in ("__init__", "twist", "minor")}
         assert [certify_module._certificate(d) for d in copies] == expected
-        assert built == []
+        assert built == {"__init__": [], "twist": [], "minor": []}

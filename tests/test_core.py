@@ -1,3 +1,13 @@
+"""DeltaMatroid: validation, twist, dual, loops and coloops, minors,
+restriction, width and rho, hashing, pickling and immutability, and the
+lemma that the least feasible mask has the least size.
+
+The core identities on every instance with n <= 4 (twists are
+delta-matroids and involutions, contraction is a twisted deletion, and
+duality keeps the width) are acceptance criterion 8 in
+``test_acceptance.py``.
+"""
+
 import copy
 import os
 import pickle
@@ -19,16 +29,12 @@ from twistwidth import (
     serialize,
     validate,
 )
-from helpers import draw_with_empty_feasible, labelled, scan_set_of, uniform_masks
+from helpers import (draw_with_empty_feasible, every_dm, labelled, record_calls, same,
+                     scan_set_of, uniform_masks)
 
 
 def fam(d):
     return sorted(sorted(f) for f in d.feasible_sets())
-
-
-def same(d1, d2):
-    """Equal, and hashing equal, each hash computed twice."""
-    return d1 == d2 and hash(d1) == hash(d2) == hash(d1) == hash(d2)
 
 
 class TestValidate:
@@ -236,8 +242,7 @@ class TestLoopsColoops:
         assert d.is_coloop("a")
 
     def test_lists_match_the_element_tests_exhaustively(self, dms_by_n):
-        dms = [validate("", [""])] + [d for n in (1, 2, 3, 4) for d in dms_by_n[n]]
-        for d in dms:
+        for d in [validate("", [""]), *every_dm(dms_by_n)]:
             assert d.loops() == [e for e in d.labels if d.is_loop(e)]
             assert d.coloops() == [e for e in d.labels if d.is_coloop(e)]
 
@@ -277,16 +282,9 @@ class TestMinors:
 
     def test_minor_translates_each_argument_once(self, cat, monkeypatch):
         # minor hands its checked masks on, so nothing below it reads a label
-        calls = []
-        original = DeltaMatroid.mask_of
-
-        def counted(self, elems):
-            calls.append(elems)
-            return original(self, elems)
-
-        monkeypatch.setattr(DeltaMatroid, "mask_of", counted)
+        calls = record_calls(monkeypatch, DeltaMatroid, "mask_of")
         assert fam(cat[3].minor(["a"], ["b"])) == [["c"]]
-        assert calls == [["a"], ["b"]]
+        assert [elems for _, elems in calls] == [["a"], ["b"]]
 
 
 class TestRestrict:
@@ -341,27 +339,6 @@ class TestWidthRhoParity:
         assert validate("ab", ["a", "b"]).is_even()
 
 
-class TestExhaustiveIdentities:
-    def test_twist_closure_and_involution(self, dms_by_n):
-        for n in (1, 2, 3):
-            for d in dms_by_n[n]:
-                for a in range(d.full_mask + 1):
-                    t = d.twist(a)
-                    DeltaMatroid(t.labels, t.masks)  # axiom re-check
-                    assert same(t.twist(a), d)
-
-    def test_contract_is_twisted_delete(self, dms_by_n):
-        for n in (1, 2, 3):
-            for d in dms_by_n[n]:
-                for e in d.labels:
-                    assert same(d.contract(e), d.twist([e]).delete(e))
-                    assert same(d.delete(e), d.twist([e]).contract(e))
-
-    def test_width_invariant_under_dual(self, dms_by_n):
-        for d in dms_by_n[3]:
-            assert d.dual().width() == d.width()
-
-
 class TestHashAndPickle:
     def test_every_route_to_an_instance_hashes_equal(self, dms_by_n):
         # each instance from enumerate_all against validate, a twist and its
@@ -393,14 +370,7 @@ def test_init_runs_once_per_new_instance_and_hash_writes_no_slot(monkeypatch):
     # every route to an instance goes through __init__, exactly once for
     # each instance it returns, and hashing leaves the instance as it was
     d = validate("abc", ["", "ab", "bc", "ac", "abc"])
-    built = []
-    original = DeltaMatroid.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(DeltaMatroid, "__init__", counted)
+    calls = record_calls(monkeypatch, DeltaMatroid, "__init__")
     routes = {
         "validate": lambda: [validate(d.labels, d.feasible_sets())],
         "parse": lambda: [parse(serialize(d))],
@@ -418,8 +388,9 @@ def test_init_runs_once_per_new_instance_and_hash_writes_no_slot(monkeypatch):
     }
     every = [d]
     for name, route in routes.items():
-        built.clear()
+        calls.clear()
         made = route()
+        built = [args[0] for args in calls]
         assert len(built) == len(made) and all(a is b for a, b in zip(built, made)), name
         every += made
     missing = object()
@@ -481,9 +452,8 @@ def _check_least_masks(d, sets):
 
 
 def test_least_masks_have_least_sizes_exhaustively(dms_by_n):
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            _check_least_masks(d, range(d.full_mask + 1))
+    for d in every_dm(dms_by_n):
+        _check_least_masks(d, range(d.full_mask + 1))
 
 
 @given(

@@ -20,7 +20,7 @@ from twistwidth import (
 from twistwidth import enumeration, structure
 from twistwidth.core import find_axiom_violation
 from twistwidth.enumeration import THEOREM_TAGS
-from helpers import brute_axiom_holds, sweep_family_masks
+from helpers import brute_axiom_holds, record_calls, sweep_family_masks
 
 EXPECTED_COUNTS = {1: 3, 2: 15, 3: 155, 4: 5959}  # frozen regression values
 
@@ -145,13 +145,6 @@ def test_verify_catches_an_injected_fault(monkeypatch, tag, owner, name, stand_i
     assert report.first_counterexample is not None
 
 
-def test_verify_l2_checks_every_instance():
-    # certify takes every delta-matroid, the empty set feasible or not
-    report = verify_theorem(4, "l2")
-    assert report.passed
-    assert report.checked == count_all(4) == 5959
-
-
 @lru_cache(maxsize=None)
 def _one_pass(n):
     """The report of every tag that runs at n, from one ``_verify`` pass."""
@@ -168,29 +161,21 @@ def test_one_pass_matches_the_separate_runs(n):
 
 
 def test_one_pass_computes_each_width_and_formula_once(monkeypatch):
-    calls = []
-    width, formula = enumeration._twist_width, enumeration.twist_width_formula
-
-    def counted(inner, kind):
-        def call(d, a):
-            calls.append((kind, d.n))
-            return inner(d, a)
-        return call
-
-    monkeypatch.setattr(enumeration, "_twist_width", counted(width, "width"))
-    monkeypatch.setattr(enumeration, "twist_width_formula", counted(formula, "formula"))
+    widths = record_calls(monkeypatch, enumeration, "_twist_width")
+    formulas = record_calls(monkeypatch, enumeration, "twist_width_formula")
     reports = enumeration._verify(3, THEOREM_TAGS)
     assert [r.theorem for r in reports] == list(THEOREM_TAGS)
     assert all(r.passed and r.checked == 155 for r in reports)
     # p1's table of the instances on 2 elements may come from an earlier call
-    assert calls.count(("width", 3)) == calls.count(("formula", 3)) == 155 * 8
+    assert [d.n for d, _ in widths].count(3) == [d.n for d, _ in formulas].count(3) == 155 * 8
 
 
 # (n, count) for each tag at the largest n it supports: every delta-matroid
-# on 4 elements, or on 3 for l1 (l2 has its own test above)
+# on 4 elements, or on 3 for l1; l2's certify takes every delta-matroid, the
+# empty set feasible or not
 EXHAUSTIVE = {
     "t2": (4, 5959), "tt2": (4, 5959), "tt": (4, 5959), "t1": (4, 5959),
-    "p1": (4, 5959), "tm1": (4, 5959), "l1": (3, 155),
+    "p1": (4, 5959), "tm1": (4, 5959), "l1": (3, 155), "l2": (4, 5959),
 }
 
 

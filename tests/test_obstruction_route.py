@@ -1,9 +1,13 @@
-"""is_obstructed through the certificate, checked against the D5 scan.
+"""is_obstructed through the certificate, on draws past four elements.
 
-``brute_is_obstructed`` (helpers.py) searches every delete/contract minor
-for a deduplicated D5 member; the library instead carries the minor
-witness of ``certify``, which twists by the smallest feasible set,
-certifies that twist, and lifts the witness back, onto a D5 member.
+The library carries the minor witness of ``certify``, which twists by the
+smallest feasible set, certifies that twist, and lifts the witness back,
+onto a D5 member; ``check_d5_witness`` (helpers.py) re-verifies it. On
+every instance with n <= 4 it is also checked against
+``brute_is_obstructed`` (helpers.py), which searches every
+delete/contract minor for a deduplicated D5 member: that is acceptance
+criterion 4 in ``test_acceptance.py``. Here the verdict is checked against
+the brute-force twist width on random twists at n = 5..8.
 """
 
 import random
@@ -12,22 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistwidth import CertificationError, Obstruction, d5_family, is_obstructed
-from helpers import (brute_is_obstructed, brute_min_twist_width, d5_dedup,
-                     draw_with_empty_feasible, fresh, record_calls, twisted_uniform)
-
-
-def _check_witness(d, obs):
-    assert obs.verify(d)
-    assert obs.target == d5_dedup()[obs.target_index]
-
-
-def test_agrees_with_scan_on_all_small_instances(dms_by_n):
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            obs = is_obstructed(d)
-            assert (obs is None) == (brute_is_obstructed(d) is None), d
-            if obs is not None:
-                _check_witness(d, obs)
+from helpers import (brute_min_twist_width, check_d5_witness, draw_with_empty_feasible, fresh,
+                     record_calls, twisted_uniform)
 
 
 def test_every_d5_member_is_its_own_witness():
@@ -37,7 +27,7 @@ def test_every_d5_member_is_its_own_witness():
         obs = is_obstructed(m)
         assert obs is not None, m
         assert obs.delete_set == obs.contract_set == frozenset()
-        _check_witness(m, obs)
+        check_d5_witness(m, obs)
 
 
 @given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
@@ -50,7 +40,7 @@ def test_agrees_with_twist_width_on_random_twists(n, seed, chain):
     obs = is_obstructed(d)
     assert (obs is None) == (brute_min_twist_width(d) <= 1)
     if obs is not None:
-        _check_witness(d, obs)
+        check_d5_witness(d, obs)
 
 
 @given(

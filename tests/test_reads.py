@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from twistwidth import certify, is_obstructed, matroid_twist_obstructions
-from helpers import CERTIFY_READS, FamilyReads, TwistedUniform
+from helpers import CERTIFY_READS, FamilyReads, TwistedUniform, every_dm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twistwidth"
 
@@ -163,12 +163,11 @@ def test_twisted_uniform_past_the_element_cap():
 
 
 def test_family_reads_give_the_same_records(dms_by_n):
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            seen = FamilyReads(d)
-            assert certify(seen) == certify(d)
-            assert is_obstructed(seen) == is_obstructed(d)
-            assert matroid_twist_obstructions(seen) == matroid_twist_obstructions(d)
+    for d in every_dm(dms_by_n):
+        seen = FamilyReads(d)
+        assert certify(seen) == certify(d)
+        assert is_obstructed(seen) == is_obstructed(d)
+        assert matroid_twist_obstructions(seen) == matroid_twist_obstructions(d)
 
 
 def test_family_reads_hide_the_family(cat):

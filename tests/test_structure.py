@@ -1,3 +1,11 @@
+"""The twist-width formula, the witness predicates and the two searches on
+hand-built examples and the catalog.
+
+Their exhaustive checks on every instance with n <= 4 are acceptance
+criteria 1 to 3 in ``test_acceptance.py`` and, for the least twist,
+``test_twist_kernel.test_min_width_twist_is_first_argmin_exhaustively``.
+"""
+
 import pytest
 
 from twistwidth import (
@@ -9,7 +17,6 @@ from twistwidth import (
     twist_width_formula,
     validate,
 )
-from helpers import brute_min_twist_width, materialized_widths
 
 
 def test_formula_on_four_point_family(cat):
@@ -71,20 +78,6 @@ def test_min_width_twist_small_instance():
     assert min_width_twist(d) == (0, 1)
 
 
-def test_min_width_twist_of_catalog_is_first_argmin(cat):
-    for d in cat:
-        widths = materialized_widths(d)
-        assert min_width_twist(d) == (widths.index(min(widths)), min(widths))
-
-
-def test_min_width_twist_tie_break_is_smallest_mask(dms_by_n):
-    for d in dms_by_n[3]:
-        a, w = min_width_twist(d)
-        widths = materialized_widths(d)
-        assert w == min(widths)
-        assert a == widths.index(w)
-
-
 def test_min_width_twist_ground_set_cap():
     labels = [f"x{i}" for i in range(25)]
     d = validate(labels, [[]])
@@ -99,21 +92,3 @@ def test_rough_structure_witnesses_empty_for_catalog(cat):
 def test_rough_structure_witness_trivial():
     d = validate("a", ["", "a"])
     assert 0 in rough_structure_witnesses(d)
-
-
-def test_rough_structure_witnesses_iff_width_one_twist(dms_by_n):
-    for d in dms_by_n[3]:
-        has = 1 in materialized_widths(d)
-        assert bool(rough_structure_witnesses(d)) == has
-
-
-def test_formula_exact_on_all_small_instances(dms_by_n):
-    for n in (1, 2, 3):
-        for d in dms_by_n[n]:
-            for a, w in enumerate(materialized_widths(d)):
-                assert twist_width_formula(d, a) == w
-
-
-def test_min_width_agrees_with_brute_force(dms_by_n):
-    for d in dms_by_n[3]:
-        assert min_width_twist(d)[1] == brute_min_twist_width(d)

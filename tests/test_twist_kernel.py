@@ -1,5 +1,6 @@
-"""The all-twists width kernel and the twist-width formula against
-materialized twists and the oracles.
+"""The all-twists width kernel and the searches built on it, against
+materialized twists and the oracles; the twist-width formula on random
+draws past four elements.
 
 ``kernel_twist_widths`` (helpers.py) expands the kernel's Hamming
 distance shells, each set of twist sets a 2^n-bit int grown by one
@@ -8,15 +9,20 @@ n * D * 2^(n+1) / 64 word operations, D <= n the largest distance (about
 0.15 s on twisted U(2,20), and 0.03-0.08 ms on the sampled n = 8..10
 instances of the benchmark, on a 2-vCPU Xeon VM). Here each value is
 compared with ``materialized_widths`` (helpers.py), which measures
-``d.twist(A)`` for every A, and the structural formula, and with
-``hamming_twist_widths`` (helpers.py), the list-based distance
-transform, up to n = 16. The two searches built on the kernel are
-compared with ``brute_rough_structure_witnesses`` (helpers.py) and with
-the argmin of materialized or oracle widths. The formula reads its three
-terms off one pass over the feasible masks; each term is compared on its
-own with the width of the restriction it stands for, built by
-``d.restrict``, or with ``dmin_connectivity`` (helpers.py), which builds
-D_min, and their sum with the materialized twist's width.
+``d.twist(A)`` for every A, and with ``hamming_twist_widths``
+(helpers.py), the list-based distance transform, up to n = 16. The two
+searches built on the kernel are compared with
+``brute_rough_structure_witnesses`` (helpers.py) and with the argmin of
+materialized or oracle widths; the least twist's exhaustive loop over
+every instance with n <= 4 is here.
+
+The formula reads its three terms off one pass over the feasible masks.
+``check_formula`` (helpers.py) compares each term on its own with the
+width of the restriction it stands for, built by ``d.restrict``, or with
+``dmin_connectivity`` (helpers.py), which builds D_min, and their sum
+with the materialized twist's width. Its exhaustive run over n <= 4, and
+that of the rough-structure search, are acceptance criteria 1 and 2 in
+``test_acceptance.py``; here both run on the draws.
 """
 
 import random
@@ -36,7 +42,7 @@ from twistwidth import (
 from twistwidth.structure import MAX_SEARCH_ELEMENTS, _terms
 from helpers import (
     brute_rough_structure_witnesses,
-    dmin_connectivity,
+    check_formula,
     draw_with_empty_feasible,
     every_dm,
     hamming_twist_widths,
@@ -54,20 +60,6 @@ def _random_twist(n, seed, chain=False):
     return d.twist(rng.randrange(1 << n))
 
 
-def _check_formula(d):
-    widths = materialized_widths(d)
-    for a in range(d.full_mask + 1):
-        # each term on its own, so that errors cannot cancel in the sum
-        inside, outside, connectivity = oracle = (
-            d.restrict(a).width(),
-            d.restrict(d.full_mask & ~a).width(),
-            dmin_connectivity(d, a),
-        )
-        assert _terms(d, a) == oracle
-        assert twist_width_formula(d, a) == inside + outside + 2 * connectivity
-        assert twist_width_formula(d, a) == widths[a]
-
-
 def _check_searches(d):
     widths = materialized_widths(d)
     assert kernel_twist_widths(d) == widths
@@ -76,17 +68,11 @@ def _check_searches(d):
     assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
 
 
-def test_kernel_matches_twists_and_formula_exhaustively(dms_by_n):
+def test_kernel_matches_materialized_twists_exhaustively(dms_by_n):
     for d in every_dm(dms_by_n):
-        kernel, widths = kernel_twist_widths(d), materialized_widths(d)
+        kernel = kernel_twist_widths(d)
         assert len(kernel) == 1 << d.n
-        for a, w in enumerate(kernel):
-            assert w == widths[a] == twist_width_formula(d, a)
-
-
-def test_formula_and_restriction_width_match_oracles_exhaustively(dms_by_n):
-    for d in every_dm(dms_by_n):
-        _check_formula(d)
+        assert kernel == materialized_widths(d)
 
 
 def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
@@ -94,11 +80,6 @@ def test_min_width_twist_is_first_argmin_exhaustively(dms_by_n):
         widths = materialized_widths(d)
         best = min(widths)
         assert min_width_twist(d) == (widths.index(best), best)
-
-
-def test_rough_structure_witnesses_match_oracle_exhaustively(dms_by_n):
-    for d in every_dm(dms_by_n):
-        assert rough_structure_witnesses(d) == brute_rough_structure_witnesses(d)
 
 
 _RANDOM_TWISTS = given(
@@ -133,14 +114,14 @@ def test_searches_agree_on_twisted_uniform_matroids(n, rank, free, seed):
 @_RANDOM_TWISTS
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_formula_agrees_on_random_twists(n, seed, chain):
-    _check_formula(_random_twist(n, seed, chain))
+    check_formula(_random_twist(n, seed, chain))
 
 
 @_TWISTED_UNIFORM
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_formula_agrees_on_twisted_uniform_matroids(n, rank, free, seed):
     x = random.Random(seed).randrange(1 << n)
-    _check_formula(twisted_uniform(rank, n - free, x, free, check=True))
+    check_formula(twisted_uniform(rank, n - free, x, free, check=True))
 
 
 @given(
@@ -154,7 +135,7 @@ def test_terms_agree_on_width_one_sums(n, rank, seed):
     # feasible sets tie on each term's least score; the draws above reach
     # such sums in only a few examples
     x = random.Random(seed).randrange(1 << n)
-    _check_formula(twisted_uniform(rank, n - 1, x, free=True, check=True))
+    check_formula(twisted_uniform(rank, n - 1, x, free=True, check=True))
 
 
 def test_twisted_uniform_matroid_on_16_elements_finds_its_matroid_twist():
@@ -220,7 +201,7 @@ def test_bitsets_shorter_than_a_byte(n):
         d = labelled(masks, n, check=True)
         _check_searches(d)
         _check_against_oracle(d)
-        _check_formula(d)
+        check_formula(d)
 
 
 def test_twisted_uniform_matroid_on_20_elements_untwists():

@@ -14,6 +14,11 @@ reach it, and a test oracle belongs in ``tests/helpers.py``. Dunders
 that no library code compares with bounds nothing, so it counts as dead
 too, public or not.
 
+Every function, class and constant that ``tests/helpers.py`` defines is
+read by a test module, by ``conftest.py``, or by ``helpers`` itself
+outside its own definition: an oracle or builder that no test reads
+checks nothing.
+
 Every name an import binds, in the library or in the tests, is read by
 its module: an unread import is a dependency that nothing uses. Names
 listed in ``__all__`` are re-exports and ``from __future__`` imports are
@@ -52,21 +57,23 @@ def _unread(tree):
         yield from (f"{name}({p})" for p in _params(node.args) if p not in read)
 
 
+def _definitions(tree):
+    """Each module-level function, class or assigned name, with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
 def _checked_definitions(tree):
     """Each module-level ``_name`` or ``MAX_*`` the module defines, with its
     node."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            dunder = name.startswith("__") and name.endswith("__")
-            if name.startswith("MAX_") or name.startswith("_") and not dunder:
-                yield name, node
+    for name, node in _definitions(tree):
+        dunder = name.startswith("__") and name.endswith("__")
+        if name.startswith("MAX_") or name.startswith("_") and not dunder:
+            yield name, node
 
 
 def _reads(node, skip=None):
@@ -84,13 +91,20 @@ def _reads(node, skip=None):
         stack.extend(ast.iter_child_nodes(sub))
 
 
-def _unread_definitions(trees):
-    """``module.name`` for each such definition that no tree in
-    ``trees`` (module stem to tree) reads outside its own definition."""
-    for stem, tree in trees.items():
-        for name, node in _checked_definitions(tree):
+def _unread_definitions(defined, trees):
+    """``module.name`` for each of the (name, node) pairs of ``defined``
+    (module stem to pairs) that no tree in ``trees`` (module stem to tree)
+    reads outside its own definition."""
+    for stem, pairs in defined.items():
+        for name, node in pairs:
             if not any(name in _reads(other, skip=node) for other in trees.values()):
                 yield f"{stem}.{name}"
+
+
+def _unread_private_names(trees):
+    """The private names and ``MAX_*`` limits that no tree in ``trees`` reads."""
+    return _unread_definitions(
+        {stem: _checked_definitions(tree) for stem, tree in trees.items()}, trees)
 
 
 def test_every_parameter_is_read():
@@ -111,7 +125,31 @@ def test_every_private_name_is_read():
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
-    assert sorted(_unread_definitions(trees)) == []
+    assert sorted(_unread_private_names(trees)) == []
+
+
+def test_every_helper_is_read():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(TESTS.glob("*.py"))
+    }
+    helpers = {"helpers": _definitions(trees["helpers"])}
+    assert sorted(_unread_definitions(helpers, trees)) == []
+
+
+def test_the_check_sees_an_unread_helper():
+    trees = {
+        "helpers": ast.parse(
+            "LIMIT = 3\n_seen: int = 0\n"
+            "def oracle(d):\n    return oracle(d) + _seen\n"
+            "def _private():\n    return LIMIT\n"
+            "def used_by_a_test():\n    return _private()\n"
+            "class Orphan:\n    pass\n"
+        ),
+        "test_a": ast.parse("from helpers import used_by_a_test\nused_by_a_test()\n"),
+    }
+    helpers = {"helpers": _definitions(trees["helpers"])}
+    assert sorted(_unread_definitions(helpers, trees)) == ["helpers.Orphan", "helpers.oracle"]
 
 
 def test_the_check_sees_an_unread_private_name():
@@ -125,7 +163,7 @@ def test_the_check_sees_an_unread_private_name():
         ),
         "b": ast.parse("from . import a\nfrom .a import _used\nvalue = _used() + a.MAX_USED\n"),
     }
-    assert sorted(_unread_definitions(trees)) == [
+    assert sorted(_unread_private_names(trees)) == [
         "a.MAX_WORK", "a._Gone", "a._recursive", "a._seen"]
 
 

@@ -38,8 +38,8 @@ from twistwidth import (
     validate,
 )
 from twistwidth.core import DeltaMatroid, _minor_masks
-from helpers import (FamilyReads, are_isomorphic, d5_dedup, draw_with_empty_feasible, fresh,
-                     matroid_twist_targets, odd_cycle_instance, record_calls, rematch,
+from helpers import (FamilyReads, are_isomorphic, d5_dedup, draw_with_empty_feasible, every_dm,
+                     fresh, matroid_twist_targets, odd_cycle_instance, record_calls, rematch,
                      sequential_minor, twist_off_empty)
 
 certify_module = importlib.import_module("twistwidth.certify")
@@ -87,11 +87,10 @@ def _check_matroid_twist(d):
 
 
 def test_every_small_instance_matches_the_oracle(dms_by_n):
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            _check_certify(d)
-            _check_is_obstructed(d)
-            _check_matroid_twist(d)
+    for d in every_dm(dms_by_n):
+        _check_certify(d)
+        _check_is_obstructed(d)
+        _check_matroid_twist(d)
 
 
 @given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
@@ -123,7 +122,7 @@ def _check_first_twist(d):
 
 
 def test_twisted_small_instances_take_the_first_twist_of_the_member(dms_by_n):
-    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n] if d.masks[0]]
+    hosts = [d for d in every_dm(dms_by_n) if d.masks[0]]
     assert sum(isinstance(certify(d), MinorWitness) for d in hosts) == 1618
     for d in hosts:
         _check_first_twist(d)
@@ -150,15 +149,14 @@ def test_obstruction_and_lifted_certificate_digest(dms_by_n):
     # every is_obstructed record, and every certify record on input with the
     # empty set infeasible, as they were before the witnesses carried maps
     digest = hashlib.sha256()
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            digest.update(repr(_record(is_obstructed(d))).encode())
-            if d.masks[0]:
-                cert = certify(d)
-                if isinstance(cert, MinorWitness):
-                    digest.update(repr(_record(cert.obstruction)).encode())
-                else:
-                    digest.update(repr((sorted(cert.twist_set), cert.width)).encode())
+    for d in every_dm(dms_by_n):
+        digest.update(repr(_record(is_obstructed(d))).encode())
+        if d.masks[0]:
+            cert = certify(d)
+            if isinstance(cert, MinorWitness):
+                digest.update(repr(_record(cert.obstruction)).encode())
+            else:
+                digest.update(repr((sorted(cert.twist_set), cert.width)).encode())
     assert digest.hexdigest() == (
         "a6a0bd8ed1adf4c8832dbda1a4d08ef33dbbcc1cfdae3cbc9623157517e70ec8"
     )
@@ -168,9 +166,8 @@ def test_matroid_twist_obstructions_digest(dms_by_n):
     # every record, odd and even input alike, as the route gave them while
     # the certificate procedure still ran on labels
     digest = hashlib.sha256()
-    for n in (1, 2, 3, 4):
-        for d in dms_by_n[n]:
-            digest.update(repr(_record(matroid_twist_obstructions(d))).encode())
+    for d in every_dm(dms_by_n):
+        digest.update(repr(_record(matroid_twist_obstructions(d))).encode())
     assert digest.hexdigest() == (
         "2f5f0354c134dc6db4020a37399171a89016a130c73984fb837454843fc43371"
     )
@@ -206,8 +203,7 @@ def _obstruction(record):
 def _small_hosts(dms_by_n):
     # AUT_HOST is odd and its certificate lifted; the odd-cycle instance is
     # even and its certificate reduced
-    return [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [AUT_HOST,
-                                                             odd_cycle_instance(7, 0, 0, 0)]
+    return [*every_dm(dms_by_n), AUT_HOST, odd_cycle_instance(7, 0, 0, 0)]
 
 
 def test_each_record_costs_one_minor(dms_by_n, monkeypatch):
@@ -310,7 +306,7 @@ def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch)
     # every witness reads its map off minors._target_table, and every
     # permutation the library tries is in building that table
     routes = (certify, is_obstructed, matroid_twist_obstructions)
-    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]]
+    hosts = list(every_dm(dms_by_n))
     warm = [[route(d) for route in routes] for d in hosts]
 
     def forbidden(*args):
@@ -345,7 +341,7 @@ def test_the_table_permutes_each_catalog_member_once(monkeypatch):
 def test_no_route_hashes_a_delta_matroid(dms_by_n, monkeypatch):
     # every lookup is keyed on ints and tuples of them, never on a target
     routes = (certify, is_obstructed, matroid_twist_obstructions)
-    hosts = [d for n in (1, 2, 3, 4) for d in dms_by_n[n]] + [AUT_HOST]
+    hosts = [*every_dm(dms_by_n), AUT_HOST]
     warm = [[route(d) for route in routes] for d in hosts]
     # a copy per route and host, so that each route runs the procedure
     copies = [[fresh(d) for _ in routes] for d in hosts]
@@ -367,19 +363,12 @@ def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
     # a copy per route and host, so that each route runs the procedure
     copies = [[fresh(d) for _ in routes] for d in [d for n in (1, 2, 3) for d in dms_by_n[n]]
               + [AUT_HOST]]
-    imported = []
-    original = builtins.__import__
-
-    def counting(name, *args, **kwargs):
-        imported.append(name)
-        return original(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", counting)
+    imported = record_calls(monkeypatch, builtins, "__import__")
     for cs in copies:
         for route, c in zip(routes, cs):
             route(c)
     monkeypatch.undo()
-    assert imported == []
+    assert [args[0] for args in imported] == []
 
 
 def test_route_names_live_in_certify():
