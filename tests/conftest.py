@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from twistwidth import catalog, enumerate_all
+
+# every @given test draws the same examples on every run, seeded from its own
+# source, and a slow example is not failed for its time
+settings.register_profile("seeded", deadline=None, derandomize=True)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(scope="session")

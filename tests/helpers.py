@@ -11,10 +11,13 @@ width per twist set, for the tests to compare with those oracles.
 The twist-width oracle is ``materialized_widths``, kept per (labels,
 masks) for the session. Each ``check_*`` function compares one library
 route with these oracles, both in the route's exhaustive n <= 4 loop in
-``test_acceptance.py`` and on the random draws of the route's own module.
-Each shared instance family has one builder, on the labels e0..e(n-1):
-``labelled``, ``twisted_uniform`` (U(r, m) twisted by x, with an optional
-free element {∅, {e_m}}), ``direct_sum`` and ``with_free_element``.
+``test_acceptance.py`` and past four elements in ``test_witness_maps.py``,
+where each instance source has one ``hypothesis`` test that checks every
+route in ``ROUTES`` on the same draw. Each shared instance family has one
+builder, on the labels e0..e(n-1): ``labelled``, ``twisted_uniform``
+(U(r, m) twisted by x, with an optional free element {∅, {e_m}}),
+``direct_sum`` and ``with_free_element``; the random draws below are built
+through ``labelled`` too.
 
 Two stand-ins for ``DeltaMatroid`` answer only the reads ``certify``
 makes (``CERTIFY_READS``): ``FamilyReads`` hides a delta-matroid's family
@@ -37,6 +40,7 @@ from typing import NamedTuple
 from twistwidth import (
     DeltaMatroid,
     GroundSetError,
+    MinorWitness,
     Obstruction,
     TwistWitness,
     catalog,
@@ -45,6 +49,7 @@ from twistwidth import (
     d_min,
     enumerate_all,
     is_matroid,
+    is_obstructed,
     matroid_twist_obstructions,
     twist_width_formula,
     validate,
@@ -521,6 +526,17 @@ def brute_shortest_odd_cycle(g):
 
 # -- checks of one route against the oracles -----------------------------
 
+# the three routes to the certificate's verdict, each giving a minor witness
+# or not: onto a catalog member's twist, onto D5, and against width zero
+ROUTES = (certify, is_obstructed, matroid_twist_obstructions)
+
+
+def obstruction_of(record):
+    """The minor witness a route returned, or None."""
+    if isinstance(record, MinorWitness):
+        return record.obstruction
+    return record if isinstance(record, Obstruction) else None
+
 
 def same(d1: DeltaMatroid, d2: DeltaMatroid) -> bool:
     """Equal, and hashing equal, each hash computed twice."""
@@ -592,6 +608,17 @@ def every_dm(dms_by_n):
         yield from dms_by_n[n]
 
 
+# aut.dm of the CLI golden table: the empty set is infeasible, and the witness
+# lifted back from the twist by {e1} lands on a target with automorphisms
+AUT_HOST = validate(["e1", "e2", "e3", "e4"],
+                    [["e1"], ["e2"], ["e1", "e2"], ["e3"], ["e1", "e2", "e3"]])
+
+# the even delta-matroid of a 5-cycle's adjacency matrix over GF(2): its aux
+# graph is that 5-cycle, so certify reduces it once by _long_cycle_case
+FIVE_CYCLE = validate("abcde", ["", "ab", "bc", "cd", "de", "ae",
+                                "bcde", "acde", "abde", "abce", "abcd"])
+
+
 def uniform_masks(r, n):
     """The bases of U(r, n) as masks, in ``combinations`` order."""
     return [sum(1 << i for i in c) for c in combinations(range(n), r)]
@@ -651,10 +678,6 @@ def principal_minors(rows, n):
     return out
 
 
-def _labels(n):
-    return tuple(f"e{i + 1}" for i in range(n))
-
-
 def sample_with_empty_feasible(n, rng):
     """Random delta-matroid with the empty set feasible.
 
@@ -670,8 +693,7 @@ def sample_with_empty_feasible(n, rng):
             if rng.getrandbits(1):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    d = DeltaMatroid(_labels(n), principal_minors(rows, n), _trusted=True)
-    return twist_onto_empty(d, rng)
+    return twist_onto_empty(labelled(principal_minors(rows, n), n), rng)
 
 
 def odd_cycle_instance(m, extra, loops, seed):
@@ -756,8 +778,7 @@ def draw_with_empty_feasible(n, rng, chain):
     a random feasible set, so that the empty set is feasible."""
     if not (chain and n <= CHAIN_MAX_ELEMENTS):
         return sample_with_empty_feasible(n, rng)
-    d = DeltaMatroid(_labels(n), rng.choice(extension_pool(n)), _trusted=True)
-    return twist_onto_empty(d, rng)
+    return twist_onto_empty(labelled(rng.choice(extension_pool(n)), n), rng)
 
 
 # -- representations without a family -------------------------------------

@@ -88,7 +88,7 @@ def test_sampled_n4_families_match_oracle(dms_by_n):
     st.integers(min_value=0, max_value=2**7 - 1),
     st.booleans(),
 )
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_toggled_sampled_families_match_oracle(n, seed, subset, chain):
     d = draw_with_empty_feasible(n, random.Random(seed), chain)
     if chain:
@@ -103,7 +103,7 @@ def test_toggled_sampled_families_match_oracle(n, seed, subset, chain):
     st.integers(min_value=5, max_value=8),
     st.data(),
 )
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 def test_toggled_uniform_twists_match_oracle(n, data):
     # twisted uniform matroids are not GF(2) principal-minor families in
     # general; one or two toggled subsets break most of them (about 85%)
@@ -122,7 +122,7 @@ def test_toggled_uniform_twists_match_oracle(n, data):
     st.sampled_from(("gf2", "chain", "uniform", "sparse")),
     st.data(),
 )
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 def test_kernels_agree_across_cutoff(n, source, data):
     # too large for the oracle: the two kernels pin each other, on GF(2)
     # draws, on the sum of an extension-chain draw on k <= 8 elements with a

@@ -179,7 +179,7 @@ GOLDEN_FILES = {
     # the empty set is infeasible, and the witness lifted back from the twist
     # by {e1} lands on a target with automorphisms
     "aut.dm": "elements: e1 e2 e3 e4\nfeasible: e1\nfeasible: e2\nfeasible: e1 e2\nfeasible: e3\nfeasible: e1 e2 e3\n",
-    # FIVE_CYCLE of test_certify.py twisted by {b} and by {a}; each is
+    # FIVE_CYCLE of tests/helpers.py twisted by {b} and by {a}; each is
     # certified through its twist by {a}. c5b's has a triangle, and its
     # witness comes back with delete and contract swapped on a; c5a's is
     # FIVE_CYCLE itself, which certify reduces once before lifting back
@@ -478,7 +478,7 @@ def _mutate(data, kind, i, j):
     return b"\n".join(lines)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(
     base=st.sampled_from(["d1.dm", "d3.dm", "w1.dm", "no_empty.dm", "aut.dm"]),
     steps=st.lists(

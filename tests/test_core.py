@@ -461,7 +461,7 @@ def test_least_masks_have_least_sizes_exhaustively(dms_by_n):
     st.sampled_from(["gf2", "chain", "uniform"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_least_masks_have_least_sizes_on_draws(n, kind, seed):
     # a GF(2) family (chain draws above 8 elements are GF(2) too) or U(r, n),
     # relabelled by a random permutation of the positions, then twisted

@@ -109,8 +109,7 @@ def _sums(draw, even=False):
     return DeltaMatroid([f"v{i}" for i in range(n)], masks, _trusted=True), least
 
 
-SUMS = settings(max_examples=50, derandomize=True, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
+SUMS = settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
 
 
 @SUMS

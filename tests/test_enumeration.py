@@ -77,7 +77,7 @@ def test_out_of_range():
 
 
 @given(st.sets(st.integers(min_value=0, max_value=7), min_size=1))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_validate_agrees_with_naive_check(masks):
     masks = sorted(masks)
     ok = brute_axiom_holds(masks, 3)

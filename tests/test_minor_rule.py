@@ -49,7 +49,7 @@ def test_every_minor_of_sampled_four_element_instances(dms_by_n):
 
 @given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
        st.booleans())
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_random_minors_of_larger_instances(n, seed, chain):
     rng = random.Random(seed)
     d = draw_with_empty_feasible(n, rng, chain)
@@ -84,7 +84,7 @@ def _kept_and_gone(n, k, rng):
 
 @given(st.integers(min_value=5, max_value=12), st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_probe_answers_when_the_contract_set_is_a_feasible_trace(n, k, seed, chain):
     # Y = F & (X | Y) for a feasible F: some candidate Y | S is feasible;
     # extension-chain draws only at n <= 8
@@ -99,7 +99,7 @@ def test_probe_answers_when_the_contract_set_is_a_feasible_trace(n, k, seed, cha
 
 @given(st.integers(min_value=5, max_value=12), st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_scan_answers_when_the_contract_set_lies_in_no_feasible_set(n, k, rank, seed):
     # U(rank, n) twisted outside X | Y: every feasible F meets X | Y in at
     # most ``rank`` elements, so a larger Y lies in none and no Y | S is

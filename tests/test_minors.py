@@ -1,19 +1,12 @@
 """The catalog, the D5 family and its deduplication, the minor scan of
-helpers.py, the two obstruction routes on hand-built examples, and
-``Obstruction.verify`` on hand-built and broken records.
+helpers.py, and ``Obstruction.verify`` on hand-built and broken records.
 
 The routes' exhaustive checks on every instance with n <= 4, and minor
-closure, are acceptance criteria 4, 5 and 7 in ``test_acceptance.py``.
+closure, are acceptance criteria 4, 5 and 7 in ``test_acceptance.py``;
+their hand-built examples are rows of ``test_witness_maps.test_fixed_hosts``.
 """
 
-from twistwidth import (
-    DeltaMatroid,
-    Obstruction,
-    d5_family,
-    is_obstructed,
-    matroid_twist_obstructions,
-    validate,
-)
+from twistwidth import DeltaMatroid, Obstruction, d5_family, validate
 from helpers import are_isomorphic, has_minor_isomorphic, pairwise_d5_dedup
 
 D5_DEDUP_COUNT = 7  # frozen regression value from pairwise isomorphism
@@ -81,35 +74,6 @@ class TestHasMinor:
         obs = has_minor_isomorphic(host, cat[1])
         assert obs is not None and obs.verify(host)
         assert obs.delete_set | obs.contract_set == {"d"}
-
-
-class TestObstructed:
-    def test_catalog_members_self_obstructed(self, cat):
-        obs = is_obstructed(cat[1])
-        assert obs is not None
-        assert obs.delete_set == obs.contract_set == frozenset()
-
-    def test_width_one_instance_unobstructed(self):
-        assert is_obstructed(validate("a", ["", "a"])) is None
-
-    def test_twisted_member_obstructed(self, cat):
-        assert is_obstructed(cat[4].twist("b")) is not None
-
-
-class TestMatroidTwistObstructions:
-    def test_four_point_family_obstructed_by_singleton(self, cat):
-        obs = matroid_twist_obstructions(cat[0])
-        assert obs is not None
-        assert obs.target.n == 1
-
-    def test_matroids_unobstructed(self):
-        for m in (validate("ab", ["a", "b"]), validate("abc", [""])):
-            assert matroid_twist_obstructions(m) is None
-
-    def test_odd_triangle_self_obstructed(self, cat):
-        obs = matroid_twist_obstructions(cat[2])
-        assert obs is not None
-        assert obs.target == cat[2]
 
 
 class TestObstructionVerify:

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from twistwidth import certify, is_obstructed, matroid_twist_obstructions
-from helpers import CERTIFY_READS, FamilyReads, TwistedUniform, every_dm
+from helpers import CERTIFY_READS, ROUTES, FamilyReads, TwistedUniform, every_dm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twistwidth"
 
@@ -165,9 +165,8 @@ def test_twisted_uniform_past_the_element_cap():
 def test_family_reads_give_the_same_records(dms_by_n):
     for d in every_dm(dms_by_n):
         seen = FamilyReads(d)
-        assert certify(seen) == certify(d)
-        assert is_obstructed(seen) == is_obstructed(d)
-        assert matroid_twist_obstructions(seen) == matroid_twist_obstructions(d)
+        for route in ROUTES:
+            assert route(seen) == route(d)
 
 
 def test_family_reads_hide_the_family(cat):
@@ -180,7 +179,7 @@ def _needs(name, d):
     """Whether some route raises AttributeError on ``d`` seen without ``name``."""
     seen = FamilyReads(d)
     delattr(seen, name)
-    for route in (certify, is_obstructed, matroid_twist_obstructions):
+    for route in ROUTES:
         try:
             route(seen)
         except AttributeError as err:

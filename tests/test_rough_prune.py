@@ -118,7 +118,7 @@ def _parts_sum(draw):
 
 
 @given(_parts_sum())
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 def test_a_free_element_ties_the_two_routes_on_sums(case):
     d, bad = case
     obs = matroid_twist_obstructions(d)

@@ -3,9 +3,11 @@ branch of ``matroid_twist_obstructions`` and the odd branch of
 ``rough_structure_witnesses`` read ``certify._certificate(d)``, which the
 first of them to run on a ``DeltaMatroid`` keeps in its ``_cert`` slot.
 The later routes give the records fresh copies give, each built and
-verified in its own call; equality, hashing, ``repr``, pickling and copying
-ignore the slot, and a representation without it runs the procedure on
-every call.
+verified in its own call: every route checks its record once, on the host
+it was given, and raises when the check fails, whether it runs the
+procedure or reads the slot. Equality, hashing, ``repr``, pickling and
+copying ignore the slot, and a representation without it runs the
+procedure on every call.
 """
 
 import copy
@@ -16,14 +18,13 @@ import random
 import pytest
 
 from twistwidth import (CertificationError, Obstruction, catalog, certify,
-                        is_obstructed, matroid_twist_obstructions, rough_structure_witnesses,
-                        validate)
-from helpers import (FamilyReads, TwistedUniform, every_dm, fresh, odd_cycle_instance,
-                     record_calls, twisted_uniform)
+                        matroid_twist_obstructions, rough_structure_witnesses, validate)
+from helpers import (AUT_HOST, ROUTES, FamilyReads, TwistedUniform, every_dm, fresh,
+                     obstruction_of, odd_cycle_instance, record_calls, twisted_uniform)
 
 certify_module = importlib.import_module("twistwidth.certify")
+minors_module = importlib.import_module("twistwidth.minors")
 
-ROUTES = (certify, is_obstructed, matroid_twist_obstructions)
 # rough_structure_witnesses reads the family, so it takes no representation
 FOUR_ROUTES = (*ROUTES, rough_structure_witnesses)
 
@@ -46,47 +47,28 @@ def _even_hosts():
             twisted_uniform(2, 5, 0b00011)]
 
 
-@pytest.mark.parametrize("host", _even_hosts(), ids=["triangle-a", "five-cycle", "u25"])
-def test_three_routes_run_the_procedure_once(host, monkeypatch):
-    assert host._odd_pair() is None
-    calls = _count_procedure(monkeypatch)
-    d = fresh(host)
-    records = [route(d) for route in ROUTES]
-    assert len(calls) == 1
-    calls.clear()
-    assert [route(fresh(host)) for route in ROUTES] == records
-    assert len(calls) == 3
-
-
-def test_the_odd_branch_runs_no_procedure(monkeypatch):
-    d = fresh(catalog()[0])
-    assert d._odd_pair() is not None
-    calls = _count_procedure(monkeypatch)
-    assert matroid_twist_obstructions(d) is not None and calls == [] and _memo(d) is None
-    assert is_obstructed(d) is not None and certify(d) is not None and len(calls) == 1
-
-
 def test_routes_in_any_order_match_fresh_copies(dms_by_n, monkeypatch):
     # by induction on the slot's two states, every order of the routes runs
     # the procedure once and gives the fresh copies' records: from either
-    # state each route gives that record, and only one on an unset slot runs
-    # the procedure, once, to fill the slot with the certificate
+    # state each route gives that record, and on an unset slot each route
+    # runs the procedure once to fill the slot with the certificate, but for
+    # the odd branch of matroid_twist_obstructions and the even one of
+    # rough_structure_witnesses, which run none and leave the slot unset
     calls = _count_procedure(monkeypatch)
-    for d in every_dm(dms_by_n):
+    for d in [*every_dm(dms_by_n), *_even_hosts()]:
         memo = certify_module._certificate(fresh(d))
-        fills = 0
+        odd = d._odd_pair() is not None
+        skips = {matroid_twist_obstructions: odd, rough_structure_witnesses: not odd}
         for route in FOUR_ROUTES:
             expected = route(fresh(d))
             unset, filled = fresh(d), fresh(d)
             kept = certify_module._certificate(filled)
             calls.clear()
             assert route(unset) == expected
-            assert (len(calls), _memo(unset)) in ((0, None), (1, memo))
-            fills += len(calls)
+            assert (len(calls), _memo(unset)) == ((0, None) if skips.get(route) else (1, memo))
             calls.clear()
             assert route(filled) == expected
             assert calls == [] and _memo(filled) is kept
-        assert fills, d
 
 
 def test_the_memo_is_unset_until_a_route_fills_it():
@@ -130,29 +112,50 @@ def test_the_memo_cannot_be_written_from_outside():
 def test_mutating_a_returned_iso_leaves_the_next_record_unchanged(route, cat):
     d = fresh(cat[2].twist("a"))
     first = route(d)
-    obs = first.obstruction if route is certify else first
+    obs = obstruction_of(first)
     expected = copy.deepcopy(first)
     obs.iso.clear()
     obs.iso["stray"] = "label"
     again = route(d)
     assert again == expected and again != first
-    assert (again.obstruction if route is certify else again).iso is not obs.iso
+    assert obstruction_of(again).iso is not obs.iso
 
 
-def test_every_call_verifies_its_witness_on_the_host(cat, monkeypatch):
-    d = fresh(cat[2].twist("a"))
+# the odd branch of matroid_twist_obstructions on the four-point member, a
+# member as it is, the odd triangle twisted off the empty set, and a host
+# whose witness, lifted back from its twist, lands on a target with
+# automorphisms
+VERIFIED_HOSTS = {"four-point": catalog()[0], "member-1": catalog()[1],
+                  "triangle-a": catalog()[2].twist("a"), "aut": AUT_HOST}
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["cold", "kept"])
+@pytest.mark.parametrize("host", VERIFIED_HOSTS.values(), ids=VERIFIED_HOSTS)
+def test_every_call_verifies_its_witness_on_the_host(host, kept, monkeypatch):
+    # each route checks its record once, on the very host it was given, with
+    # the target table's own target, and raises when that check fails: cold,
+    # each call on a copy of its own, and kept, every call on one copy whose
+    # slot the routes have filled
+    filled = fresh(host)
     for route in ROUTES:
-        route(d)
-    assert _memo(d) is not None
+        route(filled)
+    assert _memo(filled) is not None
+
+    def copy_of_host():
+        return filled if kept else fresh(host)
+
+    targets = minors_module._target_table()[0]
     checked = record_calls(monkeypatch, Obstruction, "_matches")
     for route in ROUTES:
+        d = copy_of_host()
         checked.clear()
-        assert route(d) is not None
+        obs = obstruction_of(route(d))
         assert len(checked) == 1 and checked[0][1] is d, route.__name__
+        assert any(obs.target is t for t in targets), route.__name__
     monkeypatch.setattr(Obstruction, "_matches", lambda self, host, minor_of: False)
     for route in ROUTES:
         with pytest.raises(CertificationError, match="fails to verify"):
-            route(d)
+            route(copy_of_host())
 
 
 def test_a_twist_witness_failing_its_recheck_is_not_kept(monkeypatch):

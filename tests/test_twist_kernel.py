@@ -99,26 +99,26 @@ _TWISTED_UNIFORM = given(
 
 
 @_RANDOM_TWISTS
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 def test_searches_agree_on_random_twists(n, seed, chain):
     _check_searches(_random_twist(n, seed, chain))
 
 
 @_TWISTED_UNIFORM
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 def test_searches_agree_on_twisted_uniform_matroids(n, rank, free, seed):
     x = random.Random(seed).randrange(1 << n)
     _check_searches(twisted_uniform(rank, n - free, x, free, check=True))
 
 
 @_RANDOM_TWISTS
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 def test_formula_agrees_on_random_twists(n, seed, chain):
     check_formula(_random_twist(n, seed, chain))
 
 
 @_TWISTED_UNIFORM
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 def test_formula_agrees_on_twisted_uniform_matroids(n, rank, free, seed):
     x = random.Random(seed).randrange(1 << n)
     check_formula(twisted_uniform(rank, n - free, x, free, check=True))
@@ -129,7 +129,7 @@ def test_formula_agrees_on_twisted_uniform_matroids(n, rank, free, seed):
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 def test_terms_agree_on_width_one_sums(n, rank, seed):
     # each set of U(rank, n - 1) with and without the free element, so many
     # feasible sets tie on each term's least score; the draws above reach
@@ -176,7 +176,7 @@ def _check_against_oracle(d):
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=12)
 def test_kernel_matches_list_oracle_on_large_twisted_uniform(
     n, rank, free, seed
 ):
@@ -188,7 +188,7 @@ def test_kernel_matches_list_oracle_on_large_twisted_uniform(
     st.integers(min_value=11, max_value=12),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=6, deadline=None, derandomize=True)
+@settings(max_examples=6)
 def test_kernel_matches_list_oracle_on_large_random_twists(n, seed):
     _check_against_oracle(_random_twist(n, seed))
 

@@ -1,4 +1,5 @@
-"""The index and label map of every minor witness, against a fresh match.
+"""The three routes of ``helpers.ROUTES`` against the oracles past four
+elements, and the index and label map of every minor witness.
 
 ``certify``, ``is_obstructed`` and ``matroid_twist_obstructions`` return a
 minor witness whose target index and label map ``rematch`` (helpers.py)
@@ -6,6 +7,15 @@ finds again from its delete and contract sets alone, with the brute-force
 ``are_isomorphic`` (helpers.py) over the route's own target list: the
 first target that matches, and the first map in lexicographic order of
 permutations.
+
+Each instance source past four elements has one ``hypothesis`` test, which
+runs ``_check_routes``, every route's full check, on each draw: GF(2) and
+extension-chain draws at n = 5..8, each as drawn, twisted off the empty
+set and by a random set; twisted uniform matroids, with and without a free
+element; and odd rings with m = 5, 7, 9, and their twists. A route or
+representation added to ``ROUTES`` or to a source is checked there once.
+The fixed hosts of every route, up to U(2, 63), are rows of
+``test_fixed_hosts``.
 """
 
 import ast
@@ -20,9 +30,10 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import twistwidth
 from twistwidth import (
@@ -37,20 +48,17 @@ from twistwidth import (
     matroid_twist_obstructions,
     validate,
 )
-from twistwidth.core import DeltaMatroid, _minor_masks
-from helpers import (FamilyReads, are_isomorphic, d5_dedup, draw_with_empty_feasible, every_dm,
-                     fresh, matroid_twist_targets, odd_cycle_instance, record_calls, rematch,
-                     sequential_minor, twist_off_empty)
+from twistwidth.core import _minor_masks
+from helpers import (AUT_HOST, FIVE_CYCLE, ROUTES, FamilyReads, are_isomorphic,
+                     brute_min_twist_width, check_certificate, check_d5_witness,
+                     check_matroid_twist_obstructions, d5_dedup, draw_with_empty_feasible,
+                     every_dm, fresh, matroid_twist_targets, obstruction_of, odd_cycle_instance,
+                     record_calls, rematch, sequential_minor, twist_off_empty, twisted_uniform,
+                     uniform_masks)
 
 certify_module = importlib.import_module("twistwidth.certify")
 core_module = importlib.import_module("twistwidth.core")
 minors_module = importlib.import_module("twistwidth.minors")
-
-# aut.dm of the CLI golden table: the empty set is infeasible, and the witness
-# lifted back from the twist by {e1} lands on a target with automorphisms
-AUT_HOST = validate(["e1", "e2", "e3", "e4"],
-                    [["e1"], ["e2"], ["e1", "e2"], ["e3"], ["e1", "e2", "e3"]])
-ROUTES = (certify, is_obstructed, matroid_twist_obstructions)
 
 
 def _fields(obs):
@@ -58,21 +66,17 @@ def _fields(obs):
 
 
 def _check_certify(d):
-    cert = certify(d)
-    if isinstance(cert, TwistWitness):
-        return cert
-    obs = cert.obstruction
-    # with the empty set infeasible the target is a twist of the catalog member
-    base = catalog()[obs.target_index]
-    assert obs.target in {base.twist(a) for a in range(base.full_mask + 1)}
-    assert _fields(obs) == rematch(d, obs, [(obs.target_index, obs.target)]), d
+    cert = check_certificate(d)
+    if isinstance(cert, MinorWitness):
+        obs = cert.obstruction
+        assert _fields(obs) == rematch(d, obs, [(obs.target_index, obs.target)]), d
     return cert
 
 
 def _check_is_obstructed(d):
     obs = is_obstructed(d)
     if obs is not None:
-        assert obs.target == d5_dedup()[obs.target_index]
+        check_d5_witness(d, obs)
         assert _fields(obs) == rematch(d, obs, enumerate(d5_dedup())), d
     return obs
 
@@ -93,23 +97,10 @@ def test_every_small_instance_matches_the_oracle(dms_by_n):
         _check_matroid_twist(d)
 
 
-@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
-       st.booleans())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_sampled_instances_twisted_off_the_empty_set(n, seed, chain):
-    rng = random.Random(seed)
-    d = twist_off_empty(draw_with_empty_feasible(n, rng, chain), rng)
-    assume(d is not None)
-    cert = _check_certify(d)
-    obs = _check_is_obstructed(d)
-    assert (obs is None) == isinstance(cert, TwistWitness)
-    _check_matroid_twist(d)
-
-
 def _check_first_twist(d):
-    # with the empty set infeasible, certify's target is the first twist of
-    # its member, in ascending mask order, that the witness minor maps onto,
-    # by the map are_isomorphic returns for it
+    # certify's target is the first twist of its member, in ascending mask
+    # order, that the witness minor maps onto, by the map are_isomorphic
+    # returns for it: the member itself when the empty set is feasible
     cert = certify(d)
     if isinstance(cert, TwistWitness):
         return
@@ -128,14 +119,105 @@ def test_twisted_small_instances_take_the_first_twist_of_the_member(dms_by_n):
         _check_first_twist(d)
 
 
-@given(st.integers(min_value=5, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
-       st.booleans())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_twisted_draws_take_the_first_twist_of_the_member(n, seed, chain):
-    rng = random.Random(seed)
-    d = twist_off_empty(draw_with_empty_feasible(n, rng, chain), rng)
-    assume(d is not None)
+# -- every route on each instance source past four elements, and fixed hosts
+
+
+def _check_routes(d):
+    """Every route's full check on ``d``: ``check_certificate``,
+    ``is_obstructed``'s verdict against the brute-force twist width and
+    ``check_d5_witness``, ``check_matroid_twist_obstructions``, each record's
+    index and map against ``rematch``, and the first-twist rule of
+    ``certify``'s target. The three records are returned."""
+    cert = _check_certify(d)
     _check_first_twist(d)
+    obs = _check_is_obstructed(d)
+    assert (obs is None) == (brute_min_twist_width(d) <= 1)
+    check_matroid_twist_obstructions(d)
+    return cert, obs, _check_matroid_twist(d)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(st.integers(min_value=5, max_value=8), SEEDS, st.booleans())
+@settings(max_examples=100)
+def test_gf2_and_chain_draws(n, seed, chain):
+    # each draw as drawn, with the empty set feasible, twisted off the empty
+    # set, and twisted by a random set
+    rng = random.Random(seed)
+    drawn = draw_with_empty_feasible(n, rng, chain)
+    for d in (drawn, twist_off_empty(drawn, rng), drawn.twist(rng.randrange(1 << n))):
+        if d is not None:
+            _check_routes(d)
+
+
+@given(st.integers(min_value=5, max_value=8), st.integers(min_value=1, max_value=4),
+       st.booleans(), SEEDS)
+@settings(max_examples=40)
+def test_twisted_uniform_matroids(n, rank, free, seed):
+    # twist width zero, or one with a free element {∅, {e_n}} added; mostly
+    # with the empty set infeasible
+    x = random.Random(seed).randrange(1 << n + free)
+    cert, obs, matroid_obs = _check_routes(twisted_uniform(rank, n, x, free, check=True))
+    assert isinstance(cert, TwistWitness) and obs is None
+    assert (matroid_obs is None) != free
+
+
+@given(st.sampled_from((5, 7, 9)), st.integers(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=2), SEEDS)
+@settings(max_examples=100)
+def test_odd_cycle_instances_and_their_twists(m, extra, loops, seed):
+    # long odd cycles send certify through _long_cycle_case, which the draws
+    # above rarely reach; each instance is also twisted off the empty set
+    odd = odd_cycle_instance(m, extra, loops, seed)
+    for d in (odd, twist_off_empty(odd, random.Random(seed))):
+        _check_routes(d)
+
+
+def _d5_class(member):
+    """The index of the deduplicated D5 member that ``are_isomorphic`` maps
+    ``member`` onto."""
+    return next(i for i, h in enumerate(d5_dedup()) if are_isomorphic(member, h) is not None)
+
+
+def _large_uniform(n, free):
+    # built unchecked: the axiom check alone would take minutes at n = 63
+    return twisted_uniform(2, n, random.Random(n + free).randrange(1 << n + free), free)
+
+
+# (id, host, route, its target index or None): every D5 member is its own
+# witness, onto its class; a twisted U(r, m) has a matroid twist, and with a
+# free element {∅, {e_m}} it is odd, so the singleton obstructs it
+FIXED_HOSTS = [
+    *((f"d5-{k}", m, is_obstructed, _d5_class(m)) for k, m in enumerate(d5_family())),
+    ("singleton", validate("a", ["", "a"]), is_obstructed, None),
+    ("u2-12", twisted_uniform(2, 12, check=True), is_obstructed, None),
+    ("empty", validate([], [[]]), matroid_twist_obstructions, None),
+    ("u1-2", validate("ab", ["a", "b"]), matroid_twist_obstructions, None),
+    ("three-loops", validate("abc", [""]), matroid_twist_obstructions, None),
+    ("four-point", catalog()[0], matroid_twist_obstructions, 0),
+    ("triangle", catalog()[2], matroid_twist_obstructions, 1),
+    ("u3-9-twisted", twisted_uniform(3, 9, 0b100101101, check=True),
+     matroid_twist_obstructions, None),
+    ("u3-8-free", twisted_uniform(3, 8, uniform_masks(3, 8)[17], free=True, check=True),
+     matroid_twist_obstructions, 0),
+    *((f"u2-{n}" + "-free" * free, _large_uniform(n, free), matroid_twist_obstructions,
+       0 if free else None) for n, free in ((24, False), (63, False), (23, True), (62, True))),
+]
+
+
+@pytest.mark.parametrize("host, route, expected", [row[1:] for row in FIXED_HOSTS],
+                         ids=[row[0] for row in FIXED_HOSTS])
+def test_fixed_hosts(host, route, expected):
+    # the route answers within 1 s, with a witness that verifies; on up to
+    # nine elements, where the brute force reaches, every route is checked
+    start = time.perf_counter()
+    obs = route(host)
+    assert time.perf_counter() - start < 1.0
+    assert (None if obs is None else obs.target_index) == expected
+    assert obs is None or obs.verify(host)
+    if host.n <= 9:
+        _check_routes(host)
 
 
 def _record(obs):
@@ -173,52 +255,31 @@ def test_matroid_twist_obstructions_digest(dms_by_n):
     )
 
 
-# -- each entry point matches its witness once and verifies it once
-
-
-@pytest.mark.parametrize("host", [AUT_HOST, catalog()[2].twist("a")], ids=["aut", "triangle-a"])
-def test_each_entry_point_verifies_once(host, monkeypatch):
-    assert host.masks[0] != 0
-    calls = record_calls(monkeypatch, Obstruction, "_matches")
-    for route in ROUTES:
-        calls.clear()
-        assert route(fresh(host)) is not None
-        assert [args[1] for args in calls] == [host], route.__name__
-
-
-def test_lifted_certificate_computes_the_host_minor_once(monkeypatch):
-    # one _minor_masks call serves the target lookup and the check
-    calls = record_calls(monkeypatch, core_module, "_minor_masks")
-    assert isinstance(certify(fresh(AUT_HOST)), MinorWitness)
-    assert len(calls) == 1
-
-
-def _obstruction(record):
-    """The minor witness a route returned, or None."""
-    if isinstance(record, MinorWitness):
-        return record.obstruction
-    return record if isinstance(record, Obstruction) else None
+# -- each record is looked up once, by one minor of the host
 
 
 def _small_hosts(dms_by_n):
     # AUT_HOST is odd and its certificate lifted; the odd-cycle instance is
-    # even and its certificate reduced
-    return [*every_dm(dms_by_n), AUT_HOST, odd_cycle_instance(7, 0, 0, 0)]
+    # even and its certificate reduced; FIVE_CYCLE twisted by {a} has its
+    # certificate reduced and lifted
+    return [*every_dm(dms_by_n), AUT_HOST, odd_cycle_instance(7, 0, 0, 0), FIVE_CYCLE.twist("a")]
 
 
 def test_each_record_costs_one_minor(dms_by_n, monkeypatch):
     # _witness looks the minor up and checks the record against it: one
-    # _minor_of per record, on the first call and on a kept certificate,
-    # through the family and through the reads alone
-    calls = record_calls(monkeypatch, DeltaMatroid, "_minor_of")
+    # _witness call and one minor's masks per record, on the first call and
+    # on a kept certificate, through the family and through the reads alone
+    lookups = record_calls(monkeypatch, certify_module, "_witness")
+    minors = record_calls(monkeypatch, core_module, "_minor_masks")
     branches = set()
     for d in _small_hosts(dms_by_n):
         d = fresh(d)
         for host in (d, d, FamilyReads(d)):
             for route in ROUTES:
-                calls.clear()
-                records = _obstruction(route(host)) is not None
-                assert len(calls) == records, (route.__name__, d)
+                lookups.clear()
+                minors.clear()
+                records = obstruction_of(route(host)) is not None
+                assert len(lookups) == len(minors) == records, (route.__name__, d)
                 if records and route is matroid_twist_obstructions:
                     branches.add(d._odd_pair() is None)
     assert branches == {False, True}  # both branches of matroid_twist_obstructions
@@ -273,7 +334,7 @@ def test_verify_and_the_route_check_reject_mutated_records(dms_by_n, monkeypatch
     cases = []
     for d in _small_hosts(dms_by_n):
         for route in ROUTES:
-            if (obs := _obstruction(route(d))) is not None:
+            if (obs := obstruction_of(route(d))) is not None:
                 minors.clear()
                 assert obs.verify(d) and len(minors) == 1, (route.__name__, d)
                 cases += [(d, route, kind, mutant) for kind, mutant in _mutations(d, obs)]
@@ -305,15 +366,14 @@ def test_witnesses_pickle_and_copy():
 def test_no_isomorphism_is_searched_once_the_tables_exist(dms_by_n, monkeypatch):
     # every witness reads its map off minors._target_table, and every
     # permutation the library tries is in building that table
-    routes = (certify, is_obstructed, matroid_twist_obstructions)
     hosts = list(every_dm(dms_by_n))
-    warm = [[route(d) for route in routes] for d in hosts]
+    warm = [[route(d) for route in ROUTES] for d in hosts]
 
     def forbidden(*args):
         raise AssertionError("a route tried label permutations once the tables existed")
 
     monkeypatch.setattr(minors_module, "permutations", forbidden)
-    assert [[route(fresh(d)) for route in routes] for d in hosts] == warm
+    assert [[route(fresh(d)) for route in ROUTES] for d in hosts] == warm
 
 
 def test_the_first_is_obstructed_call_builds_the_target_table():
@@ -340,11 +400,10 @@ def test_the_table_permutes_each_catalog_member_once(monkeypatch):
 
 def test_no_route_hashes_a_delta_matroid(dms_by_n, monkeypatch):
     # every lookup is keyed on ints and tuples of them, never on a target
-    routes = (certify, is_obstructed, matroid_twist_obstructions)
     hosts = [*every_dm(dms_by_n), AUT_HOST]
-    warm = [[route(d) for route in routes] for d in hosts]
+    warm = [[route(d) for route in ROUTES] for d in hosts]
     # a copy per route and host, so that each route runs the procedure
-    copies = [[fresh(d) for _ in routes] for d in hosts]
+    copies = [[fresh(d) for _ in ROUTES] for d in hosts]
 
     def unhashable(self):
         raise AssertionError("a route hashed a delta-matroid")
@@ -352,20 +411,19 @@ def test_no_route_hashes_a_delta_matroid(dms_by_n, monkeypatch):
     monkeypatch.setattr(core_module.DeltaMatroid, "__hash__", unhashable)
     with pytest.raises(AssertionError, match="hashed"):
         hash(AUT_HOST)
-    assert [[route(c) for route, c in zip(routes, cs)] for cs in copies] == warm
+    assert [[route(c) for route, c in zip(ROUTES, cs)] for cs in copies] == warm
 
 
 def test_warm_routes_run_no_import_statement(dms_by_n, monkeypatch):
     # the routes and the procedure they run are bound at module level in certify
-    routes = (is_obstructed, matroid_twist_obstructions, certify)
-    for route in routes:
+    for route in ROUTES:
         route(AUT_HOST)
     # a copy per route and host, so that each route runs the procedure
-    copies = [[fresh(d) for _ in routes] for d in [d for n in (1, 2, 3) for d in dms_by_n[n]]
+    copies = [[fresh(d) for _ in ROUTES] for d in [d for n in (1, 2, 3) for d in dms_by_n[n]]
               + [AUT_HOST]]
     imported = record_calls(monkeypatch, builtins, "__import__")
     for cs in copies:
-        for route, c in zip(routes, cs):
+        for route, c in zip(ROUTES, cs):
             route(c)
     monkeypatch.undo()
     assert [args[0] for args in imported] == []
@@ -495,18 +553,3 @@ def test_wrong_map_in_the_table_raises(monkeypatch):
         is_obstructed(AUT_HOST)
 
 
-# -- witnesses composed through the reduction step
-
-
-@given(st.sampled_from((5, 7, 9)), st.integers(min_value=0, max_value=1),
-       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_odd_cycle_instances_and_their_twists(m, extra, loops, seed):
-    # long odd cycles send certify through _long_cycle_case, which the draws
-    # above rarely reach; each instance is also twisted off the empty set
-    odd = odd_cycle_instance(m, extra, loops, seed)
-    for d in (odd, twist_off_empty(odd, random.Random(seed))):
-        cert = _check_certify(d)
-        obs = _check_is_obstructed(d)
-        assert (obs is None) == isinstance(cert, TwistWitness)
-        _check_matroid_twist(d)
